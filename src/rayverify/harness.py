@@ -7,6 +7,7 @@ roll-up summary.  Reports are deterministic for fixed inputs up to the
 timing fields.
 """
 
+import functools
 import json
 import os
 from pathlib import Path
@@ -23,12 +24,31 @@ EXIT_ERROR = 2
 _BAD = (checks.FAIL, checks.REFUTES)
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest():
+    """sha256 over the names and contents of the package's *.py sources.
+
+    Computed on first use, once per process, so commands that never touch
+    the cache do not pay for it.
+    """
+    try:  # the built-in module: hashlib loads OpenSSL, about 3.5 MB of RSS
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+    h = sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
 class Cache:
-    """A directory of JSON entries keyed by name and engine version.
+    """A directory of JSON entries keyed by name and by the engine's code.
 
     The root is the explicit argument if given, else the RAYVERIFY_CACHE
-    environment variable, else ~/.cache/rayverify.  Entries written by a
-    different engine version are never returned.
+    environment variable, else ~/.cache/rayverify.  Entry names carry the
+    engine version and a digest of the package sources (`source_digest`),
+    so entries written by any other code are never returned.
     """
 
     def __init__(self, root=None):
@@ -41,7 +61,7 @@ class Cache:
 
     def _path(self, key):
         safe = "".join(c if (c.isalnum() or c in "-_.") else "_" for c in key)
-        return self.root / ("%s-v%s.json" % (safe, __version__))
+        return self.root / ("%s-v%s-%s.json" % (safe, __version__, source_digest()[:16]))
 
     def get(self, key):
         try:

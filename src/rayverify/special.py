@@ -1,9 +1,9 @@
 """Explicit constructions in k(zeta_ell) over a real quadratic field k.
 
-Three tools live here, all exact:
+Four tools live here, all exact:
 
-* arithmetic in the composite field k(zeta_ell) for a prime ell that does
-  not ramify in k, with coefficients in the quadratic field;
+* arithmetic in the composite field k(zeta_ell) for an odd prime ell that
+  does not ramify in k, held in integers (see `CycQuadElement`);
 * norm-one units attached to a cyclotomic level (n, d), produced by pushing
   the two-variable product over (zeta_ell^t - zeta_n^t) down to the
   subfield cut out by the quadratic field, together with a fully exact
@@ -15,8 +15,12 @@ Three tools live here, all exact:
   generates the Galois group of k(zeta_ell)/k;
 * discrete-logarithm vectors of a quadratic-field number at the primes over
   a split rational prime, packaged as group-ring annihilator coefficients.
+
+Bad arguments raise ValueError and a broken internal invariant raises
+ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
 """
 
+import math
 from fractions import Fraction
 
 from .cyclo import FieldSpec, subgroup_product_polynomial, to_quadratic
@@ -26,58 +30,141 @@ from .quadratic import QuadElement
 from .units import cyclotomic_number
 
 
-class CycQuadElement:
-    """Element of k(zeta_ell): coefficients of 1, zeta, ..., zeta^(ell-2).
+def _check_modulus(field, ell):
+    if not (ell % 2 == 1 and is_prime(ell)):
+        raise ValueError("ell=%d must be an odd prime" % ell)
+    if field.D % ell == 0:
+        raise ValueError(
+            "ell=%d ramifies in Q(sqrt(%d)); k(zeta_ell) needs it unramified"
+            % (ell, field.D)
+        )
 
-    `coeffs` is a list of ell-1 QuadElements; the power basis is reduced by
-    the relation 1 + zeta + ... + zeta^(ell-1) = 0.  ell must be a prime
-    that is unramified in k, so that the representation is unique.
+
+def _omega_ints(field, z):
+    """Integers (a, b, e), e > 0, with z = (a + b omega) / e."""
+    if not isinstance(z, QuadElement):
+        z = field.element(z)
+    elif z.field.D != field.D:
+        raise ValueError("mixed quadratic fields")
+    u, v = z.omega_coords()
+    e = math.lcm(u.denominator, v.denominator)
+    return u.numerator * (e // u.denominator), v.numerator * (e // v.denominator), e
+
+
+def _quad(field, a, b, e):
+    """The QuadElement (a + b omega) / e."""
+    odd = field.D % 2
+    return QuadElement(field, Fraction(2 * a + odd * b, 2 * e), Fraction(b, 2 * e))
+
+
+# -- Kronecker substitution: a vector v of ints is the int sum v[j] 2^(w j)
+# for a slot width w = 8k bits, with signed digits |v[j]| < 2^(w-1).
+
+
+def _bias(count, k):
+    """The digit offset 2^(w-1) in each of `count` slots of k bytes."""
+    return int.from_bytes((bytes(k - 1) + b"\x80") * count, "little")
+
+
+def _pack(vec, k):
+    half = 1 << (8 * k - 1)
+    raw = b"".join((v + half).to_bytes(k, "little") for v in vec)
+    return int.from_bytes(raw, "little") - _bias(len(vec), k)
+
+
+def _unpack_cyclic(value, ell, k):
+    """The signed digits f_0..f_(ell-1) of value modulo 2^(w ell) - 1.
+
+    That modulus is zeta^ell - 1 at zeta = 2^w, so a packed product folds
+    into ell slots.  Requires |f_j| < 2^(w-1) - 1: the biased residue then
+    has the digits f_j + 2^(w-1) with no carries.
+    """
+    half = 1 << (8 * k - 1)
+    size = k * ell
+    raw = ((value + _bias(ell, k)) % ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + k], "little") - half for i in range(0, size, k)]
+
+
+def _height(x):
+    """Bit length of the largest integer coordinate of x."""
+    return max(map(abs, x.A + x.B)).bit_length()
+
+
+class CycQuadElement:
+    """Element (sum_j (A[j] + B[j] omega) zeta^j) / den of k(zeta_ell).
+
+    j runs over 0..ell-2: the power basis is reduced by the relation
+    1 + zeta + ... + zeta^(ell-1) = 0, and omega generates O_k = Z[omega].
+    A and B are tuples of ints and den is a positive int with
+    gcd(den, A, B) = 1, so the representation is unique: equality,
+    integrality (den == 1, since ell is unramified in k and O_k[zeta] is
+    the ring of integers) and divisibility are integer tests.
+
+    A product packs each coordinate vector into one int (Kronecker
+    substitution), takes the three big-integer products AC, BD and
+    (A + B)(C + D), rewrites omega^2 = T omega - N with T, N the trace and
+    norm of omega, and folds the packed results modulo zeta^ell - 1.
     """
 
-    __slots__ = ("field", "ell", "coeffs")
+    __slots__ = ("field", "ell", "A", "B", "den")
 
-    def __init__(self, field, ell, coeffs):
-        assert is_prime(ell) and field.D % ell != 0
-        assert len(coeffs) == ell - 1
+    def __init__(self, field, ell, A, B, den=1):
+        if len(A) != ell - 1 or len(B) != ell - 1:
+            raise ValueError("need ell - 1 coordinates on 1 and on omega")
+        if den <= 0:
+            raise ValueError("the denominator must be positive")
+        g = math.gcd(den, *A, *B)
+        if g > 1:
+            den //= g
+            A = [a // g for a in A]
+            B = [b // g for b in B]
         self.field = field
         self.ell = ell
-        self.coeffs = coeffs
+        self.A = tuple(A)
+        self.B = tuple(B)
+        self.den = den
 
     # -- constructors
 
     @classmethod
+    def _from_cyclic(cls, field, ell, X, Y, den):
+        """From length-ell coordinates on 1, zeta, ..., zeta^(ell-1)."""
+        tx, ty = X[-1], Y[-1]
+        return cls(field, ell, [x - tx for x in X[:-1]], [y - ty for y in Y[:-1]], den)
+
+    @classmethod
     def from_quad(cls, field, ell, z):
-        if not isinstance(z, QuadElement):
-            z = field.element(z)
-        coeffs = [z] + [field.zero()] * (ell - 2)
-        return cls(field, ell, coeffs)
+        _check_modulus(field, ell)
+        a, b, e = _omega_ints(field, z)
+        zeros = [0] * (ell - 2)
+        return cls(field, ell, [a] + zeros, [b] + zeros, e)
 
     @classmethod
     def zero(cls, field, ell):
-        return cls(field, ell, [field.zero()] * (ell - 1))
+        return cls.from_quad(field, ell, 0)
 
     @classmethod
     def one(cls, field, ell):
-        return cls.from_quad(field, ell, field.one())
+        return cls.from_quad(field, ell, 1)
 
     @classmethod
     def from_full(cls, field, ell, full):
         """Build from a length-ell list of coefficients of 1, ..., zeta^(ell-1)."""
-        assert len(full) == ell
-        top = full[ell - 1]
-        return cls(field, ell, [full[j] - top for j in range(ell - 1)])
-
-    @classmethod
-    def zeta_power(cls, field, ell, j):
-        full = [field.zero()] * ell
-        full[j % ell] = field.one()
-        return cls.from_full(field, ell, full)
+        _check_modulus(field, ell)
+        if len(full) != ell:
+            raise ValueError("need ell coefficients")
+        coords = [_omega_ints(field, z) for z in full]
+        den = math.lcm(*(e for _, _, e in coords))
+        X = [a * (den // e) for a, _, e in coords]
+        Y = [b * (den // e) for _, b, e in coords]
+        return cls._from_cyclic(field, ell, X, Y, den)
 
     # -- ring operations
 
     def _coerce(self, other):
         if isinstance(other, CycQuadElement):
-            assert other.field is self.field and other.ell == self.ell
+            if other.field.D != self.field.D or other.ell != self.ell:
+                raise ValueError("elements of different fields k(zeta_ell)")
             return other
         if isinstance(other, (int, Fraction, QuadElement)):
             return CycQuadElement.from_quad(self.field, self.ell, other)
@@ -87,16 +174,22 @@ class CycQuadElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycQuadElement(
-            self.field,
-            self.ell,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-        )
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            A = [a + c for a, c in zip(self.A, other.A)]
+            B = [b + c for b, c in zip(self.B, other.B)]
+        else:
+            A = [a * d2 + c * d1 for a, c in zip(self.A, other.A)]
+            B = [b * d2 + c * d1 for b, c in zip(self.B, other.B)]
+            d1 *= d2
+        return CycQuadElement(self.field, self.ell, A, B, d1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycQuadElement(self.field, self.ell, [-a for a in self.coeffs])
+        return CycQuadElement(
+            self.field, self.ell, [-a for a in self.A], [-b for b in self.B], self.den
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -109,27 +202,46 @@ class CycQuadElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadElement)):
-            return CycQuadElement(
-                self.field, self.ell, [a * other for a in self.coeffs]
-            )
+            return self._scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ell = self.ell
-        full = [self.field.zero()] * ell
-        for i, a in enumerate(self.coeffs):
-            if a.x == 0 and a.y == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.x == 0 and b.y == 0:
-                    continue
-                k = i + j
-                if k >= ell:
-                    k -= ell
-                full[k] = full[k] + a * b
-        return CycQuadElement.from_full(self.field, ell, full)
+        field, ell = self.field, self.ell
+        T, N = field.omega_trace, field.omega_norm
+        # every folded coefficient of the two results below is at most
+        # (ell - 1) * 2^(hx + hy) * (|N| + 6) in absolute value; the slot
+        # width w = 8k leaves two bits above that bound
+        bits = (
+            _height(self)
+            + _height(other)
+            + (ell - 1).bit_length()
+            + (abs(N) + 6).bit_length()
+        )
+        k = (bits + 9) // 8
+        pa, pb = _pack(self.A, k), _pack(self.B, k)
+        if other is self:
+            pc, pd = pa, pb
+        else:
+            pc, pd = _pack(other.A, k), _pack(other.B, k)
+        ac, bd = pa * pc, pb * pd
+        sx = pa + pb
+        sy = sx if other is self else pc + pd
+        # (A + B omega)(C + D omega) = AC - N BD + (AD + BC + T BD) omega
+        # with AD + BC = (A + B)(C + D) - AC - BD
+        X = _unpack_cyclic(ac - N * bd, ell, k)
+        Y = _unpack_cyclic(sx * sy - ac + (T - 1) * bd, ell, k)
+        return CycQuadElement._from_cyclic(field, ell, X, Y, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _scale(self, z):
+        """Multiplication by an element of the quadratic field."""
+        p, q, e = _omega_ints(self.field, z)
+        T, N = self.field.omega_trace, self.field.omega_norm
+        # (a + b omega)(p + q omega) = a p - N b q + (a q + b p + T b q) omega
+        A = [a * p - N * b * q for a, b in zip(self.A, self.B)]
+        B = [a * q + b * (p + T * q) for a, b in zip(self.A, self.B)]
+        return CycQuadElement(self.field, self.ell, A, B, self.den * e)
 
     def __pow__(self, e):
         e = int(e)
@@ -149,60 +261,78 @@ class CycQuadElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.den == other.den and self.A == other.A and self.B == other.B
 
     def __repr__(self):
         return "CycQuadElement(ell=%d, D=%d)" % (self.ell, self.field.D)
 
     def is_zero(self):
-        return all(a.x == 0 and a.y == 0 for a in self.coeffs)
+        return not any(self.A) and not any(self.B)
+
+    @property
+    def coeffs(self):
+        """The coefficients of 1, zeta, ..., zeta^(ell-2) as QuadElements."""
+        return tuple(_quad(self.field, a, b, self.den) for a, b in zip(self.A, self.B))
 
     # -- Galois actions
 
     def galois_zeta(self, s):
         """The automorphism zeta -> zeta^s, trivial on the quadratic field."""
         ell = self.ell
-        assert s % ell != 0
-        full = [self.field.zero()] * ell
-        for j, a in enumerate(self.coeffs):
-            full[(j * s) % ell] = full[(j * s) % ell] + a
-        return CycQuadElement.from_full(self.field, ell, full)
-
-    def conj_field(self):
-        """The automorphism fixing zeta and conjugating the quadratic field."""
-        return CycQuadElement(self.field, self.ell, [a.conj() for a in self.coeffs])
+        if s % ell == 0:
+            raise ValueError("zeta -> zeta^%d is not an automorphism" % s)
+        X, Y = [0] * ell, [0] * ell
+        for j, (a, b) in enumerate(zip(self.A, self.B)):
+            X[j * s % ell] = a
+            Y[j * s % ell] = b
+        return CycQuadElement._from_cyclic(self.field, ell, X, Y, self.den)
 
     def shift(self, e):
         """Multiplication by zeta^e."""
         ell = self.ell
-        full = [self.field.zero()] * ell
-        for j, a in enumerate(self.coeffs):
-            full[(j + e) % ell] = a
-        return CycQuadElement.from_full(self.field, ell, full)
+        X, Y = [0] * ell, [0] * ell
+        for j, (a, b) in enumerate(zip(self.A, self.B)):
+            X[(j + e) % ell] = a
+            Y[(j + e) % ell] = b
+        return CycQuadElement._from_cyclic(self.field, ell, X, Y, self.den)
 
     # -- norms, integrality, residues
 
+    def _orbit_product(self, m):
+        """The product of tau^i(self) for 0 <= i < m, m >= 1.
+
+        tau is zeta -> zeta^g for the least primitive root g mod ell.  With
+        P_i that product, P_2i = P_i tau^i(P_i) and P_(i+1) = self tau(P_i),
+        so it takes O(log m) products.
+        """
+        ell = self.ell
+        g = primitive_root(ell)
+        acc, i = self, 1
+        for bit in bin(m)[3:]:
+            acc = acc * acc.galois_zeta(pow(g, i, ell))
+            i *= 2
+            if bit == "1":
+                acc = self * acc.galois_zeta(g)
+                i += 1
+        return acc
+
+    def _base_part(self, what):
+        """The QuadElement self, which must have no zeta^j terms for j > 0."""
+        if any(self.A[1:]) or any(self.B[1:]):
+            raise ArithmeticError(what)
+        return _quad(self.field, self.A[0], self.B[0], self.den)
+
     def norm_to_quad(self):
         """Norm down to the quadratic field: the product of all zeta -> zeta^s."""
-        acc = self
-        for s in range(2, self.ell):
-            acc = acc * self.galois_zeta(s)
-        for a in acc.coeffs[1:]:
-            assert a.x == 0 and a.y == 0, "norm failed to land in the base field"
-        return acc.coeffs[0]
+        nrm = self._orbit_product(self.ell - 1)
+        return nrm._base_part("norm failed to land in the base field")
 
     def inverse(self):
-        co = None
-        for s in range(2, self.ell):
-            g = self.galois_zeta(s)
-            co = g if co is None else co * g
-        if co is None:  # ell == 2 never occurs (ell odd prime), keep safe
-            co = CycQuadElement.one(self.field, self.ell)
-        nrm = self * co
-        for a in nrm.coeffs[1:]:
-            assert a.x == 0 and a.y == 0, "inverse of a non-invertible element"
-        scalar = nrm.coeffs[0]
-        assert not (scalar.x == 0 and scalar.y == 0), "inverse of zero"
+        # the product of the ell - 2 nontrivial conjugates, tau(P_(ell-2))
+        co = self._orbit_product(self.ell - 2).galois_zeta(primitive_root(self.ell))
+        scalar = (self * co)._base_part("inverse of a non-invertible element")
+        if scalar.x == 0 and scalar.y == 0:
+            raise ZeroDivisionError("inverse of zero")
         return co * scalar.inverse()
 
     def absolute_norm(self):
@@ -210,21 +340,16 @@ class CycQuadElement:
         return self.norm_to_quad().norm()
 
     def is_integral(self):
-        return all(a.is_integral() for a in self.coeffs)
+        return self.den == 1
 
     def divisible_by_int(self, d):
         """True when every coefficient lies in d * (ring of integers)."""
-        for a in self.coeffs:
-            u, v = a.omega_coords()
-            if (u / d).denominator != 1 or (v / d).denominator != 1:
-                return False
-        return True
+        m = d * self.den
+        return all(a % m == 0 for a in self.A) and all(b % m == 0 for b in self.B)
 
     def residue_at(self, root):
         """Image in F_ell under zeta -> 1 and omega -> root."""
-        total = self.field.zero()
-        for a in self.coeffs:
-            total = total + a
+        total = _quad(self.field, sum(self.A), sum(self.B), self.den)
         return quad_residue(total, self.ell, root)
 
 
@@ -236,8 +361,10 @@ def quad_residue(z, ell, root):
     """
     D = z.field.D
     t = (2 * root - (D % 2)) % ell  # image of sqrt(D)
-    assert (t * t - D) % ell == 0, "root does not define a prime over ell"
-    assert z.x.denominator % ell != 0 and z.y.denominator % ell != 0
+    if (t * t - D) % ell != 0:
+        raise ValueError("root %d does not define a prime over %d" % (root, ell))
+    if z.x.denominator % ell == 0 or z.y.denominator % ell == 0:
+        raise ValueError("denominator of %r is not prime to %d" % (z, ell))
     xr = z.x.numerator * pow(z.x.denominator, -1, ell)
     yr = z.y.numerator * pow(z.y.denominator, -1, ell)
     return (xr + t * yr) % ell
@@ -260,6 +387,29 @@ def special_prime_candidates(field, n, d, count=3):
     return out
 
 
+def validate_aux_prime(field, n, d, ell):
+    """Raise ValueError unless (n, d, ell) are valid special-unit data.
+
+    The level n must exceed 1 and not divide rad(d); the auxiliary prime
+    ell must be an odd prime, split in the field and prime to n*d.
+    """
+    if n <= 1 or radical(d) % n == 0:
+        raise ValueError(
+            "level n=%d must exceed 1 and not divide rad(%d)=%d" % (n, d, radical(d))
+        )
+    if not (ell % 2 == 1 and is_prime(ell)):
+        raise ValueError("auxiliary prime ell=%d must be an odd prime" % ell)
+    if field.chi(ell) != 1:
+        raise ValueError(
+            "auxiliary prime ell=%d is %s in Q(sqrt(%d)); it must split"
+            % (ell, field.split_type(ell), field.D)
+        )
+    if (n * d) % ell == 0:
+        raise ValueError(
+            "auxiliary prime ell=%d must be prime to level*twist=%d" % (ell, n * d)
+        )
+
+
 def special_unit(field, n, d, ell):
     """The level-(n, d) norm-one element of k^n(zeta_ell).
 
@@ -267,12 +417,10 @@ def special_unit(field, n, d, ell):
     the power mu(t) d/t, where F_t is the monic polynomial whose roots are
     the orbit of zeta_n^t under the subgroup fixing k^n.  Requires n > 1,
     n not dividing rad(d), and an odd prime ell, split in the field and
-    coprime to n*d.
+    coprime to n*d (see `validate_aux_prime`).
     """
+    validate_aux_prime(field, n, d, ell)
     dbar = radical(d)
-    assert n > 1 and dbar % n != 0
-    assert is_prime(ell) and ell % 2 == 1
-    assert field.chi(ell) == 1 and (n * d) % ell != 0
     spec = FieldSpec.quadratic(field.D)
     S = sorted(spec.fixing_subgroup_at(n))
     num = CycQuadElement.one(field, ell)
@@ -364,7 +512,8 @@ def hilbert90_witness(eps):
     field, ell = eps.field, eps.ell
     s = primitive_root(ell)
     nrm = eps.norm_to_quad()
-    assert nrm == field.one(), "witness requires relative norm one"
+    if nrm != field.one():
+        raise ValueError("witness requires relative norm one")
 
     partial = [CycQuadElement.one(field, ell)]
     for i in range(1, ell - 1):
@@ -382,12 +531,14 @@ def hilbert90_witness(eps):
             alpha = acc
             g_used = g
             break
-    assert alpha is not None, "no nonzero witness among all root choices"
+    if alpha is None:
+        raise ArithmeticError("no nonzero witness among all root choices")
 
     identity = alpha == eps * alpha.galois_zeta(s)
-    stable = identity and alpha.is_integral() and eps.is_integral() and abs(
-        eps.absolute_norm()
-    ) == 1
+    # the relative norm is computed once: its norm is the absolute norm
+    stable = (
+        identity and alpha.is_integral() and eps.is_integral() and abs(nrm.norm()) == 1
+    )
     return {
         "alpha": alpha,
         "root_exponent": g_used,
@@ -408,7 +559,8 @@ def residue_dlogs(field, z, ell):
     Returns (s, {root: dlog}) where s is the chosen primitive root mod ell
     and z = s^dlog at each reduction omega -> root.
     """
-    assert is_prime(ell) and ell % 2 == 1 and field.chi(ell) == 1
+    if not (ell % 2 == 1 and is_prime(ell) and field.chi(ell) == 1):
+        raise ValueError("ell=%d must be an odd prime split in the field" % ell)
     s = primitive_root(ell)
     table = {}
     acc = 1
@@ -418,7 +570,8 @@ def residue_dlogs(field, z, ell):
     out = {}
     for r in field.prime_roots(ell):
         v = quad_residue(z, ell, r)
-        assert v != 0, "number is not a unit at ell"
+        if v == 0:
+            raise ValueError("number is not a unit at %d" % ell)
         out[r] = table[v]
     return s, out
 
@@ -431,7 +584,8 @@ def dlog_annihilator_coefficients(field, group, z, ell, n_exp):
     second), reduced modulo ell - 1.  Requires ell odd, split, and
     ell = 1 mod n_exp so the reduction mod n_exp is meaningful.
     """
-    assert (ell - 1) % n_exp == 0
+    if (ell - 1) % n_exp:
+        raise ValueError("ell=%d must be 1 mod %d" % (ell, n_exp))
     s, dlogs = residue_dlogs(field, z, ell)
     roots = field.prime_roots(ell)
     ident = group.coset_of(1)

@@ -61,6 +61,18 @@ def test_cache_keys_are_version_scoped(tmp_path):
     assert "v%s" % __version__ in next(tmp_path.glob("*.json")).name
 
 
+def test_cache_entries_of_other_code_are_not_returned(tmp_path, monkeypatch):
+    from rayverify import harness
+
+    cache = Cache(tmp_path)
+    monkeypatch.setattr(harness, "source_digest", lambda: "0" * 64)
+    cache.put("k", {"v": 1})
+    assert cache.get("k") == {"v": 1}
+    monkeypatch.undo()
+    assert cache.get("k") is None
+    assert harness.source_digest()[:16] in cache._path("k").name
+
+
 def test_resolve_discriminant_normalizes():
     assert resolve_discriminant(quad=5) == 5
     assert resolve_discriminant(quad=79) == 316

@@ -1,7 +1,15 @@
 """Composite-field arithmetic, norm-one unit certificates, and dlog vectors."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from rayverify.checks import check_h90
 from rayverify.cyclo import FieldSpec
 from rayverify.grouprings import GaloisGroup
 from rayverify.quadratic import QuadField
@@ -23,7 +31,7 @@ K316 = QuadField(316)
 
 
 def zeta(field, ell, j=1):
-    return CycQuadElement.zeta_power(field, ell, j)
+    return CycQuadElement.one(field, ell).shift(j)
 
 
 def test_power_basis_arithmetic():
@@ -143,3 +151,140 @@ def test_dlog_annihilator_fundamental_level():
     # the two coefficients agree mod 3: the annihilation statement for a
     # class group of order 3 with inverting involution
     assert (a - b) % 3 == 0
+
+
+# ----------------------------------------------------------------------
+# the integer-coordinate arithmetic against a schoolbook oracle: elements
+# as lists of ell - 1 QuadElement coefficients of 1, zeta, ..., zeta^(ell-2)
+
+
+def _reduce(full):
+    top = full[-1]
+    return [c - top for c in full[:-1]]
+
+
+def _school_mul(field, ell, x, y):
+    full = [field.zero()] * ell
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            full[(i + j) % ell] = full[(i + j) % ell] + a * b
+    return _reduce(full)
+
+
+def _school_galois(field, ell, x, s):
+    full = [field.zero()] * ell
+    for j, a in enumerate(x):
+        full[j * s % ell] = a
+    return _reduce(full)
+
+
+def _school_conjugate_product(field, ell, x):
+    """The product of the conjugates of x under zeta -> zeta^s, 2 <= s < ell."""
+    co = _school_galois(field, ell, x, 2)
+    for s in range(3, ell):
+        co = _school_mul(field, ell, co, _school_galois(field, ell, x, s))
+    return co
+
+
+def _random_coeffs(rng, field, ell):
+    if rng.random() < 0.15:
+        return [field.zero()] * (ell - 1)
+
+    def rat():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 6, 35)))
+
+    return [field.element(rat(), rat()) for _ in range(ell - 1)]
+
+
+def _element(field, ell, coeffs):
+    return CycQuadElement.from_full(field, ell, coeffs + [field.zero()])
+
+
+ORACLE_FIELDS = (K5, QuadField(8), K13, K316)
+
+
+@pytest.mark.parametrize("ell", (3, 5, 7, 11, 53))
+def test_product_and_galois_match_schoolbook(ell):
+    rng = random.Random(1000 + ell)
+    for field in ORACLE_FIELDS:
+        if field.D % ell == 0:
+            continue
+        for _ in range(3 if ell == 53 else 8):
+            x = _random_coeffs(rng, field, ell)
+            y = _random_coeffs(rng, field, ell)
+            X, Y = _element(field, ell, x), _element(field, ell, y)
+            assert list(X.coeffs) == x
+            assert list((X * Y).coeffs) == _school_mul(field, ell, x, y)
+            assert list((X * X).coeffs) == _school_mul(field, ell, x, x)
+            assert list((X + Y).coeffs) == [a + b for a, b in zip(x, y)]
+            s = rng.randrange(1, ell)
+            assert list(X.galois_zeta(s).coeffs) == _school_galois(field, ell, x, s)
+            z = field.element(Fraction(-3, 4), Fraction(5, 6))
+            assert list((X * z).coeffs) == [a * z for a in x]
+            assert X.is_integral() == all(a.is_integral() for a in x)
+
+
+@pytest.mark.parametrize("ell", (3, 5, 7, 11))
+def test_norm_and_inverse_match_schoolbook(ell):
+    rng = random.Random(2000 + ell)
+    for field in ORACLE_FIELDS:
+        if field.D % ell == 0:
+            continue
+        for _ in range(4):
+            x = _random_coeffs(rng, field, ell)
+            X = _element(field, ell, x)
+            co = _school_conjugate_product(field, ell, x)
+            nrm = _school_mul(field, ell, x, co)
+            assert all(c == 0 for c in nrm[1:])
+            if X.is_zero():
+                assert X.norm_to_quad() == field.zero()
+                with pytest.raises(ZeroDivisionError):
+                    X.inverse()
+                continue
+            assert X.norm_to_quad() == nrm[0]
+            inv = nrm[0].inverse()
+            assert list(X.inverse().coeffs) == [c * inv for c in co]
+            assert X * X.inverse() == 1
+
+
+def test_mixed_fields_are_rejected():
+    with pytest.raises(ValueError):
+        CycQuadElement.one(K5, 7) + CycQuadElement.one(K13, 7)
+    with pytest.raises(ValueError):
+        CycQuadElement.one(K5, 5)  # 5 ramifies in Q(sqrt 5)
+
+
+@pytest.mark.parametrize(
+    "D, ell, pinned",
+    [(5, 11, ("740", 2, 1)), (13, 17, ("1680", 3, 1)), (13, 53, ("86685420", 2, 1))],
+)
+def test_h90_witnesses_are_pinned(D, ell, pinned):
+    r = check_h90(D, ell)[0]
+    assert r.status == "pass"
+    w = r.witness
+    assert (w["coefficient_height"], w["primitive_root"], w["root_exponent"]) == pinned
+
+
+# ----------------------------------------------------------------------
+# input contracts hold with and without -O
+
+
+@pytest.mark.parametrize("optimize", ([], ["-O"]))
+@pytest.mark.parametrize(
+    "quad, ell, reason",
+    [("13", "19", "inert"), ("5", "5", "ramified"), ("5", "9", "odd prime")],
+)
+def test_invalid_aux_prime_exits_2_with_message(optimize, quad, ell, reason):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "rayverify.cli", "verify", "h90",
+         "--quad", quad, "--ell", ell],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert "[pass]" not in proc.stdout
+    message = proc.stderr.strip().partition("error:")[2].strip()
+    assert reason in message
