@@ -10,6 +10,7 @@ timing fields.
 import functools
 import json
 import os
+import re
 from pathlib import Path
 
 from . import __version__, checks
@@ -31,10 +32,7 @@ def source_digest():
     Computed on first use, once per process, so commands that never touch
     the cache do not pay for it.
     """
-    try:  # the built-in module: hashlib loads OpenSSL, about 3.5 MB of RSS
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
+    from hashlib import sha256
 
     h = sha256()
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
@@ -48,7 +46,8 @@ class Cache:
     The root is the explicit argument if given, else the RAYVERIFY_CACHE
     environment variable, else ~/.cache/rayverify.  Entry names carry the
     engine version and a digest of the package sources (`source_digest`),
-    so entries written by any other code are never returned.
+    so entries written by any other code are never returned; `put` removes
+    those of the same key, and `stats` counts them apart as stale.
     """
 
     def __init__(self, root=None):
@@ -59,9 +58,16 @@ class Cache:
         )
         self.root = Path(root)
 
+    @staticmethod
+    def _safe(key):
+        return "".join(c if (c.isalnum() or c in "-_.") else "_" for c in key)
+
+    @staticmethod
+    def _tag():
+        return "-v%s-%s.json" % (__version__, source_digest()[:16])
+
     def _path(self, key):
-        safe = "".join(c if (c.isalnum() or c in "-_.") else "_" for c in key)
-        return self.root / ("%s-v%s-%s.json" % (safe, __version__, source_digest()[:16]))
+        return self.root / (self._safe(key) + self._tag())
 
     def get(self, key):
         try:
@@ -77,6 +83,12 @@ class Cache:
         with open(tmp, "w") as fh:
             json.dump(value, fh, sort_keys=True)
         tmp.replace(path)
+        # entries of this key written by other code: "<key>-v<version>.json"
+        # (before source digests) or "<key>-v<version>-<digest>.json"
+        stale = re.compile(re.escape(self._safe(key)) + r"-v[^-]*(-[0-9a-f]{16})?\.json")
+        for old in self.root.glob(self._safe(key) + "-v*.json"):
+            if old != path and stale.fullmatch(old.name):
+                old.unlink(missing_ok=True)
 
     def clear(self):
         removed = 0
@@ -87,11 +99,15 @@ class Cache:
         return removed
 
     def stats(self):
+        """Entries and bytes of the current code's entries, and the count of
+        stale entries written by other code (removed by `clear`)."""
         entries = list(self.root.glob("*.json")) if self.root.is_dir() else []
+        live = [p for p in entries if p.name.endswith(self._tag())]
         return {
             "root": str(self.root),
-            "entries": len(entries),
-            "bytes": sum(p.stat().st_size for p in entries),
+            "entries": len(live),
+            "bytes": sum(p.stat().st_size for p in live),
+            "stale": len(entries) - len(live),
         }
 
 

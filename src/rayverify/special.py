@@ -31,12 +31,23 @@ from .units import cyclotomic_number
 
 
 def _check_modulus(field, ell):
+    """Raise ValueError unless ell is an odd prime unramified in the field."""
     if not (ell % 2 == 1 and is_prime(ell)):
         raise ValueError("ell=%d must be an odd prime" % ell)
     if field.D % ell == 0:
         raise ValueError(
-            "ell=%d ramifies in Q(sqrt(%d)); k(zeta_ell) needs it unramified"
+            "ell=%d is ramified in Q(sqrt(%d)); k(zeta_ell) needs it unramified"
             % (ell, field.D)
+        )
+
+
+def _check_split(field, ell):
+    """Raise ValueError unless ell is an odd prime split in the field."""
+    _check_modulus(field, ell)
+    if field.chi(ell) != 1:
+        raise ValueError(
+            "ell=%d is %s in Q(sqrt(%d)); it must split"
+            % (ell, field.split_type(ell), field.D)
         )
 
 
@@ -104,6 +115,9 @@ class CycQuadElement:
     substitution), takes the three big-integer products AC, BD and
     (A + B)(C + D), rewrites omega^2 = T omega - N with T, N the trace and
     norm of omega, and folds the packed results modulo zeta^ell - 1.
+
+    The public constructors check that ell is an odd prime unramified in
+    k; arithmetic on elements that passed that check does not repeat it.
     """
 
     __slots__ = ("field", "ell", "A", "B", "den")
@@ -133,11 +147,16 @@ class CycQuadElement:
         return cls(field, ell, [x - tx for x in X[:-1]], [y - ty for y in Y[:-1]], den)
 
     @classmethod
-    def from_quad(cls, field, ell, z):
-        _check_modulus(field, ell)
+    def _embed(cls, field, ell, z):
+        """The quadratic-field number z, for a checked modulus ell."""
         a, b, e = _omega_ints(field, z)
         zeros = [0] * (ell - 2)
         return cls(field, ell, [a] + zeros, [b] + zeros, e)
+
+    @classmethod
+    def from_quad(cls, field, ell, z):
+        _check_modulus(field, ell)
+        return cls._embed(field, ell, z)
 
     @classmethod
     def zero(cls, field, ell):
@@ -167,7 +186,7 @@ class CycQuadElement:
                 raise ValueError("elements of different fields k(zeta_ell)")
             return other
         if isinstance(other, (int, Fraction, QuadElement)):
-            return CycQuadElement.from_quad(self.field, self.ell, other)
+            return CycQuadElement._embed(self.field, self.ell, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -247,7 +266,7 @@ class CycQuadElement:
         e = int(e)
         if e < 0:
             return self.inverse() ** (-e)
-        out = CycQuadElement.one(self.field, self.ell)
+        out = CycQuadElement._embed(self.field, self.ell, 1)
         base = self
         while e:
             if e & 1:
@@ -298,23 +317,12 @@ class CycQuadElement:
 
     # -- norms, integrality, residues
 
-    def _orbit_product(self, m):
-        """The product of tau^i(self) for 0 <= i < m, m >= 1.
-
-        tau is zeta -> zeta^g for the least primitive root g mod ell.  With
-        P_i that product, P_2i = P_i tau^i(P_i) and P_(i+1) = self tau(P_i),
-        so it takes O(log m) products.
-        """
-        ell = self.ell
-        g = primitive_root(ell)
-        acc, i = self, 1
-        for bit in bin(m)[3:]:
-            acc = acc * acc.galois_zeta(pow(g, i, ell))
-            i *= 2
-            if bit == "1":
-                acc = self * acc.galois_zeta(g)
-                i += 1
-        return acc
+    def _conjugates(self):
+        """The product of the ell - 2 conjugates zeta -> zeta^s, 2 <= s < ell."""
+        co = self.galois_zeta(2)
+        for s in range(3, self.ell):
+            co = co * self.galois_zeta(s)
+        return co
 
     def _base_part(self, what):
         """The QuadElement self, which must have no zeta^j terms for j > 0."""
@@ -324,12 +332,11 @@ class CycQuadElement:
 
     def norm_to_quad(self):
         """Norm down to the quadratic field: the product of all zeta -> zeta^s."""
-        nrm = self._orbit_product(self.ell - 1)
+        nrm = self * self._conjugates()
         return nrm._base_part("norm failed to land in the base field")
 
     def inverse(self):
-        # the product of the ell - 2 nontrivial conjugates, tau(P_(ell-2))
-        co = self._orbit_product(self.ell - 2).galois_zeta(primitive_root(self.ell))
+        co = self._conjugates()
         scalar = (self * co)._base_part("inverse of a non-invertible element")
         if scalar.x == 0 and scalar.y == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -397,13 +404,7 @@ def validate_aux_prime(field, n, d, ell):
         raise ValueError(
             "level n=%d must exceed 1 and not divide rad(%d)=%d" % (n, d, radical(d))
         )
-    if not (ell % 2 == 1 and is_prime(ell)):
-        raise ValueError("auxiliary prime ell=%d must be an odd prime" % ell)
-    if field.chi(ell) != 1:
-        raise ValueError(
-            "auxiliary prime ell=%d is %s in Q(sqrt(%d)); it must split"
-            % (ell, field.split_type(ell), field.D)
-        )
+    _check_split(field, ell)
     if (n * d) % ell == 0:
         raise ValueError(
             "auxiliary prime ell=%d must be prime to level*twist=%d" % (ell, n * d)
@@ -423,8 +424,8 @@ def special_unit(field, n, d, ell):
     dbar = radical(d)
     spec = FieldSpec.quadratic(field.D)
     S = sorted(spec.fixing_subgroup_at(n))
-    num = CycQuadElement.one(field, ell)
-    den = CycQuadElement.one(field, ell)
+    num = CycQuadElement._embed(field, ell, 1)
+    den = CycQuadElement._embed(field, ell, 1)
     for t in divisors(dbar):
         mu = moebius(t)
         if mu == 0:
@@ -515,7 +516,7 @@ def hilbert90_witness(eps):
     if nrm != field.one():
         raise ValueError("witness requires relative norm one")
 
-    partial = [CycQuadElement.one(field, ell)]
+    partial = [CycQuadElement._embed(field, ell, 1)]
     for i in range(1, ell - 1):
         conj = eps.galois_zeta(pow(s, i - 1, ell))
         partial.append(partial[-1] * conj)
@@ -523,7 +524,7 @@ def hilbert90_witness(eps):
     alpha = None
     g_used = None
     for g in range(1, ell):
-        acc = CycQuadElement.zero(field, ell)
+        acc = CycQuadElement._embed(field, ell, 0)
         for i in range(ell - 1):
             acc = acc + partial[i].shift((g * pow(s, i, ell)) % ell)
         acc = -acc
@@ -535,10 +536,7 @@ def hilbert90_witness(eps):
         raise ArithmeticError("no nonzero witness among all root choices")
 
     identity = alpha == eps * alpha.galois_zeta(s)
-    # the relative norm is computed once: its norm is the absolute norm
-    stable = (
-        identity and alpha.is_integral() and eps.is_integral() and abs(nrm.norm()) == 1
-    )
+    stable = identity and alpha.is_integral() and eps.is_integral()
     return {
         "alpha": alpha,
         "root_exponent": g_used,
@@ -559,8 +557,7 @@ def residue_dlogs(field, z, ell):
     Returns (s, {root: dlog}) where s is the chosen primitive root mod ell
     and z = s^dlog at each reduction omega -> root.
     """
-    if not (ell % 2 == 1 and is_prime(ell) and field.chi(ell) == 1):
-        raise ValueError("ell=%d must be an odd prime split in the field" % ell)
+    _check_split(field, ell)
     s = primitive_root(ell)
     table = {}
     acc = 1

@@ -73,6 +73,28 @@ def test_cache_entries_of_other_code_are_not_returned(tmp_path, monkeypatch):
     assert harness.source_digest()[:16] in cache._path("k").name
 
 
+def test_cache_put_evicts_entries_of_other_code(tmp_path, monkeypatch):
+    from rayverify import __version__, harness
+
+    cache = Cache(tmp_path)
+    (tmp_path / ("k-v%s.json" % __version__)).write_text("{}")  # pre-digest name
+    (tmp_path / "kk-v0.0.1.json").write_text("{}")  # another key
+    monkeypatch.setattr(harness, "source_digest", lambda: "0" * 64)
+    cache.put("k", {"v": 1})
+    cache.put("j", {"v": 1})
+    monkeypatch.undo()
+    st = cache.stats()
+    # the pre-digest entry of "k" is gone
+    assert (st["entries"], st["stale"]) == (0, 3)
+    cache.put("k", {"v": 2})
+    names = sorted(p.name for p in tmp_path.glob("*.json"))
+    old_j = "j-v%s-%s.json" % (__version__, "0" * 16)
+    assert names == sorted([cache._path("k").name, old_j, "kk-v0.0.1.json"])
+    st = cache.stats()
+    assert (st["entries"], st["stale"]) == (1, 2)
+    assert st["bytes"] == cache._path("k").stat().st_size
+
+
 def test_resolve_discriminant_normalizes():
     assert resolve_discriminant(quad=5) == 5
     assert resolve_discriminant(quad=79) == 316
