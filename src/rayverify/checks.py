@@ -49,7 +49,7 @@ from .grouprings import (
     residue_euler_element,
     unit_log_factor,
 )
-from .intmat import mat_vec, solve, transpose
+from .intmat import Lattice, mat_vec, transpose
 from .nt import is_prime, valuation
 from .padics import PadicRing, ring_for_conductor
 from .quadratic import QuadField
@@ -241,16 +241,16 @@ def unit_quotient_module(field, group, sup, sub):
     stable under conjugation.  Returns a FiniteGModule on the rows of sup.
     """
     act = _unit_action_matrix(field)
-    table = transpose([list(r) for r in sup])
+    lattice = Lattice(sup)
     rels = []
     for r in sub:
-        x = solve(table, list(r))
+        x = lattice.coords(r)
         assert x is not None, "small lattice is not contained in the big one"
         rels.append(x)
     sigma_rows = []
     for r in sup:
         img = mat_vec(transpose(act), list(r))
-        x = solve(table, img)
+        x = lattice.coords(img)
         assert x is not None, "lattice is not stable under conjugation"
         sigma_rows.append(x)
     ident = [[1, 0], [0, 1]]

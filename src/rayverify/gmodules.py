@@ -30,14 +30,7 @@ import math
 from fractions import Fraction
 
 from .grouprings import basis_element, one_element, ramification
-from .intmat import (
-    hnf,
-    identity,
-    preimage_lattice,
-    smith_diagonal,
-    solve,
-    transpose,
-)
+from .intmat import Lattice, hnf, identity, preimage_lattice, smith_diagonal
 from .nt import factorize, is_prime, valuation
 from .quadratic import ResidueRing
 
@@ -53,12 +46,6 @@ __all__ = [
 _ENUM_BUDGET = 200_000
 
 
-def _in_lattice(v, rows):
-    if not rows:
-        return all(x == 0 for x in v)
-    return solve(transpose([list(r) for r in rows]), list(v)) is not None
-
-
 class FiniteGModule:
     """A finite abelian group with Galois action, presented by integers.
 
@@ -67,7 +54,8 @@ class FiniteGModule:
     lattice must have full rank k).  `action[g]` is a k-by-k matrix whose
     row i expresses g . gen_i in the generators.  Elements are integer
     vectors of length k; `reduce` puts them in the canonical box cut out by
-    the Hermite form of the relation lattice.
+    the Hermite form of the relation lattice; orders and invariants are read
+    off the Smith form of `lattice`, taken once.
     """
 
     def __init__(self, group, ngens, relations, action):
@@ -84,6 +72,7 @@ class FiniteGModule:
                 self._hnf[i][j] == 0 for j in range(i)
             ), "unexpected Hermite shape"
         self.diagonal = [self._hnf[i][i] for i in range(ngens)]
+        self.lattice = Lattice(self.relations)
 
     # ----- underlying group
 
@@ -92,9 +81,7 @@ class FiniteGModule:
 
     def invariants(self):
         """Elementary divisors > 1, in the divisibility chain order."""
-        if self.ngens == 0:
-            return []
-        return [d for d in smith_diagonal(self.relations) if d > 1]
+        return [d for d in self.lattice.invariants() if d > 1]
 
     def exponent(self):
         inv = self.invariants()
@@ -138,14 +125,7 @@ class FiniteGModule:
         return out
 
     def element_order(self, v):
-        v = self.reduce(v)
-        n = 1
-        cur = v
-        while not self.is_zero(cur):
-            cur = self.add(cur, v)
-            n += 1
-            assert n <= self.order()
-        return n
+        return self.lattice.order(v)
 
     # ----- Galois action
 
@@ -193,12 +173,12 @@ class FiniteGModule:
         V = [list(map(int, v)) for v in vectors]
         s = len(V)
         rel = preimage_lattice(V, self.relations)
-        table = transpose(V + self.relations)
+        lattice = Lattice(V + self.relations)
         action = []
         for g in range(self.group.order):
             mat = []
             for v in V:
-                x = solve(table, list(self.act(g, v)))
+                x = lattice.coords(self.act(g, v))
                 assert x is not None, "submodule is not Galois stable"
                 mat.append(x[:s])
             action.append(mat)
@@ -214,7 +194,7 @@ class FiniteGModule:
 
     def contains(self, v, vectors):
         """Is v in the subgroup generated by the vectors (no G-closure)?"""
-        return _in_lattice(list(v), [list(w) for w in vectors] + self.relations)
+        return Lattice(list(vectors) + self.relations).contains(v)
 
     def rho_component(self, proj_coeffs):
         """Image of an integer-lifted idempotent projector, as a submodule."""
@@ -500,7 +480,7 @@ class RayClassGroup:
         self.res_gens, res_rels, _ = self.residue.structure()
         t = len(self.res_gens)
 
-        self.class_primes = self._choose_class_primes()
+        self.class_primes, self._prime_lattice = self._choose_class_primes()
         s = len(self.class_primes)
         self._vec_rows = [list(vec) for (_, _, vec, _) in self.class_primes]
 
@@ -523,23 +503,25 @@ class RayClassGroup:
     # ----- construction helpers
 
     def _choose_class_primes(self):
-        """Split primes coprime to the modulus whose classes generate Cl."""
+        """Split primes coprime to the modulus whose classes generate Cl,
+        and the lattice their vectors span with the class relations."""
         if self.cl.order == 1:
-            return []
+            return [], None
         field = self.field
-        L = [list(r) for r in self.cl.relations]
         chosen = []
         vecs = []
+        lattice = self.cl.lattice
         q = 2
         while q < 1000:
             if math.gcd(q, self.modulus) == 1 and field.chi(q) == 1:
                 r = field.prime_roots(q)[0]
                 vec, z = _prime_smooth_vector(field, q, r)
-                if not _in_lattice(vec, vecs + L):
+                if not lattice.contains(vec):
                     chosen.append((q, r, vec, z))
                     vecs.append(list(vec))
-                    if math.prod(smith_diagonal(vecs + L)) == 1:
-                        return chosen
+                    lattice = Lattice(vecs + self.cl.relations)
+                    if math.prod(lattice.invariants()) == 1:
+                        return chosen, lattice
             q += 1
             while not is_prime(q):
                 q += 1
@@ -617,7 +599,7 @@ class RayClassGroup:
         vec, z = _prime_smooth_vector(field, q, r)
         s = len(self.class_primes)
         if s:
-            x = solve(transpose(self._vec_rows + [list(r_) for r_ in self.cl.relations]), list(vec))
+            x = self._prime_lattice.coords(vec)
             assert x is not None
             x = x[:s]
         else:

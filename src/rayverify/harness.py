@@ -9,13 +9,14 @@ timing fields.
 
 import functools
 import json
+import math
 import os
 import re
 from pathlib import Path
 
 from . import __version__, checks
-from .cyclo import FieldSpec
-from .nt import fundamental_discriminant, valuation
+from .cyclo import FieldSpec, subgroup_generated
+from .nt import fundamental_discriminant, is_prime, squarefree_part, valuation
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -116,35 +117,43 @@ def resolve_discriminant(quad=None, field=None):
 
     `quad` is a radicand or discriminant of a real quadratic field; `field`
     is an "m:a1,a2,..." description of the fixed field of the subgroup
-    generated by the a_i in (Z/m)^*.  Raises ValueError for fields that are
-    not real quadratic.
+    generated by the a_i in (Z/m)^*.  Raises ValueError for arguments that
+    do not describe a real quadratic field.
     """
     if field is not None:
         m, _, gens = field.partition(":")
         m = int(m)
-        H = {1 % m}
-        todo = [int(a) % m for a in gens.split(",") if a.strip()]
-        for a in todo:
-            new = {a}
-            while new:
-                x = new.pop()
-                if x not in H:
-                    H.add(x)
-                    new.update({(x * h) % m for h in H} | {(x * t) % m for t in todo})
-        spec = FieldSpec(m, sorted(H))
+        if m < 3:
+            raise ValueError("field %s: the modulus m must be at least 3" % field)
+        gens = [int(a) for a in gens.split(",") if a.strip()]
+        for a in gens:
+            if math.gcd(a, m) != 1:
+                raise ValueError("field %s: %d is not prime to %d" % (field, a, m))
+        H = subgroup_generated(m, gens)
+        if m - 1 not in H:
+            raise ValueError(
+                "field %s is not real (-1 is not in the subgroup); only real "
+                "quadratic fields are supported here" % field
+            )
+        spec = FieldSpec(m, H)
         if spec.degree() != 2:
             raise ValueError(
                 "field %s has degree %d; only real quadratic fields are "
                 "supported here" % (field, spec.degree())
             )
         D = spec.conductor
-        assert spec.H == FieldSpec.quadratic(D).H
+        if spec.H != FieldSpec.quadratic(D).H:
+            raise ArithmeticError("field %s: conductor %d does not match" % (field, D))
         return D
     if quad is None:
         raise ValueError("a field is required: pass --quad or --field")
-    D = fundamental_discriminant(int(quad))
-    assert D > 1, "the field must be real quadratic"
-    return D
+    quad = int(quad)
+    if quad < 2 or squarefree_part(quad) == 1:
+        raise ValueError(
+            "--quad %d: not the radicand or discriminant of a real quadratic "
+            "field (it must be a positive non-square)" % quad
+        )
+    return fundamental_discriminant(quad)
 
 
 def build_report(command, D, params, results, seed=None):
@@ -195,11 +204,16 @@ def run_sinnott(D, p=7, prec=12, d=6, **_):
 
 
 def run_rays(D, ell=11, p=5, modulus=None, **_):
+    if not is_prime(ell):
+        raise ValueError("--ell %d: the auxiliary prime must be a prime" % ell)
     if modulus is None:
         e = 1
     else:
-        e = valuation(modulus, ell)
-        assert ell**e == modulus, "modulus must be a power of ell"
+        e = valuation(modulus, ell) if modulus > 0 else 0
+        if ell**e != modulus:
+            raise ValueError(
+                "--modulus %d: the modulus must be a power of ell = %d" % (modulus, ell)
+            )
     params = {"ell": ell, "p": p, "exponent": e}
     return build_report("verify rays", D, params, checks.check_rays(D, ell, p, e))
 
@@ -225,7 +239,11 @@ def run_h90(D, ell=11, **_):
 
 def run_annihilator(D, p=3, modulus=None, mode=None, cache=None, **_):
     mode = mode or "both"
-    assert mode in ("thaine", "solomon", "special", "both")
+    if mode not in ("thaine", "solomon", "special", "both"):
+        raise ValueError(
+            "--mode %s: the annihilator mode is one of thaine, solomon, "
+            "special, both" % mode
+        )
     results = []
     params = {"p": p, "mode": mode}
     if mode in ("thaine", "both"):

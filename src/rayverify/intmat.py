@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith and Hermite normal forms.
+"""Exact integer linear algebra: Smith and Hermite normal forms, lattices.
 
 Matrices are dense: a list of rows, each row a list of Python ints.
 The normal-form routines are deterministic; pivot selection always takes
@@ -6,14 +6,22 @@ the nonzero entry of smallest absolute value, scanning row-major with the
 first hit winning ties.  Structure computations downstream (orders of
 finite modules, Sylow decompositions, lattice indices) rely on this
 determinism to produce reproducible witnesses.
+
+`Lattice(rows)` is the row lattice L spanned by integer generators in Z^n.
+It takes the Smith form U A V = S of A = transpose(rows) once, on the first
+question asked, and answers every membership, solve and order question in
+Z^n / L from it: with c = U v, v lies in L exactly when each diagonal entry
+d_i divides c_i (c_i = 0 where d_i = 0), the solution is V (c_i / d_i), and
+the order of v is lcm(d_i / gcd(d_i, c_i)).  `solve` is a one-question
+lattice; callers that ask many questions of one matrix keep its lattice.
 """
 
 from __future__ import annotations
 
+import math
+
 
 def _copy_rows(A):
-    if isinstance(A, IntMatrix):
-        A = A.rows
     return [list(map(int, row)) for row in A]
 
 
@@ -26,15 +34,12 @@ def zeros(m, n):
 
 
 def transpose(A):
-    A = A.rows if isinstance(A, IntMatrix) else A
     if not A:
         return []
     return [list(col) for col in zip(*A)]
 
 
 def mat_mul(A, B):
-    A = A.rows if isinstance(A, IntMatrix) else A
-    B = B.rows if isinstance(B, IntMatrix) else B
     if not A or not B:
         return [[] for _ in A]
     n = len(B)
@@ -44,7 +49,6 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    A = A.rows if isinstance(A, IntMatrix) else A
     return [sum(a * b for a, b in zip(row, v)) for row in A]
 
 
@@ -206,7 +210,6 @@ def kernel(A):
     The basis is saturated: it spans ker(A) over Q intersected with Z^n,
     so quotients by the kernel lattice are torsion-free.
     """
-    A = A.rows if isinstance(A, IntMatrix) else A
     m = len(A)
     n = len(A[0]) if m else 0
     if n == 0:
@@ -220,24 +223,7 @@ def kernel(A):
 
 def solve(A, b):
     """One integer solution x of A x = b, or None when none exists."""
-    A = A.rows if isinstance(A, IntMatrix) else A
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    U, S, V = snf(A)
-    c = mat_vec(U, list(b))
-    y = [0] * n
-    for i in range(m):
-        d = S[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return mat_vec(V, y)
+    return Lattice(transpose(A)).coords(b)
 
 
 def preimage_lattice(V, L):
@@ -270,46 +256,52 @@ def intersection_lattice(A, B):
     return hnf(out)
 
 
-class IntMatrix:
-    """Thin wrapper over a list-of-rows integer matrix."""
+class Lattice:
+    """The row lattice L spanned by integer generators in Z^n.
 
-    __slots__ = ("rows",)
+    The Smith form of transpose(rows) is taken on the first question and
+    kept: `coords`, `contains`, `order` and `invariants` all read it.  An
+    empty generator list spans {0}.
+    """
 
     def __init__(self, rows):
-        self.rows = [list(map(int, row)) for row in rows]
-        widths = {len(r) for r in self.rows}
-        assert len(widths) <= 1, "ragged rows"
+        self.rows = _copy_rows(rows)
+        self._usv = None
 
-    @classmethod
-    def identity(cls, n):
-        return cls(identity(n))
+    def _smith(self):
+        """(U, diagonal of S, V), computed once."""
+        if self._usv is None:
+            A = transpose(self.rows)
+            U, S, V = snf(A) if A else ([], [], [])
+            diag = [S[i][i] for i in range(min(len(A), len(self.rows)))]
+            self._usv = (U, diag, V)
+        return self._usv
 
-    @property
-    def shape(self):
-        m = len(self.rows)
-        return (m, len(self.rows[0]) if m else 0)
+    def _pairs(self, v):
+        """(d_i, c_i) for c = U v, with d_i = 0 past the Smith diagonal."""
+        U, diag, _ = self._smith()
+        c = mat_vec(U, v) if U else [int(x) for x in v]
+        return [(diag[i] if i < len(diag) else 0, ci) for i, ci in enumerate(c)]
 
-    def __matmul__(self, other):
-        return IntMatrix(mat_mul(self.rows, other))
+    def coords(self, v):
+        """Integer x with x . rows == v, or None when v is not in L."""
+        pairs = self._pairs(v)
+        if not all(c % d == 0 if d else c == 0 for d, c in pairs):
+            return None
+        V = self._smith()[2]
+        y = [c // d if d else 0 for d, c in pairs[: len(V)]]
+        return mat_vec(V, y + [0] * (len(V) - len(y)))
 
-    def __eq__(self, other):
-        other = other.rows if isinstance(other, IntMatrix) else other
-        return self.rows == other
+    def contains(self, v):
+        return self.coords(v) is not None
 
-    def __repr__(self):
-        return "IntMatrix(%r)" % (self.rows,)
+    def order(self, v):
+        """Order of v in Z^n / L; 0 when v has infinite order."""
+        return math.lcm(
+            *(d // math.gcd(d, c) if d else int(c == 0) for d, c in self._pairs(v))
+        )
 
-    def transpose(self):
-        return IntMatrix(transpose(self.rows))
-
-    def det(self):
-        return det(self.rows)
-
-    def snf(self):
-        return snf(self.rows)
-
-    def hnf(self):
-        return IntMatrix(hnf(self.rows))
-
-    def kernel(self):
-        return kernel(self.rows)
+    def invariants(self):
+        """Invariant factors of L (the nonzero Smith diagonal), as
+        `smith_diagonal(rows)` gives them."""
+        return [d for d in self._smith()[1] if d]

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .nt import factorize, is_prime, kronecker, multiplicative_order, prime_factors, valuation
+from .nt import is_prime, kronecker, multiplicative_order, prime_factors, valuation
 from .cyclo import cyclotomic_polynomial, units_mod
 
 _ROOT_SEARCH_BUDGET = 10**6
@@ -395,23 +395,7 @@ class PadicRing:
         inv = pow(q.denominator, -1, self.workmod)
         return self.element([q.numerator * inv % self.workmod])
 
-    def gen(self):
-        if self.f == 1:
-            return self.zero()
-        return self.element([0, 1])
-
     # -- structure maps
-
-    def frobenius(self, x):
-        tp = _ppowmod([0, 1], self.p, self.H, self.workmod)
-        return PadicElement(self, self._eval_with_vec(list(x.vec), tp), x.prec)
-
-    def _eval_with_vec(self, coeffs, at_vec):
-        acc = [0] * self.f
-        for c in reversed(coeffs):
-            acc = _pmulmod(acc, at_vec, self.H, self.workmod)
-            acc[0] = (acc[0] + c) % self.workmod
-        return acc
 
     def teichmueller(self, x):
         if isinstance(x, int):
@@ -577,7 +561,3 @@ def ring_for_conductor(p, m, prec, extra_order=1):
     mu_extra_order), i.e. degree ord_{lcm(m, extra)}(p)."""
     n = math.lcm(m, extra_order)
     return PadicRing(p, prec, splitting_degree(p, n))
-
-
-def _selftest_order(p):  # pragma: no cover
-    return factorize(p - 1)

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .intmat import smith_diagonal, solve, transpose
+from .intmat import Lattice
 from .nt import is_prime, kronecker, squarefree_part, valuation
 
 
@@ -376,6 +376,7 @@ class ClassGroup:
         self.gens = base
         self.relations = []
         self.witnesses = []
+        self.lattice = Lattice([])
         if not base:
             self.invariants = []
             self.order = 1
@@ -422,7 +423,8 @@ class ClassGroup:
                     if vec is not None:
                         rows.append(vec)
                         wits.append(z)
-            diag = smith_diagonal(rows) if rows else []
+            lattice = Lattice(rows)
+            diag = lattice.invariants()
             h = 1
             full_rank = len(diag) == len(self.gens)
             for d in diag:
@@ -430,6 +432,7 @@ class ClassGroup:
             seen_orders.append(h if full_rank else None)
             if full_rank and len(seen_orders) >= 2 and seen_orders[-2] == h:
                 self.relations = rows
+                self.lattice = lattice
                 self.witnesses = wits
                 self.invariants = [d for d in diag if d != 1]
                 self.order = h
@@ -443,26 +446,11 @@ class ClassGroup:
             "class number %d disagrees with analytic %f" % (self.order, approx)
         )
 
-    def prime_vector(self, p, r):
-        """Unit vector of the base prime (p, omega - r)."""
-        i = self.gens.index((p, r))
-        vec = [0] * len(self.gens)
-        vec[i] = 1
-        return vec
-
-    def conjugate_index(self):
-        """Index of the conjugate prime for each generator (self for ramified)."""
-        out = []
-        for i, (p, r) in enumerate(self.gens):
-            partners = [j for j, (q, s) in enumerate(self.gens) if q == p and s != r]
-            out.append(partners[0] if partners else i)
-        return out
-
     def principalize(self, vec):
         """A field element generating prod gens^vec, or None if non-principal."""
         if not self.gens:
             return self.field.one()
-        x = solve(transpose(self.relations), vec)
+        x = self.lattice.coords(vec)
         if x is None:
             return None
         z = self.field.one()
@@ -473,13 +461,7 @@ class ClassGroup:
 
     def class_order_of(self, vec):
         """Order of the ideal class of prod gens^vec."""
-        n = 1
-        cur = list(vec)
-        while self.principalize(cur) is None:
-            n += 1
-            cur = [a + b for a, b in zip(cur, vec)]
-            assert n <= self.order
-        return n
+        return self.lattice.order(vec)
 
 
 def unit_exponent(field, u):
@@ -571,12 +553,6 @@ class ResidueRing:
         a, b = z.omega_coords()
         assert a.denominator == 1 and b.denominator == 1, "not integral"
         return (int(a) % self.M, int(b) % self.M)
-
-    def units(self):
-        M = self.M
-        return [
-            (a, b) for a in range(M) for b in range(M) if self.is_unit((a, b))
-        ]
 
     def structure(self):
         """(gens, relations, dlog): deterministic presentation of (O/M)^*."""

@@ -255,7 +255,7 @@ def test_partial_ramification_degree_eight():
 # ---------------------------------------------------------------- L-values
 
 
-def test_lseries_galois_symmetry_and_precision():
+def test_lseries_galois_symmetry_and_precision(frobenius):
     G = quad_group(5)
     chi = characters(G)[1]
     for p in (7, 13):
@@ -264,8 +264,8 @@ def test_lseries_galois_symmetry_and_precision():
         assert not L.is_zero()
         # Frobenius permutes the summands by a -> p a, so L maps to chi(p) L
         sign = -1 if chi.prim_exp(p) else 1
-        assert R.frobenius(L) == L * sign
-        assert R.frobenius(R.frobenius(L)) == L
+        assert frobenius(R, L) == L * sign
+        assert frobenius(R, frobenius(R, L)) == L
         # recomputing with more digits agrees on the shared precision
         R2 = ring_for_conductor(p, 5, 12, extra_order=2)
         L2 = lseries_derivative(chi, R2)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,21 @@ def test_resolve_discriminant_rejects_non_quadratic():
         resolve_discriminant()
 
 
+def test_resolve_discriminant_checks_field_arguments():
+    with pytest.raises(ValueError, match="at least 3"):
+        resolve_discriminant(field="2:1")
+    with pytest.raises(ValueError, match="not prime to 15"):
+        resolve_discriminant(field="15:4,5")
+    with pytest.raises(ValueError, match="not real"):
+        resolve_discriminant(field="7:2")  # Q(sqrt -7)
+
+
+@pytest.mark.parametrize("quad", [0, 1, 4, 9, -3, -5])
+def test_resolve_discriminant_checks_quad(quad):
+    with pytest.raises(ValueError, match="real quadratic"):
+        resolve_discriminant(quad=quad)
+
+
 def test_build_report_summary_and_exit_status():
     results = [_result("pass", 0.5), _result("inconclusive", 0.25)]
     rep = build_report("verify rays", 5, {"ell": 2}, results)
@@ -171,5 +190,40 @@ def test_command_table_is_complete():
 def test_run_rays_modulus_must_be_prime_power():
     rep = run_rays(13, ell=3, p=3, modulus=9)
     assert rep["params"]["exponent"] == 2
-    with pytest.raises(AssertionError, match="power of ell"):
+    with pytest.raises(ValueError, match="power of ell"):
         run_rays(13, ell=3, p=3, modulus=12)
+    with pytest.raises(ValueError, match="power of ell"):
+        run_rays(13, ell=3, p=3, modulus=0)
+    with pytest.raises(ValueError, match="must be a prime"):
+        run_rays(13, ell=12, p=3)
+
+
+# ----------------------------------------------------------------------
+# input contracts hold with and without -O
+
+
+@pytest.mark.parametrize("optimize", ([], ["-O"]))
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["verify", "rays", "--quad", "5", "--ell", "11", "--modulus", "12"],
+         "power of ell"),
+        (["verify", "gras", "--quad", "0"], "real quadratic"),
+        (["verify", "gras", "--quad", "1"], "real quadratic"),
+        (["verify", "gras", "--quad", "9"], "real quadratic"),
+        (["verify", "gras", "--quad", "4"], "real quadratic"),
+        (["verify", "gras", "--quad", "-3"], "real quadratic"),
+        (["verify", "annihilator", "--quad", "5", "--mode", "bogus"], "mode"),
+    ],
+)
+def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "rayverify.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stdout == ""
+    message = proc.stderr.strip().partition("error:")[2].strip()
+    assert reason in message

@@ -1,7 +1,8 @@
+import math
 import random
 
 from rayverify.intmat import (
-    IntMatrix,
+    Lattice,
     det,
     hnf,
     identity,
@@ -87,14 +88,6 @@ def test_det_oracles():
 def test_smith_diagonal():
     assert smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
     assert smith_diagonal([[0, 0]]) == []
-
-
-def test_intmatrix_wrapper():
-    A = IntMatrix([[1, 2], [3, 4]])
-    assert A.shape == (2, 2)
-    assert (A @ IntMatrix.identity(2)) == A
-    assert A.transpose().rows == [[1, 3], [2, 4]]
-    assert A.det() == -2
 
 
 def _random_matrix(rng, m, n, bound=9):
@@ -195,3 +188,93 @@ def test_intersection_lattice():
     full = [[1, 0], [0, 1]]
     assert intersection_lattice(C, full) == hnf(C)
     assert intersection_lattice([], A) == []
+
+
+# ----------------------------------------------------------------------
+# Lattice: one Smith form, every question; oracles from hnf and addition
+
+
+def _hnf_member(rows, v):
+    H = hnf(rows)
+    return hnf(H + [list(v)]) == H
+
+
+def _order_by_addition(rows, v, limit):
+    """Least n >= 1 with n v in the lattice, by repeated addition; 0 (infinite
+    order) past limit, the order of the torsion of Z^n / lattice."""
+    n, cur = 1, list(v)
+    while not _hnf_member(rows, cur):
+        if n == limit:
+            return 0
+        cur = [a + b for a, b in zip(cur, v)]
+        n += 1
+    return n
+
+
+def _lattice_cases(rng):
+    """(rows, n): random, rank-deficient, 1x1 and empty generator sets."""
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        yield _random_matrix(rng, m, n, bound=6), n
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        base = _random_matrix(rng, rng.randint(1, n - 1), n, bound=5)
+        combos = _random_matrix(rng, rng.randint(1, 4), len(base), bound=3)
+        yield mat_mul(combos, base), n
+    for d in (0, 1, 2, 7, -4):
+        yield [[d]], 1
+    for n in (1, 3):
+        yield [], n
+
+
+def test_lattice_oracles_random():
+    rng = random.Random(53)
+    for rows, n in _lattice_cases(rng):
+        lat = Lattice(rows)
+        assert lat.invariants() == smith_diagonal(rows)
+        torsion = math.prod(smith_diagonal(rows))
+        probes = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(6)]
+        probes += [[0] * n]
+        if rows:
+            x = [rng.randint(-3, 3) for _ in rows]
+            probes.append(mat_vec(transpose(rows), x))
+        for v in probes:
+            member = _hnf_member(rows, v)
+            assert lat.contains(v) == member
+            x = lat.coords(v)
+            assert (x is not None) == member
+            if x is not None:
+                assert mat_vec(transpose(rows), x) == v if rows else not any(v)
+            assert lat.order(v) == _order_by_addition(rows, v, torsion)
+
+
+def test_lattice_infinite_order_is_zero():
+    rows = [[2, 0, 0], [0, 3, 0]]  # rank 2 in Z^3
+    lat = Lattice(rows)
+    assert lat.invariants() == [1, 6]
+    assert lat.order([1, 0, 0]) == 2
+    assert lat.order([1, 1, 0]) == 6
+    assert lat.order([0, 0, 1]) == 0
+    assert lat.order([0, 0, 0]) == 1
+    assert mat_vec(transpose(rows), lat.coords([4, -3, 0])) == [4, -3, 0]
+    assert lat.coords([0, 0, 1]) is None
+    empty = Lattice([])
+    assert empty.contains([0, 0]) and not empty.contains([0, 1])
+    assert empty.order([0, 0]) == 1 and empty.order([5, 0]) == 0
+    assert empty.invariants() == []
+
+
+def test_lattice_factors_once(monkeypatch):
+    from rayverify import intmat
+
+    calls = []
+    real = intmat.snf
+    monkeypatch.setattr(intmat, "snf", lambda A: calls.append(1) or real(A))
+    lat = Lattice([[4, 2], [0, 6]])
+    assert calls == []  # nothing is factored before the first question
+    assert lat.contains([4, 8])
+    assert lat.order([1, 0]) == 12  # n (1, 0) = a (4, 2) + b (0, 6) forces 12 | n
+    assert lat.coords([4, 8]) is not None
+    assert lat.invariants() == [2, 12]
+    assert len(calls) == 1
+
