@@ -455,21 +455,28 @@ def to_quadratic(z, D):
 
     z must be a CycNumber fixed by the kernel of the discriminant character
     (rational elements are fine at any level; a genuinely quadratic z needs
-    |D| dividing its level).
+    |D| dividing its level).  With tau a Galois element moving sqrt(D),
+    z + tau z = 2x and w = z - tau z = 2y g for the Gauss sum g = sqrt(D),
+    so 2y is read off one coefficient of w over the matching one of g,
+    after checking that every coefficient of w is in that proportion.
+    Raises ValueError when z is not in Q(sqrt(D)).
     """
     if z.is_rational():
         return z.rational_value(), Fraction(0)
     n = z.n
     m = abs(D)
-    assert n % m == 0, "level does not see sqrt(D)"
+    if n % m:
+        raise ValueError("level %d does not see sqrt(%d)" % (n, D))
     tau = next(a for a in units_mod(n) if kronecker(D, a % m) == -1)
     zt = z.galois(tau)
     x2 = z + zt
-    assert x2.is_rational(), "element not in the quadratic field"
-    w = z - zt  # equals 2 y sqrt(D)
+    w = z - zt
     g = quad_gauss_sum(D, n)
-    y2D = (w * g).rational_value()
-    return x2.rational_value() / 2, y2D / (2 * D)
+    k = next(i for i, v in enumerate(g.c) if v)
+    wk, gk = w.c[k], g.c[k]
+    if not x2.is_rational() or any(a * gk != wk * b for a, b in zip(w.c, g.c)):
+        raise ValueError("element not in the quadratic field")
+    return x2.rational_value() / 2, Fraction(wk * g.den, 2 * w.den * gk)
 
 
 # ----------------------------------------------------------------------

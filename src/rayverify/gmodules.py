@@ -32,7 +32,6 @@ from fractions import Fraction
 from .grouprings import basis_element, one_element, ramification
 from .intmat import Lattice, hnf, identity, preimage_lattice, smith_diagonal
 from .nt import factorize, is_prime, valuation
-from .quadratic import ResidueRing
 
 __all__ = [
     "FiniteGModule",
@@ -330,7 +329,7 @@ def isomorphism_certificate(left, right, budget=_ENUM_BUDGET):
 def residue_galois_module(field, group, M):
     """(module, ring): the units of O/(M) with the conjugation action."""
     assert group.order == 2, "residue Galois modules are built for quadratic fields"
-    res = ResidueRing(field, M)
+    res = field.residue_ring(M)
     gens, rels, _ = res.structure()
     k = len(gens)
     conj_rows = [res.dlog(res.conj(g)) for g in gens]
@@ -359,7 +358,8 @@ def residue_structure_target(group, ell, p, e=1):
     be unramified here) the ideal generated by p^(e-1).
     """
     n = group.order
-    assert group.order % p != 0, "p must not divide the degree"
+    if group.order % p == 0:
+        raise ValueError("p=%d must not divide the degree %d" % (p, group.order))
     ram = ramification(group, ell)
     action = _permutation_action(group)
 
@@ -450,10 +450,10 @@ def _prime_smooth_vector(field, q, r):
 
 def _residue_of_fraction(res, z):
     """Image in O/(M) of a field element whose ideal is coprime to M."""
-    a, b = z.omega_coords()
-    den = math.lcm(a.denominator, b.denominator)
-    assert math.gcd(den, res.M) == 1, "denominator shares a factor with the modulus"
-    num = res.reduce(z * den)
+    den = z.e
+    if math.gcd(den, res.M) != 1:
+        raise ValueError("denominator shares a factor with the modulus")
+    num = (z.a % res.M, z.b % res.M)
     return res.mul(num, res.inverse((den % res.M, 0)))
 
 
@@ -476,7 +476,7 @@ class RayClassGroup:
         self.group = group
         self.modulus = modulus
         self.cl = field.class_group()
-        self.residue = ResidueRing(field, modulus)
+        self.residue = field.residue_ring(modulus)
         self.res_gens, res_rels, _ = self.residue.structure()
         t = len(self.res_gens)
 

@@ -196,7 +196,20 @@ def strip_timings(report):
 # command dispatch
 
 
+def _check_odd_prime(p):
+    """Raise ValueError unless the verification prime p is an odd prime."""
+    if p == 2 or not is_prime(p):
+        raise ValueError("--p %d: the verification prime must be an odd prime" % p)
+
+
 def run_sinnott(D, p=7, prec=12, d=6, **_):
+    _check_odd_prime(p)
+    if D % p == 0:
+        raise ValueError(
+            "--p %d: the verification prime must not divide D = %d" % (p, D)
+        )
+    if prec < 1:
+        raise ValueError("--prec %d: at least one p-adic digit must be compared" % prec)
     params = {"p": p, "prec": prec, "d_max": d}
     return build_report(
         "verify sinnott", D, params, checks.check_sinnott(D, p, prec, d)
@@ -204,6 +217,7 @@ def run_sinnott(D, p=7, prec=12, d=6, **_):
 
 
 def run_rays(D, ell=11, p=5, modulus=None, **_):
+    _check_odd_prime(p)
     if not is_prime(ell):
         raise ValueError("--ell %d: the auxiliary prime must be a prime" % ell)
     if modulus is None:
@@ -219,6 +233,10 @@ def run_rays(D, ell=11, p=5, modulus=None, **_):
 
 
 def run_gras(D, p=None, d=None, mode=None, **_):
+    if p is not None:
+        _check_odd_prime(p)
+    if d is not None and d < 1:
+        raise ValueError("--d %d: the ray modulus or scan bound must be at least 1" % d)
     if mode == "scan":
         p_list = (3, 5, 7) if p is None else (p,)
         d_max = 50 if d is None else d
@@ -260,6 +278,9 @@ def run_annihilator(D, p=3, modulus=None, mode=None, cache=None, **_):
 
 
 def run_conjecture(D, p=3, d=18, **_):
+    _check_odd_prime(p)
+    if d < 1:
+        raise ValueError("--d %d: the ray modulus must be at least 1" % d)
     params = {"p": p, "d": d}
     return build_report("explore conjecture", D, params, checks.explore_conjecture(D, p, d))
 

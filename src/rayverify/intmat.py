@@ -269,12 +269,17 @@ class Lattice:
         self._usv = None
 
     def _smith(self):
-        """(U, diagonal of S, V), computed once."""
+        """(U, diagonal of S, the first r columns of V), computed once.
+
+        r is the Smith rank: the diagonal is nonzero exactly at 0..r-1, so
+        a solution V y has y_i = 0 past r and only those columns matter.
+        """
         if self._usv is None:
             A = transpose(self.rows)
             U, S, V = snf(A) if A else ([], [], [])
             diag = [S[i][i] for i in range(min(len(A), len(self.rows)))]
-            self._usv = (U, diag, V)
+            r = sum(1 for d in diag if d)
+            self._usv = (U, diag, [row[:r] for row in V])
         return self._usv
 
     def _pairs(self, v):
@@ -288,9 +293,8 @@ class Lattice:
         pairs = self._pairs(v)
         if not all(c % d == 0 if d else c == 0 for d, c in pairs):
             return None
-        V = self._smith()[2]
-        y = [c // d if d else 0 for d, c in pairs[: len(V)]]
-        return mat_vec(V, y + [0] * (len(V) - len(y)))
+        Vr = self._smith()[2]
+        return mat_vec(Vr, [c // d for d, c in pairs if d])
 
     def contains(self, v):
         return self.coords(v) is not None

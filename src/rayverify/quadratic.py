@@ -1,8 +1,11 @@
 """Real quadratic fields: exact elements, units, ideals, class data.
 
-A QuadField is keyed by its fundamental discriminant D > 0; elements are
-pairs of Fractions (x, y) meaning x + y sqrt(D).  The ring of integers is
-Z[omega] with omega = (1 + sqrt D)/2 for odd D and sqrt(D)/2 for even D.
+A QuadField is keyed by its fundamental discriminant D > 0.  The ring of
+integers is Z[omega] with omega = (1 + sqrt D)/2 for odd D and sqrt(D)/2
+for even D, and an element is held as integer coordinates over one common
+denominator: (a + b omega) / e, reduced by gcd(a, b, e).  Products rewrite
+omega^2 = T omega - N exactly as the residue rings O/(M) do; the rational
+coordinates x + y sqrt(D) are views computed on demand.
 
 The class group is computed from scratch: relations among the primes
 below the Minkowski bound are harvested from elements of smooth norm, the
@@ -14,7 +17,9 @@ integer linear algebra plus an explicit generator.
 
 Residue rings O/(M) for integer moduli M come with a deterministic
 generator/discrete-log table and a triangular relation matrix, which is
-what the ray class layer consumes.
+what the ray class layer consumes; `QuadField.residue_ring` keeps the last
+one built.  Bad arguments raise ValueError and broken invariants
+ArithmeticError, so `python -O` behaves the same.
 """
 
 from __future__ import annotations
@@ -37,33 +42,57 @@ def _is_fundamental(D):
 
 
 class QuadElement:
-    """x + y sqrt(D) with exact rational coordinates."""
+    """(a + b omega) / e with integers a, b and a positive integer e.
 
-    __slots__ = ("field", "x", "y")
+    omega generates O = Z[omega] and satisfies omega^2 = T omega - N, with T
+    and N its trace and norm.  The triple is reduced by gcd(a, b, e), so it
+    is unique: equality, hashing, `sign` and the comparisons work on
+    integers, and the element is integral exactly when e == 1.  `x` and `y`
+    (the element is x + y sqrt(D)), `norm` and `omega_coords` are
+    Fraction-valued views.
+    """
 
-    def __init__(self, field, x, y):
+    __slots__ = ("field", "a", "b", "e")
+
+    def __init__(self, field, a, b=0, e=1):
+        if not e:
+            raise ZeroDivisionError("zero denominator")
+        if e < 0:
+            a, b, e = -a, -b, -e
+        g = math.gcd(a, b, e)
+        if g > 1:
+            a, b, e = a // g, b // g, e // g
         self.field = field
-        self.x = Fraction(x)
-        self.y = Fraction(y)
+        self.a = a
+        self.b = b
+        self.e = e
 
     def _coerce(self, other):
         if isinstance(other, QuadElement):
-            assert other.field.D == self.field.D
+            if other.field.D != self.field.D:
+                raise ValueError("mixed quadratic fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElement(self.field, other, 0)
+        if isinstance(other, int):
+            return QuadElement(self.field, other)
+        if isinstance(other, Fraction):
+            return QuadElement(self.field, other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadElement(self.field, self.x + other.x, self.y + other.y)
+        e, f = self.e, other.e
+        if e == f:
+            return QuadElement(self.field, self.a + other.a, self.b + other.b, e)
+        return QuadElement(
+            self.field, self.a * f + other.a * e, self.b * f + other.b * e, e * f
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElement(self.field, -self.x, -self.y)
+        return QuadElement(self.field, -self.a, -self.b, self.e)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -78,11 +107,13 @@ class QuadElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        D = self.field.D
+        a, b, c, d = self.a, self.b, other.a, other.b
+        bd = b * d
         return QuadElement(
             self.field,
-            self.x * other.x + D * self.y * other.y,
-            self.x * other.y + self.y * other.x,
+            a * c - bd * self.field.omega_norm,
+            a * d + b * c + bd * self.field.omega_trace,
+            self.e * other.e,
         )
 
     __rmul__ = __mul__
@@ -114,65 +145,88 @@ class QuadElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.x == other.x and self.y == other.y
+        return self.a == other.a and self.b == other.b and self.e == other.e
 
     def __hash__(self):
-        return hash((self.field.D, self.x, self.y))
+        return hash((self.field.D, self.a, self.b, self.e))
 
     def __repr__(self):
         return "QuadElement(%s + %s*sqrt(%d))" % (self.x, self.y, self.field.D)
 
+    @property
+    def x(self):
+        """The rational part x of x + y sqrt(D)."""
+        return Fraction(2 * self.a + (self.field.D % 2) * self.b, 2 * self.e)
+
+    @property
+    def y(self):
+        """The coefficient y of sqrt(D) in x + y sqrt(D)."""
+        return Fraction(self.b, 2 * self.e)
+
     def conj(self):
-        return QuadElement(self.field, self.x, -self.y)
+        # conj(omega) = T - omega
+        return QuadElement(
+            self.field, self.a + self.b * self.field.omega_trace, -self.b, self.e
+        )
+
+    def _norm_numerator(self):
+        """norm(self) * e^2, an integer."""
+        a, b = self.a, self.b
+        return a * a + a * b * self.field.omega_trace + b * b * self.field.omega_norm
 
     def norm(self):
-        return self.x * self.x - self.field.D * self.y * self.y
+        return Fraction(self._norm_numerator(), self.e * self.e)
 
     def trace(self):
-        return 2 * self.x
+        return Fraction(2 * self.a + self.b * self.field.omega_trace, self.e)
 
     def inverse(self):
-        n = self.norm()
-        assert n != 0, "inverse of zero"
-        return QuadElement(self.field, self.x / n, -self.y / n)
+        n = self._norm_numerator()
+        if not n:
+            raise ZeroDivisionError("inverse of zero")
+        e = self.e
+        return QuadElement(
+            self.field, (self.a + self.b * self.field.omega_trace) * e, -self.b * e, n
+        )
 
     def omega_coords(self):
         """(a, b) with self = a + b omega; Fractions, integers iff integral."""
-        b = 2 * self.y
-        a = self.x - (self.field.D % 2) * self.y
-        return a, b
+        return Fraction(self.a, self.e), Fraction(self.b, self.e)
 
     def is_integral(self):
-        a, b = self.omega_coords()
-        return a.denominator == 1 and b.denominator == 1
+        return self.e == 1
 
     def is_unit(self):
-        return self.is_integral() and abs(self.norm()) == 1
+        return self.e == 1 and abs(self._norm_numerator()) == 1
 
     def is_rational(self):
-        return self.y == 0
+        return self.b == 0
 
     def sign(self):
         """Sign of the real number x + y sqrt(D), exactly."""
-        x, y = self.x, self.y
-        if x == 0 and y == 0:
-            return 0
-        if x >= 0 and y >= 0:
-            return 1
-        if x <= 0 and y <= 0:
+        # 2 e (x + y sqrt(D)) = X + Y sqrt(D)
+        X = 2 * self.a + (self.field.D % 2) * self.b
+        Y = self.b
+        if X >= 0 and Y >= 0:
+            return 1 if X or Y else 0
+        if X <= 0 and Y <= 0:
             return -1
-        # opposite signs: compare x^2 against D y^2
-        big_x = x * x > self.field.D * y * y
-        if x > 0:
+        # opposite signs: compare X^2 against D Y^2
+        big_x = X * X > self.field.D * Y * Y
+        if X > 0:
             return 1 if big_x else -1
         return -1 if big_x else 1
 
     def __gt__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return (self - other).sign() > 0
 
     def __lt__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return (self - other).sign() < 0
 
 
@@ -191,7 +245,8 @@ class QuadField:
     def __init__(self, D):
         if hasattr(self, "D"):
             return
-        assert D > 4 and _is_fundamental(D), "need a positive fundamental discriminant"
+        if not (D > 4 and _is_fundamental(D)):
+            raise ValueError("%r is not a positive fundamental discriminant" % (D,))
         self.D = D
         self.d0 = squarefree_part(D)
         if D % 2:
@@ -200,9 +255,15 @@ class QuadField:
             self.omega_trace, self.omega_norm = 0, -self.d0
         self._unit = None
         self._classgroup = None
+        self._residue = None
 
     def element(self, x, y=0):
-        return QuadElement(self, x, y)
+        """x + y sqrt(D) for rational x and y."""
+        if isinstance(x, int) and not y:
+            return QuadElement(self, x)
+        y = Fraction(y)
+        # sqrt(D) = 2 omega - (D mod 2)
+        return self.from_omega_coords(Fraction(x) - (self.D % 2) * y, 2 * y)
 
     def zero(self):
         return self.element(0)
@@ -214,12 +275,16 @@ class QuadField:
         return self.element(0, 1)
 
     def omega(self):
-        if self.D % 2:
-            return self.element(Fraction(1, 2), Fraction(1, 2))
-        return self.element(0, Fraction(1, 2))
+        return QuadElement(self, 0, 1)
 
     def from_omega_coords(self, a, b):
-        return a + b * self.omega()
+        """a + b omega for rational a and b."""
+        if isinstance(a, int) and isinstance(b, int):
+            return QuadElement(self, a, b)
+        a, b = Fraction(a), Fraction(b)
+        e = math.lcm(a.denominator, b.denominator)
+        a, b = a.numerator * (e // a.denominator), b.numerator * (e // b.denominator)
+        return QuadElement(self, a, b, e)
 
     def chi(self, a):
         return kronecker(self.D, a)
@@ -252,7 +317,8 @@ class QuadField:
                     if hit == eps0 or hit**3 in (eps0, -eps0):
                         eps = hit
                         break
-        assert eps.is_unit() and eps > 1
+        if not (eps.is_unit() and eps > 1):
+            raise ArithmeticError("fundamental unit search failed for D=%d" % self.D)
         self._unit = eps
         return eps
 
@@ -277,32 +343,43 @@ class QuadField:
         M = p**k
         x = r % p
         # Newton; the derivative 2x - T is a unit mod p for unramified p
-        assert (2 * r - T) % p != 0, "needs a simple root"
+        if (2 * r - T) % p == 0:
+            raise ValueError("needs a simple root")
         for _ in range(k.bit_length() + 1):
             fx = (x * x - T * x + Nm) % M
             dfx = (2 * x - T) % M
             x = (x - fx * pow(dfx, -1, M)) % M
-        assert (x * x - T * x + Nm) % M == 0
+        if (x * x - T * x + Nm) % M:
+            raise ArithmeticError("Hensel lift failed")
         return x
 
     def prime_valuation(self, z, p, r):
         """v at the prime (p, omega - r) of an integral element z."""
-        a, b = z.omega_coords()
-        assert a.denominator == 1 and b.denominator == 1
-        a, b = int(a), int(b)
-        nrm = z.norm()
-        assert nrm != 0
-        etot = valuation(int(nrm), p)
+        if z.e != 1:
+            raise ValueError("valuation of a non-integral element")
+        nrm = z._norm_numerator()
+        if not nrm:
+            raise ValueError("valuation of zero")
+        etot = valuation(nrm, p)
         if etot == 0:
             return 0
         if self.chi(p) == 0:
             return etot  # ramified: v at the unique prime equals v_p of the norm
-        assert len(self.prime_roots(p)) == 2, "split prime expected"
+        if len(self.prime_roots(p)) != 2:
+            raise ValueError("split prime expected")
         rlift = self.prime_root_lifted(p, r, etot + 1)
-        val = (a + b * rlift) % p ** (etot + 1)
+        val = (z.a + z.b * rlift) % p ** (etot + 1)
         if val == 0:
             return etot
         return min(valuation(val, p), etot)
+
+    def residue_ring(self, M):
+        """O/(M).  The last ring asked for is kept, so the ray class group,
+        the residue Galois module and the congruence units of one modulus
+        share one enumeration of its units."""
+        if self._residue is None or self._residue.M != M:
+            self._residue = ResidueRing(self, M)
+        return self._residue
 
     # -- class group
 
@@ -316,7 +393,8 @@ def _pell_fundamental(n):
     """Fundamental solution of x^2 - n y^2 = +-1 over Z[sqrt(n)], by the
     continued fraction of sqrt(n).  Returns (x, y, norm)."""
     s = math.isqrt(n)
-    assert s * s != n
+    if s * s == n:
+        raise ValueError("%d is a square" % n)
     P, Q, a = 0, 1, s
     h_prev, h_cur = 1, s
     k_prev, k_cur = 0, 1
@@ -325,7 +403,8 @@ def _pell_fundamental(n):
         i += 1
         P = a * Q - P
         Q = (n - P * P) // Q
-        assert Q > 0
+        if Q <= 0:
+            raise ArithmeticError("continued fraction of sqrt(%d) broke down" % n)
         a = (s + P) // Q
         if Q == 1:
             return h_cur, k_cur, (-1) ** i
@@ -387,8 +466,11 @@ class ClassGroup:
 
     def _factor_vector(self, z):
         """Exponent vector of (z) over the base, or None if not smooth."""
-        nrm = abs(int(z.norm()))
-        assert nrm != 0
+        if z.e != 1:
+            raise ValueError("factoring a non-integral element")
+        nrm = abs(z._norm_numerator())
+        if not nrm:
+            raise ValueError("factoring zero")
         rem = nrm
         for p in {p for p, _ in self.gens}:
             while rem % p == 0:
@@ -411,13 +493,14 @@ class ClassGroup:
             for p in sorted({p for p, _ in self.gens}):
                 z = field.element(p)
                 vec = self._factor_vector(z)
-                assert vec is not None
+                if vec is None:
+                    raise ArithmeticError("base prime %d is not smooth" % p)
                 rows.append(vec)
                 wits.append(z)
             for b in range(1, bound + 1):
                 for a in range(-bound, bound + 1):
                     z = field.from_omega_coords(a, b)
-                    if z.norm() == 0:
+                    if not z._norm_numerator():
                         continue
                     vec = self._factor_vector(z)
                     if vec is not None:
@@ -438,13 +521,14 @@ class ClassGroup:
                 self.order = h
                 return
             bound *= 2
-        raise AssertionError("class group relations did not stabilize")
+        raise ArithmeticError("class group relations did not stabilize")
 
     def _check_analytic(self):
         approx = analytic_class_number(self.field.D)
-        assert abs(approx - self.order) < 0.05, (
-            "class number %d disagrees with analytic %f" % (self.order, approx)
-        )
+        if abs(approx - self.order) >= 0.05:
+            raise ArithmeticError(
+                "class number %d disagrees with analytic %f" % (self.order, approx)
+            )
 
     def principalize(self, vec):
         """A field element generating prod gens^vec, or None if non-principal."""
@@ -465,22 +549,31 @@ class ClassGroup:
 
 
 def unit_exponent(field, u):
-    """Write a unit of O as +-eps^k; returns (sign, k).  Exact descent:
-    multiply by eps^(+-1) until hitting +-1, deciding direction by the
-    exact sign test |u| > 1 iff u^2 - 1 > 0."""
-    eps = field.fundamental_unit()
-    assert isinstance(u, QuadElement) and u.is_unit(), "not a unit"
+    """Write a unit of O as +-eps^k; returns (sign, k).
+
+    Exact binary descent: with v = |u| >= 1 (inverting if needed), square
+    eps until eps^(2^m) exceeds v, then divide out eps^(2^i) from the
+    largest i down whenever v >= eps^(2^i).  Every comparison is an exact
+    sign test, and it takes O(log |k|) products.
+    """
+    if not (isinstance(u, QuadElement) and u.is_unit()):
+        raise ValueError("not a unit: %r" % (u,))
+    sign = u.sign()
+    cur = u if sign > 0 else -u
+    flip = cur < 1
+    if flip:
+        cur = cur.inverse()
+    powers = [field.fundamental_unit()]
+    while not cur < powers[-1]:
+        powers.append(powers[-1] * powers[-1])
     k = 0
-    cur = u
-    eps_inv = eps.inverse()
-    while cur != 1 and cur != -1:
-        if cur * cur > 1:
-            cur = cur * eps_inv
-            k += 1
-        else:
-            cur = cur * eps
-            k -= 1
-    return (1 if cur == 1 else -1), k
+    for i in range(len(powers) - 1, -1, -1):
+        if not cur < powers[i]:
+            cur = cur * powers[i].inverse()
+            k += 1 << i
+    if cur != 1:
+        raise ArithmeticError("unit is not a power of the fundamental unit")
+    return sign, -k if flip else k
 
 
 class ResidueRing:
@@ -494,8 +587,13 @@ class ResidueRing:
     _BUDGET = 10**6
 
     def __init__(self, field, M):
-        assert M >= 1
-        assert M * M <= self._BUDGET, "residue ring too large to enumerate"
+        if M < 1:
+            raise ValueError("modulus %d: must be a positive integer" % M)
+        if M * M > self._BUDGET:
+            raise ValueError(
+                "residue ring O/(%d) too large to enumerate (M^2 > %d)"
+                % (M, self._BUDGET)
+            )
         self.field = field
         self.M = M
         self._structure = None
@@ -550,9 +648,9 @@ class ResidueRing:
 
     def reduce(self, z):
         """Image of an integral QuadElement."""
-        a, b = z.omega_coords()
-        assert a.denominator == 1 and b.denominator == 1, "not integral"
-        return (int(a) % self.M, int(b) % self.M)
+        if z.e != 1:
+            raise ValueError("not integral")
+        return (z.a % self.M, z.b % self.M)
 
     def structure(self):
         """(gens, relations, dlog): deterministic presentation of (O/M)^*."""
@@ -587,7 +685,8 @@ class ResidueRing:
                     for y, v in dlog.items():
                         new[self.mul(y, pw)] = v + (j,)
                     pw = self.mul(pw, x)
-                assert len(new) == len(dlog) * o, "coset collision"
+                if len(new) != len(dlog) * o:
+                    raise ArithmeticError("coset collision")
                 dlog = new
         width = len(gens)
         rels = [row + [0] * (width - len(row)) for row in rels]

@@ -57,15 +57,7 @@ def _omega_ints(field, z):
         z = field.element(z)
     elif z.field.D != field.D:
         raise ValueError("mixed quadratic fields")
-    u, v = z.omega_coords()
-    e = math.lcm(u.denominator, v.denominator)
-    return u.numerator * (e // u.denominator), v.numerator * (e // v.denominator), e
-
-
-def _quad(field, a, b, e):
-    """The QuadElement (a + b omega) / e."""
-    odd = field.D % 2
-    return QuadElement(field, Fraction(2 * a + odd * b, 2 * e), Fraction(b, 2 * e))
+    return z.a, z.b, z.e
 
 
 # -- Kronecker substitution: a vector v of ints is the int sum v[j] 2^(w j)
@@ -291,7 +283,8 @@ class CycQuadElement:
     @property
     def coeffs(self):
         """The coefficients of 1, zeta, ..., zeta^(ell-2) as QuadElements."""
-        return tuple(_quad(self.field, a, b, self.den) for a, b in zip(self.A, self.B))
+        field, den = self.field, self.den
+        return tuple(QuadElement(field, a, b, den) for a, b in zip(self.A, self.B))
 
     # -- Galois actions
 
@@ -328,7 +321,7 @@ class CycQuadElement:
         """The QuadElement self, which must have no zeta^j terms for j > 0."""
         if any(self.A[1:]) or any(self.B[1:]):
             raise ArithmeticError(what)
-        return _quad(self.field, self.A[0], self.B[0], self.den)
+        return QuadElement(self.field, self.A[0], self.B[0], self.den)
 
     def norm_to_quad(self):
         """Norm down to the quadratic field: the product of all zeta -> zeta^s."""
@@ -338,7 +331,7 @@ class CycQuadElement:
     def inverse(self):
         co = self._conjugates()
         scalar = (self * co)._base_part("inverse of a non-invertible element")
-        if scalar.x == 0 and scalar.y == 0:
+        if scalar == 0:
             raise ZeroDivisionError("inverse of zero")
         return co * scalar.inverse()
 
@@ -356,7 +349,7 @@ class CycQuadElement:
 
     def residue_at(self, root):
         """Image in F_ell under zeta -> 1 and omega -> root."""
-        total = _quad(self.field, sum(self.A), sum(self.B), self.den)
+        total = QuadElement(self.field, sum(self.A), sum(self.B), self.den)
         return quad_residue(total, self.ell, root)
 
 

@@ -39,7 +39,7 @@ from .cyclo import (
 from .grouprings import radical
 from .intmat import hnf, intersection_lattice, kernel, preimage_lattice, transpose
 from .nt import divisors, euler_phi, factorize, is_prime, moebius, valuation
-from .quadratic import ResidueRing, unit_exponent
+from .quadratic import QuadElement, unit_exponent
 
 __all__ = [
     "cyclotomic_number",
@@ -74,11 +74,16 @@ def _norm_one_minus_power(field, n, t):
     else:
         spec = FieldSpec.quadratic(field.D)
         S = spec.fixing_subgroup_at(n)
-        r = len(S)
+        # the trace over S of zeta_n^(t j) depends on j only through the
+        # orbit t j S mod n, named by its least element
+        traces = {}
         powers = []
-        for j in range(1, r + 1):
-            x, y = to_quadratic(subgroup_trace_of_power(n, S, t * j), field.D)
-            powers.append(field.element(x, y))
+        for j in range(1, len(S) + 1):
+            orbit = min(t * j * h % n for h in S)
+            if orbit not in traces:
+                x, y = to_quadratic(subgroup_trace_of_power(n, S, t * j), field.D)
+                traces[orbit] = field.element(x, y)
+            powers.append(traces[orbit])
         elem = power_sums_to_elementary(powers, field.one())
         value = field.one()
         sign = 1
@@ -177,7 +182,7 @@ def congruence_unit_lattice(field, d):
     """Lattice of units congruent to 1 modulo d."""
     if d == 1:
         return full_unit_lattice()
-    res = ResidueRing(field, d)
+    res = field.residue_ring(d)
     _, rels, _ = res.structure()
     rows = preimage_lattice(
         [
@@ -215,9 +220,8 @@ def _support_columns(field, values):
 
 
 def _valuation_row(field, z, cols):
-    a, b = z.omega_coords()
-    den = math.lcm(a.denominator, b.denominator)
-    zi = z * den
+    den = z.e
+    zi = QuadElement(field, z.a, z.b)
     row = []
     for p, r, kind in cols:
         if kind == "inert":

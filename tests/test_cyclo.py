@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from rayverify.cyclo import (
     CycNumber,
@@ -11,7 +14,7 @@ from rayverify.cyclo import (
     to_quadratic,
     units_mod,
 )
-from rayverify.nt import divisors, euler_phi, moebius
+from rayverify.nt import divisors, euler_phi, kronecker, moebius
 
 
 def _phi_at(n, x):
@@ -100,6 +103,37 @@ def test_to_quadratic_golden_ratio_trace():
     z = CycNumber.zeta(5)
     x, y = to_quadratic(z + z**4, 5)
     assert x == Fraction(-1, 2) and y == Fraction(1, 2)
+
+
+def test_to_quadratic_matches_gauss_sum_product():
+    """The coefficient ratio agrees with the product oracle: w g = 2 y D."""
+    rng = random.Random(61)
+    for D, n in ((5, 5), (5, 15), (8, 24), (13, 13), (12, 12)):
+        g = quad_gauss_sum(D, n)
+        for _ in range(6):
+            x = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+            y = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+            z = x + y * g
+            assert to_quadratic(z, D) == (x, y)
+            tau = next(a for a in units_mod(n) if kronecker(D, a % D) == -1)
+            w = z - z.galois(tau)
+            assert (w * g).rational_value() == 2 * y * D
+
+
+def test_to_quadratic_rejects_elements_outside_the_field():
+    for D, n, z in (
+        (5, 5, CycNumber.zeta(5)),
+        (5, 15, CycNumber.zeta(15)),
+        # z + tau z is rational here (tau acts on zeta_3 as conjugation),
+        # so only the proportionality of z - tau z to sqrt(5) catches it
+        (5, 15, CycNumber.zeta(15, 5)),
+        (13, 13, CycNumber.zeta(13) + CycNumber.zeta(13, 12)),
+    ):
+        assert z.n == n
+        with pytest.raises(ValueError, match="not in the quadratic field"):
+            to_quadratic(z, D)
+    with pytest.raises(ValueError, match="does not see"):
+        to_quadratic(CycNumber.zeta(7), 5)
 
 
 def test_norm_over_subgroup_oracle():

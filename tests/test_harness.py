@@ -8,12 +8,17 @@ import pytest
 
 from rayverify.checks import CheckResult
 from rayverify.cyclo import FieldSpec
+from rayverify.gmodules import residue_structure_target
+from rayverify.grouprings import GaloisGroup
 from rayverify.harness import (
     COMMANDS,
     Cache,
     build_report,
     resolve_discriminant,
+    run_conjecture,
+    run_gras,
     run_rays,
+    run_sinnott,
     strip_timings,
 )
 
@@ -198,6 +203,33 @@ def test_run_rays_modulus_must_be_prime_power():
         run_rays(13, ell=12, p=3)
 
 
+def test_p_prec_and_d_contracts():
+    for p in (1, 2, 4, 9, 15, -3):
+        with pytest.raises(ValueError, match="odd prime"):
+            run_gras(5, p=p)
+        with pytest.raises(ValueError, match="odd prime"):
+            run_gras(5, p=p, d=2, mode="scan")
+        with pytest.raises(ValueError, match="odd prime"):
+            run_rays(5, ell=11, p=p)
+        with pytest.raises(ValueError, match="odd prime"):
+            run_sinnott(5, p=p)
+        with pytest.raises(ValueError, match="odd prime"):
+            run_conjecture(5, p=p)
+    with pytest.raises(ValueError, match="must not divide"):
+        run_sinnott(5, p=5)
+    with pytest.raises(ValueError, match="must not divide"):
+        run_sinnott(12, p=3)
+    with pytest.raises(ValueError, match="--prec -1"):
+        run_sinnott(5, p=7, prec=-1)
+    with pytest.raises(ValueError, match="at least 1"):
+        run_gras(5, d=0, mode="scan")
+    with pytest.raises(ValueError, match="at least 1"):
+        run_conjecture(5, d=-2)
+    group = GaloisGroup(FieldSpec.quadratic(5))
+    with pytest.raises(ValueError, match="must not divide the degree"):
+        residue_structure_target(group, 11, 2)
+
+
 # ----------------------------------------------------------------------
 # input contracts hold with and without -O
 
@@ -214,6 +246,12 @@ def test_run_rays_modulus_must_be_prime_power():
         (["verify", "gras", "--quad", "4"], "real quadratic"),
         (["verify", "gras", "--quad", "-3"], "real quadratic"),
         (["verify", "annihilator", "--quad", "5", "--mode", "bogus"], "mode"),
+        (["verify", "gras", "--quad", "5", "--p", "9"], "odd prime"),
+        (["verify", "rays", "--quad", "5", "--ell", "11", "--p", "4"], "odd prime"),
+        (["verify", "rays", "--quad", "5", "--ell", "11", "--p", "2"], "odd prime"),
+        (["verify", "sinnott", "--quad", "5", "--prec", "0"], "p-adic digit"),
+        (["verify", "gras", "--quad", "5", "--d", "1001"], "too large"),
+        (["verify", "gras", "--quad", "5", "--d", "0"], "at least 1"),
     ],
 )
 def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):

@@ -278,3 +278,21 @@ def test_lattice_factors_once(monkeypatch):
     assert lat.invariants() == [2, 12]
     assert len(calls) == 1
 
+
+
+def test_lattice_coords_match_full_v_product():
+    """coords multiplies only the first Smith-rank columns of V; the answer
+    is the one the whole of V gives, y being zero past the rank."""
+    rng = random.Random(97)
+    for rows, n in _lattice_cases(rng):
+        if not rows:
+            continue
+        U, S, V = snf(transpose(rows))
+        diag = [S[i][i] for i in range(min(n, len(rows)))]
+        lat = Lattice(rows)
+        x = [rng.randint(-4, 4) for _ in rows]
+        for v in (mat_vec(transpose(rows), x), [0] * n):
+            c = mat_vec(U, v)
+            y = [ci // d if d else 0 for ci, d in zip(c, diag)]
+            y += [0] * (len(rows) - len(y))
+            assert lat.coords(v) == mat_vec(V, y)

@@ -1,0 +1,23 @@
+"""The input-contract and quadratic-field suites pass under ``python -O``.
+
+`-O` strips `assert` statements, so any input validation or invariant check
+still written as one disappears there.  Pytest rewrites the tests' own
+asserts, so the tests keep checking.  Kept in its own module so that the
+suites it runs do not run it again.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+
+def test_harness_and_quadratic_suites_pass_under_optimize():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_harness.py", "tests/test_quadratic.py"],
+        cwd=root, capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

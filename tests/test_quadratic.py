@@ -1,6 +1,12 @@
+import ast
+import random
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from rayverify.quadratic import (
+    QuadElement,
     QuadField,
     ResidueRing,
     analytic_class_number,
@@ -184,3 +190,151 @@ def test_residue_ring_ops():
     assert R.pow(eps, 24) == R.one()
     orders = [e for e in range(1, 25) if R.pow(eps, e) == R.one()]
     assert orders == [24]
+
+
+# ----------------------------------------------------------------------
+# QuadElement against an x + y sqrt(D) Fraction-pair reference
+
+
+class _Ref:
+    """x + y sqrt(D) with Fraction coordinates: the schoolbook oracle."""
+
+    def __init__(self, D, x, y):
+        self.D, self.x, self.y = D, Fraction(x), Fraction(y)
+
+    def __add__(self, o):
+        return _Ref(self.D, self.x + o.x, self.y + o.y)
+
+    def __sub__(self, o):
+        return _Ref(self.D, self.x - o.x, self.y - o.y)
+
+    def __mul__(self, o):
+        D = self.D
+        return _Ref(D, self.x * o.x + D * self.y * o.y, self.x * o.y + self.y * o.x)
+
+    def norm(self):
+        return self.x * self.x - self.D * self.y * self.y
+
+    def conj(self):
+        return _Ref(self.D, self.x, -self.y)
+
+    def inverse(self):
+        n = self.norm()
+        return _Ref(self.D, self.x / n, -self.y / n)
+
+    def sign(self):
+        x, y, D = self.x, self.y, self.D
+        if x == 0 and y == 0:
+            return 0
+        if x >= 0 and y >= 0:
+            return 1
+        if x <= 0 and y <= 0:
+            return -1
+        big_x = x * x > D * y * y
+        return (1 if big_x else -1) if x > 0 else (-1 if big_x else 1)
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 4, 6, -1, -2, -5, -12]))
+
+
+def _same(z, ref):
+    return (z.x, z.y) == (ref.x, ref.y)
+
+
+@pytest.mark.parametrize("D", [5, 8, 13, 316])
+def test_quad_element_matches_fraction_reference(D):
+    rng = random.Random(D)
+    k = QuadField(D)
+    for _ in range(150):
+        xs = [_random_fraction(rng) for _ in range(4)]
+        if rng.random() < 0.15:
+            xs[1] = Fraction(0)  # rational elements
+        r, s = _Ref(D, *xs[:2]), _Ref(D, *xs[2:])
+        z, w = k.element(*xs[:2]), k.element(*xs[2:])
+        assert _same(z, r) and _same(w, s)
+        assert _same(z + w, r + s)
+        assert _same(z - w, r - s)
+        assert _same(z * w, r * s)
+        assert _same(-z, _Ref(D, -r.x, -r.y))
+        assert _same(z.conj(), r.conj())
+        assert z.norm() == r.norm()
+        assert z.sign() == r.sign()
+        diff = (r - s).sign()
+        assert (z > w, z < w, z == w) == (diff > 0, diff < 0, diff == 0)
+        if r.norm():
+            assert _same(z.inverse(), r.inverse())
+            assert _same(w / z, s * r.inverse())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                z.inverse()
+        a, b = z.omega_coords()
+        assert _same(a + b * k.omega(), r)
+        assert z.is_integral() == (a.denominator == 1 and b.denominator == 1)
+        # equality and hashing with ints and Fractions
+        q = xs[0]
+        assert (k.element(q) == q) and (k.element(q) == Fraction(q))
+        assert (z == q) == (r.y == 0 and r.x == q)
+        if q.denominator == 1:
+            assert k.element(q) == int(q)
+        assert hash(z) == hash(k.element(z.x, z.y))
+
+
+def test_quad_element_integer_form():
+    k = QuadField(13)  # omega^2 = omega + 3
+    z = QuadElement(k, 6, -4, -8)  # (6 - 4 omega) / -8 = (-3 + 2 omega) / 4
+    assert (z.a, z.b, z.e) == (-3, 2, 4)
+    assert z == k.from_omega_coords(Fraction(-3, 4), Fraction(1, 2))
+    assert (z.x, z.y) == (Fraction(-1, 2), Fraction(1, 4))
+    assert QuadElement(k, 0, 0, -7) == 0 and QuadElement(k, 0, 0, -7).e == 1
+    w = k.omega()
+    assert (w * w).a == 3 and (w * w).b == 1  # omega + 3
+    assert k.element(4, 2).is_integral() and not k.element(Fraction(1, 2)).is_integral()
+    with pytest.raises(ZeroDivisionError):
+        QuadElement(k, 1, 1, 0)
+    with pytest.raises(ValueError, match="mixed"):
+        k.one() + QuadField(5).one()
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13, 316])
+def test_unit_exponent_binary_descent(D):
+    k = QuadField(D)
+    eps = k.fundamental_unit()
+    norms = {5: -1, 8: -1, 12: 1, 13: -1, 316: 1}
+    assert eps.norm() == norms[D]
+    rng = random.Random(D)
+    exponents = [0, 1, -1, 2, -2, 3, 255, 256, -257, 3000, -3000]
+    exponents += [rng.randint(-3000, 3000) for _ in range(4)]
+    for e in exponents:
+        u = eps**e
+        assert unit_exponent(k, u) == (1, e)
+        assert unit_exponent(k, -u) == (-1, e)
+    with pytest.raises(ValueError, match="not a unit"):
+        unit_exponent(k, k.element(2))
+    with pytest.raises(ValueError, match="not a unit"):
+        unit_exponent(k, eps / 2)
+
+
+def test_residue_ring_contracts_and_reuse():
+    k = QuadField(5)
+    with pytest.raises(ValueError, match="too large"):
+        ResidueRing(k, 1001)
+    with pytest.raises(ValueError, match="positive"):
+        ResidueRing(k, 0)
+    R = k.residue_ring(9)
+    assert k.residue_ring(9) is R  # the last ring asked for is kept
+    R2 = k.residue_ring(11)
+    assert R2 is not R and R2.M == 11 and k.residue_ring(11) is R2
+    assert k.residue_ring(9).M == 9
+    with pytest.raises(ValueError, match="not integral"):
+        R.reduce(k.element(Fraction(1, 2)))
+    with pytest.raises(ValueError, match="fundamental discriminant"):
+        QuadField(20)
+
+
+def test_quadratic_module_has_no_assert():
+    """Checks must survive python -O."""
+    import rayverify.quadratic as mod
+
+    tree = ast.parse(Path(mod.__file__).read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

@@ -4,8 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from rayverify.cyclo import (
+    FieldSpec,
+    power_sums_to_elementary,
+    subgroup_trace_of_power,
+    to_quadratic,
+)
 from rayverify.quadratic import QuadField
 from rayverify.units import (
+    _norm_one_minus_power,
     auxiliary_prime,
     circular_unit_lattice,
     congruence_circular_lattice,
@@ -128,3 +135,28 @@ def test_congruence_circular_indices():
     c34 = congruence_circular_lattice(Q5, 34)
     assert c34[0][0] == 108
     assert lattice_index(c34, congruence_unit_lattice(Q5, 34)) == 6
+
+
+def _norm_one_minus_power_per_j(field, n, t):
+    """One Gauss-period trace per j = 1..|S|, as Newton's identities consume
+    them: the reference for the orbit-shared computation."""
+    S = FieldSpec.quadratic(field.D).fixing_subgroup_at(n)
+    powers = [
+        field.element(*to_quadratic(subgroup_trace_of_power(n, S, t * j), field.D))
+        for j in range(1, len(S) + 1)
+    ]
+    value = field.one()
+    for i, e in enumerate(power_sums_to_elementary(powers, field.one())):
+        value = value - e if i % 2 == 0 else value + e
+    return value
+
+
+@pytest.mark.parametrize(
+    "D, n, t",
+    [(5, 5, 1), (5, 10, 1), (5, 15, 2), (5, 20, 3), (13, 13, 1), (13, 26, 2),
+     (8, 8, 1), (8, 24, 5), (12, 12, 1), (12, 36, 4)],
+)
+def test_norm_one_minus_power_matches_per_j_traces(D, n, t):
+    field = QuadField(D)
+    expected = _norm_one_minus_power_per_j(field, n, t)
+    assert _norm_one_minus_power(field, n, t) == expected
