@@ -457,13 +457,7 @@ def check_thaine(D, n_exp=3, modulus=1, count=3):
     field, group = _quad_setup(D)
     levels = generating_levels(field, modulus)
     rcg = RayClassGroup(field, group, modulus)
-    m = rcg.module
-    nrows = [
-        [n_exp if j == i else 0 for j in range(m.ngens)] for i in range(m.ngens)
-    ]
-    mod_n = FiniteGModule(
-        group, m.ngens, [list(r) for r in m.relations] + nrows, m.action
-    )
+    mod_n = rcg.module.mod(n_exp)
     results = []
     for ell in thaine_admissible_primes(field, n_exp, levels, modulus, count):
         t0 = time.perf_counter()
@@ -521,7 +515,8 @@ def check_solomon(D, p=3, prec=12, moduli=(1, 4)):
     group.
     """
     field, group = _quad_setup(D)
-    assert field.chi(p) == 1, "p must split in the field"
+    if field.chi(p) != 1:
+        raise ValueError("p=%d must split in the field" % p)
     ring = PadicRing(p, prec + PRECISION_HEADROOM)
     sqrt_img = ring.sqrt_disc(D, "hensel")
     results = []
@@ -626,12 +621,8 @@ def ray_power_subgroup_orders(rcg, p, n_exp, count=25):
     their classes; returns the subgroup order after each contribution.
     """
     field = rcg.field
-    m = rcg.module
     q = p**n_exp
-    qrows = [[q if j == i else 0 for j in range(m.ngens)] for i in range(m.ngens)]
-    mod_n = FiniteGModule(
-        m.group, m.ngens, [list(r) for r in m.relations] + qrows, m.action
-    )
+    mod_n = rcg.module.mod(q)
     total = mod_n.order()
     gens = []
     orders = []

@@ -32,6 +32,7 @@ from fractions import Fraction
 from .grouprings import basis_element, one_element, ramification
 from .intmat import Lattice, hnf, identity, preimage_lattice, smith_diagonal
 from .nt import factorize, is_prime, valuation
+from .units import congruence_unit_lattice
 
 __all__ = [
     "FiniteGModule",
@@ -61,15 +62,17 @@ class FiniteGModule:
         self.group = group
         self.ngens = ngens
         self.relations = [list(map(int, row)) for row in relations]
-        assert all(len(row) == ngens for row in self.relations)
+        if any(len(row) != ngens for row in self.relations):
+            raise ValueError("every relation must have %d entries" % ngens)
         self.action = action
-        assert len(action) == group.order
+        if len(action) != group.order:
+            raise ValueError("one action matrix per group element is required")
         self._hnf = hnf(self.relations) if ngens else []
-        assert len(self._hnf) == ngens, "relation lattice must have full rank"
+        if len(self._hnf) != ngens:
+            raise ValueError("relation lattice must have full rank")
         for i in range(ngens):
-            assert self._hnf[i][i] > 0 and all(
-                self._hnf[i][j] == 0 for j in range(i)
-            ), "unexpected Hermite shape"
+            if self._hnf[i][i] <= 0 or any(self._hnf[i][j] for j in range(i)):
+                raise ArithmeticError("unexpected Hermite shape")
         self.diagonal = [self._hnf[i][i] for i in range(ngens)]
         self.lattice = Lattice(self.relations)
 
@@ -96,7 +99,8 @@ class FiniteGModule:
 
     def reduce(self, v):
         v = list(map(int, v))
-        assert len(v) == self.ngens
+        if len(v) != self.ngens:
+            raise ValueError("a module element has %d entries" % self.ngens)
         for i in range(self.ngens):
             q = v[i] // self._hnf[i][i]
             if q:
@@ -117,7 +121,8 @@ class FiniteGModule:
 
     def elements(self, budget=_ENUM_BUDGET):
         """All elements in canonical form, deterministic order."""
-        assert self.order() <= budget, "module too large to enumerate"
+        if self.order() > budget:
+            raise ValueError("module too large to enumerate")
         out = [()]
         for d in self.diagonal:
             out = [t + (a,) for t in out for a in range(d)]
@@ -138,7 +143,8 @@ class FiniteGModule:
 
     def apply_coeffs(self, coeffs, v):
         """Apply an integer group-ring element given as a coefficient list."""
-        assert len(coeffs) == self.group.order
+        if len(coeffs) != self.group.order:
+            raise ValueError("one coefficient per group element is required")
         out = self.zero()
         for g, c in enumerate(coeffs):
             if c:
@@ -155,13 +161,15 @@ class FiniteGModule:
 
     # ----- structural constructions
 
+    def mod(self, n):
+        """M / nM, on the same generators."""
+        k = self.ngens
+        rows = self.relations + [[n * int(j == i) for j in range(k)] for i in range(k)]
+        return FiniteGModule(self.group, k, rows, self.action)
+
     def sylow(self, p):
         """The p-primary component, on the same generators."""
-        q = p ** valuation(self.exponent(), p)
-        rows = [row[:] for row in self.relations]
-        for i in range(self.ngens):
-            rows.append([q if j == i else 0 for j in range(self.ngens)])
-        return FiniteGModule(self.group, self.ngens, rows, self.action)
+        return self.mod(p ** valuation(self.exponent(), p))
 
     def submodule(self, vectors):
         """The G-submodule generated by the vectors (must be G-stable).
@@ -178,7 +186,8 @@ class FiniteGModule:
             mat = []
             for v in V:
                 x = lattice.coords(self.act(g, v))
-                assert x is not None, "submodule is not Galois stable"
+                if x is None:
+                    raise ValueError("submodule is not Galois stable")
                 mat.append(x[:s])
             action.append(mat)
         return FiniteGModule(self.group, s, rel, action), V
@@ -233,7 +242,8 @@ class FiniteGModule:
         """A cyclic generator in canonical form, or None if none exists.
 
         Exhaustive over all elements (so a None answer proves the module is
-        not cyclic over the group ring); asserts the order is within budget.
+        not cyclic over the group ring); raises ValueError when the order
+        exceeds the budget.
         """
         if self.order() == 1:
             return self.zero()
@@ -272,7 +282,8 @@ def isomorphism_certificate(left, right, budget=_ENUM_BUDGET):
     lattices in the group ring coincide (which pins the isomorphism class
     of a cyclic module over the commutative group ring).
     """
-    assert left.group == right.group
+    if left.group != right.group:
+        raise ValueError("the modules must be over one group")
     lo, ro = left.order(), right.order()
     if lo != ro:
         return {
@@ -328,7 +339,8 @@ def isomorphism_certificate(left, right, budget=_ENUM_BUDGET):
 
 def residue_galois_module(field, group, M):
     """(module, ring): the units of O/(M) with the conjugation action."""
-    assert group.order == 2, "residue Galois modules are built for quadratic fields"
+    if group.order != 2:
+        raise ValueError("residue Galois modules are built for quadratic fields")
     res = field.residue_ring(M)
     gens, rels, _ = res.structure()
     k = len(gens)
@@ -382,8 +394,10 @@ def residue_structure_target(group, ell, p, e=1):
             rows += element_rows(ell * one_element(group) - frob, p**v)
             rows += element_rows(one_element(group) - ram.average(), p**v)
     else:
-        assert ram.inertia == (0,), "the residue prime must be unramified"
-        assert e >= 1
+        if ram.inertia != (0,):
+            raise ValueError("the residue prime must be unramified")
+        if e < 1:
+            raise ValueError("the exponent e must be at least 1")
         rows = [[p ** (e - 1) if j == i else 0 for j in range(n)] for i in range(n)]
     return FiniteGModule(group, n, rows, action)
 
@@ -393,58 +407,41 @@ def residue_structure_target(group, ell, p, e=1):
 
 
 def _prime_smooth_vector(field, q, r):
-    """(vec, z): a field element z (possibly fractional) whose ideal equals
-    the prime (q, omega - r) times prod(base^vec) over the class-group base
-    generators, with vec zero at the generators above q itself.
+    """(vec, z): a field element z whose ideal (z) equals P * prod(base^vec)
+    over the class-group base generators, for the prime P = (q, omega - r).
 
-    Scans small integral candidates in the prime whose norm is supported on
-    the base primes and q, then strips rational powers of q so the named
-    prime appears with exponent exactly one.
+    A base generator P gives z = 1 and vec = -e_P.  Every other split or
+    ramified prime has q > isqrt(D) // 2, and z is the first nonzero
+    a q + b (omega - r) (b >= 0, and a > 0 when b = 0) in the region
+    |z| + |z'| <= t with t^2 = 2 q sqrt(D) whose norm over q is a product
+    of base primes.  The region has area 4 covol(P), so Minkowski's theorem
+    puts a nonzero point of P in it, and such a point has
+    |N(z)| <= q sqrt(D) / 2 < q^2: (z) / P has norm below q, so it is a
+    product of base primes and inert primes p, and then z / p lies in the
+    region too.  The search therefore ends, and v_P(z) = 1 while the
+    conjugate of a split P does not divide (z).
     """
     cl = field.class_group()
-    base_primes = sorted({p for p, _ in cl.gens})
-    ramified = field.chi(q) == 0
-    for bound in (12, 24, 48, 192):
-        for b in range(0, bound + 1):
-            for a in range(-bound, bound + 1):
-                if a == 0 and b == 0:
-                    continue
-                if (a + b * r) % q != 0:
-                    continue
-                z = field.from_omega_coords(a, b)
-                nrm = abs(int(z.norm()))
-                if nrm == 0:
-                    continue
-                tot = valuation(nrm, q)
-                rest = nrm // q**tot
-                for p in base_primes:
-                    if p != q:
-                        while rest % p == 0:
-                            rest //= p
-                if rest != 1:
-                    continue
-                if ramified:
-                    if tot % 2 == 0:
-                        continue
-                    drop = (tot - 1) // 2
-                else:
-                    e = field.prime_valuation(z, q, r)
-                    if 2 * e - tot != 1:
-                        continue
-                    drop = tot - e
-                vec = [
-                    0 if p == q else field.prime_valuation(z, p, rp)
-                    for p, rp in cl.gens
-                ]
-                if drop:
-                    z = z / field.element(q**drop)
-                check = q * math.prod(p**k for (p, _), k in zip(cl.gens, vec))
-                assert check == nrm // q ** (2 * drop), (
-                    "prime factorization of the witness is off"
-                )
-                return vec, z
-    raise AssertionError(
-        "no smooth witness found for the prime (%d, w - %d)" % (q, r)
+    if (q, r) in cl.gens:
+        i = cl.gens.index((q, r))
+        return [-int(j == i) for j in range(len(cl.gens))], field.one()
+    D, T = field.D, field.omega_trace
+    base_primes = {p for p, _ in cl.gens}
+    # |b| sqrt(D) <= t and |Tr(z)| <= t, as b^4 D <= 4 q^2 and Tr^4 <= 4 q^2 D
+    tr_max = math.isqrt(math.isqrt(4 * q * q * D))
+    for b in range(math.isqrt(math.isqrt(4 * q * q // D)) + 1):
+        c = b * (T - 2 * r)  # Tr(z) = 2 a q + c
+        for a in range(max(-((tr_max + c) // (2 * q)), int(b == 0)),
+                       (tr_max - c) // (2 * q) + 1):
+            z = field.from_omega_coords(a * q - b * r, b)
+            rest = abs(z._norm_numerator()) // q
+            for p in base_primes:
+                while rest % p == 0:
+                    rest //= p
+            if rest == 1:
+                return [field.prime_valuation(z, p, rp) for p, rp in cl.gens], z
+    raise ArithmeticError(
+        "no point of (%d, w - %d) in its Minkowski region is smooth" % (q, r)
     )
 
 
@@ -465,13 +462,15 @@ class RayClassGroup:
     the classes of chosen coprime prime ideals generating the ideal class
     group.  All relations carry exact principalization witnesses; the
     constructor recounts the order against
-    h * |(O/M)^*| / |image of the global units| and asserts agreement.
+    h * |(O/M)^*| / |image of the global units| and raises ArithmeticError
+    when they disagree.
     """
 
     def __init__(self, field, group, modulus):
-        assert group.order == 2
-        assert group.m == field.D, "group must be built on the field discriminant"
-        assert modulus >= 1
+        if group.order != 2 or group.m != field.D:
+            raise ValueError("group must be built on the field discriminant")
+        if modulus < 1:
+            raise ValueError("modulus %d: must be a positive integer" % modulus)
         self.field = field
         self.group = group
         self.modulus = modulus
@@ -490,11 +489,10 @@ class RayClassGroup:
 
         # relations among the chosen prime classes, with exact witnesses
         self.class_relations = []
-        if s:
-            for r in preimage_lattice(self._vec_rows, self.cl.relations):
-                w = self._class_relation_witness(r)
-                self.class_relations.append((list(r), w))
-                rows.append([-c for c in self._residue_dlog(w)] + list(r))
+        for r in hnf(preimage_lattice(self._vec_rows, self.cl.relations)):
+            w = self._generator(field.one(), [0] * len(self.cl.gens), r)
+            self.class_relations.append((list(r), w))
+            rows.append([-c for c in self._residue_dlog(w)] + list(r))
 
         action = [identity(t + s), self._conj_action(t, s)]
         self.module = FiniteGModule(group, t + s, rows, action)
@@ -525,18 +523,21 @@ class RayClassGroup:
             q += 1
             while not is_prime(q):
                 q += 1
-        raise AssertionError("could not generate the class group with coprime primes")
+        raise ArithmeticError("could not generate the class group with coprime primes")
 
-    def _class_relation_witness(self, r):
-        """Exact generator of prod(primes^r) for a class relation row r."""
-        lam = [0] * len(self.cl.gens)
-        w = self.field.one()
-        for coeff, (q, root, vec, z) in zip(r, self.class_primes):
-            if coeff:
-                w = w * z**coeff
-                lam = [a - coeff * b for a, b in zip(lam, vec)]
-        head = self.cl.principalize(lam)
-        assert head is not None, "relation row is not actually a relation"
+    def _generator(self, z, vec, x):
+        """Exact generator of (z) * prod(base^-vec) * prod(P_j^x_j) over the
+        chosen class primes P_j; the ideal must be principal."""
+        mu = [-a for a in vec]
+        w = z
+        for xj, (_, _, vj, zj) in zip(x, self.class_primes):
+            if xj:
+                # P_j = (z_j) * prod(base^-v_j)
+                w = w * zj**xj
+                mu = [a - xj * b for a, b in zip(mu, vj)]
+        head = self.cl.principalize(mu)
+        if head is None:
+            raise ArithmeticError("the ideal to generate is not principal")
         return w * head
 
     def _residue_dlog(self, z):
@@ -554,25 +555,21 @@ class RayClassGroup:
         return rows
 
     def _recount(self):
-        res = self.residue
-        rels = [list(r) for r in res.structure()[1]]
-        if not self.res_gens:
-            unit_image = 1
-        else:
-            urows = [
-                self._residue_dlog(self.field.element(-1)),
-                self._residue_dlog(self.field.fundamental_unit()),
-            ]
-            K = hnf(preimage_lattice(urows, rels))
-            assert len(K) == 2
-            unit_image = K[0][0] * K[1][1]
-        assert res.unit_count() % unit_image == 0
-        expected = self.cl.order * res.unit_count() // unit_image
+        """Check the module order against h * |(O/M)^*| / [E : E_M]."""
+        K = congruence_unit_lattice(self.field, self.modulus)
+        if len(K) != 2:
+            raise ArithmeticError("the congruence units do not have full rank")
+        unit_image = K[0][0] * K[1][1]
+        count = self.residue.unit_count()
+        if count % unit_image:
+            raise ArithmeticError("the unit image does not divide |(O/M)^*|")
+        expected = self.cl.order * count // unit_image
         got = self.module.order()
-        assert got == expected, (
-            "ray class order recount failed: module says %d, counting says %d"
-            % (got, expected)
-        )
+        if got != expected:
+            raise ArithmeticError(
+                "ray class order recount failed: module says %d, counting says %d"
+                % (got, expected)
+            )
 
     # ----- maps in and out
 
@@ -592,30 +589,22 @@ class RayClassGroup:
         inert q, r is ignored and the class is that of (q).
         """
         field = self.field
-        assert math.gcd(q, self.modulus) == 1, "prime must be coprime to the modulus"
+        if math.gcd(q, self.modulus) != 1:
+            raise ValueError("prime %d must be coprime to the modulus" % q)
         if field.chi(q) == -1:
             return self.principal_vector(field.element(q))
-        assert r is not None, "a root selecting the prime is required"
+        if r is None:
+            raise ValueError("a root selecting the prime over %d is required" % q)
         vec, z = _prime_smooth_vector(field, q, r)
         s = len(self.class_primes)
-        if s:
-            x = self._prime_lattice.coords(vec)
-            assert x is not None
-            x = x[:s]
-        else:
-            x = []
-        mu = [-a for a in vec]
-        w = z
-        for xi, (_, _, vj, zj) in zip(x, self.class_primes):
-            if xi:
-                mu = [a + xi * b for a, b in zip(mu, vj)]
-                w = w * zj**-xi
-        head = self.cl.principalize(mu)
-        assert head is not None
-        w = w * head
-        base = self.principal_vector(w)
+        x = self._prime_lattice.coords(vec) if s else []
+        if x is None:
+            raise ArithmeticError("the class primes do not generate the class group")
+        x = x[:s]
+        # P = (w) * prod(P_j^x_j)
+        w = self._generator(z, vec, [-a for a in x])
         tail = [0] * len(self.res_gens) + list(x)
-        return self.module.add(base, tail)
+        return self.module.add(self.principal_vector(w), tail)
 
     def prime_class_of_norm_factorization(self, z):
         """Sum of prime-class vectors over the factorization of (z).
@@ -626,12 +615,15 @@ class RayClassGroup:
         field = self.field
         total = self.module.zero()
         nrm = abs(int(z.norm()))
-        assert nrm != 0
+        if nrm == 0:
+            raise ValueError("zero has no factorization")
         for p, e in factorize(nrm):
-            assert math.gcd(p, self.modulus) == 1
+            if math.gcd(p, self.modulus) != 1:
+                raise ValueError("element must be coprime to the modulus")
             ch = field.chi(p)
             if ch == -1:
-                assert e % 2 == 0
+                if e % 2:
+                    raise ArithmeticError("odd norm valuation at inert %d" % p)
                 total = self.module.add(
                     total, self.module.scale(e // 2, self.prime_class(p))
                 )

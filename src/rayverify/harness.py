@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__, checks
 from .cyclo import FieldSpec, subgroup_generated
-from .nt import fundamental_discriminant, is_prime, squarefree_part, valuation
+from .nt import fundamental_discriminant, is_prime, kronecker, squarefree_part, valuation
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -262,6 +262,10 @@ def run_annihilator(D, p=3, modulus=None, mode=None, cache=None, **_):
             "--mode %s: the annihilator mode is one of thaine, solomon, "
             "special, both" % mode
         )
+    if mode != "special":
+        _check_odd_prime(p)
+    if mode in ("solomon", "both") and kronecker(D, p) != 1:
+        raise ValueError("--p %d: the solomon check needs a prime that splits in k" % p)
     results = []
     params = {"p": p, "mode": mode}
     if mode in ("thaine", "both"):

@@ -231,11 +231,13 @@ def preimage_lattice(V, L):
 
     V is a list of s vectors (the images of s abstract generators); L spans
     the target relation lattice.  When the quotient of the target by L is
-    finite the result has full rank s.
+    finite the result has full rank s; a zero-width target gives Z^s.
     """
     s = len(V)
     if s == 0:
         return []
+    if not V[0]:
+        return identity(s)
     stacked = [list(v) for v in V] + [list(row) for row in L]
     ker = kernel(transpose(stacked))
     return [row[:s] for row in ker]

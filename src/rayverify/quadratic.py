@@ -8,10 +8,10 @@ omega^2 = T omega - N exactly as the residue rings O/(M) do; the rational
 coordinates x + y sqrt(D) are views computed on demand.
 
 The class group is computed from scratch: relations among the primes
-below the Minkowski bound are harvested from elements of smooth norm, the
-Smith form is stabilized under a growing search box, and the order is
-cross-checked against the analytic class number formula (the only place
-floating point appears, and only as an oracle).  Every relation row keeps
+below the Minkowski bound are harvested from elements of smooth norm in a
+growing search box until the index of their lattice is the analytic class
+number (the only place floating point appears, and only as a stopping
+test: found relations can only over-count h).  Every relation row keeps
 the element that witnessed it, so principality questions reduce to exact
 integer linear algebra plus an explicit generator.
 
@@ -456,13 +456,15 @@ class ClassGroup:
         self.relations = []
         self.witnesses = []
         self.lattice = Lattice([])
-        if not base:
-            self.invariants = []
-            self.order = 1
-            self._check_analytic()
-            return
-        self._harvest()
-        self._check_analytic()
+        self.invariants = []
+        self.order = 1
+        approx = analytic_class_number(D)
+        if base:
+            self._harvest(approx)
+        if abs(approx - self.order) >= 0.05:
+            raise ArithmeticError(
+                "class number %d disagrees with analytic %f" % (self.order, approx)
+            )
 
     def _factor_vector(self, z):
         """Exponent vector of (z) over the base, or None if not smooth."""
@@ -483,9 +485,14 @@ class ClassGroup:
                 vec[i] = self.field.prime_valuation(z, p, r)
         return vec
 
-    def _harvest(self):
+    def _harvest(self, approx):
+        """Relations from the rational primes of the base and from the
+        smooth a + b omega with |a|, b <= bound, doubling the bound until
+        the index of the relation lattice is the analytic class number
+        `approx`.  Found relations span a sublattice of the full relation
+        lattice, so their index is a multiple of h: agreement pins h.
+        """
         field = self.field
-        seen_orders = []
         bound = 8
         for _ in range(10):
             rows, wits = [], []
@@ -508,27 +515,18 @@ class ClassGroup:
                         wits.append(z)
             lattice = Lattice(rows)
             diag = lattice.invariants()
-            h = 1
-            full_rank = len(diag) == len(self.gens)
-            for d in diag:
-                h *= d
-            seen_orders.append(h if full_rank else None)
-            if full_rank and len(seen_orders) >= 2 and seen_orders[-2] == h:
+            if len(diag) == len(self.gens) and abs(math.prod(diag) - approx) < 0.05:
                 self.relations = rows
                 self.lattice = lattice
                 self.witnesses = wits
                 self.invariants = [d for d in diag if d != 1]
-                self.order = h
+                self.order = math.prod(diag)
                 return
             bound *= 2
-        raise ArithmeticError("class group relations did not stabilize")
-
-    def _check_analytic(self):
-        approx = analytic_class_number(self.field.D)
-        if abs(approx - self.order) >= 0.05:
-            raise ArithmeticError(
-                "class number %d disagrees with analytic %f" % (self.order, approx)
-            )
+        raise ArithmeticError(
+            "class group relations did not reach the analytic class number "
+            "%f" % approx
+        )
 
     def principalize(self, vec):
         """A field element generating prod gens^vec, or None if non-principal."""

@@ -16,6 +16,7 @@ from rayverify.checks import (
 from rayverify.cyclo import FieldSpec
 from rayverify.gmodules import RayClassGroup, residue_galois_module
 from rayverify.grouprings import GaloisGroup
+from rayverify.nt import fundamental_discriminant, squarefree_part
 from rayverify.quadratic import QuadField
 from rayverify.units import congruence_circular_lattice, congruence_unit_lattice
 
@@ -126,3 +127,11 @@ def test_solomon_reports_hensel_embedding():
     assert r.status == "pass"
     assert r.witness["embedding"] == "hensel"
     assert min(r.witness["coefficient_valuations"]) >= 1
+
+
+def test_gras_field_sweep():
+    """Every real quadratic field of radicand below 200 runs the gras point."""
+    discs = [fundamental_discriminant(r) for r in range(2, 200) if squarefree_part(r) == r]
+    assert len(discs) == 121
+    for D in discs:
+        assert [r.status for r in check_gras(D, 3, 1)] == ["pass"], D

@@ -102,3 +102,20 @@ def test_explore_conjecture_runs(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "unit-index-vs-ray-exponent D=5 d=18 p=3" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2 splits in Q(sqrt 17), so (O/2)^* is trivial
+        ["verify", "gras", "--quad", "17", "--p", "3", "--d", "2"],
+        ["explore", "conjecture", "--quad", "17", "--p", "3", "--d", "2"],
+        # a class-group base generator that no other prime's class reaches
+        ["verify", "gras", "--quad", "65", "--p", "3", "--d", "1"],
+        ["verify", "annihilator", "--quad", "82", "--mode", "both"],
+    ],
+)
+def test_formerly_failing_commands_pass(argv, capsys):
+    assert main(argv) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[")]
+    assert lines and all(l.startswith("[pass]") for l in lines)

@@ -1,6 +1,9 @@
 """Tests for finite Galois modules and ray class groups."""
 
+import ast
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from rayverify.cyclo import FieldSpec
 from rayverify.gmodules import (
     FiniteGModule,
     RayClassGroup,
+    _prime_smooth_vector,
     isomorphism_certificate,
     lift_coefficients_mod,
     residue_galois_module,
@@ -15,6 +19,7 @@ from rayverify.gmodules import (
 )
 from rayverify.grouprings import GaloisGroup, GroupRingElement
 from rayverify.intmat import identity
+from rayverify.nt import is_prime
 from rayverify.quadratic import QuadField
 
 G5 = GaloisGroup(FieldSpec.quadratic(5))
@@ -272,3 +277,66 @@ def test_rho_plus_trivial_reconstruction():
         sub1, _ = syl.rho_component(lift_coefficients_mod(e1, p * k))
         subr, _ = syl.rho_component(lift_coefficients_mod(rho, p * k))
         assert sub1.order() * subr.order() == syl.order()
+
+
+@pytest.mark.parametrize("D", [5, 8, 40, 65, 85, 257, 316, 328, 377])
+def test_prime_witness_identity(D):
+    """(z) = P * prod(base^vec) for every split or ramified P over q < 300,
+    checked by the norm and by the valuations at P, its conjugate and the
+    base primes; base generators give z = 1 and vec = -e_P."""
+    field = QuadField(D)
+    gens = field.class_group().gens
+    for q in filter(is_prime, range(2, 300)):
+        roots = field.prime_roots(q) if field.chi(q) != -1 else []
+        for r in roots:
+            vec, z = _prime_smooth_vector(field, q, r)
+            if (q, r) in gens:
+                assert z == 1 and vec == [-int(g == (q, r)) for g in gens]
+                continue
+            assert z.is_integral() and min(vec, default=0) >= 0
+            norm = q * math.prod(p**k for (p, _), k in zip(gens, vec))
+            assert abs(z.norm()) == norm
+            assert [field.prime_valuation(z, p, rp) for p, rp in gens] == vec
+            assert field.prime_valuation(z, q, r) == 1
+            for other in roots:
+                if other != r:
+                    assert field.prime_valuation(z, q, other) == 0
+
+
+@pytest.mark.parametrize("D", [40, 65])
+def test_artin_consistency_mod_seven(D):
+    field = QuadField(D)
+    ray = RayClassGroup(field, GaloisGroup(FieldSpec.quadratic(D)), 7)
+    checked = 0
+    for b in range(1, 5):
+        for a in range(-6, 7):
+            z = field.from_omega_coords(a, b)
+            if int(z.norm()) % 7:
+                got = ray.prime_class_of_norm_factorization(z)
+                assert got == ray.principal_vector(z), (a, b)
+                checked += 1
+    assert checked >= 30
+
+
+def test_class_relations_at_most_one_per_class_prime():
+    for D, modulus in [(40, 1), (40, 7), (65, 3), (316, 4), (328, 5), (1272, 1)]:
+        field = QuadField(D)
+        ray = RayClassGroup(field, GaloisGroup(FieldSpec.quadratic(D)), modulus)
+        assert len(ray.class_relations) <= len(ray.class_primes)
+        assert field.class_group().order == 1 or ray.class_primes
+
+
+def test_mod_is_the_quotient_by_multiples():
+    M = trivial_action_module(G5, [4, 6])
+    assert M.mod(2).invariants() == [2, 2]
+    assert M.mod(3).invariants() == [3]
+    assert M.mod(1).order() == 1
+    assert M.sylow(2).relations == M.mod(4).relations
+
+
+def test_gmodules_module_has_no_assert():
+    """Checks must survive python -O."""
+    import rayverify.gmodules as mod
+
+    tree = ast.parse(Path(mod.__file__).read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

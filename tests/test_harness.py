@@ -15,6 +15,7 @@ from rayverify.harness import (
     Cache,
     build_report,
     resolve_discriminant,
+    run_annihilator,
     run_conjecture,
     run_gras,
     run_rays,
@@ -225,6 +226,12 @@ def test_p_prec_and_d_contracts():
         run_gras(5, d=0, mode="scan")
     with pytest.raises(ValueError, match="at least 1"):
         run_conjecture(5, d=-2)
+    for p, mode in [(4, "thaine"), (2, "thaine"), (9, "both"), (1, "solomon")]:
+        with pytest.raises(ValueError, match="odd prime"):
+            run_annihilator(79, p=p, mode=mode)
+    for mode in ("solomon", "both"):
+        with pytest.raises(ValueError, match="splits in k"):
+            run_annihilator(17, p=3, mode=mode)
     group = GaloisGroup(FieldSpec.quadratic(5))
     with pytest.raises(ValueError, match="must not divide the degree"):
         residue_structure_target(group, 11, 2)
@@ -252,6 +259,12 @@ def test_p_prec_and_d_contracts():
         (["verify", "sinnott", "--quad", "5", "--prec", "0"], "p-adic digit"),
         (["verify", "gras", "--quad", "5", "--d", "1001"], "too large"),
         (["verify", "gras", "--quad", "5", "--d", "0"], "at least 1"),
+        (["verify", "annihilator", "--quad", "79", "--p", "4", "--mode", "thaine"],
+         "odd prime"),
+        (["verify", "annihilator", "--quad", "79", "--p", "2", "--mode", "thaine"],
+         "odd prime"),
+        (["verify", "annihilator", "--quad", "17", "--p", "3", "--mode", "solomon"],
+         "splits in k"),
     ],
 )
 def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):

@@ -175,6 +175,8 @@ def test_preimage_lattice():
     K = preimage_lattice([[2, 2]], [[4, 0], [0, 6]])
     assert hnf(K) == [[6]]  # 2k = 0 mod 4 and 2k = 0 mod 6 iff 6 | k
     assert preimage_lattice([], [[1]]) == []
+    # a trivial target group: every combination lands in it
+    assert preimage_lattice([[], []], []) == [[1, 0], [0, 1]]
 
 
 def test_intersection_lattice():

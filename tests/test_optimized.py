@@ -1,4 +1,5 @@
-"""The input-contract and quadratic-field suites pass under ``python -O``.
+"""The input-contract, quadratic-field, Galois-module and check suites pass
+under ``python -O``.
 
 `-O` strips `assert` statements, so any input validation or invariant check
 still written as one disappears there.  Pytest rewrites the tests' own
@@ -12,12 +13,19 @@ import sys
 from pathlib import Path
 
 
-def test_harness_and_quadratic_suites_pass_under_optimize():
+def _pytest_under_optimize(*suites):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_harness.py", "tests/test_quadratic.py"],
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *suites],
         cwd=root, capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+def test_harness_and_quadratic_suites_pass_under_optimize():
+    _pytest_under_optimize("tests/test_harness.py", "tests/test_quadratic.py")
+
+
+def test_gmodules_and_checks_suites_pass_under_optimize():
+    _pytest_under_optimize("tests/test_gmodules.py", "tests/test_checks.py")

@@ -117,6 +117,14 @@ def test_class_groups_small():
     assert cg.order == 2 and cg.invariants == [2]
 
 
+def test_class_group_stops_at_the_analytic_class_number():
+    # the harvest once settled on two equal but too large indices here
+    for D, h in [(1272, 2), (1448, 2), (1592, 1)]:
+        cg = QuadField(D).class_group()
+        assert cg.order == h
+        assert abs(analytic_class_number(D) - h) < 0.05
+
+
 def test_class_group_79():
     cg = QuadField(316).class_group()
     assert cg.order == 3
