@@ -107,7 +107,10 @@ def _quad_setup(D):
 def _rho_projector_coeffs(group, modulus):
     """Integer lift mod `modulus` of 1 - (average over the group)."""
     n = group.order
-    assert modulus >= 1 and math.gcd(n, modulus) == 1
+    if modulus < 1 or math.gcd(n, modulus) != 1:
+        raise ValueError(
+            "modulus %d must be positive and prime to the group order %d" % (modulus, n)
+        )
     coeffs = [Fraction(-1, n)] * n
     coeffs[0] = coeffs[0] + 1
     return lift_coefficients_mod(GroupRingElement(group, coeffs), modulus)
@@ -137,7 +140,8 @@ def check_sinnott(D, p, prec=12, d_max=6):
     factor, coefficientwise to `prec` p-adic digits.
     """
     field, group = _quad_setup(D)
-    assert p % 2 == 1 and D % p != 0, "p must be odd and unramified"
+    if p % 2 == 0 or D % p == 0:
+        raise ValueError("p=%d must be odd and unramified" % p)
     ring = ring_for_conductor(p, D, prec + PRECISION_HEADROOM)
     omega = lseries_derivative_element(group, ring)
     proj = residue_euler_element(group, ring, 1)
@@ -230,7 +234,8 @@ def _unit_action_matrix(field):
     matrix depends only on the norm of the fundamental unit.
     """
     nrm = int(field.fundamental_unit().norm())
-    assert nrm in (1, -1)
+    if nrm not in (1, -1):
+        raise ArithmeticError("the fundamental unit has norm %d" % nrm)
     return [[-1, 0 if nrm == 1 else 1], [0, 1]]
 
 
@@ -245,17 +250,22 @@ def unit_quotient_module(field, group, sup, sub):
     rels = []
     for r in sub:
         x = lattice.coords(r)
-        assert x is not None, "small lattice is not contained in the big one"
+        if x is None:
+            raise ArithmeticError(
+                "not a sublattice: the small unit lattice is not in the big one"
+            )
         rels.append(x)
     sigma_rows = []
     for r in sup:
         img = mat_vec(transpose(act), list(r))
         x = lattice.coords(img)
-        assert x is not None, "lattice is not stable under conjugation"
+        if x is None:
+            raise ArithmeticError("lattice is not stable under conjugation")
         sigma_rows.append(x)
     ident = [[1, 0], [0, 1]]
     module = FiniteGModule(group, 2, rels, [ident, sigma_rows])
-    assert module.order() == lattice_index(sub, sup)
+    if module.order() != lattice_index(sub, sup):
+        raise ArithmeticError("the unit quotient order disagrees with the lattice index")
     return module
 
 
@@ -295,7 +305,8 @@ def check_gras(D, p, d=1):
     components of the Sylow p-parts on both sides, for the ray modulus d.
     """
     field, group = _quad_setup(D)
-    assert p % 2 == 1, "p must be odd"
+    if p % 2 == 0:
+        raise ValueError("p=%d must be odd" % p)
     rcg = RayClassGroup(field, group, d)
     return [_gras_point(field, group, rcg, p, d)]
 
@@ -308,12 +319,14 @@ def check_gras_scan(D, p_list=(3, 5, 7), d_max=50):
     equality is contentless otherwise).
     """
     field, group = _quad_setup(D)
+    for p in p_list:
+        if p % 2 == 0:
+            raise ValueError("p=%d must be odd" % p)
     results = []
     for d in range(1, d_max + 1):
         rcg = RayClassGroup(field, group, d)
         order = rcg.module.order()
         for p in p_list:
-            assert p % 2 == 1
             if order % p != 0:
                 continue
             results.append(_gras_point(field, group, rcg, p, d))
@@ -583,7 +596,8 @@ def check_cyclic(D, p):
     omega-basis.
     """
     field, _ = _quad_setup(D)
-    assert p % 2 == 1 and field.D % p != 0, "p must be odd and unramified"
+    if p % 2 == 0 or field.D % p == 0:
+        raise ValueError("p=%d must be odd and unramified" % p)
     t0 = time.perf_counter()
     if field.omega_trace % p != 0:
         gen, label = field.omega(), "omega"
@@ -659,7 +673,10 @@ def explore_conjecture(D, p, d=1, stabilization=25):
     inconclusive, and a smaller unit side is a genuine discrepancy.
     """
     field, group = _quad_setup(D)
-    assert p % 2 == 1, "comparison applies away from the group order"
+    if p % 2 == 0:
+        raise ValueError(
+            "p=%d must be odd: the comparison applies away from the group order" % p
+        )
     t0 = time.perf_counter()
     sup = congruence_unit_lattice(field, d)
     sub = congruence_circular_lattice(field, d)

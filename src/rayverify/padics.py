@@ -448,8 +448,13 @@ class PadicRing:
         lexicographically smallest root of Phi_n in the residue field."""
         if n in self._root_cache:
             return self._root_cache[n]
-        assert (self.q - 1) % n == 0, "residue field has no n-th roots"
-        assert self.q <= _ROOT_SEARCH_BUDGET, "residue field too large to scan"
+        if (self.q - 1) % n:
+            raise ValueError("residue field has no %d-th roots (q = %d)" % (n, self.q))
+        if self.q > _ROOT_SEARCH_BUDGET:
+            raise ValueError(
+                "residue field too large to scan (q = %d > %d)"
+                % (self.q, _ROOT_SEARCH_BUDGET)
+            )
         phi_n = cyclotomic_polynomial(n)
         p, f = self.p, self.f
         seed = None

@@ -15,21 +15,23 @@ test: found relations can only over-count h).  Every relation row keeps
 the element that witnessed it, so principality questions reduce to exact
 integer linear algebra plus an explicit generator.
 
-Residue rings O/(M) for integer moduli M come with a deterministic
-generator/discrete-log table and a triangular relation matrix, which is
-what the ray class layer consumes; `QuadField.residue_ring` keeps the last
-one built.  Bad arguments raise ValueError and broken invariants
-ArithmeticError, so `python -O` behaves the same.
+Residue rings O/(M) for integer moduli M come with deterministic unit
+generators, a triangular relation matrix and discrete logs computed on
+demand, which is what the ray class layer consumes; nothing enumerates the
+ring, and `QuadField.residue_ring` keeps the last one built.  Bad
+arguments raise ValueError and broken invariants ArithmeticError, so
+`python -O` behaves the same.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from operator import mul
 
-from .intmat import Lattice
-from .nt import is_prime, kronecker, squarefree_part, valuation
+from .intmat import Lattice, snf, transpose
+from .nt import factorize, is_prime, kronecker, primitive_root, squarefree_part, valuation
 
 
 def _is_fundamental(D):
@@ -256,6 +258,7 @@ class QuadField:
         self._unit = None
         self._classgroup = None
         self._residue = None
+        self._local_units = {}  # (ell, e) -> the local factors of O/(ell^e)
 
     def element(self, x, y=0):
         """x + y sqrt(D) for rational x and y."""
@@ -376,7 +379,7 @@ class QuadField:
     def residue_ring(self, M):
         """O/(M).  The last ring asked for is kept, so the ray class group,
         the residue Galois module and the congruence units of one modulus
-        share one enumeration of its units."""
+        share one presentation of its units."""
         if self._residue is None or self._residue.M != M:
             self._residue = ResidueRing(self, M)
         return self._residue
@@ -574,53 +577,322 @@ def unit_exponent(field, u):
     return sign, -k if flip else k
 
 
+#: Largest modulus M of a residue ring O/(M).  Its cost grows with M: the
+#: greedy generator scan may visit a few whole rows (a, 0..M-1) of
+#: residues at one discrete log each, while factoring q - 1 for the residue
+#: fields F_q (q = ell or ell^2, ell | M) by trial division and the
+#: baby-step giant-step over its largest prime take about sqrt(M) steps.
+#: Near the limit a structure takes up to about 1.5 s (D = 9240 with
+#: M = 9240), less than the old enumeration took at M = 1000.
+MODULUS_LIMIT = 10**4
+
+
+def _pair_mul(u, v, n, s, t):
+    """(a + b theta)(c + d theta) mod n, where theta^2 = -s theta - t."""
+    a, b = u
+    c, d = v
+    bd = b * d
+    return ((a * c - bd * t) % n, (a * d + b * c - bd * s) % n)
+
+
+def _pair_pow(u, k, n, s, t):
+    out = (1 % n, 0)
+    while k:
+        if k & 1:
+            out = _pair_mul(out, u, n, s, t)
+        k >>= 1
+        if k:
+            u = _pair_mul(u, u, n, s, t)
+    return out
+
+
+def _pair_inverse(u, n, s, t):
+    """Inverse of a unit: its conjugate x - y s - y theta over its norm."""
+    x, y = u
+    conj = ((x - y * s) % n, -y % n)
+    ninv = pow(_pair_mul(u, conj, n, s, t)[0], -1, n)
+    return (conj[0] * ninv % n, conj[1] * ninv % n)
+
+
+def _rational_unit_generators(factors, M):
+    """Integers generating (Z/M)^*: per ell^e || M, generators of
+    (Z/ell^e)^* (a primitive root, or -1 and 5 when ell = 2), each lifted
+    to 1 modulo M / ell^e."""
+    out = []
+    for ell, e in factors:
+        pe = ell**e
+        if ell == 2:
+            local = [-1, 5][: min(e - 1, 2)]
+        else:
+            g = primitive_root(ell)
+            if e > 1 and pow(g, ell - 1, ell * ell) == 1:
+                g += ell
+            local = [g]
+        rest = M // pe
+        for g in local:
+            out.append((g + pe * ((1 - g) * pow(pe, -1, rest) % rest)) % M)
+    return out
+
+
+class _LocalUnits:
+    """The units of one local factor A of O/(M), as an explicit product of
+    cyclic groups.
+
+    A is O/(ell^e) when ell is inert or ramified, and Z/ell^e at one of the
+    two primes over a split ell.  Elements are pairs (x, y) meaning
+    x + y theta mod ell^e with theta = omega - r; in the split case omega
+    maps to the root r and y stays 0.  P is the maximal ideal of A: (ell)
+    unless ell ramifies, where P = (theta) (theta^2 = ell * unit, as O =
+    Z[omega] is maximal at ell).  F_q = A/P has q = ell^2 when ell is inert
+    and q = ell otherwise.
+
+    A^* is generated by a lift g of a primitive root of F_q (left out when
+    q = 2) and by one 1-unit 1 + ell^j theta^c per F_ell-dimension of each
+    step (1 + P^i)/(1 + P^(i+1)) = A/P of the filtration.  `_log` writes a
+    unit in them: the exponent of g is a discrete log in F_q^*
+    (Pohlig-Hellman, with a baby-step giant-step per prime of q - 1), and
+    the 1-unit exponents in [0, ell) come off one filtration step at a time
+    (Cohen, Advanced Topics in Computational Number Theory, ch. 4).  Row i
+    of the relations is the order of generator i modulo the deeper steps
+    minus the log of that power, so the rows are triangular and span every
+    relation: their determinant is |A^*|.  Their Smith form (skipped when
+    the rows are diagonal) turns a log into `coords`, the coordinates of
+    the unit in A^* = sum Z/d_i over the nontrivial `invariants` d_i.
+    """
+
+    def __init__(self, field, ell, e, r, split):
+        T, Nm = field.omega_trace, field.omega_norm
+        n = ell**e
+        self.ell, self.n, self.r = ell, n, r
+        self.has_theta = 0 if split else 1
+        # theta = omega - r satisfies theta^2 = -s theta - t
+        self.s = s = (2 * r - T) % n
+        self.t = t = (r * r - T * r + Nm) % n
+        self.inert = inert = not split and field.chi(ell) == -1
+        self.q = ell * ell if inert else ell
+        if split or inert:
+            steps = [(c, ell**j) for j in range(1, e) for c in range(1 + inert)]
+        else:
+            steps = [(i % 2, ell ** (i // 2)) for i in range(1, 2 * e)]
+        gens = [(1 + pw, 0) if c == 0 else (1, pw) for c, pw in steps]
+        # (coordinate, ell^j, inverse of the generator 1 + ell^j theta^c)
+        self.steps = [(c, pw, _pair_inverse(g, n, s, t)) for (c, pw), g in zip(steps, gens)]
+        orders = [ell] * len(gens)
+        if self.q > 2:
+            self._setup_residue_field()
+            gens.insert(0, self.g)
+            orders.insert(0, self.q - 1)
+        rows = []
+        for i, (g, o) in enumerate(zip(gens, orders)):
+            row = [-c for c in self._log(_pair_pow(g, o, n, s, t))]
+            row[i] += o
+            rows.append(row)
+        if all(x == 0 for i, row in enumerate(rows) for j, x in enumerate(row) if i != j):
+            S = rows
+            U = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+        else:
+            U, S, _ = snf(transpose(rows))
+        nontrivial = [i for i in range(len(rows)) if S[i][i] != 1]
+        self.invariants = [S[i][i] for i in nontrivial]
+        self._proj = [U[i] for i in nontrivial]
+        self.count = (self.q - 1) * ell ** len(steps)
+        self._seen = {}  # image in A -> coords, once computed
+        if math.prod(self.invariants) != self.count:
+            raise ArithmeticError("the unit relations of O/(%d) are incomplete" % n)
+
+    def _setup_residue_field(self):
+        """g, and Pohlig-Hellman tables for F_q^*.  F_ell is plain integers
+        mod ell; F_ell^2 (ell inert) is pairs mod ell."""
+        ell, N = self.ell, self.q - 1
+        factors = dict(factorize(ell - 1))
+        if self.inert:
+            s, t = self.s % ell, self.t % ell
+            self._fmul = lambda u, v: _pair_mul(u, v, ell, s, t)
+            self._fpow = lambda u, k: _pair_pow(u, k, ell, s, t)
+            one = (1, 0)
+            for p, k in factorize(ell + 1):
+                factors[p] = factors.get(p, 0) + k
+            # the first a + omega, then a + 2 omega, ... of order q - 1
+            candidates = ((a, b) for b in range(1, ell) for a in range(ell))
+            g = next(
+                x for x in candidates if all(self._fpow(x, N // p) != one for p in factors)
+            )
+            self.g = g
+        else:
+            self._fmul = lambda u, v: u * v % ell
+            self._fpow = lambda u, k: pow(u, k, ell)
+            one = 1
+            g = primitive_root(ell)
+            self.g = (g, 0)
+        if self.steps:
+            self._g_inv = _pair_inverse(self.g, self.n, self.s, self.t)
+        # per prime power p^k || q - 1: g^(N / p^k), its inverse, and baby
+        # steps of gamma = g^(N / p), which has order p
+        self._ph = []
+        for p, k in sorted(factors.items()):
+            gp = self._fpow(g, N // p**k)
+            gamma = self._fpow(g, N // p)
+            m = math.isqrt(p) + 1
+            baby = {}
+            cur = one
+            for j in range(m):
+                baby.setdefault(cur, j)
+                cur = self._fmul(cur, gamma)
+            giant = self._fpow(gamma, p - m % p)  # gamma^-m
+            self._ph.append((p, k, gp, self._fpow(gp, p**k - 1), baby, m, giant))
+
+    def _residue_log(self, h):
+        """k in [0, q - 1) with g^k = h in F_q^*, by Pohlig-Hellman."""
+        N = self.q - 1
+        x, mod = 0, 1
+        for p, k, gp, gp_inv, baby, m, giant in self._ph:
+            pk = p**k
+            hp = self._fpow(h, N // pk)
+            xp = 0
+            for i in range(k):
+                # (hp / gp^xp)^(p^(k-1-i)) = gamma^(digit i of xp)
+                y = self._fmul(hp, self._fpow(gp_inv, xp)) if xp else hp
+                y = self._fpow(y, p ** (k - 1 - i))
+                for step in range(m):
+                    if y in baby:
+                        break
+                    y = self._fmul(y, giant)
+                else:
+                    raise ArithmeticError("discrete log in F_%d failed" % self.q)
+                xp += (step * m + baby[y]) % p * p**i
+            x += mod * ((xp - x) * pow(mod, -1, pk) % pk)
+            mod *= pk
+        return x
+
+    # -- the unit group
+
+    def _log(self, u):
+        """Exponents of the unit u (in A's coordinates) in the generators."""
+        ell, n, s, t = self.ell, self.n, self.s, self.t
+        out = []
+        if self.q > 2:
+            h = (u[0] % ell, u[1] % ell) if self.inert else u[0] % ell
+            k = self._residue_log(h)
+            out.append(k)
+            if not self.steps:
+                return out  # A = F_q
+            u = _pair_mul(u, _pair_pow(self._g_inv, k, n, s, t), n, s, t)
+        for c, pw, inv in self.steps:
+            # u lies in the filtration step of this generator
+            d = (u[c] - (c == 0)) // pw % ell
+            if d:
+                u = _pair_mul(u, _pair_pow(inv, d, n, s, t), n, s, t)
+            out.append(d)
+        if u != (1 % n, 0):
+            raise ArithmeticError("unit filtration of O/(%d) did not end at 1" % n)
+        return out
+
+    def coords(self, u):
+        """The unit u of O/(M), as a vector mod the invariants (not to be
+        mutated: it is kept for the next unit with the same image in A)."""
+        a, b = u
+        x = ((a + b * self.r) % self.n, b * self.has_theta % self.n)
+        if x not in self._seen:
+            v = self._log(x)
+            self._seen[x] = [
+                sum(c * y for c, y in zip(row, v)) % d
+                for row, d in zip(self._proj, self.invariants)
+            ]
+        return self._seen[x]
+
+
+def _local_factors(field, ell, e):
+    """The `_LocalUnits` of O/(ell^e): one per prime over ell.  They are
+    kept on the field, as a scan over moduli meets the same prime powers
+    again and again."""
+    if (ell, e) not in field._local_units:
+        chi = field.chi(ell)
+        if chi == 1:
+            factors = tuple(
+                _LocalUnits(field, ell, e, field.prime_root_lifted(ell, r, e), True)
+                for r in field.prime_roots(ell)
+            )
+        else:
+            r = field.prime_roots(ell)[0] if chi == 0 else 0
+            factors = (_LocalUnits(field, ell, e, r, False),)
+        field._local_units[ell, e] = factors
+    return field._local_units[ell, e]
+
+
+class _UnitDigits(Mapping):
+    """The digits of every unit of a ResidueRing, computed on demand.
+
+    A read-only mapping from the units (a, b) of O/(M) to their digit
+    tuples: `len` is |(O/M)^*|, a lookup of anything else raises KeyError,
+    and iteration runs over the units in lexicographic order.
+    """
+
+    def __init__(self, ring):
+        self._ring = ring
+
+    def __getitem__(self, u):
+        ring = self._ring
+        pair = isinstance(u, tuple) and len(u) == 2
+        if not (pair and all(isinstance(x, int) and 0 <= x < ring.M for x in u)):
+            raise KeyError(u)
+        if not ring.is_unit(u):
+            raise KeyError(u)
+        return ring._digits(u)
+
+    def __len__(self):
+        return self._ring.unit_count()
+
+    def __iter__(self):
+        ring = self._ring
+        for a in range(ring.M):
+            for b in range(ring.M):
+                if ring.is_unit((a, b)):
+                    yield (a, b)
+
+
 class ResidueRing:
     """O/(M) for a positive integer modulus M, with unit-group structure.
 
     Elements are pairs (a, b) meaning a + b omega mod M.  The unit group
-    comes with deterministic generators, a triangular relation matrix and
-    a full discrete-log dictionary (the group is tiny in engine use).
+    comes with deterministic generators and a triangular relation matrix:
+    the greedy ones, where each generator is the lexicographically first
+    unit outside the span of the earlier ones and its row gives its order
+    modulo that span.  The digits of a unit are its exponents in [0, order)
+    on those generators.  Nothing enumerates the ring: by CRT, O/(M) is the
+    product of the local factors at the primes over each ell^e || M, and
+    their `_LocalUnits.coords` put (O/M)^* = sum Z/d_i in coordinates, where
+    one small `Lattice` answers every membership and order question of the
+    scan.  M may be at most MODULUS_LIMIT.
     """
-
-    _BUDGET = 10**6
 
     def __init__(self, field, M):
         if M < 1:
             raise ValueError("modulus %d: must be a positive integer" % M)
-        if M * M > self._BUDGET:
+        if M > MODULUS_LIMIT:
             raise ValueError(
-                "residue ring O/(%d) too large to enumerate (M^2 > %d)"
-                % (M, self._BUDGET)
+                "residue ring O/(%d) too large (modulus above %d)" % (M, MODULUS_LIMIT)
             )
         self.field = field
         self.M = M
+        self._factors = factorize(M)
+        self._locals = [
+            loc for ell, e in self._factors for loc in _local_factors(field, ell, e)
+        ]
         self._structure = None
+        self._seen = {}  # unit -> digits, once computed
 
     def one(self):
         return (1 % self.M, 0)
 
     def mul(self, u, v):
-        a, b = u
-        c, d = v
-        M = self.M
-        T, Nm = self.field.omega_trace, self.field.omega_norm
-        # (a + b w)(c + d w), w^2 = T w - Nm
-        bd = b * d
-        return ((a * c - bd * Nm) % M, (a * d + b * c + bd * T) % M)
+        # omega^2 = T omega - Nm
+        return _pair_mul(u, v, self.M, -self.field.omega_trace, self.field.omega_norm)
 
     def pow(self, u, e):
         e = int(e)
         if e < 0:
             return self.pow(self.inverse(u), -e)
-        out = self.one()
-        base = u
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return out
+        return _pair_pow(u, e, self.M, -self.field.omega_trace, self.field.omega_norm)
 
     def norm_lift(self, u):
         a, b = u
@@ -631,13 +903,7 @@ class ResidueRing:
         return math.gcd(self.norm_lift(u) % self.M, self.M) == 1
 
     def inverse(self, u):
-        a, b = u
-        T = self.field.omega_trace
-        conj = ((a + b * T) % self.M, (-b) % self.M)  # a + b(T - w)
-        n = self.norm_lift(u) % self.M
-        ninv = pow(n, -1, self.M)
-        c, d = conj
-        return (c * ninv % self.M, d * ninv % self.M)
+        return _pair_inverse(u, self.M, -self.field.omega_trace, self.field.omega_norm)
 
     def conj(self, u):
         a, b = u
@@ -650,52 +916,112 @@ class ResidueRing:
             raise ValueError("not integral")
         return (z.a % self.M, z.b % self.M)
 
+    def _coords(self, u):
+        out = []
+        for loc in self._locals:
+            out += loc.coords(u)
+        return out
+
     def structure(self):
-        """(gens, relations, dlog): deterministic presentation of (O/M)^*."""
+        """(gens, relations, dlog): deterministic presentation of (O/M)^*.
+
+        The greedy scan runs over the units in lexicographic order and
+        stops once the product of the orders found is |(O/M)^*|.  `dlog`
+        is a `_UnitDigits` mapping.
+        """
         if self._structure is not None:
             return self._structure
-        gens = []
-        rels = []
-        dlog = {self.one(): ()}
+        invariants = [d for loc in self._locals for d in loc.invariants]
+        width = len(invariants)
+        base = [[d * (i == j) for j in range(width)] for i, d in enumerate(invariants)]
+        count = self.unit_count()
+        gens, rels, vecs = [], [], []
+        lattice = None  # of vecs + base, once there is a generator
+        size = 1
         M = self.M
+        rational = _rational_unit_generators(self._factors, M)
+        rational = [self._coords((c, 0)) for c in rational]
+
+        def order(v):
+            """Order of v modulo the span of the generators so far."""
+            if lattice is None:
+                return math.lcm(*(d // math.gcd(d, c) for d, c in zip(invariants, v)))
+            return lattice.order(v)
+
+        def spans_rationals():
+            return all(order(v) == 1 for v in rational)
+
+        # Once every rational unit c lies in the span, x and c x are in it
+        # together.  Row a is then c times row gcd(a, M), scanned already
+        # unless a divides M, and the units (0, b) of row 0 are c (0, 1).
+        # For a prime M this spares the scan the M discrete logs of row 0.
+        stable = spans_rationals()
         for a in range(M):
+            if size == count:
+                break
+            if stable and a and M % a:
+                continue
             for b in range(M):
+                if stable and not a and b > 1:
+                    break
                 x = (a, b)
-                if x in dlog or not self.is_unit(x):
+                if not self.is_unit(x):
                     continue
+                v = self._coords(x)
+                o = order(v)
+                if o == 1:
+                    continue
+                # x^o in the span of the earlier generators, as digits
                 k = len(gens)
+                old = []
+                if k:
+                    old = _reduce_digits(lattice.coords([o * c for c in v])[:k], rels)
                 gens.append(x)
-                # order of x relative to the current span
-                o = 1
-                pw = x
-                while pw not in dlog:
-                    o += 1
-                    pw = self.mul(pw, x)
-                row = [0] * (k + 1)
-                row[k] = o
-                old = dlog[pw]
-                for i, c in enumerate(old):
-                    row[i] -= c
-                rels.append(row)
-                new = {}
-                pw = self.one()
-                for j in range(o):
-                    for y, v in dlog.items():
-                        new[self.mul(y, pw)] = v + (j,)
-                    pw = self.mul(pw, x)
-                if len(new) != len(dlog) * o:
-                    raise ArithmeticError("coset collision")
-                dlog = new
-        width = len(gens)
-        rels = [row + [0] * (width - len(row)) for row in rels]
-        dlog = {y: tuple(v) + (0,) * (width - len(v)) for y, v in dlog.items()}
-        self._structure = (gens, rels, dlog)
+                rels.append([-c for c in old] + [o])
+                vecs.append(v)
+                lattice = Lattice(vecs + base)
+                size *= o
+                if size == count:
+                    break
+                stable = stable or spans_rationals()
+        if size != count:
+            raise ArithmeticError("the units of O/(%d) were not all reached" % M)
+        n = len(gens)
+        lattice = lattice or Lattice(base)
+        self._rels = [row + [0] * (n - len(row)) for row in rels]
+        # digits of each coordinate vector e_j, so a unit's digits are one sum
+        basis = [
+            _reduce_digits(lattice.coords([int(i == j) for i in range(width)])[:n], self._rels)
+            for j in range(width)
+        ]
+        self._digit_columns = [list(col) for col in zip(*basis)]
+        self._structure = (gens, self._rels, _UnitDigits(self))
         return self._structure
 
+    def _digits(self, u):
+        if u not in self._seen:
+            v = self._coords(u)
+            c = [sum(map(mul, v, col)) for col in self._digit_columns]
+            self._seen[u] = tuple(_reduce_digits(c, self._rels))
+        return self._seen[u]
+
     def unit_count(self):
-        _, rels, dlog = self.structure()
-        return len(dlog)
+        """|(O/M)^*|, the product of the local unit counts."""
+        return math.prod(loc.count for loc in self._locals)
 
     def dlog(self, u):
         _, _, dl = self.structure()
         return list(dl[u])
+
+
+def _reduce_digits(c, rels):
+    """The digit vector equivalent to c modulo the triangular rows `rels`:
+    from the last coordinate down, c_k goes into [0, rels[k][k])."""
+    c = list(c)
+    for k in range(len(c) - 1, -1, -1):
+        row = rels[k]
+        q, c[k] = divmod(c[k], row[k])
+        if q:
+            for i in range(k):
+                c[i] -= q * row[i]
+    return c

@@ -65,7 +65,8 @@ def _norm_one_minus_power(field, n, t):
     if key in _norm_cache:
         return _norm_cache[key]
     s = n // math.gcd(n, t)
-    assert s > 1, "the root of unity degenerates to 1"
+    if s == 1:
+        raise ValueError("the root of unity degenerates to 1 (n=%d, t=%d)" % (n, t))
     if n % field.D:
         # the intersection field is Q: classical rational norm
         fac = factorize(s)
@@ -102,9 +103,11 @@ def cyclotomic_number(field, n, d=1):
     divisors t of the radical of d of the norms of 1 - zeta_n^t, raised to
     mu(t) * d / t.
     """
-    assert n > 1
+    if n < 2:
+        raise ValueError("level %d: must be at least 2" % n)
     dbar = radical(d)
-    assert dbar % n != 0, "level divides the radical of the twist"
+    if dbar % n == 0:
+        raise ValueError("level %d divides the radical of the twist %d" % (n, d))
     out = field.one()
     for t in divisors(dbar):
         e = moebius(t) * (d // t)
@@ -265,5 +268,6 @@ def lattice_index(sub, sup):
     """Index of one full-rank unit lattice inside another."""
     ds = math.prod(sub[i][i] for i in range(len(sub)))
     dS = math.prod(sup[i][i] for i in range(len(sup)))
-    assert ds % dS == 0, "not a sublattice"
+    if ds % dS:
+        raise ArithmeticError("not a sublattice: index %d does not divide %d" % (dS, ds))
     return ds // dS

@@ -62,18 +62,20 @@ def test_acceptance_twisted_log_identities():
 
 
 # --------------------------------------------------------------------------
-# 2. residue-ring Galois structure, three configurations, < 10 s each
+# 2. residue-ring Galois structure, three configurations < 2 s each, and
+#    the unit group of O/(997) over Q(sqrt 2) < 1 s
 
 
 def test_acceptance_ray_residue_structures():
     ok = False
     try:
-        for D, ell, p in ((5, 11, 5), (5, 2, 3), (13, 3, 3)):
+        configs = ((5, 11, 5, 2), (5, 2, 3, 2), (13, 3, 3, 2), (8, 997, 3, 1))
+        for D, ell, p, budget in configs:
             t0 = time.perf_counter()
             r = check_rays(D, ell, p)[0]
             elapsed = time.perf_counter() - t0
             assert r.status == "pass", r.name
-            assert elapsed < 10, "budget exceeded: %.1fs" % elapsed
+            assert elapsed < budget, "budget exceeded: %.1fs" % elapsed
             if (D, ell, p) == (5, 11, 5):
                 assert r.witness["target_order"] == 25
                 assert r.witness["sylow_invariants"] == [5, 5]
@@ -94,6 +96,8 @@ def test_acceptance_index_equality():
         assert r.status == "pass"
         assert r.witness["unit_rho_order"] == 3
         assert r.witness["ray_rho_order"] == 3
+        # a modulus past the old M^2 <= 10^6 enumeration budget
+        assert check_gras(5, 3, 1001)[0].status == "pass"
 
         results = check_gras_scan(5, (3, 5, 7), 50)
         _all_pass(results)

@@ -1,11 +1,17 @@
+import ast
 import json
+from pathlib import Path
+
+import pytest
 
 from rayverify import checks
 from rayverify.checks import (
     CheckResult,
     check_cyclic,
     check_gras,
+    check_gras_scan,
     check_rays,
+    check_sinnott,
     check_solomon,
     explore_conjecture,
     ray_power_subgroup_orders,
@@ -135,3 +141,32 @@ def test_gras_field_sweep():
     assert len(discs) == 121
     for D in discs:
         assert [r.status for r in check_gras(D, 3, 1)] == ["pass"], D
+
+
+def test_check_arguments_raise_value_error():
+    for call in (
+        lambda: check_gras(5, 2, 1),
+        lambda: check_gras_scan(5, (3, 4), 2),
+        lambda: check_cyclic(5, 2),
+        lambda: check_cyclic(5, 5),
+        lambda: check_sinnott(5, 4),
+        lambda: explore_conjecture(5, 2, 3),
+        lambda: checks._rho_projector_coeffs(G5, 4),
+        lambda: checks._rho_projector_coeffs(G5, 0),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_unit_quotient_module_invariants_raise_arithmetic_error():
+    with pytest.raises(ArithmeticError, match="not a sublattice"):
+        unit_quotient_module(K5, G5, [[2, 0], [0, 1]], [[1, 0], [0, 1]])
+    # conjugation sends eps to -1/eps on Q(sqrt 5): (1, 0) -> (-1, 1)
+    with pytest.raises(ArithmeticError, match="stable under conjugation"):
+        unit_quotient_module(K5, G5, [[1, 0], [0, 2]], [[2, 0], [0, 2]])
+
+
+def test_checks_module_has_no_assert():
+    """Checks must survive python -O."""
+    tree = ast.parse(Path(checks.__file__).read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

@@ -257,7 +257,7 @@ def test_p_prec_and_d_contracts():
         (["verify", "rays", "--quad", "5", "--ell", "11", "--p", "4"], "odd prime"),
         (["verify", "rays", "--quad", "5", "--ell", "11", "--p", "2"], "odd prime"),
         (["verify", "sinnott", "--quad", "5", "--prec", "0"], "p-adic digit"),
-        (["verify", "gras", "--quad", "5", "--d", "1001"], "too large"),
+        (["verify", "gras", "--quad", "5", "--d", "10001"], "too large"),
         (["verify", "gras", "--quad", "5", "--d", "0"], "at least 1"),
         (["verify", "annihilator", "--quad", "79", "--p", "4", "--mode", "thaine"],
          "odd prime"),
@@ -265,6 +265,9 @@ def test_p_prec_and_d_contracts():
          "odd prime"),
         (["verify", "annihilator", "--quad", "17", "--p", "3", "--mode", "solomon"],
          "splits in k"),
+        (["verify", "rays", "--quad", "5", "--ell", "10007"], "too large"),
+        (["verify", "sinnott", "--quad", "17", "--p", "5", "--prec", "8", "--d", "3"],
+         "too large"),
     ],
 )
 def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):

@@ -1,5 +1,5 @@
-"""The input-contract, quadratic-field, Galois-module and check suites pass
-under ``python -O``.
+"""The input-contract, quadratic-field, Galois-module, check, unit, p-adic
+and command-line suites pass under ``python -O``.
 
 `-O` strips `assert` statements, so any input validation or invariant check
 still written as one disappears there.  Pytest rewrites the tests' own
@@ -24,8 +24,16 @@ def _pytest_under_optimize(*suites):
 
 
 def test_harness_and_quadratic_suites_pass_under_optimize():
-    _pytest_under_optimize("tests/test_harness.py", "tests/test_quadratic.py")
+    # one process each: the residue-ring oracle grid alone takes about a minute
+    _pytest_under_optimize("tests/test_harness.py")
+    _pytest_under_optimize("tests/test_quadratic.py")
 
 
 def test_gmodules_and_checks_suites_pass_under_optimize():
     _pytest_under_optimize("tests/test_gmodules.py", "tests/test_checks.py")
+
+
+def test_units_padics_and_cli_suites_pass_under_optimize():
+    _pytest_under_optimize(
+        "tests/test_units.py", "tests/test_padics.py", "tests/test_cli.py"
+    )

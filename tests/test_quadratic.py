@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from rayverify.nt import factorize
 from rayverify.quadratic import (
+    MODULUS_LIMIT,
     QuadElement,
     QuadField,
     ResidueRing,
@@ -183,6 +185,100 @@ def test_residue_ring_inert():
     assert R1.unit_count() == 1
 
 
+def _enumerated_structure(R):
+    """Oracle: the presentation of (O/M)^* built by enumerating all M^2
+    residues into a full coset dictionary, as ResidueRing.structure once did.
+
+    Each generator is the first residue (in lexicographic order) outside
+    the span so far; its relative order comes from repeated products, and
+    the span is rebuilt as the union of its cosets.
+    """
+    gens = []
+    rels = []
+    dlog = {R.one(): ()}
+    M = R.M
+    for a in range(M):
+        for b in range(M):
+            x = (a, b)
+            if x in dlog or not R.is_unit(x):
+                continue
+            k = len(gens)
+            gens.append(x)
+            o = 1
+            pw = x
+            while pw not in dlog:
+                o += 1
+                pw = R.mul(pw, x)
+            row = [0] * (k + 1)
+            row[k] = o
+            for i, c in enumerate(dlog[pw]):
+                row[i] -= c
+            rels.append(row)
+            new = {}
+            pw = R.one()
+            for j in range(o):
+                for y, v in dlog.items():
+                    new[R.mul(y, pw)] = v + (j,)
+                pw = R.mul(pw, x)
+            assert len(new) == len(dlog) * o
+            dlog = new
+    width = len(gens)
+    rels = [row + [0] * (width - len(row)) for row in rels]
+    dlog = {y: tuple(v) + (0,) * (width - len(v)) for y, v in dlog.items()}
+    return gens, rels, dlog
+
+
+def _unit_count(field, M):
+    """|(O/M)^*| from the splitting of each prime power ell^e || M."""
+    count = 1
+    for ell, e in factorize(M):
+        local = {1: (ell - 1) ** 2, -1: ell * ell - 1, 0: ell * (ell - 1)}
+        count *= local[field.chi(ell)] * ell ** (2 * (e - 1))
+    return count
+
+
+_ORACLE_MODULI = (
+    1, 2, 4, 8, 16, 64, 3, 9, 27, 81, 5, 25, 125, 7, 49, 11, 121, 12, 60, 210, 420, 840
+)
+
+
+# 2 is inert for D = 5, split for D = 17 and ramified for D = 8 and 12
+@pytest.mark.parametrize("D", (5, 8, 12, 13, 17, 40, 316))
+def test_residue_structure_matches_enumeration(D):
+    field = QuadField(D)
+    for M in _ORACLE_MODULI:
+        R = ResidueRing(field, M)
+        gens, rels, dlog = R.structure()
+        ogens, orels, odlog = _enumerated_structure(R)
+        assert (gens, rels) == (ogens, orels), M
+        assert len(dlog) == len(odlog) == R.unit_count() == _unit_count(field, M)
+        assert list(dlog) == sorted(odlog)  # lexicographic iteration
+        for u, digits in odlog.items():
+            assert dlog[u] == digits, (M, u)
+        if M > 1:
+            for bad in ((0, 0), (M, 0), (1, -1), [1, 0]):
+                with pytest.raises(KeyError):
+                    dlog[bad]
+            assert (0, 0) not in dlog and R.one() in dlog
+
+
+# 311 splits in Q(sqrt 5) and 307 is inert: F_307^2 needs a baby-step
+# giant-step over the prime 17 of 307^2 - 1
+@pytest.mark.parametrize(
+    "D, M", [(5, 311), (5, 307), (8, 343), (13, 512), (17, 330), (40, 462)]
+)
+def test_residue_structure_matches_enumeration_on_samples(D, M):
+    field = QuadField(D)
+    R = ResidueRing(field, M)
+    gens, rels, dlog = R.structure()
+    ogens, orels, odlog = _enumerated_structure(R)
+    assert (gens, rels) == (ogens, orels)
+    assert len(dlog) == len(odlog) == _unit_count(field, M)
+    rng = random.Random(M)
+    for u in rng.sample(sorted(odlog), 300):
+        assert dlog[u] == odlog[u]
+
+
 def test_residue_ring_ops():
     k = QuadField(5)
     R = ResidueRing(k, 9)
@@ -326,7 +422,8 @@ def test_unit_exponent_binary_descent(D):
 def test_residue_ring_contracts_and_reuse():
     k = QuadField(5)
     with pytest.raises(ValueError, match="too large"):
-        ResidueRing(k, 1001)
+        ResidueRing(k, MODULUS_LIMIT + 1)
+    assert ResidueRing(k, MODULUS_LIMIT).unit_count() == _unit_count(k, MODULUS_LIMIT)
     with pytest.raises(ValueError, match="positive"):
         ResidueRing(k, 0)
     R = k.residue_ring(9)

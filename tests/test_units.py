@@ -1,6 +1,8 @@
 """Tests for cyclotomic numbers and unit lattices of real quadratic fields."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from rayverify.cyclo import (
     subgroup_trace_of_power,
     to_quadratic,
 )
+from rayverify import units
 from rayverify.quadratic import QuadField
 from rayverify.units import (
     _norm_one_minus_power,
@@ -55,9 +58,9 @@ def test_cyclotomic_number_twists():
 
 
 def test_cyclotomic_number_rejects_degenerate_levels():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="radical of the twist"):
         cyclotomic_number(Q5, 5, 5)  # level divides the radical of the twist
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="at least 2"):
         cyclotomic_number(Q5, 1, 3)  # level must exceed 1
 
 
@@ -160,3 +163,16 @@ def test_norm_one_minus_power_matches_per_j_traces(D, n, t):
     field = QuadField(D)
     expected = _norm_one_minus_power_per_j(field, n, t)
     assert _norm_one_minus_power(field, n, t) == expected
+
+
+def test_lattice_index_rejects_a_non_sublattice():
+    with pytest.raises(ArithmeticError, match="not a sublattice"):
+        lattice_index(full_unit_lattice(), [[2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="degenerates"):
+        _norm_one_minus_power(Q5, 5, 10)
+
+
+def test_units_module_has_no_assert():
+    """Checks must survive python -O."""
+    tree = ast.parse(Path(units.__file__).read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
