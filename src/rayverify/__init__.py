@@ -15,5 +15,3 @@ finite Galois modules) are written for general abelian k.
 """
 
 __version__ = "0.1.0"
-
-from .intmat import Lattice, snf, hnf, kernel, solve  # noqa: F401

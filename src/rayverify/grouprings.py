@@ -30,6 +30,7 @@ elements from either side, but p-adic scalars must be written on the right
 (``x * scalar``) because `PadicElement` does not defer to unknown operands.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -550,8 +551,13 @@ class RamificationData:
         )
 
 
+@functools.lru_cache(maxsize=None)
 def ramification(group, ell):
-    """Frobenius and inertia data at the rational prime ell."""
+    """Frobenius and inertia data at the rational prime ell.
+
+    Memoized per (group, ell): groups hash by their field, and the result
+    is never modified.
+    """
     m = group.m
     v = valuation(m, ell)
     if v == 0:
@@ -638,13 +644,15 @@ def lseries_derivative_element(group, ring, chars=None):
     return acc
 
 
+@functools.lru_cache(maxsize=None)
 def norm_log_factor(group, n, t):
     """Rational group-ring factor for the log of a level-(n/t) norm product.
 
     For t a proper divisor of n this is the degree [Q(zeta_n) : k^n
     Q(zeta_{n/t})] times the sum over the subgroup fixing k intersect
     Q(zeta_{n/t}), times the product over primes ell | n/t of
-    (1 - Frobenius^{-1} inertia-average).
+    (1 - Frobenius^{-1} inertia-average).  Memoized per (group, n, t), as
+    `unit_log_factor` asks for it at every twist; the element is immutable.
     """
     assert t >= 1 and n % t == 0 and t < n, "t must be a proper divisor of n"
     level = n // t

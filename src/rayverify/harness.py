@@ -5,6 +5,9 @@ verification command: engine version, the field and parameters acted on,
 one entry per check with its anchor / status / witness, timing data, and a
 roll-up summary.  Reports are deterministic for fixed inputs up to the
 timing fields.
+
+The engine (`checks` and the layers below it) is imported by the functions
+that use it, not by this module, so that cache commands start without it.
 """
 
 import functools
@@ -14,16 +17,11 @@ import os
 import re
 from pathlib import Path
 
-from . import __version__, checks
-from .cyclo import FieldSpec, subgroup_generated
-from .nt import fundamental_discriminant, is_prime, kronecker, squarefree_part, valuation
+from . import __version__
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_ERROR = 2
-
-#: statuses that make a run unsuccessful
-_BAD = (checks.FAIL, checks.REFUTES)
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,6 +118,9 @@ def resolve_discriminant(quad=None, field=None):
     generated by the a_i in (Z/m)^*.  Raises ValueError for arguments that
     do not describe a real quadratic field.
     """
+    from .cyclo import FieldSpec, subgroup_generated
+    from .nt import fundamental_discriminant, squarefree_part
+
     if field is not None:
         m, _, gens = field.partition(":")
         m = int(m)
@@ -158,6 +159,8 @@ def resolve_discriminant(quad=None, field=None):
 
 def build_report(command, D, params, results, seed=None):
     """Assemble the result records of one command into a report dict."""
+    from . import checks
+
     summary = {
         checks.PASS: 0,
         checks.FAIL: 0,
@@ -179,7 +182,9 @@ def build_report(command, D, params, results, seed=None):
         "checks": [r.to_dict() for r in results],
         "timings": {"total": round(sum(r.elapsed for r in results), 6)},
         "summary": summary,
-        "exit_status": EXIT_FAILED if any(summary[s] for s in _BAD) else EXIT_OK,
+        "exit_status": (
+            EXIT_FAILED if summary[checks.FAIL] or summary[checks.REFUTES] else EXIT_OK
+        ),
     }
 
 
@@ -198,11 +203,15 @@ def strip_timings(report):
 
 def _check_odd_prime(p):
     """Raise ValueError unless the verification prime p is an odd prime."""
+    from .nt import is_prime
+
     if p == 2 or not is_prime(p):
         raise ValueError("--p %d: the verification prime must be an odd prime" % p)
 
 
 def run_sinnott(D, p=7, prec=12, d=6, **_):
+    from . import checks
+
     _check_odd_prime(p)
     if D % p == 0:
         raise ValueError(
@@ -217,6 +226,9 @@ def run_sinnott(D, p=7, prec=12, d=6, **_):
 
 
 def run_rays(D, ell=11, p=5, modulus=None, **_):
+    from . import checks
+    from .nt import is_prime, valuation
+
     _check_odd_prime(p)
     if not is_prime(ell):
         raise ValueError("--ell %d: the auxiliary prime must be a prime" % ell)
@@ -233,6 +245,8 @@ def run_rays(D, ell=11, p=5, modulus=None, **_):
 
 
 def run_gras(D, p=None, d=None, mode=None, **_):
+    from . import checks
+
     if p is not None:
         _check_odd_prime(p)
     if d is not None and d < 1:
@@ -251,11 +265,16 @@ def run_gras(D, p=None, d=None, mode=None, **_):
 
 
 def run_h90(D, ell=11, **_):
+    from . import checks
+
     params = {"ell": ell, "level": 3, "twist": 4}
     return build_report("verify h90", D, params, checks.check_h90(D, ell))
 
 
 def run_annihilator(D, p=3, modulus=None, mode=None, cache=None, **_):
+    from . import checks
+    from .nt import kronecker
+
     mode = mode or "both"
     if mode not in ("thaine", "solomon", "special", "both"):
         raise ValueError(
@@ -282,6 +301,8 @@ def run_annihilator(D, p=3, modulus=None, mode=None, cache=None, **_):
 
 
 def run_conjecture(D, p=3, d=18, **_):
+    from . import checks
+
     _check_odd_prime(p)
     if d < 1:
         raise ValueError("--d %d: the ray modulus must be at least 1" % d)

@@ -5,14 +5,19 @@ modulus H is pinned deterministically: h is the lexicographically smallest
 monic irreducible of its degree over F_p (coefficient tuple read constant
 term first), and H is the factor of X^(q-1) - 1 lifting h, so the roots of
 H are Teichmueller representatives and the Frobenius of O is literally
-t -> t^p.  Construction asserts both facts.
+t -> t^p.  Construction checks both facts and raises ArithmeticError if
+either fails.
 
 Elements carry a declared precision (in digits); arithmetic runs at a
-guarded internal precision so that the series for the logarithm loses no
+guarded internal precision W so that the series for the logarithm loses no
 declared digits.  The logarithm is Iwasawa's: log extends to all nonzero
-elements with log p = 0, via log(x) = log((x/p^v)^(q-1)) / (q-1).
+elements with log p = 0, via log(x) = log(u^N) / N for the unit
+u = x/p^v and N = (q-1) p^m, where m is as large as the guard digits allow
+so that the series for log(u^N) is short.
 
-Everything is integers mod p^k; no floats anywhere.
+Everything is integers mod p^k; no floats anywhere.  Invalid arguments
+raise ValueError and broken invariants ArithmeticError, under ``python -O``
+as well.
 """
 
 from __future__ import annotations
@@ -31,38 +36,41 @@ _ROOT_SEARCH_BUDGET = 10**6
 # dense polynomial helpers (coefficients ascending, arithmetic mod M)
 
 
-def _pmul(a, b, M):
+def _pmul(a, b):
+    """Product of coefficient lists, accumulated in plain ints (unreduced)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % M
+                out[i + j] += x * y
     return out
 
 
 def _pmod(a, h, M):
-    """a mod h for monic h, coefficients mod M."""
-    a = [v % M for v in a]
+    """a mod h for monic h, coefficients mod M.
+
+    The coefficients of a may be unreduced; each is reduced once, when it
+    is eliminated or when it is returned.
+    """
+    a = list(a)
     dh = len(h) - 1
     for i in range(len(a) - 1, dh - 1, -1):
-        c = a[i]
+        c = a[i] % M
         if c:
-            a[i] = 0
             for j in range(dh):
-                a[i - dh + j] = (a[i - dh + j] - c * h[j]) % M
-    out = a[:dh]
+                a[i - dh + j] -= c * h[j]
+    out = [v % M for v in a[:dh]]
     out += [0] * (dh - len(out))
     return out
 
 
 def _pmulmod(a, b, h, M):
-    return _pmod(_pmul(a, b, M), h, M)
+    return _pmod(_pmul(a, b), h, M)
 
 
 def _ppowmod(a, e, h, M):
     out = [1] + [0] * (len(h) - 2)
-    base = _pmod(list(a), h, M)
+    base = _pmod(a, h, M)
     while e:
         if e & 1:
             out = _pmulmod(out, base, h, M)
@@ -125,15 +133,27 @@ def _min_irreducible(p, f):
     if f == 1:
         return (0, 1)
     for code in range(p**f):
-        c = []
-        x = code
-        for _ in range(f):
-            c.append(x % p)
-            x //= p
-        h = c + [1]
+        h = _digits(code, p, f) + [1]
         if _is_irreducible_fp(h, p):
             return tuple(h)
-    raise AssertionError("no irreducible found")  # unreachable
+    raise ArithmeticError("no irreducible of degree %d over F_%d" % (f, p))
+
+
+def _digits(code, p, f):
+    """The residue-field vector (c_0, ..., c_{f-1}) with code sum c_i p^i."""
+    c = []
+    for _ in range(f):
+        code, r = divmod(code, p)
+        c.append(r)
+    return c
+
+
+def _code(vec, p):
+    """Inverse of `_digits`: the integer sum c_i p^i of a residue vector."""
+    code = 0
+    for c in reversed(vec):
+        code = code * p + c
+    return code
 
 
 # ----------------------------------------------------------------------
@@ -149,9 +169,20 @@ class PadicElement:
         self.vec = tuple(v % ring.workmod for v in vec)
         self.prec = ring.prec if prec is None else min(prec, ring.prec)
 
+    @classmethod
+    def _reduced(cls, ring, vec, prec):
+        """An element from coordinates already reduced mod p^W, with
+        prec <= ring.prec: skips the re-reduction of `__init__`."""
+        x = object.__new__(cls)
+        x.ring = ring
+        x.vec = tuple(vec)
+        x.prec = prec
+        return x
+
     def _coerce(self, other):
         if isinstance(other, PadicElement):
-            assert other.ring is self.ring, "mixed rings"
+            if other.ring is not self.ring:
+                raise ValueError("mixed rings: %r and %r" % (self.ring, other.ring))
             return other
         if isinstance(other, (int, Fraction)):
             return self.ring.from_fraction(other)
@@ -161,33 +192,44 @@ class PadicElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PadicElement(
+        M = self.ring.workmod
+        return PadicElement._reduced(
             self.ring,
-            [a + b for a, b in zip(self.vec, other.vec)],
+            [(a + b) % M for a, b in zip(self.vec, other.vec)],
             min(self.prec, other.prec),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PadicElement(self.ring, [-a for a in self.vec], self.prec)
+        M = self.ring.workmod
+        return PadicElement._reduced(self.ring, [-a % M for a in self.vec], self.prec)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        M = self.ring.workmod
+        return PadicElement._reduced(
+            self.ring,
+            [(a - b) % M for a, b in zip(self.vec, other.vec)],
+            min(self.prec, other.prec),
+        )
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        R = self.ring
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar scales the coordinates
+            s, M = R._scalar(other), R.workmod
+            return PadicElement._reduced(R, [a * s % M for a in self.vec], self.prec)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        R = self.ring
-        vec = _pmulmod(list(self.vec), list(other.vec), R.H, R.workmod)
-        return PadicElement(R, vec, min(self.prec, other.prec))
+        vec = _pmulmod(self.vec, other.vec, R.H, R.workmod)
+        return PadicElement._reduced(R, vec, min(self.prec, other.prec))
 
     __rmul__ = __mul__
 
@@ -195,16 +237,8 @@ class PadicElement:
         e = int(e)
         if e < 0:
             return self.inverse() ** (-e)
-        out = self.ring.one()
-        out = PadicElement(self.ring, out.vec, self.prec)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        R = self.ring
+        return PadicElement._reduced(R, _ppowmod(self.vec, e, R.H, R.workmod), self.prec)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -215,7 +249,8 @@ class PadicElement:
     def inverse(self):
         """Inverse of a unit, by Hensel iteration from the residue field."""
         R = self.ring
-        assert self.valuation() == 0, "inverse of a non-unit"
+        if self.valuation() != 0:
+            raise ValueError("inverse of a non-unit")
         # invert mod p by field gcd, then double precision with y(2 - xy)
         x = list(self.vec)
         y = R._residue_inverse(x)
@@ -227,7 +262,7 @@ class PadicElement:
             xy = _pmulmod(x, y, R.H, M)
             corr = [(a - b) % M for a, b in zip(two, xy)]
             y = _pmulmod(y, corr, R.H, M)
-        return PadicElement(R, y, self.prec)
+        return PadicElement._reduced(R, y, self.prec)
 
     def valuation(self):
         """min over coordinates of v_p; the ring is unramified so this is v_p."""
@@ -244,8 +279,10 @@ class PadicElement:
     def divide_exact(self, pk):
         """Divide by p^k when every coordinate allows it; costs k digits."""
         k = valuation(pk, self.ring.p)
-        assert pk == self.ring.p**k
-        assert all(v % pk == 0 for v in self.vec), "not divisible"
+        if pk != self.ring.p**k:
+            raise ValueError("%d is not a power of p = %d" % (pk, self.ring.p))
+        if any(v % pk for v in self.vec):
+            raise ValueError("not divisible by %d" % pk)
         return PadicElement(self.ring, [v // pk for v in self.vec], self.prec - k)
 
     def is_zero(self):
@@ -269,8 +306,10 @@ class PadicElement:
 
     def lift_int(self):
         """Integer representative mod p^prec (degree-1 rings only)."""
-        assert all(v % self.ring.p**self.prec == 0 for v in self.vec[1:]), "not rational"
-        return self.vec[0] % self.ring.p**self.prec
+        m = self.ring.p**self.prec
+        if any(v % m for v in self.vec[1:]):
+            raise ValueError("not rational")
+        return self.vec[0] % m
 
     def __repr__(self):
         m = self.ring.p**self.prec
@@ -285,8 +324,10 @@ class PadicRing:
     """Unramified extension of Z_p of degree f at fixed precision."""
 
     def __init__(self, p, prec, f=1):
-        assert is_prime(p) and p % 2 == 1, "odd primes only"
-        assert prec >= 1 and f >= 1
+        if p == 2 or not is_prime(p):
+            raise ValueError("p = %d: odd primes only" % p)
+        if prec < 1 or f < 1:
+            raise ValueError("precision %d and degree %d must be at least 1" % (prec, f))
         self.p = p
         self.prec = prec
         self.f = f
@@ -295,11 +336,13 @@ class PadicRing:
         self.guard = max(4, _flog(p, prec + 6) + 1)
         self.workprec = prec + self.guard
         self.workmod = p**self.workprec
+        self._log_plan = _log_plan(p, self.workprec, self.guard)
         self.h = _min_irreducible(p, f)
         self.H = self._teichmueller_modulus()
         # Frobenius must be literally t -> t^p
         tp = _ppowmod([0, 1], p, self.H, self.workmod)
-        assert self._eval_poly(self.H, tp) == [0] * f, "modulus not Teichmueller"
+        if self._eval_poly(self.H, tp) != [0] * f:
+            raise ArithmeticError("modulus not Teichmueller")
         self._root_cache = {}
 
     # -- construction internals
@@ -328,10 +371,13 @@ class PadicRing:
         # poly is ascending; each coefficient must be Frobenius-fixed, i.e. scalar
         H = []
         for c in poly:
-            assert all(v % M == 0 for v in c[1:]), "non-scalar modulus coefficient"
+            if any(v % M for v in c[1:]):
+                raise ArithmeticError("non-scalar modulus coefficient")
             H.append(c[0] % M)
-        assert H[-1] == 1 and len(H) == f + 1
-        assert all((a - b) % p == 0 for a, b in zip(H, self.h)), "wrong reduction"
+        if H[-1] != 1 or len(H) != f + 1:
+            raise ArithmeticError("modulus is not monic of degree %d" % f)
+        if any((a - b) % p for a, b in zip(H, self.h)):
+            raise ArithmeticError("modulus does not reduce to h")
         return H
 
     def _eval_poly(self, coeffs, at_vec):
@@ -354,7 +400,7 @@ class PadicRing:
             while d1 >= 0 and r1[d1] % p == 0:
                 d1 -= 1
             if d1 < 0:
-                raise AssertionError("not a unit")
+                raise ArithmeticError("not a unit in the residue field")
             if d1 == 0:
                 inv = pow(r1[0], -1, p)
                 return [v * inv % p for v in _pmod(s1 + [0], self.h, p)]
@@ -390,56 +436,72 @@ class PadicRing:
         return self.element([a % self.workmod])
 
     def from_fraction(self, q):
+        return PadicElement._reduced(
+            self, [self._scalar(q)] + [0] * (self.f - 1), self.prec
+        )
+
+    def _scalar(self, q):
+        """The int or Fraction q as an integer mod p^W."""
+        if isinstance(q, int):
+            return q % self.workmod
         q = Fraction(q)
-        assert q.denominator % self.p != 0, "denominator not a p-adic unit"
-        inv = pow(q.denominator, -1, self.workmod)
-        return self.element([q.numerator * inv % self.workmod])
+        if q.denominator % self.p == 0:
+            raise ValueError("denominator not a p-adic unit")
+        return q.numerator * pow(q.denominator, -1, self.workmod) % self.workmod
 
     # -- structure maps
 
     def teichmueller(self, x):
         if isinstance(x, int):
             x = self.from_int(x)
-        assert x.valuation() == 0, "Teichmueller lift needs a unit"
+        if x.valuation() != 0:
+            raise ValueError("Teichmueller lift needs a unit")
         out = x
         for _ in range(self.workprec):
             out = out**self.q
         return PadicElement(self, out.vec, x.prec)
 
     def iwasawa_log(self, x):
-        """log with the p-part killed: log(x) = log((x/p^v)^(q-1)) / (q-1)."""
+        """log with the p-part killed: log(x) = log(u^N) / N, u = x/p^v.
+
+        N = (q-1) p^m makes z = u^N - 1 divisible by p^(m+1), so the series
+        log(1+z) = z - z^2/2 + z^3/3 - ... needs only about W/(m+1) terms.
+        The terms are summed on integer coordinates with 1/k as a scalar,
+        and the sum is divided by p^m and by q-1 (see `_log_plan`).
+        """
         if isinstance(x, (int, Fraction)):
             x = self.from_fraction(x)
+        if x.is_zero():
+            raise ValueError("log of zero")
+        p, M, H = self.p, self.workmod, self.H
         v = x.valuation()
-        assert not x.is_zero(), "log of zero"
+        vec = x.vec
         if v:
-            pv = self.p**v
-            unit = PadicElement(self, [c // pv for c in x.vec], x.prec - v)
-        else:
-            unit = x
-        w = unit ** (self.q - 1)
-        z = w - self.one()
-        assert z.valuation() >= 1
-        # log(1+z) = z - z^2/2 + z^3/3 - ...
-        acc = self.zero()
-        term = self.one()
-        k = 0
-        while True:
-            k += 1
-            if k - _flog(self.p, k) > self.workprec:
-                break
-            term = term * z
-            kv = valuation(k, self.p)
-            kunit = k // self.p**kv
-            piece = term
-            if kv:
-                piece = PadicElement(
-                    self, [c // self.p**kv for c in piece.vec], piece.prec
-                )
-            piece = piece * pow(kunit, -1, self.workmod)
-            acc = acc + piece if k % 2 else acc - piece
-        out = acc * pow(self.q - 1, -1, self.workmod)
-        return PadicElement(self, out.vec, min(x.prec, self.prec))
+            pv = p**v
+            vec = [c // pv for c in vec]
+        m, K = self._log_plan
+        z = _ppowmod(vec, (self.q - 1) * p**m, H, M)
+        z[0] = (z[0] - 1) % M
+        # on the raw coordinates: valuation() caps at the declared precision
+        pm1 = p ** (m + 1)
+        if any(c % pm1 for c in z):
+            raise ArithmeticError("u^N - 1 is not divisible by p^(m+1)")
+        acc = [0] * self.f
+        term = z
+        for k in range(1, K + 1):
+            if k > 1:
+                term = _pmulmod(term, z, H, M)
+            kv = valuation(k, p)
+            pkv = p**kv
+            s = pow(k // pkv, -1, M)
+            if not k % 2:
+                s = -s
+            for i, c in enumerate(term):
+                acc[i] += c // pkv * s
+        pm = p**m
+        s = pow(self.q - 1, -1, M)
+        out = [c % M // pm * s % M for c in acc]
+        return PadicElement._reduced(self, out, x.prec)
 
     # -- canonical roots
 
@@ -456,22 +518,7 @@ class PadicRing:
                 % (self.q, _ROOT_SEARCH_BUDGET)
             )
         phi_n = cyclotomic_polynomial(n)
-        p, f = self.p, self.f
-        seed = None
-        for code in range(self.q):
-            c = []
-            x = code
-            for _ in range(f):
-                c.append(x % p)
-                x //= p
-            val = [0] * f
-            for coef in reversed(phi_n):
-                val = _pmulmod(val, c, list(self.h), p)
-                val[0] = (val[0] + coef) % p
-            if all(v == 0 for v in val):
-                seed = c
-                break
-        assert seed is not None, "no root in residue field"
+        seed = self._residue_root(n)
         # Newton iteration; Phi_n'(seed) is a unit since p does not divide n
         dphi = [i * v for i, v in enumerate(phi_n)][1:]
         x = self.element(seed)
@@ -479,11 +526,36 @@ class PadicRing:
             fx = self.element(self._eval_poly(list(phi_n), list(x.vec)))
             dfx = self.element(self._eval_poly([v % self.workmod for v in dphi], list(x.vec)))
             x = x - fx * dfx.inverse()
-        assert self.element(self._eval_poly(list(phi_n), list(x.vec))).is_zero()
-        # Teichmueller sanity: roots of unity of order prime to p
-        assert self.teichmueller(x) == x
+        if not self.element(self._eval_poly(list(phi_n), list(x.vec))).is_zero():
+            raise ArithmeticError("Hensel lift is not a root of Phi_%d" % n)
+        # Teichmueller sanity: x^q = x gives x^(q^W) = x, a root of unity
+        # of order prime to p
+        if x**self.q != x:
+            raise ArithmeticError("root of Phi_%d is not a Teichmueller lift" % n)
         self._root_cache[n] = x
         return x
+
+    def _residue_root(self, n):
+        """The root of Phi_n in F_q with the smallest code sum c_i p^i.
+
+        The roots are the elements of order exactly n: the powers y^k,
+        gcd(k, n) = 1, of any one of them.  y is x^((q-1)/n) for the first
+        code x that gives order n.
+        """
+        p, f, h = self.p, self.f, self.h
+        one = [1] + [0] * (f - 1)
+        primes = prime_factors(n)
+        for code in range(1, self.q):
+            y = _ppowmod(_digits(code, p, f), (self.q - 1) // n, h, p)
+            if all(_ppowmod(y, n // r, h, p) != one for r in primes):
+                break
+        codes = []
+        power = y
+        for k in range(1, n + 1):
+            if math.gcd(k, n) == 1:
+                codes.append(_code(power, p))
+            power = _pmulmod(power, y, h, p)
+        return _digits(min(codes), p, f)
 
     def sqrt_disc(self, D, style="gauss"):
         """Canonical image of sqrt(D), D a positive fundamental discriminant.
@@ -509,8 +581,10 @@ class PadicRing:
                     acc = acc - pw[a]
             g = acc
         else:
-            assert style == "hensel"
-            assert kronecker(D, self.p) == 1, "needs a split prime"
+            if style != "hensel":
+                raise ValueError("unknown square-root style %r" % style)
+            if kronecker(D, self.p) != 1:
+                raise ValueError("the hensel style needs a split prime")
             r = None
             for r0 in range(self.p):
                 if (r0 * r0 - D) % self.p == 0:
@@ -521,7 +595,8 @@ class PadicRing:
                 fx = x * x - self.from_int(D)
                 x = x - fx * (2 * x).inverse()
             g = x
-        assert (g * g) == self.from_int(D), "square root check"
+        if g * g != self.from_int(D):
+            raise ArithmeticError("square root check")
         self._root_cache[key] = g
         return g
 
@@ -555,9 +630,30 @@ def _flog(p, k):
     return e
 
 
+def _log_plan(p, W, guard):
+    """(m, K) for `PadicRing.iwasawa_log` at working precision W.
+
+    With z divisible by p^(m+1), the term z^k/k has valuation at least
+    k(m+1) - floor(log_p k), so the K terms with that bound below W are all
+    that is nonzero mod p^W.  Dividing by the p-parts of k and then by p^m
+    costs floor(log_p K) + m digits; m is the largest value for which they
+    fit in the guard digits, which keeps every declared digit exact.  m = 0
+    always fits, since guard >= floor(log_p(prec + 6)) + 1.
+    """
+    plan = None
+    for m in range(guard + 1):
+        K = 1
+        while (K + 1) * (m + 1) - _flog(p, K + 1) < W:
+            K += 1
+        if m + _flog(p, K) <= guard:
+            plan = (m, K)
+    return plan
+
+
 def splitting_degree(p, n):
     """Residue degree of p in Q(zeta_n): the order of p mod n."""
-    assert math.gcd(p, n) == 1
+    if math.gcd(p, n) != 1:
+        raise ValueError("p = %d divides n = %d" % (p, n))
     return multiplicative_order(p, n)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +123,58 @@ def test_formerly_failing_commands_pass(argv, capsys):
     assert main(argv) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[")]
     assert lines and all(l.startswith("[pass]") for l in lines)
+
+
+# ----------------------------------------------------------------------
+# start-up: which modules a command loads
+
+_ENGINE = {
+    "rayverify." + name
+    for name in ("checks", "cyclo", "gmodules", "grouprings", "intmat", "nt",
+                 "padics", "quadratic", "special", "units")
+}
+
+
+def _modules_after(code):
+    """The rayverify modules loaded after running `code` in a fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('rayverify'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _as_program(argv):
+    # what `python -m rayverify.cli ARGV` runs
+    return (
+        "import runpy, sys\n"
+        "sys.argv = ['rayverify'] + %r\n"
+        "try:\n"
+        "    runpy.run_module('rayverify.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n" % (argv,)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["--version"], ["cache", "stats"], ["cache", "clear"]]
+)
+def test_version_and_cache_commands_load_no_engine_layer(argv, tmp_path):
+    if argv[0] == "cache":
+        argv = argv + ["--cache", str(tmp_path)]
+    loaded = _modules_after(_as_program(argv))
+    assert loaded <= {"rayverify", "rayverify.harness"}, sorted(loaded)
+
+
+def test_verify_and_module_import_load_the_engine():
+    argv = ["verify", "rays", "--quad", "5", "--ell", "2", "--p", "3"]
+    assert _ENGINE <= _modules_after(_as_program(argv))
+    # importers that instrument the layers find every one of them loaded
+    assert _ENGINE <= _modules_after("import rayverify.cli")

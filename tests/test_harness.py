@@ -268,6 +268,8 @@ def test_p_prec_and_d_contracts():
         (["verify", "rays", "--quad", "5", "--ell", "10007"], "too large"),
         (["verify", "sinnott", "--quad", "17", "--p", "5", "--prec", "8", "--d", "3"],
          "too large"),
+        (["verify", "sinnott", "--quad", "12", "--p", "5", "--prec", "12", "--d", "6"],
+         "p-adic unit"),
     ],
 )
 def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):

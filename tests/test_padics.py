@@ -1,7 +1,19 @@
+import ast
+import functools
+import random
 from fractions import Fraction
+from pathlib import Path
 
-from rayverify.cyclo import CycNumber, quad_gauss_sum
-from rayverify.padics import PadicRing, ring_for_conductor, splitting_degree
+import pytest
+
+from rayverify.cyclo import CycNumber, cyclotomic_polynomial, quad_gauss_sum
+from rayverify.nt import divisors, valuation
+from rayverify.padics import (
+    PadicElement,
+    PadicRing,
+    ring_for_conductor,
+    splitting_degree,
+)
 
 
 def test_splitting_degree():
@@ -122,3 +134,174 @@ def test_precision_tracking():
     y = x.divide_exact(5)
     assert y.prec == 5
     assert (y * R.from_int(5)) == x  # compares at min precision
+
+
+def test_padics_module_has_no_assert():
+    """Checks must survive python -O."""
+    import rayverify.padics as mod
+
+    tree = ast.parse(Path(mod.__file__).read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+def test_contracts_raise():
+    with pytest.raises(ValueError, match="odd primes"):
+        PadicRing(2, 4)
+    with pytest.raises(ValueError, match="odd primes"):
+        PadicRing(9, 4)
+    with pytest.raises(ValueError, match="at least 1"):
+        PadicRing(5, 0)
+    R = PadicRing(5, 4)
+    with pytest.raises(ValueError, match="p-adic unit"):
+        R.from_fraction(Fraction(1, 10))
+    with pytest.raises(ValueError, match="p-adic unit"):
+        R.one() * Fraction(3, 5)
+    with pytest.raises(ValueError, match="non-unit"):
+        R.from_int(10).inverse()
+    with pytest.raises(ValueError, match="log of zero"):
+        R.iwasawa_log(0)
+    with pytest.raises(ValueError, match="needs a unit"):
+        R.teichmueller(5)
+    with pytest.raises(ValueError, match="not divisible"):
+        R.from_int(7).divide_exact(5)
+    with pytest.raises(ValueError, match="mixed rings"):
+        R.one() + PadicRing(5, 4).one()
+    with pytest.raises(ValueError, match="split prime"):
+        R.sqrt_disc(8, style="hensel")
+    with pytest.raises(ValueError, match="divides"):
+        splitting_degree(5, 10)
+
+
+# ----------------------------------------------------------------------
+# oracles: the arithmetic, series logarithm and residue-field scan that
+# padics.py used before its short log series and scan-free roots
+
+
+def _old_mulmod(a, b, h, M):
+    """Polynomial product mod (h, M), reducing after every inner product."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % M
+    dh = len(h) - 1
+    for i in range(len(out) - 1, dh - 1, -1):
+        c = out[i]
+        out[i] = 0
+        for j in range(dh):
+            out[i - dh + j] = (out[i - dh + j] - c * h[j]) % M
+    return (out[:dh] + [0] * dh)[:dh]
+
+
+def _old_pow(R, vec, e):
+    out = [1] + [0] * (R.f - 1)
+    for _ in range(e):
+        out = _old_mulmod(out, vec, R.H, R.workmod)
+    return out
+
+
+def _flog(p, k):
+    e = 0
+    while p ** (e + 1) <= k:
+        e += 1
+    return e
+
+
+def _series_log(R, x):
+    """log(u^(q-1)) / (q-1) with one series term per working digit."""
+    p, M = R.p, R.workmod
+    v = x.valuation()
+    vec = [c // p**v for c in x.vec]
+    w = [1] + [0] * (R.f - 1)
+    base = vec
+    e = R.q - 1
+    while e:
+        if e & 1:
+            w = _old_mulmod(w, base, R.H, M)
+        base = _old_mulmod(base, base, R.H, M)
+        e >>= 1
+    z = [(w[0] - 1) % M] + w[1:]
+    assert all(c % p == 0 for c in z)
+    acc = [0] * R.f
+    term = [1] + [0] * (R.f - 1)
+    k = 0
+    while True:
+        k += 1
+        if k - _flog(p, k) > R.workprec:
+            break
+        term = _old_mulmod(term, z, R.H, M)
+        kv = valuation(k, p)
+        inv = pow(k // p**kv, -1, M)
+        sign = 1 if k % 2 else -1
+        acc = [(a + sign * (c // p**kv) * inv) % M for a, c in zip(acc, term)]
+    inv = pow(R.q - 1, -1, M)
+    return PadicElement(R, [a * inv for a in acc], x.prec)
+
+
+@functools.lru_cache(maxsize=None)
+def _scanned_seed(p, h, n):
+    """The smallest-code root of Phi_n in F_p[t]/(h), by a scan."""
+    f = len(h) - 1
+    phi = cyclotomic_polynomial(n)
+    for code in range(p**f):
+        c = [(code // p**i) % p for i in range(f)]
+        val = [0] * f
+        for coef in reversed(phi):
+            val = _old_mulmod(val, c, list(h), p)
+            val[0] = (val[0] + coef) % p
+        if not any(val):
+            return c
+    raise AssertionError("no root of Phi_%d in F_%d" % (n, p**f))
+
+
+def _scanned_root(R, n):
+    """Hensel lift of the scanned root of Phi_n."""
+    phi = cyclotomic_polynomial(n)
+    dphi = [i * v for i, v in enumerate(phi)][1:]
+    x = R.element(_scanned_seed(R.p, R.h, n))
+    for _ in range(R.workprec.bit_length() + 1):
+        fx = R.element(R._eval_poly(list(phi), list(x.vec)))
+        dfx = R.element(R._eval_poly([v % R.workmod for v in dphi], list(x.vec)))
+        x = x - fx * dfx.inverse()
+    return x
+
+
+_GRID = [(p, f, prec) for p in (3, 5, 7) for f in (1, 2, 4, 6) for prec in (1, 3, 12, 48)]
+
+
+@pytest.mark.parametrize("p, f, prec", _GRID)
+def test_products_and_logs_match_oracles(p, f, prec):
+    R = PadicRing(p, prec, f)
+    rng = random.Random(p * 1000 + f * 100 + prec)
+    M = R.workmod
+
+    def draw(unit=True):
+        while True:
+            vec = [rng.randrange(M) for _ in range(f)]
+            if not unit or any(c % p for c in vec):
+                return vec
+
+    for _ in range(4):
+        a, b = draw(False), draw(False)
+        x, y = R.element(a), R.element(b)
+        assert (x * y).vec == tuple(_old_mulmod(a, b, R.H, M))
+        assert (x**5).vec == tuple(_old_pow(R, a, 5))
+        s = Fraction(rng.randrange(1, 50) * rng.choice((1, -1)), rng.choice((1, 2, 4, 8)))
+        low = PadicElement(R, a, max(1, prec - 1))
+        for scaled, full in ((x * s, x * R.from_fraction(s)), (low * s, low * R.from_fraction(s))):
+            assert (scaled.vec, scaled.prec) == (full.vec, full.prec)
+    xs = [R.element(draw()) for _ in range(3)]
+    # non-units x p^v, nonzero at the declared precision
+    xs += [R.element(draw()) * p**v for v in (1, 2) if v < prec]
+    # declared precision below the ring's
+    xs += [PadicElement(R, draw(), low) for low in {prec - 1, prec // 2} if low >= 1]
+    for x in xs:
+        got, want = R.iwasawa_log(x), _series_log(R, x)
+        assert got.prec == want.prec == x.prec
+        assert got == want, (x, got, want)
+
+
+@pytest.mark.parametrize("p, f, prec", [g for g in _GRID if g[0] ** g[1] <= 7**4])
+def test_cyclotomic_roots_match_scan(p, f, prec):
+    R = PadicRing(p, prec, f)
+    for n in divisors(R.q - 1):
+        assert R.cyclotomic_root(n).vec == _scanned_root(R, n).vec, n
