@@ -14,6 +14,9 @@ Z^n / L from it: with c = U v, v lies in L exactly when each diagonal entry
 d_i divides c_i (c_i = 0 where d_i = 0), the solution is V (c_i / d_i), and
 the order of v is lcm(d_i / gcd(d_i, c_i)).  `solve` is a one-question
 lattice; callers that ask many questions of one matrix keep its lattice.
+
+Matrices of the wrong shape raise ValueError; no check is an `assert`, so
+`python -O` behaves the same.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ def mat_mul(A, B):
     if not A or not B:
         return [[] for _ in A]
     n = len(B)
-    assert all(len(row) == n for row in A), "inner dimensions disagree"
+    if any(len(row) != n for row in A):
+        raise ValueError("inner dimensions disagree")
     Bt = list(zip(*B))
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
@@ -56,7 +60,8 @@ def det(A):
     """Determinant of a square integer matrix, Bareiss fraction-free scheme."""
     M = _copy_rows(A)
     n = len(M)
-    assert all(len(row) == n for row in M), "det needs a square matrix"
+    if any(len(row) != n for row in M):
+        raise ValueError("det needs a square matrix")
     if n == 0:
         return 1
     sign = 1

@@ -1,4 +1,8 @@
-"""Elementary number theory helpers shared across the package."""
+"""Elementary number theory helpers shared across the package.
+
+Bad arguments raise ValueError; no check is an `assert`, so `python -O`
+behaves the same.
+"""
 
 from __future__ import annotations
 
@@ -36,7 +40,8 @@ def is_prime(n):
 @lru_cache(maxsize=None)
 def factorize(n):
     """Prime factorization as a tuple of (p, e) pairs, p ascending."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("factorize needs a positive integer, not %r" % (n,))
     out = []
     for p in (2, 3):
         if n % p == 0:
@@ -89,7 +94,8 @@ def moebius(n):
 
 def valuation(n, p):
     """Largest e with p^e | n (n nonzero)."""
-    assert n != 0
+    if n == 0:
+        raise ValueError("the valuation of 0 is infinite")
     e = 0
     while n % p == 0:
         n //= p
@@ -99,7 +105,8 @@ def valuation(n, p):
 
 def squarefree_part(n):
     """The squarefree integer s with n = s * (square), sign preserved."""
-    assert n != 0
+    if n == 0:
+        raise ValueError("0 has no squarefree part")
     sign = -1 if n < 0 else 1
     n = abs(n)
     s = 1
@@ -111,7 +118,8 @@ def squarefree_part(n):
 
 def multiplicative_order(a, n):
     a %= n
-    assert math.gcd(a, n) == 1, "order needs a unit"
+    if math.gcd(a, n) != 1:
+        raise ValueError("order needs a unit: gcd(%d, %d) > 1" % (a, n))
     order = 1
     # order divides phi(n); strip primes of phi until minimal
     e = euler_phi(n)
@@ -124,7 +132,8 @@ def multiplicative_order(a, n):
 
 def primitive_root(p):
     """Smallest primitive root mod prime p."""
-    assert is_prime(p)
+    if not is_prime(p):
+        raise ValueError("primitive roots are taken mod a prime, not %r" % (p,))
     if p == 2:
         return 1
     phi = p - 1
@@ -141,7 +150,8 @@ def crt(residues, moduli):
     x, m = 0, 1
     for r, mi in zip(residues, moduli):
         g = math.gcd(m, mi)
-        assert (r - x) % g == 0, "incompatible congruences"
+        if (r - x) % g:
+            raise ValueError("incompatible congruences mod %d and %d" % (m, mi))
         lcm = m // g * mi
         # solve x + m*t = r (mod mi)
         t = ((r - x) // g) * pow(m // g, -1, mi // g) % (mi // g) if mi // g > 1 else 0
@@ -184,7 +194,8 @@ def kronecker(a, n):
 def fundamental_discriminant(d):
     """Discriminant of Q(sqrt(d)) for squarefree d != 1."""
     d = squarefree_part(d)
-    assert d != 1
+    if d == 1:
+        raise ValueError("a square has no quadratic field")
     return d if d % 4 == 1 else 4 * d
 
 

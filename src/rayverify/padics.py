@@ -32,6 +32,15 @@ from .cyclo import cyclotomic_polynomial, units_mod
 _ROOT_SEARCH_BUDGET = 10**6
 
 
+def _check_root_budget(q):
+    """Raise ValueError when the residue field F_q is past the budget of
+    `PadicRing.cyclotomic_root`."""
+    if q > _ROOT_SEARCH_BUDGET:
+        raise ValueError(
+            "residue field too large to scan (q = %d > %d)" % (q, _ROOT_SEARCH_BUDGET)
+        )
+
+
 # ----------------------------------------------------------------------
 # dense polynomial helpers (coefficients ascending, arithmetic mod M)
 
@@ -512,11 +521,7 @@ class PadicRing:
             return self._root_cache[n]
         if (self.q - 1) % n:
             raise ValueError("residue field has no %d-th roots (q = %d)" % (n, self.q))
-        if self.q > _ROOT_SEARCH_BUDGET:
-            raise ValueError(
-                "residue field too large to scan (q = %d > %d)"
-                % (self.q, _ROOT_SEARCH_BUDGET)
-            )
+        _check_root_budget(self.q)
         phi_n = cyclotomic_polynomial(n)
         seed = self._residue_root(n)
         # Newton iteration; Phi_n'(seed) is a unit since p does not divide n
@@ -659,6 +664,10 @@ def splitting_degree(p, n):
 
 def ring_for_conductor(p, m, prec, extra_order=1):
     """Smallest unramified ring containing the m-th roots of unity (and
-    mu_extra_order), i.e. degree ord_{lcm(m, extra)}(p)."""
+    mu_extra_order), i.e. degree ord_{lcm(m, extra)}(p).  A ring whose
+    residue field `cyclotomic_root` would refuse is refused before it is
+    built."""
     n = math.lcm(m, extra_order)
-    return PadicRing(p, prec, splitting_degree(p, n))
+    f = splitting_degree(p, n)
+    _check_root_budget(p**f)
+    return PadicRing(p, prec, f)

@@ -15,10 +15,12 @@ test: found relations can only over-count h).  Every relation row keeps
 the element that witnessed it, so principality questions reduce to exact
 integer linear algebra plus an explicit generator.
 
-Residue rings O/(M) for integer moduli M come with deterministic unit
-generators, a triangular relation matrix and discrete logs computed on
-demand, which is what the ray class layer consumes; nothing enumerates the
-ring, and `QuadField.residue_ring` keeps the last one built.  Bad
+Residue rings O/(M) for integer moduli M present their unit group on the
+CRT lifts of explicit local generators (a primitive-root lift and the
+1-units of the filtration at each prime over ell^e || M), with triangular
+relation rows and discrete logs computed on demand, which is what the ray
+class layer consumes; nothing enumerates or scans the ring, and
+`QuadField.residue_ring` keeps the last one built.  Bad
 arguments raise ValueError and broken invariants ArithmeticError, so
 `python -O` behaves the same.
 """
@@ -28,9 +30,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import mul
 
-from .intmat import Lattice, snf, transpose
+from .intmat import Lattice
 from .nt import factorize, is_prime, kronecker, primitive_root, squarefree_part, valuation
 
 
@@ -577,13 +578,14 @@ def unit_exponent(field, u):
     return sign, -k if flip else k
 
 
-#: Largest modulus M of a residue ring O/(M).  Its cost grows with M: the
-#: greedy generator scan may visit a few whole rows (a, 0..M-1) of
-#: residues at one discrete log each, while factoring q - 1 for the residue
-#: fields F_q (q = ell or ell^2, ell | M) by trial division and the
-#: baby-step giant-step over its largest prime take about sqrt(M) steps.
-#: Near the limit a structure takes up to about 1.5 s (D = 9240 with
-#: M = 9240), less than the old enumeration took at M = 1000.
+#: Largest modulus M of a residue ring O/(M).  Its cost is small at any M
+#: up to the limit: factoring q - 1 for the residue fields F_q (q = ell or
+#: ell^2, ell | M) by trial division and the baby-step giant-step over its
+#: largest prime take about sqrt(M) steps, and a unit's digits one discrete
+#: log per local factor.  Built cold, a presentation took at most 5 ms for
+#: every M in [9000, 10^4] on D = 5, 8, 12, 13, 17, 40 and 9240 (Python
+#: 3.11 on a 2-vCPU VM).  So the limit is an input bound of the commands
+#: (they exit 2 past it), not a cost bound.
 MODULUS_LIMIT = 10**4
 
 
@@ -614,26 +616,6 @@ def _pair_inverse(u, n, s, t):
     return (conj[0] * ninv % n, conj[1] * ninv % n)
 
 
-def _rational_unit_generators(factors, M):
-    """Integers generating (Z/M)^*: per ell^e || M, generators of
-    (Z/ell^e)^* (a primitive root, or -1 and 5 when ell = 2), each lifted
-    to 1 modulo M / ell^e."""
-    out = []
-    for ell, e in factors:
-        pe = ell**e
-        if ell == 2:
-            local = [-1, 5][: min(e - 1, 2)]
-        else:
-            g = primitive_root(ell)
-            if e > 1 and pow(g, ell - 1, ell * ell) == 1:
-                g += ell
-            local = [g]
-        rest = M // pe
-        for g in local:
-            out.append((g + pe * ((1 - g) * pow(pe, -1, rest) % rest)) % M)
-    return out
-
-
 class _LocalUnits:
     """The units of one local factor A of O/(M), as an explicit product of
     cyclic groups.
@@ -653,11 +635,14 @@ class _LocalUnits:
     (Pohlig-Hellman, with a baby-step giant-step per prime of q - 1), and
     the 1-unit exponents in [0, ell) come off one filtration step at a time
     (Cohen, Advanced Topics in Computational Number Theory, ch. 4).  Row i
-    of the relations is the order of generator i modulo the deeper steps
-    minus the log of that power, so the rows are triangular and span every
-    relation: their determinant is |A^*|.  Their Smith form (skipped when
-    the rows are diagonal) turns a log into `coords`, the coordinates of
-    the unit in A^* = sum Z/d_i over the nontrivial `invariants` d_i.
+    of `rels` is the order of generator i modulo the deeper steps minus the
+    log of that power, so the rows are triangular (zero before column i)
+    and span every relation: their diagonal product is |A^*|, and `_log`
+    is the digit vector of a unit in the box prod [0, rels[i][i]).
+
+    `gens` are the generators as elements a + b omega of O/(ell^e); at a
+    split ell each is 1 at the other prime over ell, so that `digits` of a
+    unit of O/(M) is `_log` of its image in A.
     """
 
     def __init__(self, field, ell, e, r, split):
@@ -682,23 +667,24 @@ class _LocalUnits:
             self._setup_residue_field()
             gens.insert(0, self.g)
             orders.insert(0, self.q - 1)
-        rows = []
+        self.rels = []
         for i, (g, o) in enumerate(zip(gens, orders)):
             row = [-c for c in self._log(_pair_pow(g, o, n, s, t))]
             row[i] += o
-            rows.append(row)
-        if all(x == 0 for i, row in enumerate(rows) for j, x in enumerate(row) if i != j):
-            S = rows
-            U = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
-        else:
-            U, S, _ = snf(transpose(rows))
-        nontrivial = [i for i in range(len(rows)) if S[i][i] != 1]
-        self.invariants = [S[i][i] for i in nontrivial]
-        self._proj = [U[i] for i in nontrivial]
+            self.rels.append(row)
         self.count = (self.q - 1) * ell ** len(steps)
-        self._seen = {}  # image in A -> coords, once computed
-        if math.prod(self.invariants) != self.count:
+        triangular = not any(any(row[:i]) for i, row in enumerate(self.rels))
+        diagonal = math.prod(row[i] for i, row in enumerate(self.rels))
+        if not triangular or diagonal != self.count:
             raise ArithmeticError("the unit relations of O/(%d) are incomplete" % n)
+        # x + y theta = (x - y r) + y omega; at a split ell, b (r - r') = x - 1
+        # makes a + b omega equal x at omega = r and 1 at the other root r'
+        inv = pow(2 * r - T, -1, n) if split else 0
+        self.gens = []
+        for x, y in gens:
+            if split:
+                y = (x - 1) * inv % n
+            self.gens.append(((x - y * r) % n, y))
 
     def _setup_residue_field(self):
         """g, and Pohlig-Hellman tables for F_q^*.  F_ell is plain integers
@@ -787,18 +773,10 @@ class _LocalUnits:
             raise ArithmeticError("unit filtration of O/(%d) did not end at 1" % n)
         return out
 
-    def coords(self, u):
-        """The unit u of O/(M), as a vector mod the invariants (not to be
-        mutated: it is kept for the next unit with the same image in A)."""
+    def digits(self, u):
+        """The digits of the unit u of O/(M): `_log` of its image in A."""
         a, b = u
-        x = ((a + b * self.r) % self.n, b * self.has_theta % self.n)
-        if x not in self._seen:
-            v = self._log(x)
-            self._seen[x] = [
-                sum(c * y for c, y in zip(row, v)) % d
-                for row, d in zip(self._proj, self.invariants)
-            ]
-        return self._seen[x]
+        return self._log(((a + b * self.r) % self.n, b * self.has_theta % self.n))
 
 
 def _local_factors(field, ell, e):
@@ -853,16 +831,13 @@ class _UnitDigits(Mapping):
 class ResidueRing:
     """O/(M) for a positive integer modulus M, with unit-group structure.
 
-    Elements are pairs (a, b) meaning a + b omega mod M.  The unit group
-    comes with deterministic generators and a triangular relation matrix:
-    the greedy ones, where each generator is the lexicographically first
-    unit outside the span of the earlier ones and its row gives its order
-    modulo that span.  The digits of a unit are its exponents in [0, order)
-    on those generators.  Nothing enumerates the ring: by CRT, O/(M) is the
-    product of the local factors at the primes over each ell^e || M, and
-    their `_LocalUnits.coords` put (O/M)^* = sum Z/d_i in coordinates, where
-    one small `Lattice` answers every membership and order question of the
-    scan.  M may be at most MODULUS_LIMIT.
+    Elements are pairs (a, b) meaning a + b omega mod M.  By CRT, O/(M) is
+    the product of the local factors at the primes over each ell^e || M,
+    and (O/M)^* is presented on their generators: each `_LocalUnits`
+    generator lifted to 1 at every other factor, with the factors'
+    triangular relation rows placed block-diagonally.  The digits of a unit
+    are its local `_log`s, concatenated; digit i lies in [0, rels[i][i]).
+    Nothing enumerates or scans the ring.  M may be at most MODULUS_LIMIT.
     """
 
     def __init__(self, field, M):
@@ -874,12 +849,10 @@ class ResidueRing:
             )
         self.field = field
         self.M = M
-        self._factors = factorize(M)
         self._locals = [
-            loc for ell, e in self._factors for loc in _local_factors(field, ell, e)
+            loc for ell, e in factorize(M) for loc in _local_factors(field, ell, e)
         ]
         self._structure = None
-        self._seen = {}  # unit -> digits, once computed
 
     def one(self):
         return (1 % self.M, 0)
@@ -916,94 +889,42 @@ class ResidueRing:
             raise ValueError("not integral")
         return (z.a % self.M, z.b % self.M)
 
-    def _coords(self, u):
-        out = []
-        for loc in self._locals:
-            out += loc.coords(u)
-        return out
-
     def structure(self):
-        """(gens, relations, dlog): deterministic presentation of (O/M)^*.
+        """(gens, relations, dlog): a presentation of (O/M)^*.
 
-        The greedy scan runs over the units in lexicographic order and
-        stops once the product of the orders found is |(O/M)^*|.  `dlog`
-        is a `_UnitDigits` mapping.
+        The generators are those of each local factor, lifted by CRT to 1
+        at every other factor, and the relations are the factors' own
+        triangular rows, placed block-diagonally.  Two checks guard the
+        result: each row evaluates to 1 in O/(M), and the product of the
+        diagonal is |(O/M)^*|.  `dlog` is a `_UnitDigits`
+        mapping.
         """
         if self._structure is not None:
             return self._structure
-        invariants = [d for loc in self._locals for d in loc.invariants]
-        width = len(invariants)
-        base = [[d * (i == j) for j in range(width)] for i, d in enumerate(invariants)]
-        count = self.unit_count()
-        gens, rels, vecs = [], [], []
-        lattice = None  # of vecs + base, once there is a generator
-        size = 1
         M = self.M
-        rational = _rational_unit_generators(self._factors, M)
-        rational = [self._coords((c, 0)) for c in rational]
-
-        def order(v):
-            """Order of v modulo the span of the generators so far."""
-            if lattice is None:
-                return math.lcm(*(d // math.gcd(d, c) for d, c in zip(invariants, v)))
-            return lattice.order(v)
-
-        def spans_rationals():
-            return all(order(v) == 1 for v in rational)
-
-        # Once every rational unit c lies in the span, x and c x are in it
-        # together.  Row a is then c times row gcd(a, M), scanned already
-        # unless a divides M, and the units (0, b) of row 0 are c (0, 1).
-        # For a prime M this spares the scan the M discrete logs of row 0.
-        stable = spans_rationals()
-        for a in range(M):
-            if size == count:
-                break
-            if stable and a and M % a:
-                continue
-            for b in range(M):
-                if stable and not a and b > 1:
-                    break
-                x = (a, b)
-                if not self.is_unit(x):
-                    continue
-                v = self._coords(x)
-                o = order(v)
-                if o == 1:
-                    continue
-                # x^o in the span of the earlier generators, as digits
-                k = len(gens)
-                old = []
-                if k:
-                    old = _reduce_digits(lattice.coords([o * c for c in v])[:k], rels)
-                gens.append(x)
-                rels.append([-c for c in old] + [o])
-                vecs.append(v)
-                lattice = Lattice(vecs + base)
-                size *= o
-                if size == count:
-                    break
-                stable = stable or spans_rationals()
-        if size != count:
-            raise ArithmeticError("the units of O/(%d) were not all reached" % M)
-        n = len(gens)
-        lattice = lattice or Lattice(base)
-        self._rels = [row + [0] * (n - len(row)) for row in rels]
-        # digits of each coordinate vector e_j, so a unit's digits are one sum
-        basis = [
-            _reduce_digits(lattice.coords([int(i == j) for i in range(width)])[:n], self._rels)
-            for j in range(width)
-        ]
-        self._digit_columns = [list(col) for col in zip(*basis)]
-        self._structure = (gens, self._rels, _UnitDigits(self))
+        gens, rels = [], []
+        for loc in self._locals:
+            rest = M // loc.n
+            # 0 mod ell^e and 1 mod the rest of M
+            idem = loc.n * pow(loc.n, -1, rest) % M
+            rels += [[0] * len(gens) + row for row in loc.rels]
+            gens += [((a + idem * (1 - a)) % M, b * (1 - idem) % M) for a, b in loc.gens]
+        width = len(gens)
+        rels = [row + [0] * (width - len(row)) for row in rels]
+        for row in rels:
+            acc = self.one()
+            for g, c in zip(gens, row):
+                if c:
+                    acc = self.mul(acc, self.pow(g, c))
+            if acc != self.one():
+                raise ArithmeticError("a unit relation of O/(%d) does not hold" % M)
+        if math.prod(row[i] for i, row in enumerate(rels)) != self.unit_count():
+            raise ArithmeticError("the relations of (O/%d)^* miss its order" % M)
+        self._structure = (gens, rels, _UnitDigits(self))
         return self._structure
 
     def _digits(self, u):
-        if u not in self._seen:
-            v = self._coords(u)
-            c = [sum(map(mul, v, col)) for col in self._digit_columns]
-            self._seen[u] = tuple(_reduce_digits(c, self._rels))
-        return self._seen[u]
+        return tuple(c for loc in self._locals for c in loc.digits(u))
 
     def unit_count(self):
         """|(O/M)^*|, the product of the local unit counts."""
@@ -1012,16 +933,3 @@ class ResidueRing:
     def dlog(self, u):
         _, _, dl = self.structure()
         return list(dl[u])
-
-
-def _reduce_digits(c, rels):
-    """The digit vector equivalent to c modulo the triangular rows `rels`:
-    from the last coordinate down, c_k goes into [0, rels[k][k])."""
-    c = list(c)
-    for k in range(len(c) - 1, -1, -1):
-        row = rels[k]
-        q, c[k] = divmod(c[k], row[k])
-        if q:
-            for i in range(k):
-                c[i] -= q * row[i]
-    return c

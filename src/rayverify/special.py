@@ -23,11 +23,10 @@ ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
 import math
 from fractions import Fraction
 
-from .cyclo import FieldSpec, subgroup_product_polynomial, to_quadratic
 from .grouprings import radical
 from .nt import divisors, is_prime, moebius, primitive_root
 from .quadratic import QuadElement
-from .units import cyclotomic_number
+from .units import cyclotomic_number, orbit_polynomial
 
 
 def _check_modulus(field, ell):
@@ -408,25 +407,21 @@ def special_unit(field, n, d, ell):
     """The level-(n, d) norm-one element of k^n(zeta_ell).
 
     Built as the product over squarefree t | rad(d) of F_t(zeta_ell^t) to
-    the power mu(t) d/t, where F_t is the monic polynomial whose roots are
-    the orbit of zeta_n^t under the subgroup fixing k^n.  Requires n > 1,
-    n not dividing rad(d), and an odd prime ell, split in the field and
-    coprime to n*d (see `validate_aux_prime`).
+    the power mu(t) d/t, where F_t (`units.orbit_polynomial`) is the monic
+    polynomial whose roots are the orbit of zeta_n^t under the subgroup
+    fixing k^n.  Requires n > 1, n not dividing rad(d), and an odd prime
+    ell, split in the field and coprime to n*d (see `validate_aux_prime`).
     """
     validate_aux_prime(field, n, d, ell)
     dbar = radical(d)
-    spec = FieldSpec.quadratic(field.D)
-    S = sorted(spec.fixing_subgroup_at(n))
     num = CycQuadElement._embed(field, ell, 1)
     den = CycQuadElement._embed(field, ell, 1)
     for t in divisors(dbar):
         mu = moebius(t)
         if mu == 0:
             continue
-        poly = subgroup_product_polynomial(n, S, t)
-        quads = [field.element(*to_quadratic(c, field.D)) for c in poly]
         full = [field.zero()] * ell
-        for i, c in enumerate(quads):
+        for i, c in enumerate(orbit_polynomial(field, n, t)):
             k = (t * i) % ell
             full[k] = full[k] + c
         value = CycQuadElement.from_full(field, ell, full)

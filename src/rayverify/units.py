@@ -43,6 +43,7 @@ from .quadratic import QuadElement, unit_exponent
 
 __all__ = [
     "cyclotomic_number",
+    "orbit_polynomial",
     "generating_levels",
     "auxiliary_prime",
     "unit_pair",
@@ -56,11 +57,43 @@ __all__ = [
 ]
 
 _norm_cache = {}
+_orbit_cache = {}
+
+
+def orbit_polynomial(field, n, t):
+    """F_t(X) = prod over h in S of (X - zeta_n^(t h)), S the subgroup of
+    (Z/n)^* fixing the field's part of the n-th cyclotomic field.
+
+    Its coefficients lie in that part, so they come back as a tuple of
+    QuadElements, ascending.  They are Newton's identities on the Gauss-period traces
+    sum over S of zeta_n^(t j h), one per orbit t j S mod n.
+    """
+    key = (field.D, n, t % n)
+    if key in _orbit_cache:
+        return _orbit_cache[key]
+    S = FieldSpec.quadratic(field.D).fixing_subgroup_at(n)
+    # the trace over S of zeta_n^(t j) depends on j only through the
+    # orbit t j S mod n, named by its least element
+    traces = {}
+    powers = []
+    for j in range(1, len(S) + 1):
+        orbit = min(t * j * h % n for h in S)
+        if orbit not in traces:
+            x, y = to_quadratic(subgroup_trace_of_power(n, S, t * j), field.D)
+            traces[orbit] = field.element(x, y)
+        powers.append(traces[orbit])
+    # F(X) = X^r - e1 X^(r-1) + e2 X^(r-2) - ...
+    coeffs = [field.one()]
+    for i, e in enumerate(power_sums_to_elementary(powers, field.one()), start=1):
+        coeffs.append(-e if i % 2 else e)
+    _orbit_cache[key] = coeffs = tuple(reversed(coeffs))
+    return coeffs
 
 
 def _norm_one_minus_power(field, n, t):
     """Exact norm, down to the field's part of the n-th cyclotomic field,
-    of 1 - zeta_n^t.  Rational when the field does not sit inside level n."""
+    of 1 - zeta_n^t: F_t(1).  Rational when the field does not sit inside
+    level n."""
     key = (field.D, n, t % n)
     if key in _norm_cache:
         return _norm_cache[key]
@@ -73,24 +106,7 @@ def _norm_one_minus_power(field, n, t):
         base = fac[0][0] if len(fac) == 1 else 1
         value = field.element(base ** (euler_phi(n) // euler_phi(s)))
     else:
-        spec = FieldSpec.quadratic(field.D)
-        S = spec.fixing_subgroup_at(n)
-        # the trace over S of zeta_n^(t j) depends on j only through the
-        # orbit t j S mod n, named by its least element
-        traces = {}
-        powers = []
-        for j in range(1, len(S) + 1):
-            orbit = min(t * j * h % n for h in S)
-            if orbit not in traces:
-                x, y = to_quadratic(subgroup_trace_of_power(n, S, t * j), field.D)
-                traces[orbit] = field.element(x, y)
-            powers.append(traces[orbit])
-        elem = power_sums_to_elementary(powers, field.one())
-        value = field.one()
-        sign = 1
-        for e in elem:
-            sign = -sign
-            value = value + (e if sign > 0 else -e)
+        value = sum(orbit_polynomial(field, n, t), field.zero())
     _norm_cache[key] = value
     return value
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -283,3 +284,20 @@ def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):
     assert proc.stdout == ""
     message = proc.stderr.strip().partition("error:")[2].strip()
     assert reason in message
+
+
+@pytest.mark.parametrize("optimize", ([], ["-O"]))
+def test_sinnott_stops_on_a_large_residue_field_before_building_the_ring(optimize):
+    # f = ord_73(5) = 72: building the ring alone used to take over 20 s
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["verify", "sinnott", "--quad", "73", "--p", "5", "--prec", "8", "--d", "3"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "rayverify.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stdout
+    assert "too large" in proc.stderr
+    assert elapsed < 5, elapsed

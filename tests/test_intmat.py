@@ -1,6 +1,11 @@
+import ast
 import math
 import random
+from pathlib import Path
 
+import pytest
+
+import rayverify.intmat as intmat
 from rayverify.intmat import (
     Lattice,
     det,
@@ -298,3 +303,16 @@ def test_lattice_coords_match_full_v_product():
             y = [ci // d if d else 0 for ci, d in zip(c, diag)]
             y += [0] * (len(rows) - len(y))
             assert lat.coords(v) == mat_vec(V, y)
+
+
+def test_contracts_raise():
+    with pytest.raises(ValueError, match="inner dimensions"):
+        mat_mul([[1, 2]], [[1, 2]])
+    with pytest.raises(ValueError, match="square"):
+        det([[1, 2]])
+
+
+def test_intmat_module_has_no_assert():
+    """Checks must survive python -O."""
+    tree = ast.parse(Path(intmat.__file__).read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

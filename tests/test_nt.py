@@ -1,5 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
+import pytest
+
+import rayverify.nt as nt
 from rayverify.nt import (
     crt,
     divisors,
@@ -111,3 +116,26 @@ def test_fundamental_discriminant():
     assert fundamental_discriminant(3) == 12
     assert fundamental_discriminant(79) == 316
     assert fundamental_discriminant(13) == 13
+
+
+def test_contracts_raise():
+    with pytest.raises(ValueError, match="positive integer"):
+        factorize(0)
+    with pytest.raises(ValueError, match="valuation of 0"):
+        valuation(0, 3)
+    with pytest.raises(ValueError, match="squarefree part"):
+        squarefree_part(0)
+    with pytest.raises(ValueError, match="order needs a unit"):
+        multiplicative_order(6, 9)
+    with pytest.raises(ValueError, match="mod a prime"):
+        primitive_root(9)
+    with pytest.raises(ValueError, match="incompatible congruences"):
+        crt([1, 2], [4, 6])
+    with pytest.raises(ValueError, match="square"):
+        fundamental_discriminant(9)
+
+
+def test_nt_module_has_no_assert():
+    """Checks must survive python -O."""
+    tree = ast.parse(Path(nt.__file__).read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

@@ -1,5 +1,6 @@
-"""The input-contract, quadratic-field, Galois-module, check, unit, p-adic
-and command-line suites pass under ``python -O``.
+"""The input-contract, quadratic-field, Galois-module, check, unit, p-adic,
+command-line, number-theory and integer-matrix suites pass under
+``python -O``.
 
 `-O` strips `assert` statements, so any input validation or invariant check
 still written as one disappears there.  Pytest rewrites the tests' own
@@ -37,3 +38,7 @@ def test_units_padics_and_cli_suites_pass_under_optimize():
     _pytest_under_optimize(
         "tests/test_units.py", "tests/test_padics.py", "tests/test_cli.py"
     )
+
+
+def test_nt_and_intmat_suites_pass_under_optimize():
+    _pytest_under_optimize("tests/test_nt.py", "tests/test_intmat.py")

@@ -1,6 +1,7 @@
 """Tests for cyclotomic numbers and unit lattices of real quadratic fields."""
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from rayverify.cyclo import (
     FieldSpec,
     power_sums_to_elementary,
+    subgroup_product_polynomial,
     subgroup_trace_of_power,
     to_quadratic,
 )
@@ -25,6 +27,7 @@ from rayverify.units import (
     full_unit_lattice,
     generating_levels,
     lattice_index,
+    orbit_polynomial,
     twist_power,
     unit_pair,
 )
@@ -163,6 +166,24 @@ def test_norm_one_minus_power_matches_per_j_traces(D, n, t):
     field = QuadField(D)
     expected = _norm_one_minus_power_per_j(field, n, t)
     assert _norm_one_minus_power(field, n, t) == expected
+
+
+@pytest.mark.parametrize(
+    "D, n, t",
+    [(5, 5, 1), (5, 10, 3), (5, 15, 2), (5, 7, 1), (5, 12, 4), (13, 26, 2),
+     (8, 24, 5), (12, 36, 4), (29, 58, 1)],
+)
+def test_orbit_polynomial_matches_the_cyclotomic_product(D, n, t):
+    """F_t against prod (X - zeta_n^(t h)) expanded in Q(zeta_n) and pushed
+    down coefficient by coefficient, the route `special_unit` once took."""
+    field = QuadField(D)
+    S = FieldSpec.quadratic(D).fixing_subgroup_at(n)
+    expected = [
+        field.element(*to_quadratic(c, D)) for c in subgroup_product_polynomial(n, S, t)
+    ]
+    assert list(orbit_polynomial(field, n, t)) == expected
+    if n % D == 0 and n // math.gcd(n, t) > 1:
+        assert _norm_one_minus_power(field, n, t) == sum(expected, field.zero())
 
 
 def test_lattice_index_rejects_a_non_sublattice():
