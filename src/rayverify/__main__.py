@@ -1,0 +1,16 @@
+"""Entry point of ``python -m rayverify`` and the ``rayverify`` console script.
+
+Both run `rayverify.cli` as a program, not as an imported module, so that
+``--version`` and ``cache`` load no engine layer (see the `rayverify.cli`
+docstring).
+"""
+
+import runpy
+
+
+def main():
+    runpy.run_module("rayverify.cli", run_name="__main__", alter_sys=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -15,8 +15,8 @@ Statuses
     precision, an embedding choice, or a computable surrogate for the exact
     object — evidence of a problem, not refutation-grade evidence.
 ``inconclusive``
-    The verification ran out of budget (e.g. an isomorphism search) or the
-    surrogate object is too small to decide the claim either way.
+    The surrogate object is too small to decide the claim either way (the
+    circular side of ``explore conjecture`` is only a lower bound).
 ``falsifies-paper``
     An exact-arithmetic identity failed with all of its hypotheses
     mechanically verified.  Reserved for integer/rational computations with
@@ -196,12 +196,9 @@ def check_rays(D, ell, p, exponent=1):
     syl = module.sylow(p)
     target = residue_structure_target(group, ell, p, exponent)
     cert = isomorphism_certificate(syl, target)
-    if cert["status"] == "isomorphic":
-        status = PASS
-    elif cert["status"] == "not-isomorphic":
-        status = REFUTES
-    else:
-        status = INCONCLUSIVE
+    status = {"isomorphic": PASS, "not-isomorphic": REFUTES}.get(cert["status"])
+    if status is None:
+        raise ArithmeticError("unknown certificate status %r" % cert["status"])
     return [
         CheckResult(
             name="ray-residue-structure D=%d ell=%d p=%d e=%d" % (D, ell, p, exponent),

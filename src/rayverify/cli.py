@@ -13,9 +13,10 @@ Usage examples::
 Exit status: 0 when every check passes or is inconclusive, 1 when any check
 fails or refutes a claim, 2 on usage or computational errors.
 
-Run as a program (``python -m rayverify.cli``), the command loads only what
-it needs: ``--version`` and ``cache`` load no engine layer, and ``verify``
-and ``explore`` import the engine when they run.  Imported as a module,
+Run as a program (``python -m rayverify``, the ``rayverify`` script or
+``python -m rayverify.cli``), the command loads only what it needs:
+``--version`` and ``cache`` load no engine layer, and ``verify`` and
+``explore`` import the engine when they run.  Imported as a module,
 this file loads the whole engine at once, so that a program which imports
 it and then instruments the layers (as ``perfbench/tracer.py`` does) finds
 every layer module in place.

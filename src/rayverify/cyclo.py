@@ -12,6 +12,9 @@ with a smaller cyclotomic field, quadratic Gauss sums as canonical square
 roots of discriminants, and Gauss-period power sums feeding Newton's
 identities, which turn norms from large cyclotomic fields into compact
 subfield data without ever multiplying in the large field.
+
+Bad arguments raise ValueError and a broken internal invariant raises
+ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ def _poly_div_monic(num, den):
             out[i - dd] = c
             for j in range(dd + 1):
                 num[i - dd + j] -= c * den[j]
-    assert all(v == 0 for v in num), "division left a remainder"
+    if any(num):
+        raise ArithmeticError("division left a remainder")
     return out
 
 
@@ -101,10 +105,12 @@ class CycNumber:
     def __init__(self, n, coeffs, den=1):
         deg = _degree(n)
         c = list(map(int, coeffs))
-        assert len(c) <= deg, "coefficient vector too long"
+        if len(c) > deg:
+            raise ValueError("coefficient vector too long for level %d" % n)
         c += [0] * (deg - len(c))
         den = int(den)
-        assert den != 0
+        if den == 0:
+            raise ValueError("the denominator must be nonzero")
         if den < 0:
             den = -den
             c = [-v for v in c]
@@ -143,7 +149,8 @@ class CycNumber:
 
     def _coerce(self, other):
         if isinstance(other, CycNumber):
-            assert other.n == self.n, "mixed levels; lift explicitly"
+            if other.n != self.n:
+                raise ValueError("mixed levels; lift explicitly")
             return other
         if isinstance(other, (int, Fraction)):
             return CycNumber.rational(self.n, other)
@@ -175,7 +182,8 @@ class CycNumber:
         return all(v == 0 for v in self.c[1:])
 
     def rational_value(self):
-        assert self.is_rational(), "not rational: %r" % (self,)
+        if not self.is_rational():
+            raise ValueError("not rational: %r" % (self,))
         return Fraction(self.c[0], self.den)
 
     def is_integral(self):
@@ -255,7 +263,8 @@ class CycNumber:
 
     def inverse(self):
         """Multiplicative inverse via the product of the other conjugates."""
-        assert not self.is_zero(), "division by zero"
+        if self.is_zero():
+            raise ValueError("division by zero")
         if self.is_rational():
             return CycNumber.rational(self.n, 1 / self.rational_value())
         prod = None
@@ -272,7 +281,8 @@ class CycNumber:
     def galois(self, a):
         """Image under zeta -> zeta^a, for a prime to the level."""
         n = self.n
-        assert math.gcd(a, n) == 1, "not a unit exponent"
+        if math.gcd(a, n) != 1:
+            raise ValueError("%d is not a unit exponent mod %d" % (a, n))
         rows = _zeta_powers(n)
         out = [0] * len(self.c)
         for i, v in enumerate(self.c):
@@ -284,7 +294,8 @@ class CycNumber:
 
     def lift(self, N):
         """The same number viewed in Q(zeta_N), for a multiple N of the level."""
-        assert N % self.n == 0
+        if N % self.n:
+            raise ValueError("level %d is not a multiple of %d" % (N, self.n))
         if N == self.n:
             return self
         step = N // self.n
@@ -311,7 +322,8 @@ class CycNumber:
 
     def evaluate_mod(self, ell, zeta_image):
         """Reduce through zeta -> zeta_image in Z/ell (caller picks a valid root)."""
-        assert math.gcd(self.den, ell) == 1, "denominator not invertible"
+        if math.gcd(self.den, ell) != 1:
+            raise ValueError("denominator not invertible mod %d" % ell)
         acc = 0
         for v in reversed(self.c):
             acc = (acc * zeta_image + v) % ell
@@ -329,8 +341,8 @@ def subgroup_generated(m, gens):
     seen = {1}
     frontier = [1]
     gens = [g % m for g in gens]
-    for g in gens:
-        assert math.gcd(g, m) == 1
+    if any(math.gcd(g, m) != 1 for g in gens):
+        raise ValueError("generators must be units mod %d" % m)
     while frontier:
         x = frontier.pop()
         for g in gens:
@@ -356,11 +368,15 @@ class FieldSpec:
     __slots__ = ("m", "H")
 
     def __init__(self, m, H):
-        assert m >= 3, "modulus too small to cut out a nontrivial field"
+        if m < 3:
+            raise ValueError("modulus too small to cut out a nontrivial field")
         H = tuple(sorted({a % m for a in H}))
-        assert all(math.gcd(a, m) == 1 for a in H), "H must consist of units"
-        assert is_subgroup(m, H), "H must be a subgroup"
-        assert (m - 1) in H, "field must be real: -1 must fix it"
+        if any(math.gcd(a, m) != 1 for a in H):
+            raise ValueError("H must consist of units")
+        if not is_subgroup(m, H):
+            raise ValueError("H must be a subgroup")
+        if m - 1 not in H:
+            raise ValueError("field must be real: -1 must fix it")
         m, H = self._reduce(m, H)
         self.m = m
         self.H = H
@@ -379,7 +395,8 @@ class FieldSpec:
     @classmethod
     def quadratic(cls, D):
         """The real quadratic field of fundamental discriminant D > 0."""
-        assert D > 0
+        if D <= 0:
+            raise ValueError("discriminant %d: a real quadratic field needs D > 0" % D)
         H = tuple(a for a in units_mod(D) if kronecker(D, a) == 1)
         return cls(D, H)
 
@@ -444,7 +461,8 @@ def quad_gauss_sum(D, n=None):
             for j in range(len(vec)):
                 vec[j] += chi * row[j]
     g = CycNumber(m, vec)
-    assert (g * g).rational_value() == D, "Gauss sum square sanity"
+    if g * g != D:
+        raise ArithmeticError("the Gauss sum does not square to %d" % D)
     if n is not None and n != m:
         g = g.lift(n)
     return g

@@ -15,10 +15,10 @@ compares:
   quadratic field with its conjugation action, and
   `residue_structure_target` builds the predicted Sylow-p structure of such
   a module from Frobenius/inertia data alone.  `isomorphism_certificate`
-  decides whether two modules are isomorphic with an explicit certificate
-  (orders, invariants, cyclic generators and equal annihilator lattices),
-  answering "inconclusive" rather than guessing when no decision procedure
-  applies.
+  decides whether two odd-order modules over the Galois group of order 2
+  are isomorphic: Z_p[G] splits along the idempotents (1 +- sigma)/2 for
+  p odd, so it compares the abelian invariants of the + and - parts,
+  M / (1 - sigma)M and M / (1 + sigma)M, each one Smith form.
 * `RayClassGroup` presents the ray class group of a real quadratic field
   modulo a positive integer, as an extension of the ideal class group by
   the residue units modulo global units, with exact principalization
@@ -272,19 +272,34 @@ def lift_coefficients_mod(theta, modulus):
     return out
 
 
-def isomorphism_certificate(left, right, budget=_ENUM_BUDGET):
-    """Decide whether two FiniteGModules over one group are G-isomorphic.
+def _eigenspace_invariants(module):
+    """Invariants of M+ = M / (1 - sigma)M and M- = M / (1 + sigma)M."""
+    k, sigma = module.ngens, module.action[1]
+    parts = {"+": [], "-": []}
+    if module.order() == 1:
+        return parts
+    for name, sign in (("+", -1), ("-", 1)):
+        rows = [[int(i == j) + sign * sigma[i][j] for j in range(k)] for i in range(k)]
+        inv = Lattice(module._hnf + rows).invariants()
+        parts[name] = [d for d in inv if d > 1]
+    if math.prod(parts["+"]) * math.prod(parts["-"]) != module.order():
+        raise ArithmeticError("the eigenspace orders do not multiply to the order")
+    return parts
 
-    Returns a dict with status "isomorphic", "not-isomorphic", or
-    "inconclusive" plus witness data.  "isomorphic" is only ever reported
-    with a complete certificate: equal orders and invariants, and either
-    both modules trivial, or exhibited cyclic generators whose annihilator
-    lattices in the group ring coincide (which pins the isomorphism class
-    of a cyclic module over the commutative group ring).
+
+def isomorphism_certificate(left, right):
+    """Decide whether two odd-order modules over G = {1, sigma} are isomorphic.
+
+    For p odd, Z_p[G] = Z_p x Z_p along the idempotents (1 +- sigma)/2, so
+    two such modules are isomorphic exactly when their + parts have equal
+    abelian invariants and so do their - parts.  Returns a dict with status
+    "isomorphic" or "not-isomorphic" plus the invariants behind it.
     """
     if left.group != right.group:
         raise ValueError("the modules must be over one group")
     lo, ro = left.order(), right.order()
+    if left.group.order != 2 or lo % 2 == 0 or ro % 2 == 0:
+        raise ValueError("needs odd-order modules over a group of order 2")
     if lo != ro:
         return {
             "status": "not-isomorphic",
@@ -298,38 +313,19 @@ def isomorphism_certificate(left, right, budget=_ENUM_BUDGET):
             "reason": "abelian invariants differ",
             "invariants": [li, ri],
         }
-    if lo == 1:
-        return {"status": "isomorphic", "reason": "both trivial", "order": 1}
-    if lo > budget:
-        return {"status": "inconclusive", "reason": "order exceeds search budget"}
-    gl = left.find_generator(budget)
-    gr = right.find_generator(budget)
-    if (gl is None) != (gr is None):
+    el, er = _eigenspace_invariants(left), _eigenspace_invariants(right)
+    if el != er:
         return {
             "status": "not-isomorphic",
-            "reason": "exactly one side is cyclic over the group ring",
-            "cyclic": [gl is not None, gr is not None],
-        }
-    if gl is None:
-        return {
-            "status": "inconclusive",
-            "reason": "neither module is cyclic; no decision procedure applies",
-        }
-    al = left.annihilator_lattice(gl)
-    ar = right.annihilator_lattice(gr)
-    if al == ar:
-        return {
-            "status": "isomorphic",
-            "reason": "cyclic with equal annihilator lattices",
-            "order": lo,
-            "invariants": li,
-            "generators": [list(gl), list(gr)],
-            "annihilator_hnf": [list(r) for r in al],
+            "reason": "eigenspace invariants differ",
+            "eigenspace_invariants": [el, er],
         }
     return {
-        "status": "not-isomorphic",
-        "reason": "annihilator lattices of cyclic generators differ",
-        "annihilator_hnf": [[list(r) for r in al], [list(r) for r in ar]],
+        "status": "isomorphic",
+        "reason": "equal invariants on both eigenspaces",
+        "order": lo,
+        "invariants": li,
+        "eigenspace_invariants": el,
     }
 
 

@@ -28,6 +28,8 @@ Conventions: group element 0 is the identity; a character's value at a prime
 is zero unless inertia lies in its kernel; scalars multiply group-ring
 elements from either side, but p-adic scalars must be written on the right
 (``x * scalar``) because `PadicElement` does not defer to unknown operands.
+Bad arguments raise ValueError and a broken internal invariant raises
+ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
 """
 
 import functools
@@ -100,7 +102,8 @@ class GaloisGroup:
         for i, cs in enumerate(self.cosets):
             for a in cs:
                 self._index[a] = i
-        assert self._index[1 % self.m] == 0, "identity coset must come first"
+        if self._index[1 % self.m] != 0:
+            raise ArithmeticError("identity coset must come first")
         self.mult = [
             [self._index[(ci[0] * cj[0]) % self.m] for cj in self.cosets]
             for ci in self.cosets
@@ -114,7 +117,8 @@ class GaloisGroup:
     def coset_of(self, a):
         """Index of the element that the unit a mod m restricts to."""
         a %= self.m
-        assert math.gcd(a, self.m) == 1, "not a unit at this level"
+        if math.gcd(a, self.m) != 1:
+            raise ValueError("%d is not a unit at level %d" % (a, self.m))
         return self._index[a]
 
     def element_order(self, i):
@@ -165,7 +169,8 @@ def _prime_power_unit_basis(q, e):
 
 def _unit_group_basis(m):
     """Independent generators (residue mod m, order) of (Z/m)^*."""
-    assert m >= 1
+    if m < 1:
+        raise ValueError("the unit group needs a modulus m >= 1, not %d" % m)
     basis = []
     for q, e in factorize(m):
         qe = q**e
@@ -184,9 +189,11 @@ def _unit_dlog_table(m):
         r = 1 % m
         for (g, _), j in zip(basis, combo):
             r = r * pow(g, j, m) % m
-        assert r not in table, "unit-group basis is not independent"
+        if r in table:
+            raise ArithmeticError("unit-group basis is not independent")
         table[r] = combo
-    assert len(table) == euler_phi(m), "unit-group basis does not span"
+    if len(table) != euler_phi(m):
+        raise ArithmeticError("unit-group basis does not span")
     return basis, table
 
 
@@ -205,7 +212,8 @@ class Character:
         W = group.exponent
         self.group = group
         self.exps = tuple(e % W for e in exps)
-        assert len(self.exps) == group.order
+        if len(self.exps) != group.order:
+            raise ValueError("one exponent per group element is required")
         order = 1
         for e in self.exps:
             if e:
@@ -222,7 +230,7 @@ class Character:
                 if a % f == 1 % f
             ):
                 return f
-        raise AssertionError("unreachable: every character factors through m")
+        raise ArithmeticError("no level divides m at which the character factors")
 
     @property
     def is_trivial(self):
@@ -314,10 +322,14 @@ def characters(group):
         exps = []
         for cs in group.cosets:
             t = (angle(cs[0], combo) % 1) * W
-            assert t.denominator == 1, "descended character order exceeds group exponent"
+            if t.denominator != 1:
+                raise ArithmeticError(
+                    "descended character order exceeds group exponent"
+                )
             exps.append(int(t) % W)
         seen.add(tuple(exps))
-    assert len(seen) == group.order, "character count must equal the group order"
+    if len(seen) != group.order:
+        raise ArithmeticError("character count must equal the group order")
     return [Character(group, exps) for exps in sorted(seen)]
 
 
@@ -336,19 +348,22 @@ class GroupRingElement:
     def __init__(self, group, coeffs):
         self.group = group
         self.coeffs = tuple(coeffs)
-        assert len(self.coeffs) == group.order
+        if len(self.coeffs) != group.order:
+            raise ValueError("one coefficient per group element is required")
 
     def coefficient(self, i):
         return self.coeffs[i]
 
     def __add__(self, other):
-        assert self.group == other.group
+        if self.group != other.group:
+            raise ValueError("elements over different groups")
         return GroupRingElement(
             self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other):
-        assert self.group == other.group
+        if self.group != other.group:
+            raise ValueError("elements over different groups")
         return GroupRingElement(
             self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
@@ -358,7 +373,8 @@ class GroupRingElement:
 
     def __mul__(self, other):
         if isinstance(other, GroupRingElement):
-            assert self.group == other.group
+            if self.group != other.group:
+                raise ValueError("elements over different groups")
             mult = self.group.mult
             zero = self.coeffs[0] * 0
             out = [zero] * self.group.order
@@ -374,7 +390,8 @@ class GroupRingElement:
         return GroupRingElement(self.group, tuple(other * a for a in self.coeffs))
 
     def __pow__(self, k):
-        assert k >= 0
+        if k < 0:
+            raise ValueError("exponent %d must be nonnegative" % k)
         result = None
         base = self
         while k:
@@ -440,7 +457,8 @@ def integer_coefficients(theta):
             out.append(c.lift_int())
         else:
             fr = Fraction(c)
-            assert fr.denominator == 1, "coefficient is not integral"
+            if fr.denominator != 1:
+                raise ValueError("coefficient %s is not integral" % fr)
             out.append(int(fr))
     return out
 
@@ -461,7 +479,8 @@ def frobenius_orbits(chars, p):
     """
     group = chars[0].group
     W = group.exponent
-    assert math.gcd(p, W) == 1, "p must be coprime to the character orders"
+    if math.gcd(p, W) != 1:
+        raise ValueError("p must be coprime to the character orders")
     by_exps = {c.exps: c for c in chars}
     seen = set()
     orbits = []
@@ -580,7 +599,8 @@ def galois_log(group, ring, values):
     embedded into the ring (any nonzero element; p-power parts and roots of
     unity are discarded by the ring's logarithm).
     """
-    assert len(values) == group.order
+    if len(values) != group.order:
+        raise ValueError("one value per group element is required")
     coeffs = [None] * group.order
     for g in range(group.order):
         coeffs[group.inv[g]] = ring.iwasawa_log(values[g])
@@ -594,7 +614,8 @@ def galois_log_quad(group, ring, z, sqrt_img=None):
     Gauss-sum image, the one shared with the cyclotomic L-value sums).
     """
     D = z.field.D
-    assert group.order == 2 and group.m == D, "group must match the quadratic field"
+    if group.order != 2 or group.m != D:
+        raise ValueError("group must match the quadratic field")
     if sqrt_img is None:
         sqrt_img = ring.sqrt_disc(D)
     vals = [
@@ -611,16 +632,19 @@ def lseries_derivative(chi, ring):
     character over primitive-level units a, f the conductor.  Requires p
     not dividing f (all summands are then logs of units).
     """
-    assert not chi.is_trivial, "the trivial character has no such value"
+    if chi.is_trivial:
+        raise ValueError("the trivial character has no such value")
     f = chi.conductor
-    assert f % ring.p != 0, "p must not divide the conductor"
+    if f % ring.p == 0:
+        raise ValueError("p must not divide the conductor")
     rho = ring.cyclotomic_root(f)
     W = chi.group.exponent
     one = ring.one()
     acc = ring.zero()
     for a in units_mod(f):
         e = chi.prim_exp(a)
-        assert e is not None
+        if e is None:
+            raise ArithmeticError("character has no value at the unit %d" % a)
         term = ring.iwasawa_log(one - rho**a)
         if e:
             zeta = ring.cyclotomic_root(W)
@@ -631,8 +655,10 @@ def lseries_derivative(chi, ring):
 
 def lseries_derivative_element(group, ring, chars=None):
     """sum over nontrivial chi of L'-value(chi) e_chi, as a group-ring element."""
-    assert group.order % ring.p != 0, "p must not divide the degree"
-    assert group.m % ring.p != 0, "p must not divide the conductor"
+    if group.order % ring.p == 0:
+        raise ValueError("p must not divide the degree")
+    if group.m % ring.p == 0:
+        raise ValueError("p must not divide the conductor")
     if chars is None:
         chars = characters(group)
     acc = None
@@ -654,7 +680,8 @@ def norm_log_factor(group, n, t):
     (1 - Frobenius^{-1} inertia-average).  Memoized per (group, n, t), as
     `unit_log_factor` asks for it at every twist; the element is immutable.
     """
-    assert t >= 1 and n % t == 0 and t < n, "t must be a proper divisor of n"
+    if not (t >= 1 and n % t == 0 and t < n):
+        raise ValueError("t must be a proper divisor of n")
     level = n // t
     S = set(group.spec.fixing_subgroup_at(n))
     K = {a for a in units_mod(n) if a % level == 1 % level}
@@ -680,9 +707,11 @@ def unit_log_factor(group, n, d):
     sum of `norm_log_factor` over common divisors with the Euler twist at
     the primes of the radical away from n and the scalar d/radical(d).
     """
-    assert n > 1, "level must exceed 1"
+    if n <= 1:
+        raise ValueError("level must exceed 1")
     dbar = radical(d)
-    assert dbar % n != 0, "levels dividing the radical are excluded"
+    if dbar % n == 0:
+        raise ValueError("levels dividing the radical are excluded")
     g = math.gcd(dbar, n)
     acc = None
     for t in divisors(g):

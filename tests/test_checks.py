@@ -1,5 +1,7 @@
 import ast
 import json
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from rayverify.checks import (
 from rayverify.cyclo import FieldSpec
 from rayverify.gmodules import RayClassGroup, residue_galois_module
 from rayverify.grouprings import GaloisGroup
+from rayverify.harness import resolve_discriminant, run_rays
 from rayverify.nt import fundamental_discriminant, squarefree_part
 from rayverify.quadratic import QuadField
 from rayverify.units import congruence_circular_lattice, congruence_unit_lattice
@@ -113,10 +116,31 @@ def test_rays_status_classification(monkeypatch):
         checks, "isomorphism_certificate", lambda a, b: {"status": "not-isomorphic"}
     )
     assert check_rays(5, 2, 3)[0].status == "falsifies-paper"
+    # a status the certificate never gives must not turn into a verdict
     monkeypatch.setattr(
         checks, "isomorphism_certificate", lambda a, b: {"status": "inconclusive"}
     )
-    assert check_rays(5, 2, 3)[0].status == "inconclusive"
+    with pytest.raises(ArithmeticError):
+        check_rays(5, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "quad, ell, p, modulus, order",
+    [(12, 7, 7, 2401, 7**6), (5, 3, 3, 6561, 3**14)],
+)
+def test_rays_decides_large_prime_power_sylow_parts(quad, ell, p, modulus, order):
+    """Sylow parts of order 7^6 and 3^14, far beyond an exhaustive search
+    over elements, are decided on the eigenspaces in under a second."""
+    t0 = time.perf_counter()
+    report = run_rays(resolve_discriminant(quad, None), ell=ell, p=p, modulus=modulus)
+    elapsed = time.perf_counter() - t0
+    (check,) = report["checks"]
+    assert check["status"] == "pass"
+    cert = check["witness"]["certificate"]
+    assert cert["status"] == "isomorphic" and cert["order"] == order
+    plus, minus = cert["eigenspace_invariants"]["+"], cert["eigenspace_invariants"]["-"]
+    assert math.prod(plus) * math.prod(minus) == order
+    assert elapsed < 1.0
 
 
 def test_gras_point_witness_shape():

@@ -163,6 +163,19 @@ def _as_program(argv):
     )
 
 
+def _as_script(argv):
+    # what the `rayverify` console script runs
+    return (
+        "import sys\n"
+        "from rayverify.__main__ import main\n"
+        "sys.argv = ['rayverify'] + %r\n"
+        "try:\n"
+        "    main()\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n" % (argv,)
+    )
+
+
 @pytest.mark.parametrize(
     "argv", [["--version"], ["cache", "stats"], ["cache", "clear"]]
 )
@@ -171,6 +184,20 @@ def test_version_and_cache_commands_load_no_engine_layer(argv, tmp_path):
         argv = argv + ["--cache", str(tmp_path)]
     loaded = _modules_after(_as_program(argv))
     assert loaded <= {"rayverify", "rayverify.harness"}, sorted(loaded)
+    loaded = _modules_after(_as_script(argv))
+    assert loaded <= {"rayverify", "rayverify.__main__", "rayverify.harness"}, sorted(
+        loaded
+    )
+
+
+def test_python_m_rayverify_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rayverify", "verify", "rays", "--ell", "2", "--p", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "[pass] ray-residue-structure D=5 ell=2 p=3 e=1" in proc.stdout
 
 
 def test_verify_and_module_import_load_the_engine():

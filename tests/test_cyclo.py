@@ -1,14 +1,19 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from rayverify import cyclo
 from rayverify.cyclo import (
     CycNumber,
     FieldSpec,
+    _poly_div_monic,
     cyclotomic_polynomial,
     power_sums_to_elementary,
     quad_gauss_sum,
+    subgroup_generated,
     subgroup_product_polynomial,
     subgroup_trace_of_power,
     to_quadratic,
@@ -213,3 +218,44 @@ def test_evaluate_mod():
 def test_units_mod():
     assert units_mod(1) == (0,)
     assert units_mod(12) == (1, 5, 7, 11)
+
+
+def test_contracts_raise():
+    z5, z7 = CycNumber.zeta(5), CycNumber.zeta(7)
+    with pytest.raises(ValueError, match="too long"):
+        CycNumber(5, [1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match="nonzero"):
+        CycNumber(5, [1], 0)
+    with pytest.raises(ValueError, match="mixed levels"):
+        z5 + z7
+    with pytest.raises(ValueError, match="not rational"):
+        z5.rational_value()
+    with pytest.raises(ValueError, match="division by zero"):
+        z5 / (z5 - z5)
+    with pytest.raises(ValueError, match="not a unit exponent"):
+        z5.galois(5)
+    with pytest.raises(ValueError, match="not a multiple"):
+        z5.lift(7)
+    with pytest.raises(ValueError, match="not invertible"):
+        (z5 / 11).evaluate_mod(11, 3)
+    with pytest.raises(ValueError, match="units mod"):
+        subgroup_generated(10, [2])
+    with pytest.raises(ValueError, match="too small"):
+        FieldSpec(2, (1,))
+    with pytest.raises(ValueError, match="units"):
+        FieldSpec(10, (1, 5, 9))
+    with pytest.raises(ValueError, match="subgroup"):
+        FieldSpec(13, (1, 3, 12))
+    with pytest.raises(ValueError, match="real"):
+        FieldSpec(13, (1, 3, 9))
+    with pytest.raises(ValueError, match="D > 0"):
+        FieldSpec.quadratic(-4)
+    # x^2 + 1 does not divide x^3 + 1
+    with pytest.raises(ArithmeticError, match="remainder"):
+        _poly_div_monic([1, 0, 0, 1], [1, 0, 1])
+
+
+def test_cyclo_module_has_no_assert():
+    """Checks must survive python -O."""
+    tree = ast.parse(Path(cyclo.__file__).read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from rayverify.gmodules import (
 )
 from rayverify.grouprings import GaloisGroup, GroupRingElement
 from rayverify.intmat import identity
-from rayverify.nt import is_prime
+from rayverify.nt import fundamental_discriminant, is_prime
 from rayverify.quadratic import QuadField
 
 G5 = GaloisGroup(FieldSpec.quadratic(5))
@@ -36,6 +37,35 @@ def trivial_action_module(group, diag):
 def swap_module(group, n):
     rels = [[n, 0], [0, n]]
     return FiniteGModule(group, 2, rels, [identity(2), [[0, 1], [1, 0]]])
+
+
+def twisted(module):
+    """The same abelian group with sigma acting as -sigma: a twist by the
+    sign character, which swaps the + and - parts."""
+    minus = [[-c for c in row] for row in module.action[1]]
+    return FiniteGModule(
+        module.group, module.ngens, module.relations, [module.action[0], minus]
+    )
+
+
+def generator_decision(left, right):
+    """The cyclic-generator decision the eigenspace certificate replaced.
+
+    Equal orders and invariants, then exhibited generators over Z[G] (an
+    exhaustive search) whose annihilator lattices agree.  None when neither
+    module is cyclic, where this route cannot decide.
+    """
+    if left.order() != right.order() or left.invariants() != right.invariants():
+        return "not-isomorphic"
+    if left.order() == 1:
+        return "isomorphic"
+    gl, gr = left.find_generator(), right.find_generator()
+    if (gl is None) != (gr is None):
+        return "not-isomorphic"
+    if gl is None:
+        return None
+    same = left.annihilator_lattice(gl) == right.annihilator_lattice(gr)
+    return "isomorphic" if same else "not-isomorphic"
 
 
 def test_module_basics():
@@ -78,7 +108,11 @@ def test_trivial_action_square_not_cyclic():
     assert M.find_generator() is None
     cert = isomorphism_certificate(swap_module(G5, 5), M)
     assert cert["status"] == "not-isomorphic"
-    assert "cyclic" in cert["reason"]
+    assert cert["reason"] == "eigenspace invariants differ"
+    assert cert["eigenspace_invariants"] == [
+        {"+": [5], "-": [5]},
+        {"+": [5, 5], "-": []},
+    ]
 
 
 def test_submodule_and_quotient():
@@ -98,8 +132,10 @@ def test_certificate_trivial_and_inconclusive():
     cert = isomorphism_certificate(T, trivial_action_module(G5, [1]))
     assert cert["status"] == "isomorphic" and cert["order"] == 1
     A = trivial_action_module(G5, [3, 3])
+    # neither side is cyclic over Z[G], which the eigenspaces decide anyway
     cert = isomorphism_certificate(A, trivial_action_module(G5, [3, 3]))
-    assert cert["status"] == "inconclusive"
+    assert cert["status"] == "isomorphic"
+    assert cert["eigenspace_invariants"] == {"+": [3, 3], "-": []}
     cert = isomorphism_certificate(A, trivial_action_module(G5, [9]))
     assert cert["status"] == "not-isomorphic"
     cert = isomorphism_certificate(A, trivial_action_module(G5, [3]))
@@ -112,7 +148,9 @@ def test_certificate_isomorphic_cyclic_pair():
     cert = isomorphism_certificate(A, B)
     assert cert["status"] == "isomorphic"
     assert cert["order"] == 25
-    assert cert["annihilator_hnf"] == [[5, 0], [0, 5]]
+    assert cert["invariants"] == [5, 5]
+    assert cert["eigenspace_invariants"] == {"+": [5], "-": [5]}
+    assert "generators" not in cert and "annihilator_hnf" not in cert
 
 
 def test_residue_module_split_eleven():
@@ -174,6 +212,72 @@ def test_residue_module_mismatch_detected():
     wrong = trivial_action_module(G5, [5, 5])
     cert = isomorphism_certificate(syl, wrong)
     assert cert["status"] == "not-isomorphic"
+
+
+def test_certificate_contract():
+    A = swap_module(G5, 5)
+    with pytest.raises(ValueError, match="one group"):
+        isomorphism_certificate(A, swap_module(G13, 5))
+    with pytest.raises(ValueError, match="odd-order"):
+        isomorphism_certificate(trivial_action_module(G5, [2]), A)
+    with pytest.raises(ValueError, match="odd-order"):
+        isomorphism_certificate(A, trivial_action_module(G5, [5, 10]))
+    G7 = GaloisGroup(FieldSpec(7, (1, 6)))
+    assert G7.order == 3
+    C = trivial_action_module(G7, [3])
+    with pytest.raises(ValueError, match="order 2"):
+        isomorphism_certificate(C, C)
+    # sigma = 2 on Z/5 is no involution: both quotients vanish
+    bad = FiniteGModule(G5, 1, [[5]], [identity(1), [[2]]])
+    with pytest.raises(ArithmeticError, match="eigenspace orders"):
+        isomorphism_certificate(bad, trivial_action_module(G5, [5]))
+
+
+def test_certificate_twist_swaps_eigenspaces():
+    A = FiniteGModule(G5, 1, [[9]], [identity(1), [[-1]]])
+    cert = isomorphism_certificate(A, twisted(A))
+    assert cert["status"] == "not-isomorphic"
+    assert cert["eigenspace_invariants"] == [{"+": [], "-": [9]}, {"+": [9], "-": []}]
+    free = swap_module(G5, 9)
+    assert isomorphism_certificate(free, twisted(free))["status"] == "isomorphic"
+
+
+def _grid_points(seed):
+    """Seeded (D, ell, p, e) draws: e = 1 with ell < 330, and prime powers
+    ell^e <= 10^4 with ell <= 13."""
+    rng = random.Random(seed)
+    discs = [fundamental_discriminant(r) for r in (2, 3, 5, 6, 7, 13, 17, 21, 79)]
+    primes = [q for q in range(2, 330) if is_prime(q)]
+    e1 = [(D, ell, p, 1) for D in discs for ell in primes for p in (3, 5, 7)]
+    powers = [
+        (D, ell, p, e)
+        for D in discs
+        for ell in (2, 3, 5, 7, 11, 13)
+        for p in (3, 5, 7)
+        for e in range(2, 14)
+        if ell**e <= 10**4
+    ]
+    return rng.sample(e1, 400) + rng.sample(powers, 150)
+
+
+def test_certificate_matches_generator_decision_on_residue_grid():
+    """The eigenspace verdict equals the cyclic-generator verdict on every
+    Sylow part the exhaustive search can reach, against the predicted
+    structure and against its twist by the sign character."""
+    verdicts = {}
+    for D, ell, p, e in _grid_points(2024):
+        group = GaloisGroup(FieldSpec.quadratic(D))
+        if ell == p and D % p == 0:
+            continue  # the predicted structure needs ell = p unramified
+        target = residue_structure_target(group, ell, p, e)
+        syl = residue_galois_module(QuadField(D), group, ell**e)[0].sylow(p)
+        if syl.order() > 20_000:
+            continue  # keeps the oracle's exhaustive search short
+        for right in (target, twisted(target)):
+            got = isomorphism_certificate(syl, right)["status"]
+            assert got == generator_decision(syl, right), (D, ell, p, e)
+            verdicts[got] = verdicts.get(got, 0) + 1
+    assert verdicts["isomorphic"] > 800 and verdicts["not-isomorphic"] > 100, verdicts
 
 
 def test_lift_coefficients_mod():

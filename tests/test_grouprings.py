@@ -1,7 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from rayverify import grouprings
 from rayverify.cyclo import FieldSpec
 from rayverify.grouprings import (
     Character,
@@ -14,6 +17,7 @@ from rayverify.grouprings import (
     embed_group_ring,
     euler_twist,
     frobenius_orbits,
+    galois_log,
     galois_log_quad,
     integer_coefficients,
     lseries_derivative,
@@ -27,7 +31,7 @@ from rayverify.grouprings import (
     residue_euler_element,
     unit_log_factor,
 )
-from rayverify.padics import ring_for_conductor
+from rayverify.padics import PadicRing, ring_for_conductor
 from rayverify.quadratic import QuadField
 
 
@@ -336,9 +340,9 @@ def test_unit_log_factor_oracles():
     assert unit_log_factor(G, 10, 5).coeffs == fr(5, -5)
     # d = 5 at level 2: total collapse
     assert unit_log_factor(G, 2, 5).coeffs == fr(0, 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="radical"):
         unit_log_factor(G, 5, 5)  # level divides the radical
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="level must exceed 1"):
         unit_log_factor(G, 1, 3)
 
 
@@ -488,3 +492,42 @@ def test_radical():
     assert radical(12) == 6
     assert radical(49) == 7
     assert radical(30) == 30
+
+
+def test_contracts_raise():
+    G5, G8 = quad_group(5), quad_group(8)
+    ring = ring_for_conductor(7, 5, 6)
+    with pytest.raises(ValueError, match="not a unit"):
+        G5.coset_of(10)
+    with pytest.raises(ValueError, match="one exponent"):
+        Character(G5, (0, 1, 0))
+    with pytest.raises(ValueError, match="one coefficient"):
+        GroupRingElement(G5, (1, 2, 3))
+    a, b = one_element(G5), one_element(G8)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(ValueError, match="different groups"):
+            op()
+    with pytest.raises(ValueError, match="nonnegative"):
+        a ** -1
+    with pytest.raises(ValueError, match="not integral"):
+        integer_coefficients(GroupRingElement(G5, (Fraction(1, 2), 0)))
+    with pytest.raises(ValueError, match="coprime to the character orders"):
+        frobenius_orbits(characters(G5), 2)
+    with pytest.raises(ValueError, match="one value"):
+        galois_log(G5, ring, [ring.one()])
+    with pytest.raises(ValueError, match="quadratic field"):
+        galois_log_quad(G8, ring, QuadField(5).fundamental_unit())
+    with pytest.raises(ValueError, match="trivial character"):
+        lseries_derivative(characters(G5)[0], ring)
+    with pytest.raises(ValueError, match="conductor"):
+        lseries_derivative(characters(G5)[1], PadicRing(5, 6, 1))
+    with pytest.raises(ValueError, match="degree"):
+        lseries_derivative_element(GaloisGroup(FieldSpec(7, (1, 6))), PadicRing(3, 6, 1))
+    with pytest.raises(ValueError, match="proper divisor"):
+        norm_log_factor(G5, 5, 5)
+
+
+def test_grouprings_module_has_no_assert():
+    """Checks must survive python -O."""
+    tree = ast.parse(Path(grouprings.__file__).read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

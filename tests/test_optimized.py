@@ -1,6 +1,6 @@
 """The input-contract, quadratic-field, Galois-module, check, unit, p-adic,
-command-line, number-theory and integer-matrix suites pass under
-``python -O``.
+command-line, number-theory, integer-matrix, group-ring, cyclotomic and
+special-unit suites pass under ``python -O``.
 
 `-O` strips `assert` statements, so any input validation or invariant check
 still written as one disappears there.  Pytest rewrites the tests' own
@@ -42,3 +42,9 @@ def test_units_padics_and_cli_suites_pass_under_optimize():
 
 def test_nt_and_intmat_suites_pass_under_optimize():
     _pytest_under_optimize("tests/test_nt.py", "tests/test_intmat.py")
+
+
+def test_grouprings_cyclo_and_special_suites_pass_under_optimize():
+    _pytest_under_optimize(
+        "tests/test_grouprings.py", "tests/test_cyclo.py", "tests/test_special.py"
+    )
