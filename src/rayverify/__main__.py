@@ -1,8 +1,8 @@
 """Entry point of ``python -m rayverify`` and the ``rayverify`` console script.
 
 Both run `rayverify.cli` as a program, not as an imported module, so that
-``--version`` and ``cache`` load no engine layer (see the `rayverify.cli`
-docstring).
+``--version`` and ``cache`` load no engine layer and every other command
+loads only the layers it calls into (see the `rayverify.cli` docstring).
 """
 
 import runpy

@@ -24,22 +24,20 @@ Statuses
 
 All checks are deterministic: given the same parameters they produce the
 same records up to the ``elapsed`` fields.
+
+Every check sets up its field through `quadratic` and `grouprings` (with
+`cyclo`, `intmat` and `nt` below them), so those layers are imported here.
+`gmodules`, `padics`, `units` and `special` are imported by the checks that
+call into them, so that a command loads and compiles only the layers it
+uses: ``verify rays``, for example, never loads `padics`, `units` or
+`special`.
 """
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import FieldSpec
-from .gmodules import (
-    FiniteGModule,
-    RayClassGroup,
-    isomorphism_certificate,
-    lift_coefficients_mod,
-    residue_galois_module,
-    residue_structure_target,
-)
 from .grouprings import (
     GaloisGroup,
     GroupRingElement,
@@ -51,23 +49,7 @@ from .grouprings import (
 )
 from .intmat import Lattice, mat_vec, transpose
 from .nt import is_prime, valuation
-from .padics import PadicRing, ring_for_conductor
 from .quadratic import QuadField
-from .special import (
-    dlog_annihilator_coefficients,
-    hilbert90_witness,
-    special_prime_candidates,
-    special_unit,
-    special_unit_certificate,
-)
-from .units import (
-    congruence_circular_lattice,
-    congruence_unit_lattice,
-    circular_unit_lattice,
-    cyclotomic_number,
-    generating_levels,
-    lattice_index,
-)
 
 PASS = "pass"
 FAIL = "fail"
@@ -78,15 +60,15 @@ REFUTES = "falsifies-paper"
 PRECISION_HEADROOM = 8
 
 
-@dataclass
 class CheckResult:
     """One verified claim: stable anchor, verdict, and backing data."""
 
-    name: str
-    anchor: str
-    status: str
-    witness: dict
-    elapsed: float
+    def __init__(self, name, anchor, status, witness, elapsed):
+        self.name = name
+        self.anchor = anchor
+        self.status = status
+        self.witness = witness
+        self.elapsed = elapsed
 
     def to_dict(self):
         return {
@@ -106,6 +88,8 @@ def _quad_setup(D):
 
 def _rho_projector_coeffs(group, modulus):
     """Integer lift mod `modulus` of 1 - (average over the group)."""
+    from .gmodules import lift_coefficients_mod
+
     n = group.order
     if modulus < 1 or math.gcd(n, modulus) != 1:
         raise ValueError(
@@ -139,6 +123,9 @@ def check_sinnott(D, p, prec=12, d_max=6):
     equals the L-derivative element times the predicted rational group-ring
     factor, coefficientwise to `prec` p-adic digits.
     """
+    from .padics import ring_for_conductor
+    from .units import cyclotomic_number, generating_levels
+
     field, group = _quad_setup(D)
     if p % 2 == 0 or D % p == 0:
         raise ValueError("p=%d must be odd and unramified" % p)
@@ -189,6 +176,12 @@ def check_rays(D, ell, p, exponent=1):
     group ring modulo the structural ideal at ell) via an isomorphism
     certificate.
     """
+    from .gmodules import (
+        isomorphism_certificate,
+        residue_galois_module,
+        residue_structure_target,
+    )
+
     field, group = _quad_setup(D)
     t0 = time.perf_counter()
     M = ell**exponent
@@ -242,6 +235,9 @@ def unit_quotient_module(field, group, sup, sub):
     `sup` and `sub` are basis rows with sub contained in sup; both must be
     stable under conjugation.  Returns a FiniteGModule on the rows of sup.
     """
+    from .gmodules import FiniteGModule
+    from .units import lattice_index
+
     act = _unit_action_matrix(field)
     lattice = Lattice(sup)
     rels = []
@@ -267,6 +263,8 @@ def unit_quotient_module(field, group, sup, sub):
 
 
 def _gras_point(field, group, rcg, p, d):
+    from .units import congruence_circular_lattice, congruence_unit_lattice
+
     t0 = time.perf_counter()
     D = field.D
     sup = congruence_unit_lattice(field, d)
@@ -301,6 +299,8 @@ def check_gras(D, p, d=1):
     The compared quantities are the orders of the non-trivial-character
     components of the Sylow p-parts on both sides, for the ray modulus d.
     """
+    from .gmodules import RayClassGroup
+
     field, group = _quad_setup(D)
     if p % 2 == 0:
         raise ValueError("p=%d must be odd" % p)
@@ -315,6 +315,8 @@ def check_gras_scan(D, p_list=(3, 5, 7), d_max=50):
     when the full Sylow p-part of the ray class group is nontrivial (the
     equality is contentless otherwise).
     """
+    from .gmodules import RayClassGroup
+
     field, group = _quad_setup(D)
     for p in p_list:
         if p % 2 == 0:
@@ -343,6 +345,8 @@ def check_h90(D, ell, level=3, twist=4):
     the sum is nonzero, satisfies the cocycle identity exactly, and spans a
     Galois-stable principal ideal.
     """
+    from .special import hilbert90_witness, special_unit
+
     field, group = _quad_setup(D)
     t0 = time.perf_counter()
     eps = special_unit(field, level, twist, ell)
@@ -387,6 +391,8 @@ def check_special_units(D, twists=(2, 3, 4), count=3, cache=None):
     both primes over ell match the residues of the twisted cyclotomic
     number.  Certificates are cached when a cache is supplied.
     """
+    from .special import special_prime_candidates, special_unit_certificate
+
     field, group = _quad_setup(D)
     n = field.D
     results = []
@@ -464,6 +470,10 @@ def check_thaine(D, n_exp=3, modulus=1, count=3):
     two primes over ell must annihilate the class of either prime in the
     ray class group modulo n_exp-th powers.  Exact integer arithmetic.
     """
+    from .gmodules import RayClassGroup
+    from .special import dlog_annihilator_coefficients
+    from .units import cyclotomic_number, generating_levels
+
     field, group = _quad_setup(D)
     levels = generating_levels(field, modulus)
     rcg = RayClassGroup(field, group, modulus)
@@ -524,6 +534,10 @@ def check_solomon(D, p=3, prec=12, moduli=(1, 4)):
     non-trivial-character part of the Sylow p-component of the ray class
     group.
     """
+    from .gmodules import RayClassGroup
+    from .padics import PadicRing
+    from .units import circular_unit_lattice
+
     field, group = _quad_setup(D)
     if field.chi(p) != 1:
         raise ValueError("p=%d must split in the field" % p)
@@ -669,6 +683,9 @@ def explore_conjecture(D, p, d=1, stabilization=25):
     only an upper bound: equality is corroboration, a larger unit side is
     inconclusive, and a smaller unit side is a genuine discrepancy.
     """
+    from .gmodules import RayClassGroup
+    from .units import congruence_circular_lattice, congruence_unit_lattice
+
     field, group = _quad_setup(D)
     if p % 2 == 0:
         raise ValueError(

@@ -14,12 +14,20 @@ Exit status: 0 when every check passes or is inconclusive, 1 when any check
 fails or refutes a claim, 2 on usage or computational errors.
 
 Run as a program (``python -m rayverify``, the ``rayverify`` script or
-``python -m rayverify.cli``), the command loads only what it needs:
-``--version`` and ``cache`` load no engine layer, and ``verify`` and
-``explore`` import the engine when they run.  Imported as a module,
-this file loads the whole engine at once, so that a program which imports
-it and then instruments the layers (as ``perfbench/tracer.py`` does) finds
-every layer module in place.
+``python -m rayverify.cli``), a command loads only the layers it calls
+into: ``--version`` and ``cache`` load no engine layer, and each ``verify``
+or ``explore`` command imports `checks` with `nt`, `intmat`, `cyclo`,
+`quadratic` and `grouprings`, plus
+
+* ``rays``: `gmodules`;
+* ``gras`` and ``conjecture``: `gmodules` and `units`;
+* ``sinnott``: `padics` and `units`;
+* ``h90`` and ``annihilator --mode special``: `units` and `special`;
+* ``annihilator`` in the other modes: all of them.
+
+Imported as a module, this file loads all ten layers at once, so that a
+program which imports it and then instruments the layers (as
+``perfbench/tracer.py`` does) finds every layer module in place.
 """
 
 import argparse
@@ -35,7 +43,19 @@ from .harness import (
 )
 
 if __name__ != "__main__":
-    from . import checks  # noqa: F401  (loads every layer; see the docstring)
+    # every layer, for programs that instrument them; see the docstring
+    from . import (  # noqa: F401
+        checks,
+        cyclo,
+        gmodules,
+        grouprings,
+        intmat,
+        nt,
+        padics,
+        quadratic,
+        special,
+        units,
+    )
 
 #: field used when neither --quad nor --field is given
 DEFAULT_QUAD = {

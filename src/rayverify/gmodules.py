@@ -24,6 +24,9 @@ compares:
   the residue units modulo global units, with exact principalization
   witnesses for every relation, the connecting map from residue units, and
   the class-of-a-prime section used by the annihilation checks.
+
+Only `RayClassGroup._recount` needs `units`, and imports it itself, so the
+residue-ring certificate of ``verify rays`` does not load that layer.
 """
 
 import math
@@ -32,7 +35,6 @@ from fractions import Fraction
 from .grouprings import basis_element, one_element, ramification
 from .intmat import Lattice, hnf, identity, preimage_lattice, smith_diagonal
 from .nt import factorize, is_prime, valuation
-from .units import congruence_unit_lattice
 
 __all__ = [
     "FiniteGModule",
@@ -450,6 +452,11 @@ def _residue_of_fraction(res, z):
     return res.mul(num, res.inverse((den % res.M, 0)))
 
 
+#: per discriminant, (skipped split primes, chosen class primes, their lattice)
+#: of every class-prime choice made so far
+_class_prime_choices = {}
+
+
 class RayClassGroup:
     """The ray class group of a real quadratic field modulo a positive integer.
 
@@ -498,27 +505,41 @@ class RayClassGroup:
 
     def _choose_class_primes(self):
         """Split primes coprime to the modulus whose classes generate Cl,
-        and the lattice their vectors span with the class relations."""
+        and the lattice their vectors span with the class relations.
+
+        The primes are taken greedily in increasing order, and every choice
+        is kept per field with the split primes it skipped.  A later modulus
+        divisible by all of those and by none of the chosen primes makes the
+        same choice, since any other prime it skips was not chosen and
+        leaves the lattice unchanged, so it reuses the kept one."""
         if self.cl.order == 1:
             return [], None
         field = self.field
+        kept = _class_prime_choices.setdefault(field.D, [])
+        for skipped, chosen, lattice in kept:
+            if all(self.modulus % q == 0 for q in skipped) and all(
+                self.modulus % q for q, _, _, _ in chosen
+            ):
+                return chosen, lattice
         chosen = []
         vecs = []
         lattice = self.cl.lattice
-        q = 2
-        while q < 1000:
-            if math.gcd(q, self.modulus) == 1 and field.chi(q) == 1:
-                r = field.prime_roots(q)[0]
-                vec, z = _prime_smooth_vector(field, q, r)
-                if not lattice.contains(vec):
-                    chosen.append((q, r, vec, z))
-                    vecs.append(list(vec))
-                    lattice = Lattice(vecs + self.cl.relations)
-                    if math.prod(lattice.invariants()) == 1:
-                        return chosen, lattice
-            q += 1
-            while not is_prime(q):
-                q += 1
+        skipped = []
+        for q in range(2, 1000):
+            if not is_prime(q) or field.chi(q) != 1:
+                continue
+            if self.modulus % q == 0:
+                skipped.append(q)
+                continue
+            r = field.prime_roots(q)[0]
+            vec, z = _prime_smooth_vector(field, q, r)
+            if not lattice.contains(vec):
+                chosen.append((q, r, vec, z))
+                vecs.append(list(vec))
+                lattice = Lattice(vecs + self.cl.relations)
+                if math.prod(lattice.invariants()) == 1:
+                    kept.append((skipped, chosen, lattice))
+                    return chosen, lattice
         raise ArithmeticError("could not generate the class group with coprime primes")
 
     def _generator(self, z, vec, x):
@@ -552,6 +573,8 @@ class RayClassGroup:
 
     def _recount(self):
         """Check the module order against h * |(O/M)^*| / [E : E_M]."""
+        from .units import congruence_unit_lattice
+
         K = congruence_unit_lattice(self.field, self.modulus)
         if len(K) != 2:
             raise ArithmeticError("the congruence units do not have full rank")

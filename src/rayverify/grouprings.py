@@ -30,6 +30,8 @@ elements from either side, but p-adic scalars must be written on the right
 (``x * scalar``) because `PadicElement` does not defer to unknown operands.
 Bad arguments raise ValueError and a broken internal invariant raises
 ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
+Only the four functions that test for a `PadicElement` import `padics`, so
+the rational group-ring algebra of the ray-class checks does not load it.
 """
 
 import functools
@@ -48,7 +50,6 @@ from .nt import (
     primitive_root,
     valuation,
 )
-from .padics import PadicElement
 
 __all__ = [
     "GaloisGroup",
@@ -440,6 +441,8 @@ def basis_element(group, g, one=Fraction(1)):
 
 def embed_group_ring(x, ring):
     """Map int/Fraction coefficients into the p-adic ring, coefficientwise."""
+    from .padics import PadicElement
+
     coeffs = []
     for c in x.coeffs:
         if isinstance(c, PadicElement):
@@ -451,6 +454,8 @@ def embed_group_ring(x, ring):
 
 def integer_coefficients(theta):
     """Integer lifts of all coefficients (exact ints for rational input)."""
+    from .padics import PadicElement
+
     out = []
     for c in theta.coeffs:
         if isinstance(c, PadicElement):
@@ -743,6 +748,8 @@ def residue_euler_element(group, ring, dprime, chars=None):
 
 def chi_component(theta, chi, ring):
     """sum_g coeff(g) chi(g): the scalar by which theta acts on the chi-part."""
+    from .padics import PadicElement
+
     acc = ring.zero()
     for g, c in enumerate(theta.coeffs):
         if not isinstance(c, PadicElement):
@@ -780,6 +787,8 @@ def ray_annihilator(group, ring, d, rho, upsilon, chars=None):
     character, giving the relative index of the congruence-unit generator.
     Raises ValueError when a divisor vanishes at the working precision.
     """
+    from .padics import PadicElement
+
     if chars is None:
         chars = characters(group)
     dbar = radical(d)

@@ -8,6 +8,13 @@ timing fields.
 
 The engine (`checks` and the layers below it) is imported by the functions
 that use it, not by this module, so that cache commands start without it.
+Each ``run_*`` imports `checks`, which loads only the layers every check
+needs (`nt`, `intmat`, `cyclo`, `quadratic`, `grouprings`); the check it
+calls imports the rest of what it uses.  So ``run_rays`` loads `gmodules`
+too, ``run_gras`` and ``run_conjecture`` `gmodules` and `units`,
+``run_sinnott`` `padics` and `units`, ``run_h90`` and the special mode of
+``run_annihilator`` `units` and `special`, and the other annihilator modes
+every layer.  `cli` lists the same sets.
 """
 
 import functools
@@ -219,6 +226,8 @@ def run_sinnott(D, p=7, prec=12, d=6, **_):
         )
     if prec < 1:
         raise ValueError("--prec %d: at least one p-adic digit must be compared" % prec)
+    if d < 1:
+        raise ValueError("--d %d: the twist bound must be at least 1" % d)
     params = {"p": p, "prec": prec, "d_max": d}
     return build_report(
         "verify sinnott", D, params, checks.check_sinnott(D, p, prec, d)
@@ -247,6 +256,8 @@ def run_rays(D, ell=11, p=5, modulus=None, **_):
 def run_gras(D, p=None, d=None, mode=None, **_):
     from . import checks
 
+    if mode not in (None, "single", "scan"):
+        raise ValueError("--mode %s: the gras mode is one of single, scan" % mode)
     if p is not None:
         _check_odd_prime(p)
     if d is not None and d < 1:

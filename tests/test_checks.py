@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rayverify import checks
+from rayverify import checks, gmodules
 from rayverify.checks import (
     CheckResult,
     check_cyclic,
@@ -113,12 +113,12 @@ def test_check_result_round_trips_to_json():
 
 def test_rays_status_classification(monkeypatch):
     monkeypatch.setattr(
-        checks, "isomorphism_certificate", lambda a, b: {"status": "not-isomorphic"}
+        gmodules, "isomorphism_certificate", lambda a, b: {"status": "not-isomorphic"}
     )
     assert check_rays(5, 2, 3)[0].status == "falsifies-paper"
     # a status the certificate never gives must not turn into a verdict
     monkeypatch.setattr(
-        checks, "isomorphism_certificate", lambda a, b: {"status": "inconclusive"}
+        gmodules, "isomorphism_certificate", lambda a, b: {"status": "inconclusive"}
     )
     with pytest.raises(ArithmeticError):
         check_rays(5, 2, 3)

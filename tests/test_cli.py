@@ -135,13 +135,15 @@ _ENGINE = {
 }
 
 
-def _modules_after(code):
-    """The rayverify modules loaded after running `code` in a fresh process."""
+def _modules_after(code, also=()):
+    """The rayverify modules loaded after running `code` in a fresh process,
+    plus those of the names in `also` (such as "dataclasses") that are loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     script = code + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('rayverify'))))"
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.startswith('rayverify') or m in %r)))" % (tuple(also),)
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env,
@@ -200,8 +202,37 @@ def test_python_m_rayverify_runs_the_command_line():
     assert "[pass] ray-residue-structure D=5 ell=2 p=3 e=1" in proc.stdout
 
 
+#: what every verify or explore command loads: the command line, `checks`
+#: and the layers each check sets its field up with
+_BASE = {
+    "rayverify", "rayverify.harness", "rayverify.checks", "rayverify.cyclo",
+    "rayverify.grouprings", "rayverify.intmat", "rayverify.nt",
+    "rayverify.quadratic",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["verify", "rays"], {"gmodules"}),
+        (["verify", "gras"], {"gmodules", "units"}),
+        (["explore", "conjecture"], {"gmodules", "units"}),
+        (["verify", "sinnott"], {"padics", "units"}),
+        (["verify", "h90", "--quad", "13", "--ell", "53"], {"units", "special"}),
+        (["verify", "annihilator", "--quad", "5", "--mode", "special"],
+         {"units", "special"}),
+        (["verify", "annihilator", "--mode", "both"],
+         {"gmodules", "padics", "units", "special"}),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_calls(argv, layers, tmp_path):
+    if argv[1] == "annihilator":
+        argv = argv + ["--cache", str(tmp_path)]
+    loaded = _modules_after(_as_program(argv), also=("dataclasses",))
+    assert "dataclasses" not in loaded
+    assert loaded == _BASE | {"rayverify." + name for name in layers}, sorted(loaded)
+
+
 def test_verify_and_module_import_load_the_engine():
-    argv = ["verify", "rays", "--quad", "5", "--ell", "2", "--p", "3"]
-    assert _ENGINE <= _modules_after(_as_program(argv))
     # importers that instrument the layers find every one of them loaded
     assert _ENGINE <= _modules_after("import rayverify.cli")

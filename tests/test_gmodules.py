@@ -430,6 +430,31 @@ def test_class_relations_at_most_one_per_class_prime():
         assert field.class_group().order == 1 or ray.class_primes
 
 
+def test_kept_class_primes_match_a_fresh_choice(monkeypatch):
+    """The class primes a modulus reuses from an earlier modulus of the same
+    field are the ones it would choose itself, witnesses included."""
+    from rayverify import gmodules
+
+    kept = {}
+    walks = 0
+    for D in (65, 316, 328, 145, 1272):
+        field = QuadField(D)
+        group = GaloisGroup(FieldSpec.quadratic(D))
+        # downwards, so that choices which skipped a class prime come first
+        for modulus in range(30, 0, -1):
+            monkeypatch.setattr(gmodules, "_class_prime_choices", kept)
+            got = RayClassGroup(field, group, modulus).class_primes
+            monkeypatch.setattr(gmodules, "_class_prime_choices", {})
+            fresh = RayClassGroup(field, group, modulus).class_primes
+            assert [(q, r, v, z.a, z.b, z.e) for q, r, v, z in got] == [
+                (q, r, v, z.a, z.b, z.e) for q, r, v, z in fresh
+            ], (D, modulus)
+        walks += len(kept[D])
+    assert set(kept) == {65, 316, 328, 145, 1272}
+    # one walk per set of skipped class primes: 150 moduli, 12 walks
+    assert walks == 3 + 3 + 2 + 3 + 1, walks
+
+
 def test_mod_is_the_quotient_by_multiples():
     M = trivial_action_module(G5, [4, 6])
     assert M.mod(2).invariants() == [2, 2]

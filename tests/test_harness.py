@@ -227,6 +227,12 @@ def test_p_prec_and_d_contracts():
         run_gras(5, d=0, mode="scan")
     with pytest.raises(ValueError, match="at least 1"):
         run_conjecture(5, d=-2)
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="--d %d: the twist bound" % d):
+            run_sinnott(5, p=7, d=d)
+    for mode in ("bogus", "Scan", ""):
+        with pytest.raises(ValueError, match="single, scan"):
+            run_gras(5, mode=mode)
     for p, mode in [(4, "thaine"), (2, "thaine"), (9, "both"), (1, "solomon")]:
         with pytest.raises(ValueError, match="odd prime"):
             run_annihilator(79, p=p, mode=mode)
@@ -271,6 +277,10 @@ def test_p_prec_and_d_contracts():
          "too large"),
         (["verify", "sinnott", "--quad", "12", "--p", "5", "--prec", "12", "--d", "6"],
          "p-adic unit"),
+        # these used to exit 0: zero sinnott checks, a silent single-mode gras
+        (["verify", "sinnott", "--quad", "5", "--p", "7", "--d", "0"], "at least 1"),
+        (["verify", "sinnott", "--quad", "5", "--p", "7", "--d", "-2"], "at least 1"),
+        (["verify", "gras", "--quad", "5", "--mode", "bogus"], "single, scan"),
     ],
 )
 def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):

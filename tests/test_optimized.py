@@ -1,6 +1,6 @@
 """The input-contract, quadratic-field, Galois-module, check, unit, p-adic,
-command-line, number-theory, integer-matrix, group-ring, cyclotomic and
-special-unit suites pass under ``python -O``.
+command-line, number-theory, integer-matrix, group-ring, cyclotomic,
+special-unit and traced-name suites pass under ``python -O``.
 
 `-O` strips `assert` statements, so any input validation or invariant check
 still written as one disappears there.  Pytest rewrites the tests' own
@@ -48,3 +48,8 @@ def test_grouprings_cyclo_and_special_suites_pass_under_optimize():
     _pytest_under_optimize(
         "tests/test_grouprings.py", "tests/test_cyclo.py", "tests/test_special.py"
     )
+
+
+def test_benchmark_targets_suite_passes_under_optimize():
+    # the layers import one another lazily; every traced name still resolves
+    _pytest_under_optimize("tests/test_benchmark_targets.py")
