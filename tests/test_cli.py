@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -236,3 +237,49 @@ def test_each_command_loads_only_the_layers_it_calls(argv, layers, tmp_path):
 def test_verify_and_module_import_load_the_engine():
     # importers that instrument the layers find every one of them loaded
     assert _ENGINE <= _modules_after("import rayverify.cli")
+
+
+# ----------------------------------------------------------------------
+# golden report digests: reports are byte-identical up to `timings`
+
+#: sha256 of json.dumps(strip_timings(report), sort_keys=True) per argv.  A
+#: change that alters a witness on purpose updates the digest and says why.
+_GOLDEN = {
+    # the README verify and explore commands
+    "verify sinnott --quad 5 --p 7 --prec 12 --d 6":
+        "fd6f431dd284529edbf967cdf9940329b8e59c8a406e11c9056d6329c693f7be",
+    "verify rays --quad 5 --ell 11 --p 5":
+        "c546f62c414dfb1c5e9b519c13fb72aa6bde72fdd9d317c21ab9b0e1199214b6",
+    "verify gras --quad 79 --p 3 --d 1":
+        "3cfad0802b76ae60226a5e81630682c082921c0c387b3d5d232a83638a289014",
+    "verify gras --quad 5 --mode scan --d 50":
+        "0e4f170eaa0cf4032ca628814007ae6026fd25051075a8c6635e4107d18310f6",
+    "verify h90 --quad 13 --ell 53":
+        "ee3e2f977e13b84cc1626cbc27acf78bfd286f959cb8717377f5c3fca84df399",
+    "verify annihilator --quad 79 --mode both --p 3":
+        "5d3d73ffdcc68a2760066eedba098816b10c3ba3935e120753230e834e164328",
+    "verify annihilator --quad 5 --mode special":
+        "6829b74955342ae4b8267d6687b560035066b05158e9de0f7ad6dcdd18006c56",
+    "explore conjecture --quad 5 --p 3 --d 18":
+        "c0fcdb728278d0a7cfdf5ce026a956605733560aaf15afdab71cc84f6c669e7d",
+    # rho-parts at larger moduli and a prime-power residue module
+    "verify gras --quad 79 --mode scan --d 12":
+        "ab79dd9bf8ee4171a52aeee93118bd7001eff433fcd4323a49a70306ef2fad94",
+    "verify gras --quad 13 --mode scan --d 30 --p 3":
+        "27862d563b205a49d7c5edf7c0d7c5ce91002761517a3941b64742ed442a38b5",
+    "verify annihilator --quad 79 --mode solomon --p 3 --modulus 12":
+        "e5a2cab6307554ee552849b8ff5869f77cff7b26c00c69a028e602c6f957110d",
+    "verify rays --quad 12 --ell 7 --p 7 --modulus 2401":
+        "916353228b8f0a2e8596899883fe0b240682e5d182a76894f46084e3f7471541",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN))
+def test_report_digests_are_golden(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RAYVERIFY_CACHE", str(tmp_path / "cache"))
+    path = tmp_path / "report.json"
+    assert main(command.split() + ["--report", str(path)]) == 0
+    capsys.readouterr()
+    report = strip_timings(json.loads(path.read_text()))
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == _GOLDEN[command]
