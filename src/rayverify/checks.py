@@ -33,14 +33,11 @@ uses: ``verify rays``, for example, never loads `padics`, `units` or
 `special`.
 """
 
-import math
 import time
-from fractions import Fraction
 
 from .cyclo import FieldSpec
 from .grouprings import (
     GaloisGroup,
-    GroupRingElement,
     embed_group_ring,
     galois_log_quad,
     lseries_derivative_element,
@@ -86,27 +83,19 @@ def _quad_setup(D):
     return field, group
 
 
-def _rho_projector_coeffs(group, modulus):
-    """Integer lift mod `modulus` of 1 - (average over the group)."""
-    from .gmodules import lift_coefficients_mod
-
-    n = group.order
-    if modulus < 1 or math.gcd(n, modulus) != 1:
-        raise ValueError(
-            "modulus %d must be positive and prime to the group order %d" % (modulus, n)
-        )
-    coeffs = [Fraction(-1, n)] * n
-    coeffs[0] = coeffs[0] + 1
-    return lift_coefficients_mod(GroupRingElement(group, coeffs), modulus)
-
-
 def _rho_part(module, p):
-    """(order, sylow, rho): the non-trivial-character component of Syl_p."""
+    """(order, sylow, rho): the non-trivial-character component of Syl_p.
+
+    For p odd, e_rho = (1 - sigma)/2 and e_rho M is the quotient
+    M / (1 + sigma)M (`FiniteGModule.sign_part(-1)`); rho is None when the
+    Sylow part is trivial.  Raises ValueError for even p.
+    """
+    if p % 2 == 0:
+        raise ValueError("p=%d must be odd for the rho-part" % p)
     syl = module.sylow(p)
     if syl.order() == 1:
         return 1, syl, None
-    proj = _rho_projector_coeffs(module.group, syl.exponent())
-    rho, _ = syl.rho_component(proj)
+    rho = syl.sign_part(-1)
     return rho.order(), syl, rho
 
 
@@ -182,6 +171,8 @@ def check_rays(D, ell, p, exponent=1):
         residue_structure_target,
     )
 
+    if exponent < 1:
+        raise ValueError("exponent %d: the modulus ell^e needs e >= 1" % exponent)
     field, group = _quad_setup(D)
     t0 = time.perf_counter()
     M = ell**exponent

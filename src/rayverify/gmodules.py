@@ -4,9 +4,14 @@ A `FiniteGModule` is a finite abelian group with an action of a
 `GaloisGroup`, presented by integer data: k abstract generators, a full-rank
 integer relation lattice (rows), and one k-by-k integer matrix per group
 element giving the action on generators.  Everything downstream is exact
-integer linear algebra: orders and invariants come from Smith forms,
-canonical element forms from the Hermite form of the relation lattice, and
-submodules/quotients/annihilators from stacked-kernel computations.
+integer linear algebra: orders come from the diagonal of the Hermite form
+of the relation lattice, which also gives canonical element forms, and
+invariants from one Smith form.  Sylow parts M/p^v M and quotients stack
+rows onto that Hermite basis.  Over the Galois group {1, sigma} of order 2, the
+eigenspaces e M with e = (1 +- sigma)/2 of a module of odd order are the
+quotients M/(1 -+ sigma)M (`FiniteGModule.sign_part`), so the rho-parts
+of the checks and the eigenspace invariants of `isomorphism_certificate`
+are quotients too; no kernel or solve is needed.
 
 On top of that sit the two concrete constructions the verification engine
 compares:
@@ -166,12 +171,16 @@ class FiniteGModule:
     def mod(self, n):
         """M / nM, on the same generators."""
         k = self.ngens
-        rows = self.relations + [[n * int(j == i) for j in range(k)] for i in range(k)]
+        rows = self._hnf + [[n * int(j == i) for j in range(k)] for i in range(k)]
         return FiniteGModule(self.group, k, rows, self.action)
 
     def sylow(self, p):
-        """The p-primary component, on the same generators."""
-        return self.mod(p ** valuation(self.exponent(), p))
+        """The p-primary component, on the same generators.
+
+        M / p^v M for v = v_p(|M|), which the Hermite diagonal gives: any
+        v >= v_p(exponent) gives the same lattice, so no Smith form.
+        """
+        return self.mod(p ** valuation(self.order(), p))
 
     def submodule(self, vectors):
         """The G-submodule generated by the vectors (must be G-stable).
@@ -196,11 +205,25 @@ class FiniteGModule:
 
     def quotient(self, vectors):
         """Quotient by the G-submodule generated by the vectors."""
-        rows = [row[:] for row in self.relations]
+        rows = [row[:] for row in self._hnf]
         for g in range(self.group.order):
             for v in vectors:
                 rows.append(list(self.act(g, v)))
         return FiniteGModule(self.group, self.ngens, rows, self.action)
+
+    def sign_part(self, sign):
+        """M / (1 - sign * sigma)M on the same generators, for G = {1, sigma}.
+
+        For M of odd order this is the eigenspace (1 + sign * sigma)/2 M:
+        sign +1 gives the part sigma fixes, sign -1 the part it negates.
+        """
+        if self.group.order != 2:
+            raise ValueError("sign parts need a group of order 2")
+        vectors = [
+            [int(i == j) - sign * c for j, c in enumerate(row)]
+            for i, row in enumerate(self.action[1])
+        ]
+        return self.quotient(vectors)
 
     def contains(self, v, vectors):
         """Is v in the subgroup generated by the vectors (no G-closure)?"""
@@ -276,14 +299,11 @@ def lift_coefficients_mod(theta, modulus):
 
 def _eigenspace_invariants(module):
     """Invariants of M+ = M / (1 - sigma)M and M- = M / (1 + sigma)M."""
-    k, sigma = module.ngens, module.action[1]
     parts = {"+": [], "-": []}
     if module.order() == 1:
         return parts
-    for name, sign in (("+", -1), ("-", 1)):
-        rows = [[int(i == j) + sign * sigma[i][j] for j in range(k)] for i in range(k)]
-        inv = Lattice(module._hnf + rows).invariants()
-        parts[name] = [d for d in inv if d > 1]
+    for name, sign in (("+", 1), ("-", -1)):
+        parts[name] = module.sign_part(sign).invariants()
     if math.prod(parts["+"]) * math.prod(parts["-"]) != module.order():
         raise ArithmeticError("the eigenspace orders do not multiply to the order")
     return parts

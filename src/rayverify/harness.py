@@ -245,9 +245,10 @@ def run_rays(D, ell=11, p=5, modulus=None, **_):
         e = 1
     else:
         e = valuation(modulus, ell) if modulus > 0 else 0
-        if ell**e != modulus:
+        if e < 1 or ell**e != modulus:
             raise ValueError(
-                "--modulus %d: the modulus must be a power of ell = %d" % (modulus, ell)
+                "--modulus %d: the modulus must be a positive power of ell = %d"
+                % (modulus, ell)
             )
     params = {"ell": ell, "p": p, "exponent": e}
     return build_report("verify rays", D, params, checks.check_rays(D, ell, p, e))
@@ -294,6 +295,8 @@ def run_annihilator(D, p=3, modulus=None, mode=None, cache=None, **_):
         )
     if mode != "special":
         _check_odd_prime(p)
+    if modulus is not None and modulus < 1:
+        raise ValueError("--modulus %d: the ray modulus must be at least 1" % modulus)
     if mode in ("solomon", "both") and kronecker(D, p) != 1:
         raise ValueError("--p %d: the solomon check needs a prime that splits in k" % p)
     results = []

@@ -175,8 +175,10 @@ def test_check_arguments_raise_value_error():
         lambda: check_cyclic(5, 5),
         lambda: check_sinnott(5, 4),
         lambda: explore_conjecture(5, 2, 3),
-        lambda: checks._rho_projector_coeffs(G5, 4),
-        lambda: checks._rho_projector_coeffs(G5, 0),
+        lambda: check_rays(5, 11, 5, 0),
+        # even p raises whether the 2-part is nontrivial or trivial
+        lambda: _rho_part(RayClassGroup(K316, G316, 3).module, 2),
+        lambda: _rho_part(RayClassGroup(K5, G5, 1).module, 2),
     ):
         with pytest.raises(ValueError):
             call()

@@ -383,6 +383,62 @@ def test_rho_plus_trivial_reconstruction():
         assert sub1.order() * subr.order() == syl.order()
 
 
+def _projector_image(syl):
+    """e_rho Syl as the image of (1 - sigma)/2 lifted modulo the exponent:
+    the route the sign-part quotient replaced, kept as its oracle."""
+    rho = GroupRingElement(syl.group, [Fraction(1, 2), Fraction(-1, 2)])
+    return syl.rho_component(lift_coefficients_mod(rho, syl.exponent()))[0]
+
+
+def test_sign_part_matches_the_projector_image_on_a_grid():
+    """M / (1 + sigma)M of a Sylow part is its rho-part: same order,
+    invariants and exponent as the projector image, and the same
+    annihilation verdicts, on ray class and unit quotient modules."""
+    from rayverify.checks import unit_quotient_module
+    from rayverify.units import congruence_circular_lattice, congruence_unit_lattice
+
+    rng = random.Random(2025)
+    verdicts = {True: 0, False: 0}
+    nontrivial = 0
+    for D in (5, 12, 229, 316, 328):
+        field, group = QuadField(D), GaloisGroup(FieldSpec.quadratic(D))
+        for d in sorted(rng.sample(range(1, 31), 10)):
+            unit = unit_quotient_module(
+                field, group,
+                congruence_unit_lattice(field, d),
+                congruence_circular_lattice(field, d),
+            )
+            for module in (RayClassGroup(field, group, d).module, unit):
+                for p in (3, 5, 7):
+                    syl = module.sylow(p)
+                    if syl.order() == 1:
+                        continue
+                    got, want = syl.sign_part(-1), _projector_image(syl)
+                    assert got.order() == want.order(), (D, d, p)
+                    assert got.invariants() == want.invariants(), (D, d, p)
+                    assert got.exponent() == want.exponent(), (D, d, p)
+                    if got.order() == 1:
+                        continue
+                    nontrivial += 1
+                    e = got.exponent()
+                    pairs = [[1, 1], [1, -1]] + [
+                        [rng.randrange(e), rng.randrange(e)] for _ in range(4)
+                    ]
+                    for coeffs in pairs:
+                        verdict = got.annihilated_by(coeffs)[0]
+                        assert verdict == want.annihilated_by(coeffs)[0], (D, d, p)
+                        verdicts[verdict] += 1
+    assert nontrivial >= 20 and min(verdicts.values()) >= 20, (nontrivial, verdicts)
+
+
+def test_sign_part_needs_a_group_of_order_two():
+    G7 = GaloisGroup(FieldSpec(7, (1, 6)))  # the real cubic field of conductor 7
+    with pytest.raises(ValueError, match="order 2"):
+        trivial_action_module(G7, [3]).sign_part(-1)
+    plus = swap_module(G5, 5).sign_part(1)
+    assert plus.invariants() == [5] and plus.annihilated_by([1, -1])[0]
+
+
 @pytest.mark.parametrize("D", [5, 8, 40, 65, 85, 257, 316, 328, 377])
 def test_prime_witness_identity(D):
     """(z) = P * prod(base^vec) for every split or ramified P over q < 300,
@@ -460,7 +516,7 @@ def test_mod_is_the_quotient_by_multiples():
     assert M.mod(2).invariants() == [2, 2]
     assert M.mod(3).invariants() == [3]
     assert M.mod(1).order() == 1
-    assert M.sylow(2).relations == M.mod(4).relations
+    assert M.sylow(2)._hnf == M.mod(4)._hnf
 
 
 def test_gmodules_module_has_no_assert():

@@ -281,6 +281,13 @@ def test_p_prec_and_d_contracts():
         (["verify", "sinnott", "--quad", "5", "--p", "7", "--d", "0"], "at least 1"),
         (["verify", "sinnott", "--quad", "5", "--p", "7", "--d", "-2"], "at least 1"),
         (["verify", "gras", "--quad", "5", "--mode", "bogus"], "single, scan"),
+        # O/(1) is the zero ring: this used to report falsifies-paper
+        (["verify", "rays", "--quad", "5", "--ell", "11", "--p", "5", "--modulus", "1"],
+         "positive power of ell"),
+        (["verify", "annihilator", "--quad", "79", "--mode", "solomon",
+          "--modulus", "0"], "--modulus 0: the ray modulus must be at least 1"),
+        (["verify", "annihilator", "--quad", "79", "--mode", "thaine",
+          "--modulus", "-4"], "--modulus -4: the ray modulus must be at least 1"),
     ],
 )
 def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):
