@@ -253,14 +253,20 @@ def unit_quotient_module(field, group, sup, sub):
     return module
 
 
-def _gras_point(field, group, rcg, p, d):
-    from .units import congruence_circular_lattice, congruence_unit_lattice
+def _unit_module(field, group, rcg):
+    """E_d/C_d at the modulus d of `rcg`: the units congruent to 1 mod d
+    over the circular ones among them, on the lattice `rcg` already holds."""
+    from .units import congruence_circular_lattice
 
-    t0 = time.perf_counter()
-    D = field.D
-    sup = congruence_unit_lattice(field, d)
-    sub = congruence_circular_lattice(field, d)
-    U = unit_quotient_module(field, group, sup, sub)
+    sup = rcg.unit_lattice
+    sub = congruence_circular_lattice(field, rcg.modulus, sup)
+    return unit_quotient_module(field, group, sup, sub)
+
+
+def _gras_point(rcg, U, p, t0):
+    """The index-equality record at p for the ray class group `rcg` and its
+    unit module `U`; `t0` is when the work for this record began."""
+    D, d = rcg.field.D, rcg.modulus
     u_order, u_syl, _ = _rho_part(U, p)
     r_order, r_syl, _ = _rho_part(rcg.module, p)
     return CheckResult(
@@ -296,7 +302,8 @@ def check_gras(D, p, d=1):
     if p % 2 == 0:
         raise ValueError("p=%d must be odd" % p)
     rcg = RayClassGroup(field, group, d)
-    return [_gras_point(field, group, rcg, p, d)]
+    t0 = time.perf_counter()
+    return [_gras_point(rcg, _unit_module(field, group, rcg), p, t0)]
 
 
 def check_gras_scan(D, p_list=(3, 5, 7), d_max=50):
@@ -304,7 +311,8 @@ def check_gras_scan(D, p_list=(3, 5, 7), d_max=50):
 
     Scans d = 1..d_max; for each prime in p_list a record is emitted only
     when the full Sylow p-part of the ray class group is nontrivial (the
-    equality is contentless otherwise).
+    equality is contentless otherwise).  The unit module is built at most
+    once per d.
     """
     from .gmodules import RayClassGroup
 
@@ -316,10 +324,14 @@ def check_gras_scan(D, p_list=(3, 5, 7), d_max=50):
     for d in range(1, d_max + 1):
         rcg = RayClassGroup(field, group, d)
         order = rcg.module.order()
+        U = None
         for p in p_list:
             if order % p != 0:
                 continue
-            results.append(_gras_point(field, group, rcg, p, d))
+            t0 = time.perf_counter()
+            if U is None:
+                U = _unit_module(field, group, rcg)
+            results.append(_gras_point(rcg, U, p, t0))
     return results
 
 
@@ -675,7 +687,6 @@ def explore_conjecture(D, p, d=1, stabilization=25):
     inconclusive, and a smaller unit side is a genuine discrepancy.
     """
     from .gmodules import RayClassGroup
-    from .units import congruence_circular_lattice, congruence_unit_lattice
 
     field, group = _quad_setup(D)
     if p % 2 == 0:
@@ -683,11 +694,8 @@ def explore_conjecture(D, p, d=1, stabilization=25):
             "p=%d must be odd: the comparison applies away from the group order" % p
         )
     t0 = time.perf_counter()
-    sup = congruence_unit_lattice(field, d)
-    sub = congruence_circular_lattice(field, d)
-    U = unit_quotient_module(field, group, sup, sub)
-    u_order, _, _ = _rho_part(U, p)
     rcg = RayClassGroup(field, group, d)
+    u_order, _, _ = _rho_part(_unit_module(field, group, rcg), p)
     r_order, r_syl, rho = _rho_part(rcg.module, p)
     r_exp = 1 if rho is None else rho.exponent()
     if u_order == r_exp:

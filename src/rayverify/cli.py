@@ -11,7 +11,9 @@ Usage examples::
     rayverify cache stats
 
 Exit status: 0 when every check passes or is inconclusive, 1 when any check
-fails or refutes a claim, 2 on usage or computational errors.
+fails or refutes a claim, 2 on usage or computational errors.  An engine
+flag that the command does not read is a usage error: `harness.COMMANDS`
+lists the flags of each command.
 
 Run as a program (``python -m rayverify``, the ``rayverify`` script or
 ``python -m rayverify.cli``), a command loads only the layers it calls
@@ -34,13 +36,8 @@ import argparse
 import json
 import sys
 
-from . import __version__
-from .harness import (
-    COMMANDS,
-    Cache,
-    EXIT_ERROR,
-    resolve_discriminant,
-)
+from . import __version__, harness
+from .harness import COMMANDS, Cache, EXIT_ERROR, resolve_discriminant
 
 if __name__ != "__main__":
     # every layer, for programs that instrument them; see the docstring
@@ -57,17 +54,8 @@ if __name__ != "__main__":
         units,
     )
 
-#: field used when neither --quad nor --field is given
-DEFAULT_QUAD = {
-    "sinnott": 5,
-    "rays": 5,
-    "gras": 5,
-    "h90": 5,
-    "annihilator": 79,
-    "conjecture": 5,
-}
-
-_PASSTHROUGH = ("p", "d", "ell", "prec", "modulus", "mode")
+#: every flag that some runner reads
+_ENGINE_FLAGS = {flag for _, flags in COMMANDS.values() for flag in flags}
 
 
 def _add_common(sp):
@@ -102,14 +90,13 @@ def build_parser():
         "--version", action="version", version="rayverify " + __version__
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-    v = sub.add_parser("verify", help="run a verification command")
-    v.add_argument(
-        "target", choices=["sinnott", "rays", "gras", "h90", "annihilator"]
-    )
-    _add_common(v)
-    e = sub.add_parser("explore", help="run an exploratory comparison")
-    e.add_argument("target", choices=["conjecture"])
-    _add_common(e)
+    for verb, about in (
+        ("verify", "run a verification command"),
+        ("explore", "run an exploratory comparison"),
+    ):
+        sp = sub.add_parser(verb, help=about)
+        sp.add_argument("target", choices=[t for v, t in COMMANDS if v == verb])
+        _add_common(sp)
     c = sub.add_parser("cache", help="manage the certificate cache")
     c.add_argument("op", choices=["clear", "stats"])
     c.add_argument("--cache", metavar="DIR", help="cache directory override")
@@ -117,7 +104,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.verb == "cache":
             cache = Cache(args.cache)
@@ -126,18 +114,18 @@ def main(argv=None):
             else:
                 print(json.dumps(cache.stats(), indent=2, sort_keys=True))
             return 0
+        quad, flags = COMMANDS[(args.verb, args.target)]
+        opts = {k: v for k, v in vars(args).items() if k in _ENGINE_FLAGS and v is not None}
+        for flag in opts:
+            if flag not in flags:
+                parser.error(
+                    "--%s: %s %s does not read it" % (flag, args.verb, args.target)
+                )
         if args.quad is None and args.field is None:
-            args.quad = DEFAULT_QUAD[args.target]
+            args.quad = quad
         D = resolve_discriminant(args.quad, args.field)
-        runner = COMMANDS[(args.verb, args.target)]
-        opts = {
-            k: v
-            for k, v in vars(args).items()
-            if k in _PASSTHROUGH and v is not None
-        }
-        if (args.verb, args.target) == ("verify", "annihilator"):
-            opts["cache"] = Cache(args.cache)
-        report = runner(D, **opts)
+        # looked up at call time, so that instrumented runners are the ones run
+        report = getattr(harness, "run_" + args.target)(D, **opts)
         report["seed"] = args.seed
         for check in report["checks"]:
             print("[%s] %s (%.2fs)" % (check["status"], check["name"], check["elapsed"]))

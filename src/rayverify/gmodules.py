@@ -486,7 +486,8 @@ class RayClassGroup:
     group.  All relations carry exact principalization witnesses; the
     constructor recounts the order against
     h * |(O/M)^*| / |image of the global units| and raises ArithmeticError
-    when they disagree.
+    when they disagree.  The recount's lattice of units congruent to 1
+    modulo M is kept as `unit_lattice`.
     """
 
     def __init__(self, field, group, modulus):
@@ -595,7 +596,7 @@ class RayClassGroup:
         """Check the module order against h * |(O/M)^*| / [E : E_M]."""
         from .units import congruence_unit_lattice
 
-        K = congruence_unit_lattice(self.field, self.modulus)
+        K = self.unit_lattice = congruence_unit_lattice(self.field, self.modulus)
         if len(K) != 2:
             raise ArithmeticError("the congruence units do not have full rank")
         unit_image = K[0][0] * K[1][1]

@@ -22,7 +22,7 @@ This module supplies the algebra every verification routine combines:
   numbers at composite levels through the L-value element.
 * `residue_euler_element` carries the Euler-type factors (ell - chi(ell))
   of the residue modules, and `ray_annihilator` combines everything into the
-  annihilator element used by the index and structure checks.
+  paper's annihilator element; no check calls it yet.
 
 Conventions: group element 0 is the identity; a character's value at a prime
 is zero unless inertia lies in its kernel; scalars multiply group-ring

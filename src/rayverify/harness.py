@@ -9,12 +9,10 @@ timing fields.
 The engine (`checks` and the layers below it) is imported by the functions
 that use it, not by this module, so that cache commands start without it.
 Each ``run_*`` imports `checks`, which loads only the layers every check
-needs (`nt`, `intmat`, `cyclo`, `quadratic`, `grouprings`); the check it
-calls imports the rest of what it uses.  So ``run_rays`` loads `gmodules`
-too, ``run_gras`` and ``run_conjecture`` `gmodules` and `units`,
-``run_sinnott`` `padics` and `units`, ``run_h90`` and the special mode of
-``run_annihilator`` `units` and `special`, and the other annihilator modes
-every layer.  `cli` lists the same sets.
+needs; the check it calls imports the rest of what it uses (the `cli`
+docstring lists the layers of each command).  `COMMANDS` is the one table
+of commands: per (verb, target), the default field and the engine flags
+that ``run_<target>`` reads.
 """
 
 import functools
@@ -164,7 +162,7 @@ def resolve_discriminant(quad=None, field=None):
     return fundamental_discriminant(quad)
 
 
-def build_report(command, D, params, results, seed=None):
+def build_report(command, D, params, results):
     """Assemble the result records of one command into a report dict."""
     from . import checks
 
@@ -184,7 +182,7 @@ def build_report(command, D, params, results, seed=None):
         "command": command,
         "field": {"type": "real-quadratic", "discriminant": D},
         "params": params,
-        "seed": seed,
+        "seed": None,
         "embeddings": sorted(embeddings),
         "checks": [r.to_dict() for r in results],
         "timings": {"total": round(sum(r.elapsed for r in results), 6)},
@@ -207,6 +205,18 @@ def strip_timings(report):
 # --------------------------------------------------------------------------
 # command dispatch
 
+#: (verb, target) -> (default --quad, the engine flags ``run_<target>``
+#: reads, in the order of its keyword parameters).  `cli` forwards exactly
+#: these flags and rejects every other engine flag with exit status 2.
+COMMANDS = {
+    ("verify", "sinnott"): (5, ("p", "prec", "d")),
+    ("verify", "rays"): (5, ("ell", "p", "modulus")),
+    ("verify", "gras"): (5, ("p", "d", "mode")),
+    ("verify", "h90"): (5, ("ell",)),
+    ("verify", "annihilator"): (79, ("p", "modulus", "mode", "cache")),
+    ("explore", "conjecture"): (5, ("p", "d")),
+}
+
 
 def _check_odd_prime(p):
     """Raise ValueError unless the verification prime p is an odd prime."""
@@ -216,7 +226,7 @@ def _check_odd_prime(p):
         raise ValueError("--p %d: the verification prime must be an odd prime" % p)
 
 
-def run_sinnott(D, p=7, prec=12, d=6, **_):
+def run_sinnott(D, p=7, prec=12, d=6):
     from . import checks
 
     _check_odd_prime(p)
@@ -234,7 +244,7 @@ def run_sinnott(D, p=7, prec=12, d=6, **_):
     )
 
 
-def run_rays(D, ell=11, p=5, modulus=None, **_):
+def run_rays(D, ell=11, p=5, modulus=None):
     from . import checks
     from .nt import is_prime, valuation
 
@@ -254,7 +264,7 @@ def run_rays(D, ell=11, p=5, modulus=None, **_):
     return build_report("verify rays", D, params, checks.check_rays(D, ell, p, e))
 
 
-def run_gras(D, p=None, d=None, mode=None, **_):
+def run_gras(D, p=None, d=None, mode=None):
     from . import checks
 
     if mode not in (None, "single", "scan"):
@@ -276,25 +286,35 @@ def run_gras(D, p=None, d=None, mode=None, **_):
     return build_report("verify gras", D, params, results)
 
 
-def run_h90(D, ell=11, **_):
+def run_h90(D, ell=11):
     from . import checks
 
     params = {"ell": ell, "level": 3, "twist": 4}
     return build_report("verify h90", D, params, checks.check_h90(D, ell))
 
 
-def run_annihilator(D, p=3, modulus=None, mode=None, cache=None, **_):
+def run_annihilator(D, p=None, modulus=None, mode=None, cache=None):
+    """`cache` is the --cache directory of the special mode (see `Cache`)."""
     from . import checks
     from .nt import kronecker
 
-    mode = mode or "both"
+    mode = "both" if mode is None else mode
     if mode not in ("thaine", "solomon", "special", "both"):
         raise ValueError(
             "--mode %s: the annihilator mode is one of thaine, solomon, "
             "special, both" % mode
         )
-    if mode != "special":
-        _check_odd_prime(p)
+    if mode == "special":
+        for flag, value in (("p", p), ("modulus", modulus)):
+            if value is not None:
+                raise ValueError(
+                    "--%s: verify annihilator --mode special does not read it" % flag
+                )
+        # no prime is used, but reports have always recorded the default one
+        results = checks.check_special_units(D, cache=Cache(cache))
+        return build_report("verify annihilator", D, {"p": 3, "mode": mode}, results)
+    p = 3 if p is None else p
+    _check_odd_prime(p)
     if modulus is not None and modulus < 1:
         raise ValueError("--modulus %d: the ray modulus must be at least 1" % modulus)
     if mode in ("solomon", "both") and kronecker(D, p) != 1:
@@ -309,12 +329,10 @@ def run_annihilator(D, p=3, modulus=None, mode=None, cache=None, **_):
         moduli = (1, 4) if modulus is None else (modulus,)
         params["solomon_moduli"] = list(moduli)
         results += checks.check_solomon(D, p=p, moduli=moduli)
-    if mode == "special":
-        results += checks.check_special_units(D, cache=cache)
     return build_report("verify annihilator", D, params, results)
 
 
-def run_conjecture(D, p=3, d=18, **_):
+def run_conjecture(D, p=3, d=18):
     from . import checks
 
     _check_odd_prime(p)
@@ -322,13 +340,3 @@ def run_conjecture(D, p=3, d=18, **_):
         raise ValueError("--d %d: the ray modulus must be at least 1" % d)
     params = {"p": p, "d": d}
     return build_report("explore conjecture", D, params, checks.explore_conjecture(D, p, d))
-
-
-COMMANDS = {
-    ("verify", "sinnott"): run_sinnott,
-    ("verify", "rays"): run_rays,
-    ("verify", "gras"): run_gras,
-    ("verify", "h90"): run_h90,
-    ("verify", "annihilator"): run_annihilator,
-    ("explore", "conjecture"): run_conjecture,
-}

@@ -273,11 +273,14 @@ def circular_unit_lattice(field, d=1):
     return hnf(rows)
 
 
-def congruence_circular_lattice(field, d):
-    """Units congruent to 1 mod d inside the circular unit lattice."""
-    return intersection_lattice(
-        circular_unit_lattice(field, d), congruence_unit_lattice(field, d)
-    )
+def congruence_circular_lattice(field, d, congruence=None):
+    """Units congruent to 1 mod d inside the circular unit lattice.
+
+    `congruence` is ``congruence_unit_lattice(field, d)``, if the caller
+    already holds it."""
+    if congruence is None:
+        congruence = congruence_unit_lattice(field, d)
+    return intersection_lattice(circular_unit_lattice(field, d), congruence)
 
 
 def lattice_index(sub, sup):

@@ -143,6 +143,22 @@ def test_rays_decides_large_prime_power_sylow_parts(quad, ell, p, modulus, order
     assert elapsed < 1.0
 
 
+def test_gras_scan_builds_the_unit_side_once_per_modulus(monkeypatch):
+    from rayverify import units
+
+    moduli = []
+    lattice = units.congruence_unit_lattice
+
+    def counted(field, d):
+        moduli.append(d)
+        return lattice(field, d)
+
+    monkeypatch.setattr(units, "congruence_unit_lattice", counted)
+    results = check_gras_scan(316, (3, 5, 7), 12)
+    assert moduli == list(range(1, 13))
+    assert results and all(r.status == "pass" for r in results)
+
+
 def test_gras_point_witness_shape():
     r = check_gras(316, 3, 1)[0]
     assert r.status == "pass"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rayverify.cli import build_parser, main
-from rayverify.harness import strip_timings
+from rayverify.harness import COMMANDS, strip_timings
 
 
 def test_verify_rays_passes(capsys):
@@ -56,6 +56,41 @@ def test_computational_error_exits_two(capsys):
     code = main(["verify", "sinnott", "--quad", "5", "--p", "5"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_every_unread_engine_flag_exits_two(capsys, tmp_path):
+    values = {"mode": "scan", "cache": str(tmp_path)}
+    engine = {flag for _, flags in COMMANDS.values() for flag in flags}
+    unread = [
+        (verb, target, flag)
+        for (verb, target), (_, flags) in COMMANDS.items()
+        for flag in sorted(engine - set(flags))
+    ]
+    assert len(unread) == 26
+    for verb, target, flag in unread:
+        with pytest.raises(SystemExit) as exc:
+            main([verb, target, "--" + flag, values.get(flag, "3")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: --%s: %s %s does not read it" % (flag, verb, target) in err
+
+
+def test_main_looks_the_runner_up_when_it_runs(monkeypatch, capsys):
+    # so that a tracer which patches harness.run_rays records its span
+    from rayverify import harness
+
+    calls = []
+    run_rays = harness.run_rays
+
+    def spy(D, **opts):
+        calls.append((D, opts))
+        return run_rays(D, **opts)
+
+    monkeypatch.setattr(harness, "run_rays", spy)
+    assert main(["verify", "rays", "--quad", "5", "--ell", "11", "--p", "5"]) == 0
+    assert calls == [(5, {"ell": 11, "p": 5})]
+    assert "[pass] ray-residue-structure D=5 ell=11 p=5" in capsys.readouterr().out
 
 
 def test_bad_usage_exits_two():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -194,6 +195,17 @@ def test_command_table_is_complete():
     }
 
 
+def test_each_runner_takes_exactly_the_flags_of_its_table_entry():
+    from rayverify import harness
+
+    for (verb, target), (quad, flags) in COMMANDS.items():
+        code = getattr(harness, "run_" + target).__code__
+        assert code.co_varnames[: code.co_argcount] == ("D",) + flags, target
+        assert code.co_kwonlyargcount == 0, target
+        assert not code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS), target
+        assert resolve_discriminant(quad) in (5, 316), target
+
+
 def test_run_rays_modulus_must_be_prime_power():
     rep = run_rays(13, ell=3, p=3, modulus=9)
     assert rep["params"]["exponent"] == 2
@@ -239,6 +251,9 @@ def test_p_prec_and_d_contracts():
     for mode in ("solomon", "both"):
         with pytest.raises(ValueError, match="splits in k"):
             run_annihilator(17, p=3, mode=mode)
+    for flag in ("p", "modulus"):
+        with pytest.raises(ValueError, match="--%s: .* special does not read it" % flag):
+            run_annihilator(5, mode="special", **{flag: 3})
     group = GaloisGroup(FieldSpec.quadratic(5))
     with pytest.raises(ValueError, match="must not divide the degree"):
         residue_structure_target(group, 11, 2)
@@ -288,6 +303,29 @@ def test_p_prec_and_d_contracts():
           "--modulus", "0"], "--modulus 0: the ray modulus must be at least 1"),
         (["verify", "annihilator", "--quad", "79", "--mode", "thaine",
           "--modulus", "-4"], "--modulus -4: the ray modulus must be at least 1"),
+        # engine flags the command does not read; each of these exited 0
+        (["verify", "rays", "--quad", "5", "--d", "0", "--prec", "-1", "--mode", "bogus"],
+         "--d: verify rays does not read it"),
+        (["explore", "conjecture", "--quad", "5", "--ell", "4", "--modulus", "0",
+          "--mode", "bogus", "--prec", "0"], "--ell: explore conjecture does not read it"),
+        (["verify", "h90", "--quad", "13", "--ell", "53", "--p", "4", "--d", "-3"],
+         "--p: verify h90 does not read it"),
+        (["verify", "sinnott", "--quad", "5", "--ell", "11"],
+         "--ell: verify sinnott does not read it"),
+        (["verify", "rays", "--quad", "5", "--d", "3"], "--d: verify rays does not read it"),
+        (["verify", "gras", "--quad", "5", "--cache", "unused"],
+         "--cache: verify gras does not read it"),
+        (["verify", "h90", "--quad", "13", "--p", "5"], "--p: verify h90 does not read it"),
+        (["verify", "annihilator", "--quad", "79", "--d", "3"],
+         "--d: verify annihilator does not read it"),
+        (["explore", "conjecture", "--quad", "5", "--mode", "scan"],
+         "--mode: explore conjecture does not read it"),
+        (["verify", "annihilator", "--quad", "5", "--mode", "special", "--p", "4"],
+         "--p: verify annihilator --mode special does not read it"),
+        (["verify", "annihilator", "--quad", "5", "--mode", "special", "--modulus", "4"],
+         "--modulus: verify annihilator --mode special does not read it"),
+        # an empty mode used to run the default one
+        (["verify", "annihilator", "--quad", "79", "--mode", ""], "--mode : the annihilator mode"),
     ],
 )
 def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):
