@@ -5,7 +5,9 @@ This module supplies the algebra every verification routine combines:
 
 * `GaloisGroup` presents Gal(k/Q) on cosets of the defining subgroup,
   with multiplication/inversion tables and subgroup utilities.
-* `characters` enumerates the character group with conductors and kernels.
+* `characters` reads the character group off the multiplication table,
+  extending the characters of a subgroup one cyclic step at a time; each
+  `Character` carries its conductor and kernel.
 * `GroupRingElement` is a dense group-ring element whose coefficients may be
   ints, Fractions, or `PadicElement`s from one ring (duck-typed; all
   arithmetic is coefficientwise plus convolution).
@@ -35,7 +37,6 @@ the rational group-ring algebra of the ray-class checks does not load it.
 """
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -43,11 +44,9 @@ from .cyclo import units_mod
 from .nt import (
     crt,
     divisors,
-    euler_phi,
     factorize,
     moebius,
     prime_factors,
-    primitive_root,
     valuation,
 )
 
@@ -136,12 +135,11 @@ class GaloisGroup:
         out = {self.coset_of(a % self.m) for a in units_mod(L) if a % n == 1 % n}
         return tuple(sorted(out))
 
-    def subgroup_sum(self, indices, one=Fraction(1)):
+    def subgroup_sum(self, indices):
         """Group-ring sum of the given element indices (with multiplicity 1)."""
-        zero = one * 0
-        coeffs = [zero] * self.order
+        coeffs = [Fraction(0)] * self.order
         for i in indices:
-            coeffs[i] = coeffs[i] + one
+            coeffs[i] += 1
         return GroupRingElement(self, coeffs)
 
     def __repr__(self):
@@ -152,50 +150,6 @@ class GaloisGroup:
 
     def __hash__(self):
         return hash(self.spec)
-
-
-def _prime_power_unit_basis(q, e):
-    """Generators (residue mod q^e, order) of the unit group of Z/q^e."""
-    if q == 2:
-        if e == 1:
-            return []
-        if e == 2:
-            return [(3, 2)]
-        return [(2**e - 1, 2), (5, 2 ** (e - 2))]
-    g = primitive_root(q)
-    if e > 1 and pow(g, q - 1, q * q) == 1:
-        g += q
-    return [(g % q**e, (q - 1) * q ** (e - 1))]
-
-
-def _unit_group_basis(m):
-    """Independent generators (residue mod m, order) of (Z/m)^*."""
-    if m < 1:
-        raise ValueError("the unit group needs a modulus m >= 1, not %d" % m)
-    basis = []
-    for q, e in factorize(m):
-        qe = q**e
-        rest = m // qe
-        for g, n in _prime_power_unit_basis(q, e):
-            lifted = crt([g, 1], [qe, rest]) if rest > 1 else g
-            basis.append((lifted % m, n))
-    return basis
-
-
-def _unit_dlog_table(m):
-    """(basis, table) with table[residue] = exponent tuple over the basis."""
-    basis = _unit_group_basis(m)
-    table = {}
-    for combo in itertools.product(*(range(n) for _, n in basis)):
-        r = 1 % m
-        for (g, _), j in zip(basis, combo):
-            r = r * pow(g, j, m) % m
-        if r in table:
-            raise ArithmeticError("unit-group basis is not independent")
-        table[r] = combo
-    if len(table) != euler_phi(m):
-        raise ArithmeticError("unit-group basis does not span")
-    return basis, table
 
 
 class Character:
@@ -302,36 +256,41 @@ class Character:
 
 
 def characters(group):
-    """All characters of the group, trivial first, in a deterministic order."""
-    m = group.m
+    """All characters of the group, trivial first, in a deterministic order.
+
+    Read off the multiplication table alone.  Grow a subgroup K from {1},
+    one element g at a time: if g^r is the first power of g inside K, each
+    character chi of K extends to <K, g> in exactly r ways, chi(k g^i) =
+    chi(k) + i e with r e = chi(g^r) mod W.  Such an e exists because r
+    divides ord(g), which divides W.
+    """
     W = group.exponent
-    basis, table = _unit_dlog_table(m)
-    H = group.spec.H
-
-    def angle(a, combo):
-        # character angle in Q/Z at the unit a, for the given basis exponents
-        js = table[a % m]
-        return sum(
-            (Fraction(e * j, n) for (_, n), e, j in zip(basis, combo, js)),
-            start=Fraction(0),
-        )
-
-    seen = set()
-    for combo in itertools.product(*(range(n) for _, n in basis)):
-        if any(angle(h, combo) % 1 != 0 for h in H):
+    mult = group.mult
+    K = [0]
+    chars = [[0]]  # chars[j][i]: exponent of the j-th character at K[i]
+    pos = {0: 0}
+    for g in range(1, group.order):
+        if g in pos:
             continue
-        exps = []
-        for cs in group.cosets:
-            t = (angle(cs[0], combo) % 1) * W
-            if t.denominator != 1:
-                raise ArithmeticError(
-                    "descended character order exceeds group exponent"
-                )
-            exps.append(int(t) % W)
-        seen.add(tuple(exps))
-    if len(seen) != group.order:
-        raise ArithmeticError("character count must equal the group order")
-    return [Character(group, exps) for exps in sorted(seen)]
+        powers = [0]
+        h = g
+        while h not in pos:
+            powers.append(h)
+            h = mult[h][g]
+        r = len(powers)
+        extended = []
+        for chi in chars:
+            c = chi[pos[h]]
+            if c % r:
+                raise ArithmeticError("character value at g^r has no r-th root")
+            for t in range(r):
+                e = c // r + t * (W // r)
+                extended.append([(x + i * e) % W for i in range(r) for x in chi])
+        K = [mult[k][gi] for gi in powers for k in K]
+        pos = {k: i for i, k in enumerate(K)}
+        chars = extended
+    exps = sorted(tuple(chi[pos[x]] for x in range(group.order)) for chi in chars)
+    return [Character(group, e) for e in exps]
 
 
 class GroupRingElement:
@@ -351,9 +310,6 @@ class GroupRingElement:
         self.coeffs = tuple(coeffs)
         if len(self.coeffs) != group.order:
             raise ValueError("one coefficient per group element is required")
-
-    def coefficient(self, i):
-        return self.coeffs[i]
 
     def __add__(self, other):
         if self.group != other.group:
@@ -423,20 +379,14 @@ class GroupRingElement:
         return "GroupRingElement(%s)" % (list(self.coeffs),)
 
 
-def one_element(group, one=Fraction(1)):
-    """The identity of the group ring, with the given coefficient `one`."""
-    zero = one * 0
-    return GroupRingElement(
-        group, tuple(one if i == 0 else zero for i in range(group.order))
-    )
+def one_element(group):
+    """The identity of the group ring, with Fraction coefficients."""
+    return basis_element(group, 0)
 
 
-def basis_element(group, g, one=Fraction(1)):
-    """The group element g as a group-ring element."""
-    zero = one * 0
-    return GroupRingElement(
-        group, tuple(one if i == g else zero for i in range(group.order))
-    )
+def basis_element(group, g):
+    """The group element g as a group-ring element, with Fraction coefficients."""
+    return group.subgroup_sum((g,))
 
 
 def embed_group_ring(x, ring):
@@ -530,9 +480,6 @@ class RamificationData:
         self.ell = ell
         self.frobenius = frobenius
         self.inertia = inertia
-
-    def inertia_size(self):
-        return len(self.inertia)
 
     def inertia_sum(self):
         """Sum of the inertia elements, with Fraction coefficients."""
@@ -658,21 +605,24 @@ def lseries_derivative(chi, ring):
     return acc
 
 
-def lseries_derivative_element(group, ring, chars=None):
+def _character_sum(group, ring, component):
+    """sum over nontrivial chi of component(chi) e_chi."""
+    acc = None
+    for chi in characters(group):
+        if chi.is_trivial:
+            continue
+        term = char_idempotent(chi, ring) * component(chi)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def lseries_derivative_element(group, ring):
     """sum over nontrivial chi of L'-value(chi) e_chi, as a group-ring element."""
     if group.order % ring.p == 0:
         raise ValueError("p must not divide the degree")
     if group.m % ring.p == 0:
         raise ValueError("p must not divide the conductor")
-    if chars is None:
-        chars = characters(group)
-    acc = None
-    for chi in chars:
-        if chi.is_trivial:
-            continue
-        term = char_idempotent(chi, ring) * lseries_derivative(chi, ring)
-        acc = term if acc is None else acc + term
-    return acc
+    return _character_sum(group, ring, lambda chi: lseries_derivative(chi, ring))
 
 
 @functools.lru_cache(maxsize=None)
@@ -725,25 +675,22 @@ def unit_log_factor(group, n, d):
     return Fraction(d, dbar) * (euler_twist(group, dbar // g) * acc)
 
 
-def residue_euler_element(group, ring, dprime, chars=None):
+def _euler_factor(chi, ring, rams):
+    """prod over the given primes ell of (ell - chi(ell))."""
+    val = ring.one()
+    for ram in rams:
+        val = val * (ring.from_int(ram.ell) - chi.prime_value(ring, ram))
+    return val
+
+
+def residue_euler_element(group, ring, dprime):
     """sum over nontrivial chi of prod_{ell | dprime} (ell - chi(ell)) e_chi.
 
     For dprime = 1 this is 1 - e_1, the projector away from the trivial
     character.
     """
-    if chars is None:
-        chars = characters(group)
     rams = [ramification(group, ell) for ell in prime_factors(dprime)]
-    acc = None
-    for chi in chars:
-        if chi.is_trivial:
-            continue
-        val = ring.one()
-        for ram in rams:
-            val = val * (ring.from_int(ram.ell) - chi.prime_value(ring, ram))
-        term = char_idempotent(chi, ring) * val
-        acc = term if acc is None else acc + term
-    return acc
+    return _character_sum(group, ring, lambda chi: _euler_factor(chi, ring, rams))
 
 
 def chi_component(theta, chi, ring):
@@ -774,7 +721,7 @@ def _exact_divide(num, den, ring):
     return num * den.inverse()
 
 
-def ray_annihilator(group, ring, d, rho, upsilon, chars=None):
+def ray_annihilator(group, ring, d, rho, upsilon):
     """The annihilator element for the ray modulus d.
 
     Per nontrivial character the component is
@@ -789,24 +736,16 @@ def ray_annihilator(group, ring, d, rho, upsilon, chars=None):
     """
     from .padics import PadicElement
 
-    if chars is None:
-        chars = characters(group)
     dbar = radical(d)
     scalar = ring.from_fraction(Fraction(d, dbar))
     rams = [ramification(group, ell) for ell in prime_factors(dbar)]
-    acc = None
-    for chi in chars:
-        if chi.is_trivial:
-            continue
-        num = lseries_derivative(chi, ring) * scalar
-        for ram in rams:
-            num = num * (ring.from_int(ram.ell) - chi.prime_value(ring, ram))
-        rho_chi = chi_component(rho, chi, ring)
-        comp = _exact_divide(num, rho_chi, ring)
+
+    def component(chi):
+        num = lseries_derivative(chi, ring) * scalar * _euler_factor(chi, ring, rams)
+        comp = _exact_divide(num, chi_component(rho, chi, ring), ring)
         u = upsilon[chi] if isinstance(upsilon, dict) else upsilon
         if not isinstance(u, PadicElement):
             u = ring.from_int(int(u))
-        comp = _exact_divide(comp, u, ring)
-        term = char_idempotent(chi, ring) * comp
-        acc = term if acc is None else acc + term
-    return acc
+        return _exact_divide(comp, u, ring)
+
+    return _character_sum(group, ring, component)

@@ -304,12 +304,13 @@ def run_annihilator(D, p=None, modulus=None, mode=None, cache=None):
             "--mode %s: the annihilator mode is one of thaine, solomon, "
             "special, both" % mode
         )
+    unread = {"p": p, "modulus": modulus} if mode == "special" else {"cache": cache}
+    for flag, value in unread.items():
+        if value is not None:
+            raise ValueError(
+                "--%s: verify annihilator --mode %s does not read it" % (flag, mode)
+            )
     if mode == "special":
-        for flag, value in (("p", p), ("modulus", modulus)):
-            if value is not None:
-                raise ValueError(
-                    "--%s: verify annihilator --mode special does not read it" % flag
-                )
         # no prime is used, but reports have always recorded the default one
         results = checks.check_special_units(D, cache=Cache(cache))
         return build_report("verify annihilator", D, {"p": 3, "mode": mode}, results)

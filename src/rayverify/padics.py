@@ -260,9 +260,10 @@ class PadicElement:
         R = self.ring
         if self.valuation() != 0:
             raise ValueError("inverse of a non-unit")
-        # invert mod p by field gcd, then double precision with y(2 - xy)
+        # invert mod p as x^(q - 2) in F_q = F_p[t]/(h), then double
+        # precision with y(2 - xy)
         x = list(self.vec)
-        y = R._residue_inverse(x)
+        y = _ppowmod(x, R.p**R.f - 2, R.h, R.p)
         k = 1
         while k < R.workprec:
             k *= 2
@@ -396,39 +397,6 @@ class PadicRing:
             acc = _pmulmod(acc, at_vec, self.H, self.workmod)
             acc[0] = (acc[0] + c) % self.workmod
         return acc
-
-    def _residue_inverse(self, vec):
-        """Inverse mod p via extended Euclid in F_p[t]/(h)."""
-        p = self.p
-        a = [v % p for v in vec]
-        # extended gcd of a and h over F_p
-        r0, r1 = list(self.h), a + [0]
-        s0, s1 = [0], [1]
-        while True:
-            d1 = len(r1) - 1
-            while d1 >= 0 and r1[d1] % p == 0:
-                d1 -= 1
-            if d1 < 0:
-                raise ArithmeticError("not a unit in the residue field")
-            if d1 == 0:
-                inv = pow(r1[0], -1, p)
-                return [v * inv % p for v in _pmod(s1 + [0], self.h, p)]
-            d0 = len(r0) - 1
-            while r0[d0] % p == 0:
-                d0 -= 1
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            c = r0[d0] * pow(r1[d1], -1, p) % p
-            shift = d0 - d1
-            r0 = [v % p for v in r0]
-            for j in range(d1 + 1):
-                r0[shift + j] = (r0[shift + j] - c * r1[j]) % p
-            s1_shifted = [0] * shift + s1
-            s0 = s0 + [0] * max(0, len(s1_shifted) - len(s0))
-            s1_shifted = s1_shifted + [0] * max(0, len(s0) - len(s1_shifted))
-            s0 = [(x - c * y) % p for x, y in zip(s0, s1_shifted)]
-            r0, r1, s0, s1 = r1, r0, s1, s0
 
     # -- element constructors
 

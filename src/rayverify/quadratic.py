@@ -897,7 +897,8 @@ class ResidueRing:
         triangular rows, placed block-diagonally.  Two checks guard the
         result: each row evaluates to 1 in O/(M), and the product of the
         diagonal is |(O/M)^*|.  `dlog` is a `_UnitDigits`
-        mapping.
+        mapping; the benchmark tracer (`perfbench/tracer.py`) reads its
+        `len` as the unit count.
         """
         if self._structure is not None:
             return self._structure

@@ -1,11 +1,13 @@
 import ast
+import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rayverify import grouprings
-from rayverify.cyclo import FieldSpec
+from rayverify.cyclo import FieldSpec, subgroup_generated, units_mod
 from rayverify.grouprings import (
     Character,
     GaloisGroup,
@@ -31,6 +33,7 @@ from rayverify.grouprings import (
     residue_euler_element,
     unit_log_factor,
 )
+from rayverify.nt import crt, euler_phi, factorize, primitive_root
 from rayverify.padics import PadicRing, ring_for_conductor
 from rayverify.quadratic import QuadField
 
@@ -128,6 +131,75 @@ def test_prim_exp_lifts_through_composite_level():
     assert chi.prim_exp(5) is None
 
 
+def _unit_dlog_table(m):
+    """Oracle: independent generators (residue, order) of (Z/m)^* and the
+    table residue -> exponent tuple over them, by enumeration."""
+    basis = []
+    for q, e in factorize(m):
+        qe = q**e
+        if q == 2:
+            local = [[], [(3, 2)], [(qe - 1, 2), (5, qe // 4)]][min(e, 3) - 1]
+        else:
+            g = primitive_root(q)
+            if e > 1 and pow(g, q - 1, q * q) == 1:
+                g += q
+            local = [(g % qe, (q - 1) * qe // q)]
+        for g, n in local:
+            basis.append((crt([g, 1], [qe, m // qe]) % m, n))
+    table = {}
+    for combo in itertools.product(*(range(n) for _, n in basis)):
+        r = 1 % m
+        for (g, _), j in zip(basis, combo):
+            r = r * pow(g, j, m) % m
+        table[r] = combo
+    assert len(table) == euler_phi(m)
+    return basis, table
+
+
+def _descended_character_exps(group):
+    """Oracle: the exps of every character of (Z/m)^* that vanishes on H,
+    read on the coset representatives, sorted."""
+    m, W = group.m, group.exponent
+    basis, table = _unit_dlog_table(m)
+
+    def angle(a, combo):
+        js = table[a % m]
+        return sum(Fraction(e * j, n) for (_, n), e, j in zip(basis, combo, js)) % 1
+
+    seen = set()
+    for combo in itertools.product(*(range(n) for _, n in basis)):
+        if any(angle(h, combo) for h in group.spec.H):
+            continue
+        exps = [angle(cs[0], combo) * W for cs in group.cosets]
+        assert all(t.denominator == 1 for t in exps)
+        seen.add(tuple(int(t) for t in exps))
+    assert len(seen) == group.order
+    return sorted(seen)
+
+
+def _field_grid():
+    """Seeded real abelian fields: random subgroups H containing -1 at
+    conductors up to 64, plus fixed non-cyclic and degree-6 cases."""
+    rng = random.Random(13)
+    specs = {FieldSpec(40, (1, 39)), FieldSpec(13, (1, 12)), FieldSpec(16, (1, 15))}
+    for m in range(3, 65):
+        units = units_mod(m)
+        for _ in range(3):
+            gens = [m - 1] + rng.sample(units, rng.randint(0, min(2, len(units))))
+            specs.add(FieldSpec(m, subgroup_generated(m, gens)))
+    return sorted(specs, key=lambda s: (s.m, s.H))
+
+
+def test_characters_match_the_unit_group_descent():
+    groups = [GaloisGroup(spec) for spec in _field_grid()]
+    degrees = {G.order for G in groups}
+    assert {2, 3, 4, 6, 8} <= degrees
+    assert any(G.exponent < G.order for G in groups if G.order == 8)
+    for G in groups:
+        exps = [chi.exps for chi in characters(G)]
+        assert exps == _descended_character_exps(G), G.spec
+
+
 # ---------------------------------------------------------------- idempotents
 
 
@@ -144,7 +216,7 @@ def test_char_idempotents_orthogonal_partition():
                 zero = e * f
                 assert all(c.is_zero() for c in zero.coeffs)
         total = e if total is None else total + e
-    assert total == one_element(G, R.one())
+    assert total == embed_group_ring(one_element(G), R)
 
 
 def test_orbit_idempotent_is_integral():
@@ -294,7 +366,7 @@ def test_lseries_element_halves_the_difference():
     G = quad_group(5)
     chars = characters(G)
     R = ring_for_conductor(7, 5, 8, extra_order=2)
-    omega = lseries_derivative_element(G, R, chars)
+    omega = lseries_derivative_element(G, R)
     L = lseries_derivative(chars[1], R)
     half = R.from_fraction(Fraction(1, 2))
     assert omega.coeffs[0] == L * half
@@ -351,14 +423,14 @@ def test_residue_euler_element_oracles():
     chars = characters(G)
     R = ring_for_conductor(7, 5, 8, extra_order=2)
     # trivial modulus part: the projector away from the trivial character
-    mu1 = residue_euler_element(G, R, 1, chars)
+    mu1 = residue_euler_element(G, R, 1)
     assert mu1 == char_idempotent(chars[1], R)
     # modulus part 5: ramified, character value 0, factor (5 - 0) = 5
-    mu5 = residue_euler_element(G, R, 5, chars)
+    mu5 = residue_euler_element(G, R, 5)
     assert chi_component(mu5, chars[1], R) == 5
     assert chi_component(mu5, chars[0], R).is_zero()
     # modulus part 2: inert, chi(2) = -1, factor (2 - (-1)) = 3
-    mu2 = residue_euler_element(G, R, 2, chars)
+    mu2 = residue_euler_element(G, R, 2)
     assert chi_component(mu2, chars[1], R) == 3
 
 
@@ -401,10 +473,10 @@ def test_galois_log_fundamental_unit_component():
 
 def sinnott_sides(G, R, chars, z, n, d):
     """Both sides of the log identity for a level-n modified number z."""
-    one = one_element(G, R.one())
+    one = embed_group_ring(one_element(G), R)
     e1 = char_idempotent(chars[0], R)
     lhs = (one - e1) * galois_log_quad(G, R, z)
-    omega = lseries_derivative_element(G, R, chars)
+    omega = lseries_derivative_element(G, R)
     rhs = omega * embed_group_ring(unit_log_factor(G, n, d), R)
     return lhs, rhs
 
@@ -458,7 +530,7 @@ def test_ray_annihilator_trivial_modulus_is_minus_one():
     for p in (7, 13):
         R = ring_for_conductor(p, 5, 10, extra_order=2)
         rho = galois_log_quad(G, R, F.fundamental_unit())
-        theta = ray_annihilator(G, R, 1, rho, 1, chars)
+        theta = ray_annihilator(G, R, 1, rho, 1)
         comp = chi_component(theta, chars[1], R)
         assert comp == R.from_int(-1)
         assert chi_component(theta, chars[0], R).is_zero()
@@ -471,17 +543,16 @@ def test_ray_annihilator_modulus_four_oracle():
     F = QuadField(5)
     R = ring_for_conductor(7, 5, 10, extra_order=2)
     rho = galois_log_quad(G, R, F.fundamental_unit())
-    theta = ray_annihilator(G, R, 4, rho, 6, chars)
+    theta = ray_annihilator(G, R, 4, rho, 6)
     assert chi_component(theta, chars[1], R) == R.from_int(-1)
 
 
 def test_ray_annihilator_rejects_vanishing_divisor():
     G = quad_group(5)
-    chars = characters(G)
     R = ring_for_conductor(7, 5, 10, extra_order=2)
-    zero_rho = one_element(G, R.zero())
+    zero_rho = GroupRingElement(G, [R.zero()] * G.order)
     with pytest.raises(ValueError):
-        ray_annihilator(G, R, 1, zero_rho, 1, chars)
+        ray_annihilator(G, R, 1, zero_rho, 1)
 
 
 # ---------------------------------------------------------------- misc

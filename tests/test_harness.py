@@ -254,6 +254,9 @@ def test_p_prec_and_d_contracts():
     for flag in ("p", "modulus"):
         with pytest.raises(ValueError, match="--%s: .* special does not read it" % flag):
             run_annihilator(5, mode="special", **{flag: 3})
+    for mode in ("thaine", "solomon", "both"):
+        with pytest.raises(ValueError, match="--cache: .* --mode %s does not" % mode):
+            run_annihilator(79, mode=mode, cache="unused")
     group = GaloisGroup(FieldSpec.quadratic(5))
     with pytest.raises(ValueError, match="must not divide the degree"):
         residue_structure_target(group, 11, 2)
@@ -324,6 +327,13 @@ def test_p_prec_and_d_contracts():
          "--p: verify annihilator --mode special does not read it"),
         (["verify", "annihilator", "--quad", "5", "--mode", "special", "--modulus", "4"],
          "--modulus: verify annihilator --mode special does not read it"),
+        # only the special mode reads a cache; the others exited 0 and ignored it
+        (["verify", "annihilator", "--quad", "79", "--mode", "thaine", "--cache", "unused"],
+         "--cache: verify annihilator --mode thaine does not read it"),
+        (["verify", "annihilator", "--quad", "79", "--mode", "solomon", "--cache", "unused"],
+         "--cache: verify annihilator --mode solomon does not read it"),
+        (["verify", "annihilator", "--quad", "79", "--mode", "both", "--cache", "unused"],
+         "--cache: verify annihilator --mode both does not read it"),
         # an empty mode used to run the default one
         (["verify", "annihilator", "--quad", "79", "--mode", ""], "--mode : the annihilator mode"),
     ],
@@ -356,3 +366,26 @@ def test_sinnott_stops_on_a_large_residue_field_before_building_the_ring(optimiz
     assert proc.returncode == 2, proc.stdout
     assert "too large" in proc.stderr
     assert elapsed < 5, elapsed
+
+
+# ----------------------------------------------------------------------
+# layer separation: the padic-sinnott benchmark workload expects no normal form
+
+
+@pytest.mark.parametrize("D", (5, 120))
+def test_sinnott_runs_without_integer_normal_forms(D, monkeypatch):
+    from rayverify import intmat
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify sinnott reached an integer normal form")
+
+    # patch the module functions and every layer's imported name for them
+    targets = {intmat.snf, intmat.hnf}
+    for name, mod in list(sys.modules.items()):
+        if name == "rayverify" or name.startswith("rayverify."):
+            for attr, value in list(vars(mod).items()):
+                if any(value is t for t in targets):
+                    monkeypatch.setattr(mod, attr, forbidden)
+    report = run_sinnott(D, 7, 12, 6)
+    assert report["checks"]
+    assert all(c["status"] == "pass" for c in report["checks"])

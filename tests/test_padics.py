@@ -34,6 +34,26 @@ def test_plain_zp_arithmetic():
     assert R.from_int(50).divide_exact(25).lift_int() % 5**2 == 2
 
 
+@pytest.mark.parametrize("p, f", [(3, 1), (3, 4), (5, 2), (7, 3), (11, 2), (13, 1)])
+def test_inverse_of_random_units(p, f):
+    # the definition: x * x^-1 = 1 at the element's precision; a residue
+    # field inverse that is wrong mod p cannot survive the Hensel doubling
+    R = PadicRing(p, 6, f)
+    rng = random.Random(100 * p + f)
+    for _ in range(80):
+        vec = [rng.randrange(p**6) for _ in range(f)]
+        x = R.element(vec)
+        if all(v % p == 0 for v in vec):
+            with pytest.raises(ValueError, match="non-unit"):
+                x.inverse()
+            continue
+        y = x.inverse()
+        assert x * y == 1 and y * x == 1
+        assert y.prec == x.prec
+    with pytest.raises(ValueError, match="non-unit"):
+        R.element([p] + [0] * (f - 1)).inverse()
+
+
 def test_teichmueller_oracle():
     # the Teichmueller lift of 2 in Z_5 is 7 mod 25 (7^4 = 1 mod 25, 7 = 2 mod 5)
     R = PadicRing(5, 2)
