@@ -59,12 +59,14 @@ _ENGINE_FLAGS = {flag for _, flags in COMMANDS.values() for flag in flags}
 
 
 def _add_common(sp):
-    sp.add_argument(
+    # one field per command: argparse rejects --quad together with --field
+    named = sp.add_mutually_exclusive_group()
+    named.add_argument(
         "--quad",
         type=int,
         help="radicand or fundamental discriminant of a real quadratic field",
     )
-    sp.add_argument(
+    named.add_argument(
         "--field",
         help="abelian field as m:a1,a2,... (fixed field of the subgroup "
         "generated by the a_i in (Z/m)^*); must be real quadratic",

@@ -8,6 +8,15 @@ radical with exponents mu(t) * d / t.  Untwisted (d = 1) these are the
 classical cyclotomic numbers; general d builds in congruence conditions
 modulo d.
 
+Each norm of 1 - zeta_n^t is read at the conductor s of zeta_n^t.  It is
+rational unless D divides s; then it is a power of u_s, the norm of
+1 - zeta_s, or of its conjugate.  u_s is one product of the 1 - x^h over
+ker(chi_D) mod s in Z[x]/(x^s - 1), summed against closed-form Gauss
+periods (`_level_norm`), and it is cached once per (D, s) as the norm at
+(n, t) = (s, 1).  Newton's identities
+serve only `orbit_polynomial`, the coefficients of F_t that
+`special.special_unit` needs.
+
 `generating_levels` lists the levels n whose numbers generate the whole
 group of such elements for a given twist.  The raw parametrization runs
 over products y * m_r of divisor data of the field discriminant; entries
@@ -35,10 +44,11 @@ from .cyclo import (
     power_sums_to_elementary,
     subgroup_trace_of_power,
     to_quadratic,
+    units_mod,
 )
 from .grouprings import radical
 from .intmat import hnf, intersection_lattice, kernel, preimage_lattice, transpose
-from .nt import divisors, euler_phi, factorize, is_prime, moebius, valuation
+from .nt import divisors, euler_phi, factorize, is_prime, kronecker, moebius, valuation
 from .quadratic import QuadElement, unit_exponent
 
 __all__ = [
@@ -66,7 +76,8 @@ def orbit_polynomial(field, n, t):
 
     Its coefficients lie in that part, so they come back as a tuple of
     QuadElements, ascending.  They are Newton's identities on the Gauss-period traces
-    sum over S of zeta_n^(t j h), one per orbit t j S mod n.
+    sum over S of zeta_n^(t j h), one per orbit t j S mod n.  Only
+    `special.special_unit` needs them; norms skip this route.
     """
     key = (field.D, n, t % n)
     if key in _orbit_cache:
@@ -90,23 +101,73 @@ def orbit_polynomial(field, n, t):
     return coeffs
 
 
+def _level_norm(field, s):
+    """u_s = prod over h in ker(chi_D) mod s of (1 - zeta_s^h), for D | s.
+
+    One product P = prod (1 - x^h) in Z[x]/(x^s - 1), one list pass per h.
+    P is invariant under ker(chi_D), so P(zeta_s) sums its coefficients
+    against the periods eta_O = sum over an orbit O of zeta_s^i.  The orbit
+    of i = g j, g = gcd(i, s) and m = s / g, is g times the image of the
+    kernel in (Z/m)^*: all of (Z/m)^* when D does not divide m, with period
+    the Ramanujan sum mu(m); otherwise the coset of j in ker(chi_D) mod m,
+    with period (mu(m) + chi(j) mu(r) chi(r) sqrt(D)) / 2 for m = D r, the
+    Gauss sum of chi_D induced to modulus m.
+    """
+    D = field.D
+    chi = [kronecker(D, a) for a in range(D)]
+    P = [1] + [0] * (s - 1)
+    for h in units_mod(s):
+        if chi[h % D] == 1:
+            P = [a - b for a, b in zip(P, P[-h:] + P[:-h])]
+    x2 = y2 = 0  # twice the rational and the sqrt(D) coordinate
+    for m in divisors(s):
+        g = s // m
+        orbits = {}  # chi(j) when D | m, else 0 -> the coefficient on the orbit
+        for j in units_mod(m):
+            c = P[g * j]
+            if orbits.setdefault(chi[j % D] if m % D == 0 else 0, c) != c:
+                raise ArithmeticError(
+                    "the product at level %d is not invariant under ker(chi_%d)" % (s, D)
+                )
+        for sign, c in orbits.items():
+            if sign:
+                r = m // D
+                x2 += c * moebius(m)
+                y2 += c * sign * moebius(r) * chi[r % D]
+            else:
+                x2 += 2 * c * moebius(m)
+    return field.element(Fraction(x2, 2), Fraction(y2, 2))
+
+
 def _norm_one_minus_power(field, n, t):
     """Exact norm, down to the field's part of the n-th cyclotomic field,
-    of 1 - zeta_n^t: F_t(1).  Rational when the field does not sit inside
-    level n."""
-    key = (field.D, n, t % n)
+    of 1 - zeta_n^t, read at the conductor s = n / gcd(n, t) of zeta_n^t.
+
+    Reduction mod s maps the fixing subgroup S at level n onto the one at
+    level s, S_s, |S| / |S_s| to one.  When D does not divide s, S_s is all
+    of (Z/s)^* and the norm is rational: Phi_s(1), which is p for s a power
+    of p and 1 otherwise, to the power |S| / |S_s|.  Otherwise it is
+    u_s = N(1 - zeta_s) (see `_level_norm`) to the power phi(n) / phi(s),
+    conjugated when t / gcd(n, t) is a non-residue of chi_D."""
+    D = field.D
+    key = (D, n, t % n)
     if key in _norm_cache:
         return _norm_cache[key]
-    s = n // math.gcd(n, t)
+    g = math.gcd(n, t)
+    s = n // g
     if s == 1:
         raise ValueError("the root of unity degenerates to 1 (n=%d, t=%d)" % (n, t))
-    if n % field.D:
-        # the intersection field is Q: classical rational norm
+    if s % D:
         fac = factorize(s)
         base = fac[0][0] if len(fac) == 1 else 1
-        value = field.element(base ** (euler_phi(n) // euler_phi(s)))
+        size = euler_phi(n) if n % D else euler_phi(n) // 2
+        value = field.element(base ** (size // euler_phi(s)))
+    elif key == (D, s, 1):  # u_s itself
+        value = _level_norm(field, s)
     else:
-        value = sum(orbit_polynomial(field, n, t), field.zero())
+        value = _norm_one_minus_power(field, s, 1) ** (euler_phi(n) // euler_phi(s))
+        if field.chi(t // g) == -1:
+            value = value.conj()
     _norm_cache[key] = value
     return value
 

@@ -50,6 +50,15 @@ def test_field_flag_resolves_and_rejects(capsys):
     assert "only real quadratic" in err
 
 
+def test_quad_with_field_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "gras", "--quad", "5", "--field", "8:7"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --field: not allowed with argument --quad" in err
+
+
 def test_computational_error_exits_two(capsys):
     # 7 is ramified in no sense here: sinnott requires p unramified and odd;
     # p = 5 divides the discriminant, so the check refuses to run

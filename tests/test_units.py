@@ -2,6 +2,7 @@
 
 import ast
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -144,8 +145,8 @@ def test_congruence_circular_indices():
 
 
 def _norm_one_minus_power_per_j(field, n, t):
-    """One Gauss-period trace per j = 1..|S|, as Newton's identities consume
-    them: the reference for the orbit-shared computation."""
+    """F_t(1) from one Gauss-period trace per j = 1..|S|, through Newton's
+    identities: the reference for the level-product route."""
     S = FieldSpec.quadratic(field.D).fixing_subgroup_at(n)
     powers = [
         field.element(*to_quadratic(subgroup_trace_of_power(n, S, t * j), field.D))
@@ -166,6 +167,73 @@ def test_norm_one_minus_power_matches_per_j_traces(D, n, t):
     field = QuadField(D)
     expected = _norm_one_minus_power_per_j(field, n, t)
     assert _norm_one_minus_power(field, n, t) == expected
+
+
+def _oracle_grid(seed=1411, size=72):
+    """A seeded sample of (D, n, t) with n a multiple of D up to 120, or a
+    small level the field does not see, plus D = 316 at n = 316."""
+    pool = [
+        (D, n, t)
+        for D in (5, 8, 12, 13, 21, 24, 29, 40)
+        for n in sorted({D * r for r in range(1, 121 // D + 1)} | {3, 7, 9, 16})
+        for t in range(1, n)
+    ]
+    grid = random.Random(seed).sample(pool, size)
+    return grid + [(316, 316, 1), (316, 316, 3), (316, 316, 2), (316, 316, 7)]
+
+
+def _norm_route_cases(D, n, t):
+    """The cases the level-product route splits on that (D, n, t) falls in."""
+    g = math.gcd(n, t)
+    s = n // g
+    cases = set()
+    if s < n:
+        cases.add("s < n")
+    if n % D == 0 and s % D:
+        cases.add("D | n, D does not divide s")
+    if s % D == 0:
+        if math.gcd(s // D, D) > 1:
+            cases.add("vanishing Gauss sum")
+        if QuadField(D).chi(t // g) == -1:
+            cases.add("chi(t') = -1")
+    if (D, n) == (316, 316):
+        cases.add("D = 316")
+    return cases
+
+
+def test_norm_one_minus_power_matches_newton_on_a_seeded_grid():
+    grid = _oracle_grid()
+    covered = set().union(*(_norm_route_cases(*point) for point in grid))
+    assert covered == {
+        "s < n", "D | n, D does not divide s", "vanishing Gauss sum",
+        "chi(t') = -1", "D = 316",
+    }
+    assert {D for D, _, _ in grid} >= {8, 12, 24, 40}
+    for D, n, t in grid:
+        field = QuadField(D)
+        expected = _norm_one_minus_power_per_j(field, n, t)
+        assert _norm_one_minus_power(field, n, t) == expected, (D, n, t)
+
+
+def test_norms_of_the_deep_op_skip_newtons_identities(monkeypatch):
+    """The twists of `gras --quad 79 --mode scan --d 12` at level 316."""
+    twists = (1, 2, 3, 5, 6, 7, 10, 11)
+    expected = [sum(orbit_polynomial(Q316, 316, t), Q316.zero()) for t in twists]
+
+    def refuse(*args):
+        raise AssertionError("the norm took the F_t route")
+
+    monkeypatch.setattr(units, "_norm_cache", {})
+    monkeypatch.setattr(units, "power_sums_to_elementary", refuse)
+    monkeypatch.setattr(units, "orbit_polynomial", refuse)
+    assert [_norm_one_minus_power(Q316, 316, t) for t in twists] == expected
+
+
+def test_level_norm_rejects_a_product_that_is_not_invariant(monkeypatch):
+    # a symbol that is not a character mod D breaks the orbit structure
+    monkeypatch.setattr(units, "kronecker", lambda D, a: 1 if a % D in (1, 2) else -1)
+    with pytest.raises(ArithmeticError, match="not invariant"):
+        units._level_norm(Q5, 5)
 
 
 @pytest.mark.parametrize(
