@@ -26,11 +26,11 @@ All checks are deterministic: given the same parameters they produce the
 same records up to the ``elapsed`` fields.
 
 Every check sets up its field through `quadratic` and `grouprings` (with
-`cyclo`, `intmat` and `nt` below them), so those layers are imported here.
-`gmodules`, `padics`, `units` and `special` are imported by the checks that
-call into them, so that a command loads and compiles only the layers it
-uses: ``verify rays``, for example, never loads `padics`, `units` or
-`special`.
+`cyclo` and `nt` below them), so those layers are imported here.
+`gmodules`, `intmat`, `padics`, `units` and `special` are imported by the
+checks that call into them, so that a command loads and compiles only the
+layers it uses: ``verify rays``, for example, never loads `padics`, `units`
+or `special`, and ``verify sinnott`` never loads `intmat`.
 """
 
 import time
@@ -44,7 +44,6 @@ from .grouprings import (
     residue_euler_element,
     unit_log_factor,
 )
-from .intmat import Lattice, mat_vec, transpose
 from .nt import is_prime, valuation
 from .quadratic import QuadField
 
@@ -227,6 +226,7 @@ def unit_quotient_module(field, group, sup, sub):
     stable under conjugation.  Returns a FiniteGModule on the rows of sup.
     """
     from .gmodules import FiniteGModule
+    from .intmat import Lattice, mat_vec, transpose
     from .units import lattice_index
 
     act = _unit_action_matrix(field)

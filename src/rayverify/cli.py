@@ -18,11 +18,11 @@ lists the flags of each command.
 Run as a program (``python -m rayverify``, the ``rayverify`` script or
 ``python -m rayverify.cli``), a command loads only the layers it calls
 into: ``--version`` and ``cache`` load no engine layer, and each ``verify``
-or ``explore`` command imports `checks` with `nt`, `intmat`, `cyclo`,
-`quadratic` and `grouprings`, plus
+or ``explore`` command imports `checks` with `nt`, `cyclo`, `quadratic` and
+`grouprings`, plus
 
-* ``rays``: `gmodules`;
-* ``gras`` and ``conjecture``: `gmodules` and `units`;
+* ``rays``: `gmodules` and `intmat`;
+* ``gras`` and ``conjecture``: `gmodules`, `intmat` and `units`;
 * ``sinnott``: `padics` and `units`;
 * ``h90`` and ``annihilator --mode special``: `units` and `special`;
 * ``annihilator`` in the other modes: all of them.

@@ -14,9 +14,11 @@ This module supplies the algebra every verification routine combines:
 * `ramification` packages the Frobenius coset and inertia subgroup at a
   rational prime, with the averaged idempotent-style factors built from them.
 * `galois_log` is the logarithm map x -> sum_g log_p(x^g) g^{-1}; the
-  quadratic-field convenience wrapper fixes the embedding of sqrt(D).
+  quadratic-field version fixes the embedding of sqrt(D) and takes one full
+  log per element, log(sigma z) being log(N z) - log(z).
 * `lseries_derivative` evaluates the derivative at zero of the p-adic
-  L-series of a nontrivial even character by its finite cyclotomic sum, and
+  L-series of a nontrivial even character by its finite cyclotomic sum,
+  with one log per value of the character, and
   `lseries_derivative_element` assembles the group-ring element carrying one
   such value on each nontrivial character component.
 * `norm_log_factor` / `euler_twist` / `unit_log_factor` build the rational
@@ -563,18 +565,20 @@ def galois_log_quad(group, ring, z, sqrt_img=None):
     """The log map for an element of a real quadratic field.
 
     The embedding sends sqrt(D) to `sqrt_img` (default: the ring's canonical
-    Gauss-sum image, the one shared with the cyclotomic L-value sums).
+    Gauss-sum image, the one shared with the cyclotomic L-value sums).  p
+    may divide the denominators of z.
     """
     D = z.field.D
     if group.order != 2 or group.m != D:
         raise ValueError("group must match the quadratic field")
     if sqrt_img is None:
         sqrt_img = ring.sqrt_disc(D)
-    vals = [
-        ring.embed_quadratic(z.x, z.y, sqrt_img),
-        ring.embed_quadratic(z.x, -z.y, sqrt_img),
-    ]
-    return galois_log(group, ring, vals)
+    # log p = 0, so p^k z, with no p in its denominators, has the log of z
+    x, y = z.x, z.y
+    pk = ring.p ** max(valuation(x.denominator, ring.p), valuation(y.denominator, ring.p))
+    log_z = ring.iwasawa_log(ring.embed_quadratic(x * pk, y * pk, sqrt_img))
+    # log(sigma z) = log(N z) - log(z), and the rational N z is cheap to log
+    return GroupRingElement(group, [log_z, ring.iwasawa_log(z.norm()) - log_z])
 
 
 def lseries_derivative(chi, ring):
@@ -592,12 +596,22 @@ def lseries_derivative(chi, ring):
     rho = ring.cyclotomic_root(f)
     W = chi.group.exponent
     one = ring.one()
-    acc = ring.zero()
-    for a in units_mod(f):
+    # log is a homomorphism: one log per value of chi, of the product of
+    # the factors 1 - rho^a that share it
+    products = {}
+    power = one
+    for a in range(1, f):
+        power = power * rho
+        if math.gcd(a, f) != 1:
+            continue
         e = chi.prim_exp(a)
         if e is None:
             raise ArithmeticError("character has no value at the unit %d" % a)
-        term = ring.iwasawa_log(one - rho**a)
+        factor = one - power
+        products[e] = products[e] * factor if e in products else factor
+    acc = ring.zero()
+    for e, product in products.items():
+        term = ring.iwasawa_log(product)
         if e:
             zeta = ring.cyclotomic_root(W)
             term = term * zeta ** ((-e) % W)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .nt import is_prime, kronecker, multiplicative_order, prime_factors, valuation
-from .cyclo import cyclotomic_polynomial, units_mod
+from .cyclo import cyclotomic_polynomial
 
 _ROOT_SEARCH_BUDGET = 10**6
 
@@ -87,6 +87,20 @@ def _ppowmod(a, e, h, M):
         if e:
             base = _pmulmod(base, base, h, M)
     return out
+
+
+def _teichmueller_lift(u, h, p, f, W):
+    """The Teichmueller representative congruent to u mod p, mod p^W.
+
+    u is a vector of Z/p^W[t]/(h), h monic of degree f and irreducible mod
+    p.  If u is congruent mod p^k to the root of unity w (or to 0), then u^q
+    is congruent to w mod p^(k + f), q = p^f; so ceil((W - 1)/f) q-th powers
+    carry the one digit of the residue to all W digits.
+    """
+    q, M = p**f, p**W
+    for _ in range(-(-(W - 1) // f)):
+        u = _ppowmod(u, q, h, M)
+    return u
 
 
 def _pgcd_fp(a, b, p):
@@ -360,11 +374,7 @@ class PadicRing:
     def _teichmueller_modulus(self):
         p, f, M = self.p, self.f, self.workmod
         hint = list(self.h)
-        u = [0, 1][: max(2, f)]
-        u = _pmod(u, hint, M)
-        for _ in range(self.workprec):
-            u = _ppowmod(u, self.q, hint, M)
-        roots = [u]
+        roots = [_teichmueller_lift([0, 1], hint, p, f, self.workprec)]
         for _ in range(f - 1):
             roots.append(_ppowmod(roots[-1], p, hint, M))
         # expand prod (X - root); coefficients live in Z[t]/(h) a priori
@@ -433,10 +443,8 @@ class PadicRing:
             x = self.from_int(x)
         if x.valuation() != 0:
             raise ValueError("Teichmueller lift needs a unit")
-        out = x
-        for _ in range(self.workprec):
-            out = out**self.q
-        return PadicElement(self, out.vec, x.prec)
+        vec = _teichmueller_lift(list(x.vec), self.H, self.p, self.f, self.workprec)
+        return PadicElement._reduced(self, vec, x.prec)
 
     def iwasawa_log(self, x):
         """log with the p-part killed: log(x) = log(u^N) / N, u = x/p^v.
@@ -445,9 +453,20 @@ class PadicRing:
         log(1+z) = z - z^2/2 + z^3/3 - ... needs only about W/(m+1) terms.
         The terms are summed on integer coordinates with 1/k as a scalar,
         and the sum is divided by p^m and by q-1 (see `_log_plan`).
+        A rational x loses its power of p exactly, before it is embedded, so
+        p may divide its denominator.  An element of valuation v is taken as
+        exact to W digits, so u is known to W - v and so is its log: past
+        v = guard that caps the declared precision.
         """
         if isinstance(x, (int, Fraction)):
-            x = self.from_fraction(x)
+            if not x:
+                raise ValueError("log of zero")
+            x = Fraction(x)
+            num, den = x.numerator, x.denominator
+            x = self.from_fraction(
+                Fraction(num // self.p ** valuation(num, self.p),
+                         den // self.p ** valuation(den, self.p))
+            )
         if x.is_zero():
             raise ValueError("log of zero")
         p, M, H = self.p, self.workmod, self.H
@@ -478,7 +497,7 @@ class PadicRing:
         pm = p**m
         s = pow(self.q - 1, -1, M)
         out = [c % M // pm * s % M for c in acc]
-        return PadicElement._reduced(self, out, x.prec)
+        return PadicElement._reduced(self, out, min(x.prec, self.workprec - v))
 
     # -- canonical roots
 
@@ -491,14 +510,12 @@ class PadicRing:
             raise ValueError("residue field has no %d-th roots (q = %d)" % (n, self.q))
         _check_root_budget(self.q)
         phi_n = cyclotomic_polynomial(n)
+        # the root of Phi_n over the seed is its Teichmueller lift, since p
+        # does not divide n
         seed = self._residue_root(n)
-        # Newton iteration; Phi_n'(seed) is a unit since p does not divide n
-        dphi = [i * v for i, v in enumerate(phi_n)][1:]
-        x = self.element(seed)
-        for _ in range(self.workprec.bit_length() + 1):
-            fx = self.element(self._eval_poly(list(phi_n), list(x.vec)))
-            dfx = self.element(self._eval_poly([v % self.workmod for v in dphi], list(x.vec)))
-            x = x - fx * dfx.inverse()
+        x = self.element(
+            _teichmueller_lift(seed, self.H, self.p, self.f, self.workprec)
+        )
         if not self.element(self._eval_poly(list(phi_n), list(x.vec))).is_zero():
             raise ArithmeticError("Hensel lift is not a root of Phi_%d" % n)
         # Teichmueller sanity: x^q = x gives x^(q^W) = x, a root of unity
@@ -544,15 +561,15 @@ class PadicRing:
             return self._root_cache[key]
         if style == "gauss":
             rho = self.cyclotomic_root(m)
-            acc = self.zero()
-            pw = {a: rho**a for a in units_mod(m)}
-            for a in units_mod(m):
+            g = self.zero()
+            power = self.one()
+            for a in range(1, m):
+                power = power * rho
                 chi = kronecker(D, a)
                 if chi == 1:
-                    acc = acc + pw[a]
+                    g = g + power
                 elif chi == -1:
-                    acc = acc - pw[a]
-            g = acc
+                    g = g - power
         else:
             if style != "hensel":
                 raise ValueError("unknown square-root style %r" % style)

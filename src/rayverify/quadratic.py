@@ -31,7 +31,6 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .intmat import Lattice
 from .nt import factorize, is_prime, kronecker, primitive_root, squarefree_part, valuation
 
 
@@ -445,6 +444,8 @@ class ClassGroup:
     """
 
     def __init__(self, field):
+        from .intmat import Lattice
+
         self.field = field
         D = field.D
         mink = math.isqrt(D) // 2
@@ -496,6 +497,8 @@ class ClassGroup:
         `approx`.  Found relations span a sublattice of the full relation
         lattice, so their index is a multiple of h: agreement pins h.
         """
+        from .intmat import Lattice
+
         field = self.field
         bound = 8
         for _ in range(10):

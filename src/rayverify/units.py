@@ -47,7 +47,6 @@ from .cyclo import (
     units_mod,
 )
 from .grouprings import radical
-from .intmat import hnf, intersection_lattice, kernel, preimage_lattice, transpose
 from .nt import divisors, euler_phi, factorize, is_prime, kronecker, moebius, valuation
 from .quadratic import QuadElement, unit_exponent
 
@@ -262,6 +261,8 @@ def congruence_unit_lattice(field, d):
     """Lattice of units congruent to 1 modulo d."""
     if d == 1:
         return full_unit_lattice()
+    from .intmat import hnf, preimage_lattice
+
     res = field.residue_ring(d)
     _, rels, _ = res.structure()
     rows = preimage_lattice(
@@ -317,6 +318,8 @@ def _valuation_row(field, z, cols):
 def circular_unit_lattice(field, d=1):
     """Lattice of units in the group generated by -1 and the twist-d
     cyclotomic numbers of the generating levels with their conjugates."""
+    from .intmat import hnf, kernel, transpose
+
     gens = []
     for n in generating_levels(field, d):
         z = cyclotomic_number(field, n, d)
@@ -339,6 +342,8 @@ def congruence_circular_lattice(field, d, congruence=None):
 
     `congruence` is ``congruence_unit_lattice(field, d)``, if the caller
     already holds it."""
+    from .intmat import intersection_lattice
+
     if congruence is None:
         congruence = congruence_unit_lattice(field, d)
     return intersection_lattice(circular_unit_lattice(field, d), congruence)

@@ -251,23 +251,22 @@ def test_python_m_rayverify_runs_the_command_line():
 #: and the layers each check sets its field up with
 _BASE = {
     "rayverify", "rayverify.harness", "rayverify.checks", "rayverify.cyclo",
-    "rayverify.grouprings", "rayverify.intmat", "rayverify.nt",
-    "rayverify.quadratic",
+    "rayverify.grouprings", "rayverify.nt", "rayverify.quadratic",
 }
 
 
 @pytest.mark.parametrize(
     "argv, layers",
     [
-        (["verify", "rays"], {"gmodules"}),
-        (["verify", "gras"], {"gmodules", "units"}),
-        (["explore", "conjecture"], {"gmodules", "units"}),
+        (["verify", "rays"], {"gmodules", "intmat"}),
+        (["verify", "gras"], {"gmodules", "intmat", "units"}),
+        (["explore", "conjecture"], {"gmodules", "intmat", "units"}),
         (["verify", "sinnott"], {"padics", "units"}),
         (["verify", "h90", "--quad", "13", "--ell", "53"], {"units", "special"}),
         (["verify", "annihilator", "--quad", "5", "--mode", "special"],
          {"units", "special"}),
         (["verify", "annihilator", "--mode", "both"],
-         {"gmodules", "padics", "units", "special"}),
+         {"gmodules", "intmat", "padics", "units", "special"}),
     ],
 )
 def test_each_command_loads_only_the_layers_it_calls(argv, layers, tmp_path):
@@ -315,6 +314,14 @@ _GOLDEN = {
         "e5a2cab6307554ee552849b8ff5869f77cff7b26c00c69a028e602c6f957110d",
     "verify rays --quad 12 --ell 7 --p 7 --modulus 2401":
         "916353228b8f0a2e8596899883fe0b240682e5d182a76894f46084e3f7471541",
+    # the p-adic side in degree-2 and degree-6 rings at 40 digits
+    "verify sinnott --quad 120 --p 7 --prec 40 --d 12":
+        "b6194e5cd13c6953b9960ea0f564b15436b22e984502450e1aa15ebd20cfc9bc",
+    "verify sinnott --quad 56 --p 5 --prec 40 --d 12":
+        "62b421f8cea07a4ddeaf9f72fa56782353f2d03ddb85cee5bbfa299eba658d2a",
+    # new: p = 5 in the denominator of a cyclotomic number (it used to exit 2)
+    "verify sinnott --quad 12 --p 5 --prec 12 --d 6":
+        "f6f7a98ff93335aa4843bcf325a93e1bca27bd4e45cfc6c284cb731ea153587a",
 }
 
 

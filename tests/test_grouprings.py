@@ -33,7 +33,7 @@ from rayverify.grouprings import (
     residue_euler_element,
     unit_log_factor,
 )
-from rayverify.nt import crt, euler_phi, factorize, primitive_root
+from rayverify.nt import crt, euler_phi, factorize, primitive_root, valuation
 from rayverify.padics import PadicRing, ring_for_conductor
 from rayverify.quadratic import QuadField
 
@@ -466,6 +466,82 @@ def test_galois_log_fundamental_unit_component():
     assert rho.coeffs[1] == logeps * (-1)
     assert chi_component(rho, chars[1], R) == logeps * 2
     assert chi_component(rho, chars[0], R).is_zero()
+
+
+# ---------------------------------------------------------------- oracles
+# one log per unit a for the L-values and one full log per embedding for
+# the quadratic log map, as grouprings.py computed them before it took one
+# log per character value and log(sigma z) = log(N z) - log(z)
+
+
+def _per_unit_lseries(chi, R):
+    f, W = chi.conductor, chi.group.exponent
+    rho = R.cyclotomic_root(f)
+    acc = R.zero()
+    for a in units_mod(f):
+        term = R.iwasawa_log(R.one() - rho**a)
+        e = chi.prim_exp(a)
+        if e:
+            term = term * R.cyclotomic_root(W) ** ((-e) % W)
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize(
+    "spec, p, prec",
+    [
+        (FieldSpec.quadratic(5), 7, 12),
+        (FieldSpec.quadratic(12), 5, 12),
+        (FieldSpec.quadratic(56), 5, 40),
+        (FieldSpec.quadratic(120), 7, 40),
+        # Q(zeta_16)^+: characters of order 4, values +-1 and +-i
+        (FieldSpec(16, (1, 15)), 17, 12),
+        (FieldSpec(16, (1, 15)), 7, 20),
+        # the real sextic field of conductor 13: characters of order 6
+        (FieldSpec(13, (1, 12)), 5, 12),
+    ],
+)
+def test_lseries_matches_the_per_unit_sum(spec, p, prec):
+    G = GaloisGroup(spec)
+    R = ring_for_conductor(p, spec.m, prec, extra_order=G.exponent)
+    chars = [chi for chi in characters(G) if not chi.is_trivial]
+    assert max(chi.order for chi in chars) == G.exponent
+    for chi in chars:
+        got, want = lseries_derivative(chi, R), _per_unit_lseries(chi, R)
+        assert got.prec == want.prec == R.prec
+        assert got == want, chi
+
+
+def _old_galois_log_quad(G, R, z, s, pk):
+    # p^k z has no p in its denominators and, as log p = 0, the logs of z
+    x, y = z.x * pk, z.y * pk
+    return galois_log(G, R, [R.embed_quadratic(x, y, s), R.embed_quadratic(x, -y, s)])
+
+
+@pytest.mark.parametrize("D, p, style", [(5, 7, "gauss"), (5, 11, "hensel"),
+                                         (12, 5, "gauss"), (56, 3, "gauss"),
+                                         (13, 3, "hensel"), (8, 7, "hensel")])
+def test_galois_log_quad_matches_two_full_logs(D, p, style):
+    F, G = QuadField(D), quad_group(D)
+    R = ring_for_conductor(p, D, 12) if style == "gauss" else PadicRing(p, 12)
+    s = R.sqrt_disc(D, style)
+    rng = random.Random(D * 100 + p)
+    zs = [F.fundamental_unit(), F.fundamental_unit() ** 3 * p]
+    # elements with p in their denominators
+    for k in (0, 1, 2):
+        for _ in range(6):
+            a, b = rng.randrange(-40, 41), rng.randrange(1, 41)
+            zs.append(F.from_omega_coords(a, b) / p**k)
+    # for split p, elements divisible by one prime above p only
+    for a in range(p):
+        z = F.from_omega_coords(a, 1)
+        if z.norm() % p == 0:
+            zs += [z, z / p**2]
+    for z in zs:
+        pk = p ** max(valuation(z.x.denominator, p), valuation(z.y.denominator, p))
+        got, want = galois_log_quad(G, R, z, s), _old_galois_log_quad(G, R, z, s, pk)
+        assert got == want, z
+    assert any(valuation(z.x.denominator, p) for z in zs)
 
 
 # ---------------------------------------------------------------- identities

@@ -293,8 +293,6 @@ def test_p_prec_and_d_contracts():
         (["verify", "rays", "--quad", "5", "--ell", "10007"], "too large"),
         (["verify", "sinnott", "--quad", "17", "--p", "5", "--prec", "8", "--d", "3"],
          "too large"),
-        (["verify", "sinnott", "--quad", "12", "--p", "5", "--prec", "12", "--d", "6"],
-         "p-adic unit"),
         # these used to exit 0: zero sinnott checks, a silent single-mode gras
         (["verify", "sinnott", "--quad", "5", "--p", "7", "--d", "0"], "at least 1"),
         (["verify", "sinnott", "--quad", "5", "--p", "7", "--d", "-2"], "at least 1"),
@@ -366,6 +364,20 @@ def test_sinnott_stops_on_a_large_residue_field_before_building_the_ring(optimiz
     assert proc.returncode == 2, proc.stdout
     assert "too large" in proc.stderr
     assert elapsed < 5, elapsed
+
+
+def test_sinnott_passes_with_p_in_a_denominator(capsys):
+    # the level-10, twist-2 cyclotomic number of Q(sqrt 12) is 1/5; this
+    # command used to stop with "denominator not a p-adic unit"
+    from rayverify.cli import main
+    from rayverify.quadratic import QuadField
+    from rayverify.units import cyclotomic_number
+
+    assert cyclotomic_number(QuadField(12), 10, 2) == QuadField(12).element(1) / 5
+    argv = ["verify", "sinnott", "--quad", "12", "--p", "5", "--prec", "12", "--d", "6"]
+    assert main(argv) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[")]
+    assert lines and all(l.startswith("[pass]") for l in lines)
 
 
 # ----------------------------------------------------------------------

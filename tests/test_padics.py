@@ -75,6 +75,20 @@ def test_log_is_multiplicative_and_kills_teichmueller():
     assert R.iwasawa_log(R.teichmueller(3)).is_zero()
     # log p = 0: log(50) = log(2) since 50 = 2 * 5^2
     assert R.iwasawa_log(50) == R.iwasawa_log(2)
+    # a rational loses its p-part before it is embedded, denominator too
+    assert R.iwasawa_log(Fraction(1, 5)).is_zero()
+    assert R.iwasawa_log(Fraction(2, 125)) == R.iwasawa_log(2)
+
+
+def test_log_of_a_high_valuation_declares_only_known_digits():
+    # 7 * 5^6 is exact to W = 12 digits, so 7 to 6 of them: past the 4 guard
+    # digits, its log declares only those
+    R = PadicRing(5, 8)
+    assert (R.guard, R.workprec) == (4, 12)
+    assert R.iwasawa_log(R.from_int(7 * 5**4)).prec == 8
+    x = R.from_int(7 * 5**6)
+    assert R.iwasawa_log(x).prec == 6
+    assert R.iwasawa_log(x) == R.iwasawa_log(7)
 
 
 def test_log_valuation():
@@ -175,6 +189,8 @@ def test_contracts_raise():
     with pytest.raises(ValueError, match="p-adic unit"):
         R.from_fraction(Fraction(1, 10))
     with pytest.raises(ValueError, match="p-adic unit"):
+        R.from_fraction(Fraction(1, 5))
+    with pytest.raises(ValueError, match="p-adic unit"):
         R.one() * Fraction(3, 5)
     with pytest.raises(ValueError, match="non-unit"):
         R.from_int(10).inverse()
@@ -273,16 +289,16 @@ def _scanned_seed(p, h, n):
     raise AssertionError("no root of Phi_%d in F_%d" % (n, p**f))
 
 
-def _scanned_root(R, n):
-    """Hensel lift of the scanned root of Phi_n."""
+def _newton_root(R, n, seed):
+    """The root of Phi_n over the residue root `seed`, by Newton's method."""
     phi = cyclotomic_polynomial(n)
     dphi = [i * v for i, v in enumerate(phi)][1:]
-    x = R.element(_scanned_seed(R.p, R.h, n))
+    x = R.element(seed)
     for _ in range(R.workprec.bit_length() + 1):
         fx = R.element(R._eval_poly(list(phi), list(x.vec)))
         dfx = R.element(R._eval_poly([v % R.workmod for v in dphi], list(x.vec)))
         x = x - fx * dfx.inverse()
-    return x
+    return x.vec
 
 
 _GRID = [(p, f, prec) for p in (3, 5, 7) for f in (1, 2, 4, 6) for prec in (1, 3, 12, 48)]
@@ -324,4 +340,87 @@ def test_products_and_logs_match_oracles(p, f, prec):
 def test_cyclotomic_roots_match_scan(p, f, prec):
     R = PadicRing(p, prec, f)
     for n in divisors(R.q - 1):
-        assert R.cyclotomic_root(n).vec == _scanned_root(R, n).vec, n
+        assert R.cyclotomic_root(n).vec == _newton_root(R, n, _scanned_seed(p, R.h, n)), n
+
+
+# ----------------------------------------------------------------------
+# oracles: the Teichmueller modulus by W q-th powers and the roots of Phi_n
+# by Newton's method (`_newton_root` above), as padics.py computed them
+# before one lift helper took ceil((W - 1)/f) q-th powers for both
+
+
+def _old_modulus(p, f, W):
+    """H as the product of the X - t^(p^i), t lifted by W q-th powers."""
+    from rayverify.padics import _min_irreducible, _pmod, _pmulmod, _ppowmod
+
+    M = p**W
+    h = list(_min_irreducible(p, f))
+    u = _pmod([0, 1][: max(2, f)], h, M)
+    for _ in range(W):
+        u = _ppowmod(u, p**f, h, M)
+    roots = [u]
+    for _ in range(f - 1):
+        roots.append(_ppowmod(roots[-1], p, h, M))
+    poly = [[1] + [0] * (f - 1)]
+    for r in roots:
+        neg_r = [(-v) % M for v in r]
+        new = [[0] * f for _ in range(len(poly) + 1)]
+        for i, c in enumerate(poly):
+            new[i + 1] = [(a + b) % M for a, b in zip(new[i + 1], c)]
+            prod = _pmulmod(c, neg_r, h, M)
+            new[i] = [(a + b) % M for a, b in zip(new[i], prod)]
+        poly = new
+    assert all(not any(v % M for v in c[1:]) for c in poly)
+    return [c[0] % M for c in poly]
+
+
+def _lift(u, h, p, f, W, steps):
+    from rayverify.padics import _ppowmod
+
+    for _ in range(steps):
+        u = _ppowmod(u, p**f, h, p**W)
+    return tuple(u)
+
+
+def _lift_orders(q):
+    """Two orders n of roots of unity in F_q, as large as a cheap Phi_n allows."""
+    return [n for n in divisors(q - 1) if 1 < n <= 60][-2:]
+
+
+#: (p, f, prec) with p^f <= 10^6, the residue fields `cyclotomic_root` allows
+_LIFT_GRID = [
+    (p, f, prec)
+    for p, f in ((3, 1), (3, 5), (3, 12), (5, 2), (5, 8), (7, 3), (7, 7), (11, 4), (13, 5))
+    for prec in (1, 12, 40)
+]
+
+
+@pytest.mark.parametrize("p, f, prec", _LIFT_GRID)
+def test_teichmueller_lifts_match_the_old_iterations(p, f, prec):
+    R = PadicRing(p, prec, f)
+    W = R.workprec
+    assert R.H == _old_modulus(p, f, W)
+    for n in _lift_orders(R.q):
+        assert R.cyclotomic_root(n).vec == _newton_root(R, n, R._residue_root(n)), n
+    rng = random.Random(p * 1000 + f * 100 + prec)
+    x = R.element([rng.randrange(1, p)] + [rng.randrange(R.workmod) for _ in range(f - 1)])
+    old = x
+    for _ in range(W):
+        old = old**R.q
+    assert R.teichmueller(x).vec == old.vec
+
+
+def test_one_lift_step_fewer_misses_the_grid():
+    # ceil((W - 1)/f) q-th powers carry a residue root of unity to W digits;
+    # one fewer leaves some root wrong at every grid point
+    for p, f, prec in _LIFT_GRID:
+        R = PadicRing(p, prec, f)
+        W = R.workprec
+        steps = -(-(W - 1) // f)
+        missed = False
+        for n in _lift_orders(R.q):
+            seed = R._residue_root(n)
+            root = R.cyclotomic_root(n).vec
+            assert _lift(seed, R.H, p, f, W, steps) == root
+            missed |= _lift(seed, R.H, p, f, W, steps - 1) != root
+        assert missed, (p, f, prec)
