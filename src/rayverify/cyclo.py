@@ -356,8 +356,20 @@ def subgroup_generated(m, gens):
 
 
 def is_subgroup(m, H):
+    """Whether the units H mod m form a subgroup of (Z/m)^*.  It grows the
+    group generated by elements of H, adding each one not yet reached, and
+    fails as soon as that group leaves H: O(|H| log |H|) products."""
     Hs = set(H)
-    return 1 in Hs and all(a * b % m in Hs for a in Hs for b in Hs)
+    if 1 not in Hs:
+        return False
+    gens, reached = [], {1}
+    for h in sorted(Hs):
+        if h not in reached:
+            gens.append(h)
+            reached = set(subgroup_generated(m, gens))
+            if not reached <= Hs:
+                return False
+    return True
 
 
 class FieldSpec:

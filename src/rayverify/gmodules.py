@@ -514,9 +514,9 @@ class RayClassGroup:
         # relations among the chosen prime classes, with exact witnesses
         self.class_relations = []
         for r in hnf(preimage_lattice(self._vec_rows, self.cl.relations)):
-            w = self._generator(field.one(), [0] * len(self.cl.gens), r)
-            self.class_relations.append((list(r), w))
-            rows.append([-c for c in self._residue_dlog(w)] + list(r))
+            digits = self._generator_digits(field.one(), [0] * len(self.cl.gens), r)
+            self.class_relations.append(list(r))
+            rows.append([-c for c in digits] + list(r))
 
         action = [identity(t + s), self._conj_action(t, s)]
         self.module = FiniteGModule(group, t + s, rows, action)
@@ -563,9 +563,13 @@ class RayClassGroup:
                     return chosen, lattice
         raise ArithmeticError("could not generate the class group with coprime primes")
 
-    def _generator(self, z, vec, x):
-        """Exact generator of (z) * prod(base^-vec) * prod(P_j^x_j) over the
-        chosen class primes P_j; the ideal must be principal."""
+    def _generator_digits(self, z, vec, x):
+        """Residue digits of an exact generator of (z) * prod(base^-vec) *
+        prod(P_j^x_j) over the chosen class primes P_j; the ideal must be
+        principal.  When (O/M)^* has no generators the digits are [], and
+        no generator is built."""
+        if not self.res_gens:
+            return []
         mu = [-a for a in vec]
         w = z
         for xj, (_, _, vj, zj) in zip(x, self.class_primes):
@@ -576,7 +580,7 @@ class RayClassGroup:
         head = self.cl.principalize(mu)
         if head is None:
             raise ArithmeticError("the ideal to generate is not principal")
-        return w * head
+        return self._residue_dlog(w * head)
 
     def _residue_dlog(self, z):
         return list(self.residue.dlog(_residue_of_fraction(self.residue, z)))
@@ -642,9 +646,7 @@ class RayClassGroup:
             raise ArithmeticError("the class primes do not generate the class group")
         x = x[:s]
         # P = (w) * prod(P_j^x_j)
-        w = self._generator(z, vec, [-a for a in x])
-        tail = [0] * len(self.res_gens) + list(x)
-        return self.module.add(self.principal_vector(w), tail)
+        return self.module.reduce(self._generator_digits(z, vec, [-a for a in x]) + x)
 
     def prime_class_of_norm_factorization(self, z):
         """Sum of prime-class vectors over the factorization of (z).

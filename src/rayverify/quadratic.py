@@ -5,15 +5,16 @@ integers is Z[omega] with omega = (1 + sqrt D)/2 for odd D and sqrt(D)/2
 for even D, and an element is held as integer coordinates over one common
 denominator: (a + b omega) / e, reduced by gcd(a, b, e).  Products rewrite
 omega^2 = T omega - N exactly as the residue rings O/(M) do; the rational
-coordinates x + y sqrt(D) are views computed on demand.
+coordinates x + y sqrt(D) are views computed on demand.  The fundamental
+unit comes from one period of an integer continued fraction.
 
 The class group is computed from scratch: relations among the primes
 below the Minkowski bound are harvested from elements of smooth norm in a
 growing search box until the index of their lattice is the analytic class
-number (the only place floating point appears, and only as a stopping
-test: found relations can only over-count h).  Every relation row keeps
-the element that witnessed it, so principality questions reduce to exact
-integer linear algebra plus an explicit generator.
+number (the only place floating point appears in the module, and only as
+a stopping test: found relations can only over-count h).  Every relation
+row keeps the element that witnessed it, so principality questions reduce
+to exact integer linear algebra plus an explicit generator.
 
 Residue rings O/(M) for integer moduli M present their unit group on the
 CRT lifts of explicit local generators (a primitive-root lift and the
@@ -295,33 +296,36 @@ class QuadField:
     # -- units
 
     def fundamental_unit(self):
-        """The fundamental unit > 1, by the continued fraction of sqrt(d0)
-        plus a bounded scan for a half-integral cube root when D is odd."""
+        """The fundamental unit > 1, from one period of the continued
+        fraction of the reduced number x0 = (b + sqrt D)/2, where b is the
+        largest integer below sqrt D with b = D mod 2, so that O = Z[x0].
+
+        The complete quotients (P + sqrt D)/Q start at P = b, Q = 2 and come
+        back to Q = 2 first at x0 itself, after a period l of O(sqrt(D)
+        log D) steps; then eps = q_(l-1) x0 + q_(l-2) with q the convergent
+        denominators (Cohen, GTM 138, section 5.7).  It is the same loop for
+        odd and even D, and it always ends.
+        """
         if self._unit is not None:
             return self._unit
-        x, y, _ = _pell_fundamental(self.d0)
-        if self.D % 2 == 0:
-            eps = self.element(x, Fraction(y, 2))  # x + y sqrt(d0)
-        else:
-            eps0 = self.element(x, y)
-            eps = eps0
-            bound = _icbrt(2 * x + 2) // math.isqrt(self.D) + 2
-            for b in range(1, bound + 1):
-                hit = None
-                for s in (-4, 4):
-                    t = self.D * b * b + s
-                    if t > 0:
-                        a = math.isqrt(t)
-                        if a * a == t and (a - b) % 2 == 0:
-                            hit = self.element(Fraction(a, 2), Fraction(b, 2))
-                            break
-                if hit is not None:
-                    # must generate eps0 up to sign: index 1 or 3
-                    if hit == eps0 or hit**3 in (eps0, -eps0):
-                        eps = hit
-                        break
+        D = self.D
+        s = math.isqrt(D)
+        b = s - (s - D) % 2
+        P, Q = b, 2
+        q_prev, q = 1, 0
+        while True:
+            a = (P + s) // Q
+            q_prev, q = q, a * q + q_prev
+            P = a * Q - P
+            Q = (D - P * P) // Q
+            if Q <= 0:
+                raise ArithmeticError("continued fraction for D=%d broke down" % D)
+            if Q == 2:
+                break
+        # x0 = (b - D mod 2)/2 + omega
+        eps = QuadElement(self, q * ((b - D % 2) // 2) + q_prev, q)
         if not (eps.is_unit() and eps > 1):
-            raise ArithmeticError("fundamental unit search failed for D=%d" % self.D)
+            raise ArithmeticError("fundamental unit search failed for D=%d" % D)
         self._unit = eps
         return eps
 
@@ -390,36 +394,6 @@ class QuadField:
         if self._classgroup is None:
             self._classgroup = ClassGroup(self)
         return self._classgroup
-
-
-def _pell_fundamental(n):
-    """Fundamental solution of x^2 - n y^2 = +-1 over Z[sqrt(n)], by the
-    continued fraction of sqrt(n).  Returns (x, y, norm)."""
-    s = math.isqrt(n)
-    if s * s == n:
-        raise ValueError("%d is a square" % n)
-    P, Q, a = 0, 1, s
-    h_prev, h_cur = 1, s
-    k_prev, k_cur = 0, 1
-    i = 0
-    while True:
-        i += 1
-        P = a * Q - P
-        Q = (n - P * P) // Q
-        if Q <= 0:
-            raise ArithmeticError("continued fraction of sqrt(%d) broke down" % n)
-        a = (s + P) // Q
-        if Q == 1:
-            return h_cur, k_cur, (-1) ** i
-        h_prev, h_cur = h_cur, a * h_cur + h_prev
-        k_prev, k_cur = k_cur, a * k_cur + k_prev
-
-
-def _icbrt(n):
-    x = int(round(n ** (1.0 / 3))) + 1
-    while x * x * x > n:
-        x -= 1
-    return x
 
 
 def analytic_class_number(D):

@@ -69,13 +69,15 @@ def test_acceptance_twisted_log_identities():
 
 # --------------------------------------------------------------------------
 # 2. residue-ring Galois structure, three configurations < 2 s each, and
-#    the unit group of O/(997) over Q(sqrt 2) < 1 s
+#    the unit group of O/(997) over Q(sqrt 2) and the field of D = 9001
+#    (|ker chi_D| = 4500) < 1 s each
 
 
 def test_acceptance_ray_residue_structures():
     ok = False
     try:
-        configs = ((5, 11, 5, 2), (5, 2, 3, 2), (13, 3, 3, 2), (8, 997, 3, 1))
+        configs = ((5, 11, 5, 2), (5, 2, 3, 2), (13, 3, 3, 2), (8, 997, 3, 1),
+                   (9001, 11, 5, 1))
         for D, ell, p, budget in configs:
             t0 = time.perf_counter()
             r = check_rays(D, ell, p)[0]

@@ -322,6 +322,14 @@ _GOLDEN = {
     # new: p = 5 in the denominator of a cyclotomic number (it used to exit 2)
     "verify sinnott --quad 12 --p 5 --prec 12 --d 6":
         "f6f7a98ff93335aa4843bcf325a93e1bca27bd4e45cfc6c284cb731ea153587a",
+    # a class prime relation at M = 1 on D = 3084 (it used to take 30 s)
+    "verify gras --quad 771 --p 3 --d 1":
+        "55fc696eafbdd6ba2b7fae6afd7aa590bc7ebc9635fc9766abda1952cea6a459",
+    # new: the unit of radicand 1549, and thaine at D = 3084 (neither finished)
+    "verify gras --quad 1549 --p 3 --d 1":
+        "26afeb6d048994ac66942dbaa233d5bf182b86b2a4da3de6fdca87b61a49b440",
+    "verify annihilator --quad 771 --mode thaine --p 3":
+        "d18da9c373e4bf1e874549179fd8f912762734d1144eb620e04075f68f9f6b61",
 }
 
 
@@ -334,3 +342,27 @@ def test_report_digests_are_golden(command, tmp_path, monkeypatch, capsys):
     report = strip_timings(json.loads(path.read_text()))
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == _GOLDEN[command]
+
+
+#: commands that once ran for minutes or without end, with their budgets in
+#: seconds: a regression fails here instead of stalling the suite
+_FORMER_HANGS = {
+    "verify gras --quad 1549 --p 3 --d 1": 5,
+    "explore conjecture --quad 1549 --p 3 --d 1": 5,
+    "verify gras --quad 771 --p 3 --d 1": 2,
+    "verify annihilator --quad 771 --mode thaine --p 3": 2,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FORMER_HANGS))
+def test_former_hangs_finish_within_budget(command, tmp_path):
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        RAYVERIFY_CACHE=str(tmp_path),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "rayverify"] + command.split(),
+        capture_output=True, text=True, env=env, timeout=_FORMER_HANGS[command],
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -11,6 +11,7 @@ from rayverify.cyclo import (
     FieldSpec,
     _poly_div_monic,
     cyclotomic_polynomial,
+    is_subgroup,
     power_sums_to_elementary,
     quad_gauss_sum,
     subgroup_generated,
@@ -213,6 +214,31 @@ def test_evaluate_mod():
     assert prod == 5 % 11
     # zeta_11 -> 1 kills 1 - zeta_11
     assert (1 - CycNumber.zeta(11)).evaluate_mod(11, 1) == 0
+
+
+def test_is_subgroup_matches_the_pairwise_definition():
+    def pairwise(m, H):
+        Hs = set(H)
+        return 1 in Hs and all(a * b % m in Hs for a in Hs for b in Hs)
+
+    rng = random.Random(17)
+    verdicts = []
+    for m in range(3, 60):
+        U = units_mod(m)
+        for _ in range(8):
+            sub = set(subgroup_generated(m, rng.sample(U, rng.randint(1, 2))))
+            extra = rng.choice(U)
+            for H in (
+                sub,
+                sub | {extra},
+                sub - {extra} if extra != 1 else sub - {m - 1},
+                {1} | set(rng.sample(U, rng.randint(0, len(U)))),
+                set(rng.sample(U, rng.randint(0, len(U)))) - {1},
+            ):
+                want = pairwise(m, H)
+                assert is_subgroup(m, sorted(H)) == want, (m, sorted(H))
+                verdicts.append(want)
+    assert verdicts.count(True) > 500 and verdicts.count(False) > 500
 
 
 def test_units_mod():

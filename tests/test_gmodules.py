@@ -486,6 +486,26 @@ def test_class_relations_at_most_one_per_class_prime():
         assert field.class_group().order == 1 or ray.class_primes
 
 
+def test_trivial_modulus_builds_no_generator(monkeypatch):
+    """At M = 1, O/(M) has no unit generators, so the digits of a relation's
+    generator are [] and the generator itself is never built."""
+    from rayverify.quadratic import ClassGroup
+
+    field = QuadField(3084)
+    cl = field.class_group()
+
+    def refuse(self, vec):
+        raise AssertionError("principalize called at M = 1")
+
+    monkeypatch.setattr(ClassGroup, "principalize", refuse)
+    ray = RayClassGroup(field, GaloisGroup(FieldSpec.quadratic(3084)), 1)
+    assert ray.res_gens == [] and ray.class_relations
+    assert ray.module.order() == cl.order
+    assert sorted(ray.module.invariants()) == sorted(cl.invariants)
+    q, r = ray.class_primes[0][:2]
+    assert ray.prime_class(q, r) == ray.module.gen(0)
+
+
 def test_kept_class_primes_match_a_fresh_choice(monkeypatch):
     """The class primes a modulus reuses from an earlier modulus of the same
     field are the ones it would choose itself, witnesses included."""

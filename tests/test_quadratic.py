@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rayverify.intmat import Lattice
-from rayverify.nt import factorize
+from rayverify.nt import factorize, fundamental_discriminant, squarefree_part
 from rayverify.quadratic import (
     MODULUS_LIMIT,
     QuadElement,
@@ -68,6 +68,84 @@ def test_fundamental_units():
     u316 = QuadField(316).fundamental_unit()  # 80 + 9 sqrt79
     assert (u316.x, u316.y) == (80, Fraction(9, 2))
     assert u316.norm() == 1
+
+
+def _pell(n):
+    """(x, y): the least x + y sqrt(n) > 1 with x^2 - n y^2 = +-1, by the
+    continued fraction of sqrt(n)."""
+    s = math.isqrt(n)
+    P, Q, a = 0, 1, s
+    h_prev, h_cur = 1, s
+    k_prev, k_cur = 0, 1
+    while True:
+        P = a * Q - P
+        Q = (n - P * P) // Q
+        a = (s + P) // Q
+        if Q == 1:
+            return h_cur, k_cur
+        h_prev, h_cur = h_cur, a * h_cur + h_prev
+        k_prev, k_cur = k_cur, a * k_cur + k_prev
+
+
+def _pell_then_scan(k):
+    """The unit of the former two-stage route, kept as an oracle: the Pell
+    solution of Z[sqrt(d0)], then for odd D a scan over b for a
+    half-integral (a + b sqrt D)/2 whose cube is it up to sign."""
+    x, y = _pell(k.d0)
+    D = k.D
+    if D % 2 == 0:
+        return k.element(x, Fraction(y, 2))
+    eps0 = k.element(x, y)
+    cbrt = int(round((2 * x + 2) ** (1.0 / 3))) + 1
+    while cbrt**3 > 2 * x + 2:
+        cbrt -= 1
+    for b in range(1, cbrt // math.isqrt(D) + 3):
+        for t in (D * b * b - 4, D * b * b + 4):
+            a = math.isqrt(t) if t > 0 else 0
+            if a * a == t and (a - b) % 2 == 0:
+                hit = k.element(Fraction(a, 2), Fraction(b, 2))
+                if hit == eps0 or hit**3 in (eps0, -eps0):
+                    return hit
+                break
+    return eps0
+
+
+def test_fundamental_unit_matches_the_pell_route_below_1000():
+    radicands = [d for d in range(2, 1000) if squarefree_part(d) == d]
+    assert len(radicands) == 607
+    for d in radicands:
+        k = QuadField(fundamental_discriminant(d))
+        assert k.fundamental_unit() == _pell_then_scan(k), d
+
+
+#: eps = a + b omega above radicand 1000.  The former route's scan took
+#: 1.9 s at 1021 and did not end at 1549 or 9001; 9619 has the largest eps
+#: of any radicand below 10^4, with 104 digits.
+_PINNED_UNITS = {
+    1021: (41531201, 2683493),
+    1549: (329861957297, 17199418961),
+    9001: (
+        29074744649911025336437556221643997837568940484182708501465934667111,
+        619444542710689401770870837185671455795021959410761534752110687898,
+    ),
+    9619: (
+        81119022011248860398808533302046327529711431084023770643844658590226657549824152958804663041513822014290,
+        827099472230816363716635228974328535731023047629801451791438952247858704503541263833471709896096965161,
+    ),
+}
+
+
+@pytest.mark.parametrize("d", sorted(_PINNED_UNITS))
+def test_fundamental_unit_pinned_at_large_radicands(d):
+    k = QuadField(fundamental_discriminant(d))
+    eps = k.fundamental_unit()
+    assert (eps.a, eps.b) == _PINNED_UNITS[d]
+    assert eps.is_unit() and eps > 1
+    x, y = _pell(k.d0)
+    pell = k.element(x, Fraction(y, math.isqrt(k.D // k.d0)))  # x + y sqrt(d0)
+    assert pell in (eps, eps**3)
+    # the analytic class number divides by log eps: eps^3 would fail it
+    assert k.class_group().order == 1
 
 
 def test_unit_exponent_descent():
