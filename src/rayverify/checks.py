@@ -31,19 +31,16 @@ Every check sets up its field through `quadratic` and `grouprings` (with
 checks that call into them, so that a command loads and compiles only the
 layers it uses: ``verify rays``, for example, never loads `padics`, `units`
 or `special`, and ``verify sinnott`` never loads `intmat`.
+
+``verify sinnott`` works in the completion of k at p, a p-adic ring of
+degree 1 or 2, and reads its L-value off the level-D cyclotomic number; no
+check builds the cyclotomic ring of degree ord_D(p).
 """
 
 import time
 
 from .cyclo import FieldSpec
-from .grouprings import (
-    GaloisGroup,
-    embed_group_ring,
-    galois_log_quad,
-    lseries_derivative_element,
-    residue_euler_element,
-    unit_log_factor,
-)
+from .grouprings import GaloisGroup, galois_log_quad, unit_log_factor
 from .nt import is_prime, valuation
 from .quadratic import QuadField
 
@@ -103,48 +100,56 @@ def _rho_part(module, p):
 
 
 def check_sinnott(D, p, prec=12, d_max=6):
-    """Compare twisted cyclotomic-number logs with L-derivative elements.
+    """Compare twisted cyclotomic-number logs with the p-adic L-value.
 
-    For every twist d up to d_max and every level n generating the twisted
-    circular numbers, checks that the non-trivial-character part of the
-    log-derivative map applied to the level-n twisted cyclotomic number
-    equals the L-derivative element times the predicted rational group-ring
-    factor, coefficientwise to `prec` p-adic digits.
+    For G = {1, sigma} both sides of the group-ring identity are multiples
+    of e_chi = (1 - sigma)/2, so each record compares one p-adic number:
+    x = (log delta - log sigma delta) - r L', for delta the level-n, twist-d
+    cyclotomic number and r = c_1 - c_sigma the chi-component of
+    `unit_log_factor`.  L' = L'_p(0, chi_D) = log u_D - log sigma u_D, with
+    u_D = N(1 - zeta_D) the level-D cyclotomic number (Leopoldt), so every
+    log is of an element of k and the check runs in k_p: Q_p for split p,
+    Q_{p^2} for inert p, with sqrt(D) lifted from a residue root (style
+    "hensel").  Another embedding flips the sign of both sides.  The record
+    passes when x vanishes to `prec` digits; `difference_valuations` are
+    those of the coefficients x/2 and -x/2 of x e_chi.  A record has no
+    ``content`` when r = 0 and delta = +-sigma delta exactly: both sides
+    are then 0 whatever the logs.
     """
-    from .padics import ring_for_conductor
+    from .padics import PadicRing
     from .units import cyclotomic_number, generating_levels
 
     field, group = _quad_setup(D)
     if p % 2 == 0 or D % p == 0:
         raise ValueError("p=%d must be odd and unramified" % p)
-    ring = ring_for_conductor(p, D, prec + PRECISION_HEADROOM)
-    omega = lseries_derivative_element(group, ring)
-    proj = residue_euler_element(group, ring, 1)
+    split = field.chi(p) == 1
+    ring = PadicRing(p, prec + PRECISION_HEADROOM, 1 if split else 2)
+    sqrt_img = ring.sqrt_disc(D, "hensel")
+    log_u = galois_log_quad(group, ring, cyclotomic_number(field, D), sqrt_img).coeffs
+    lvalue = log_u[0] - log_u[1]
     results = []
     for d in range(1, d_max + 1):
         for n in generating_levels(field, d):
             t0 = time.perf_counter()
             delta = cyclotomic_number(field, n, d)
-            theta = galois_log_quad(group, ring, delta)
-            lhs = proj * theta
-            factor = embed_group_ring(unit_log_factor(group, n, d), ring)
-            rhs = omega * factor
-            diff = lhs - rhs
-            vals = [c.valuation() for c in diff.coeffs]
-            ok = all(v >= prec for v in vals)
+            log_delta = galois_log_quad(group, ring, delta, sqrt_img).coeffs
+            c = unit_log_factor(group, n, d).coeffs
+            r = c[0] - c[1]
+            v = (log_delta[0] - log_delta[1] - lvalue * r).valuation()
             results.append(
                 CheckResult(
                     name="twisted-log-identity D=%d p=%d n=%d d=%d" % (D, p, n, d),
                     anchor="twisted-log-identity",
-                    status=PASS if ok else FAIL,
+                    status=PASS if v >= prec else FAIL,
                     witness={
                         "discriminant": D,
                         "p": p,
                         "level": n,
                         "twist": d,
                         "digits_required": prec,
-                        "difference_valuations": vals,
-                        "embedding": "gauss",
+                        "difference_valuations": [v, v],
+                        "embedding": "hensel" if split else "hensel-inert",
+                        "content": r != 0 or (delta.x != 0 and delta.y != 0),
                     },
                     elapsed=time.perf_counter() - t0,
                 )

@@ -26,7 +26,13 @@ This module supplies the algebra every verification routine combines:
   numbers at composite levels through the L-value element.
 * `residue_euler_element` carries the Euler-type factors (ell - chi(ell))
   of the residue modules, and `ray_annihilator` combines everything into the
-  paper's annihilator element; no check calls it yet.
+  paper's annihilator element.
+
+No check calls `lseries_derivative`, `lseries_derivative_element`,
+`residue_euler_element`, `embed_group_ring` or `ray_annihilator`; tests use
+them as oracles.  The character sums need the ring of the conductor's roots
+of unity, while for a quadratic field the sinnott check reads L' off the
+level-D cyclotomic number, in a ring of degree at most 2.
 
 Conventions: group element 0 is the identity; a character's value at a prime
 is zero unless inertia lies in its kernel; scalars multiply group-ring
@@ -661,8 +667,13 @@ def norm_log_factor(group, n, t):
     return deg * acc
 
 
+@functools.lru_cache(maxsize=None)
 def euler_twist(group, t):
-    """Product over primes ell | t of (ell - Frobenius * inertia-average)."""
+    """Product over primes ell | t of (ell - Frobenius * inertia-average).
+
+    Memoized per (group, t), as `norm_log_factor` is: `unit_log_factor`
+    asks for it at every level of a twist.
+    """
     acc = one_element(group)
     for ell in prime_factors(t):
         acc = acc * (ell * one_element(group) - ramification(group, ell).frob_average())

@@ -145,6 +145,39 @@ def primitive_root(p):
         g += 1
 
 
+def sqrt_mod(a, p):
+    """The smaller square root r of a mod the odd prime p (r <= p - r).
+
+    Tonelli-Shanks: at most O(log(p)^2) products mod p, with no scan.  The
+    smaller root is the one a scan from 0 would find first.  Raises
+    ValueError when a is not a square mod p.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError("%d is not a square mod %d" % (a, p))
+    # p - 1 = q 2^s with q odd; z is any non-residue
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then r^2 = a t keeps holding
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
+
+
 def crt(residues, moduli):
     """x mod lcm with x = r_i mod m_i; moduli need not be coprime."""
     x, m = 0, 1

@@ -26,7 +26,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .nt import is_prime, kronecker, multiplicative_order, prime_factors, valuation
+from .nt import (
+    is_prime,
+    kronecker,
+    multiplicative_order,
+    prime_factors,
+    sqrt_mod,
+    valuation,
+)
 from .cyclo import cyclotomic_polynomial
 
 _ROOT_SEARCH_BUDGET = 10**6
@@ -74,12 +81,17 @@ def _pmod(a, h, M):
 
 
 def _pmulmod(a, b, h, M):
+    if len(h) == 2 and len(a) == len(b) == 1:
+        # degree 1: the ring is Z/M
+        return [a[0] * b[0] % M]
     return _pmod(_pmul(a, b), h, M)
 
 
 def _ppowmod(a, e, h, M):
-    out = [1] + [0] * (len(h) - 2)
     base = _pmod(a, h, M)
+    if len(h) == 2:
+        return [pow(base[0], e, M)]
+    out = [1] + [0] * (len(h) - 2)
     while e:
         if e & 1:
             out = _pmulmod(out, base, h, M)
@@ -551,9 +563,14 @@ class PadicRing:
         """Canonical image of sqrt(D), D a positive fundamental discriminant.
 
         "gauss": the quadratic Gauss sum evaluated at the canonical root of
-        unity; matches the archimedean normalization zeta -> exp(2 pi i/n)
-        and is the embedding every cross-identity in the engine shares.
-        "hensel": for split p only; lifts the smaller mod-p square root.
+        unity; matches the archimedean normalization zeta -> exp(2 pi i/n).
+        It needs the D-th roots of unity, so a ring of degree ord_D(p).
+        "hensel": Newton-lifts a residue root, with no scan of the residue
+        field.  For split p (any degree) the root is the smaller mod-p
+        square root of D (`nt.sqrt_mod`).  For inert p in degree 2, with
+        h = t^2 + c_1 t + c_0 and Delta_h = c_1^2 - 4 c_0 (a non-square, as
+        is D), (2t + c_1)^2 = Delta_h, so the roots are +-s (2t + c_1) with
+        s = sqrt(D / Delta_h) mod p; the one with the smaller code is lifted.
         """
         m = abs(D)
         key = ("sqrt", D, style)
@@ -573,14 +590,20 @@ class PadicRing:
         else:
             if style != "hensel":
                 raise ValueError("unknown square-root style %r" % style)
-            if kronecker(D, self.p) != 1:
-                raise ValueError("the hensel style needs a split prime")
-            r = None
-            for r0 in range(self.p):
-                if (r0 * r0 - D) % self.p == 0:
-                    r = r0
-                    break
-            x = self.from_int(r)
+            p, chi = self.p, kronecker(D, self.p)
+            if chi == 1:
+                x = self.from_int(sqrt_mod(D, p))
+            elif chi == -1 and self.f == 2:
+                c0, c1 = self.h[0], self.h[1]
+                s = sqrt_mod(D * pow(c1 * c1 - 4 * c0, -1, p), p)
+                x = self.element(
+                    min(([s * c1 % p, 2 * s % p], [-s * c1 % p, -2 * s % p]),
+                        key=lambda v: _code(v, p))
+                )
+            else:
+                raise ValueError(
+                    "the hensel style needs a split prime, or an inert one in degree 2"
+                )
             for _ in range(self.workprec.bit_length() + 1):
                 fx = x * x - self.from_int(D)
                 x = x - fx * (2 * x).inverse()

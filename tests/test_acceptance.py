@@ -40,7 +40,7 @@ def _all_pass(results):
 
 # --------------------------------------------------------------------------
 # 1. twisted logarithm identities, D = 5, p in {7, 13}, 12 digits, < 2 s;
-#    D = 120, p = 7 and D = 56, p = 5 at 40 digits and d <= 12, < 0.5 s each
+#    D = 120, p = 7 and D = 56, p = 5 at 40 digits and d <= 12, < 0.25 s each
 
 
 def test_acceptance_twisted_log_identities():
@@ -61,7 +61,7 @@ def test_acceptance_twisted_log_identities():
             t0 = time.perf_counter()
             _all_pass(check_sinnott(D, p, prec=40, d_max=12))
             elapsed = time.perf_counter() - t0
-            assert elapsed < 0.5, "budget exceeded at D=%d p=%d: %.2fs" % (D, p, elapsed)
+            assert elapsed < 0.25, "budget exceeded at D=%d p=%d: %.2fs" % (D, p, elapsed)
         ok = True
     finally:
         _line("twisted-log-identities", ok)

@@ -1,12 +1,13 @@
 import ast
 import json
 import math
+import random
 import time
 from pathlib import Path
 
 import pytest
 
-from rayverify import checks, gmodules
+from rayverify import checks, gmodules, padics
 from rayverify.checks import (
     CheckResult,
     check_cyclic,
@@ -23,11 +24,16 @@ from rayverify.checks import (
 )
 from rayverify.cyclo import FieldSpec
 from rayverify.gmodules import RayClassGroup, residue_galois_module
-from rayverify.grouprings import GaloisGroup
+from rayverify.grouprings import GaloisGroup, one_element, unit_log_factor
 from rayverify.harness import resolve_discriminant, run_rays
 from rayverify.nt import fundamental_discriminant, squarefree_part
 from rayverify.quadratic import QuadField
-from rayverify.units import congruence_circular_lattice, congruence_unit_lattice
+from rayverify.padics import splitting_degree
+from rayverify.units import (
+    congruence_circular_lattice,
+    congruence_unit_lattice,
+    cyclotomic_number,
+)
 
 K5 = QuadField(5)
 G5 = GaloisGroup(FieldSpec.quadratic(5))
@@ -173,6 +179,99 @@ def test_solomon_reports_hensel_embedding():
     assert r.status == "pass"
     assert r.witness["embedding"] == "hensel"
     assert min(r.witness["coefficient_valuations"]) >= 1
+
+
+# ---------------------------------------------------------------- sinnott in k_p
+
+
+def _sinnott_sweep():
+    """(D, p): fundamental D of radicand below 120, p in {3, 5} prime to D."""
+    discs = sorted(
+        {fundamental_discriminant(r) for r in range(2, 120) if squarefree_part(r) == r}
+    )
+    return [(D, p) for D in discs for p in (3, 5) if D % p]
+
+
+def _record_ring_degrees(monkeypatch):
+    degrees = []
+    init = padics.PadicRing.__init__
+
+    def recording(self, p, prec, f=1):
+        degrees.append(f)
+        init(self, p, prec, f)
+
+    monkeypatch.setattr(padics.PadicRing, "__init__", recording)
+    return degrees
+
+
+def test_sinnott_sweep_slice_passes(monkeypatch):
+    sweep = _sinnott_sweep()
+    assert len(sweep) == 116
+    pairs = [(17, 5)] + random.Random(1802).sample(sweep, 12)
+    # f = ord_D(p) > 6: these stopped with "residue field too large to scan"
+    assert sum(splitting_degree(p, D) > 6 for D, p in pairs) >= 6
+    degrees = _record_ring_degrees(monkeypatch)
+    for D, p in pairs:
+        t0 = time.perf_counter()
+        results = check_sinnott(D, p, prec=8, d_max=3)
+        assert results and all(r.status == "pass" for r in results), (D, p)
+        assert time.perf_counter() - t0 < 5, (D, p)
+    assert degrees and max(degrees) <= 2
+
+
+@pytest.mark.parametrize("D, p", [(5, 7), (12, 5), (56, 5), (73, 5), (120, 7)])
+def test_sinnott_builds_no_ring_of_degree_above_two(D, p, monkeypatch):
+    degrees = _record_ring_degrees(monkeypatch)
+    results = check_sinnott(D, p, prec=12, d_max=6)
+    assert degrees == [1 if QuadField(D).chi(p) == 1 else 2]
+    assert {r.witness["embedding"] for r in results} == {
+        "hensel" if degrees == [1] else "hensel-inert"
+    }
+
+
+@pytest.mark.parametrize("D, p", [(5, 7), (12, 5), (13, 3), (56, 5), (120, 7)])
+def test_sinnott_fails_every_record_with_content_when_r_is_off_by_one(D, p, monkeypatch):
+    base = check_sinnott(D, p, prec=12, d_max=6)
+    content = [r.name for r in base if r.witness["content"]]
+    assert content
+
+    def shifted(group, n, d):  # c_1 + 1, so r + 1
+        return unit_log_factor(group, n, d) + one_element(group)
+
+    monkeypatch.setattr(checks, "unit_log_factor", shifted)
+    status = {r.name: r.status for r in check_sinnott(D, p, prec=12, d_max=6)}
+    assert all(status[name] == "fail" for name in content)
+
+
+@pytest.mark.parametrize("D, p", [(5, 7), (12, 5), (56, 5)])
+def test_sinnott_valuations_do_not_depend_on_the_embedding(D, p, monkeypatch):
+    # sqrt(D) -> -sqrt(D) flips the sign of both sides
+    base = check_sinnott(D, p, prec=12, d_max=6)
+    sqrt_disc = padics.PadicRing.sqrt_disc
+    monkeypatch.setattr(
+        padics.PadicRing, "sqrt_disc", lambda ring, D, style: -sqrt_disc(ring, D, style)
+    )
+    flipped = check_sinnott(D, p, prec=12, d_max=6)
+    assert [r.witness["difference_valuations"] for r in flipped] == [
+        r.witness["difference_valuations"] for r in base
+    ]
+
+
+@pytest.mark.parametrize(
+    "D, p, d_max, empty, total", [(5, 7, 6, 1, 7), (56, 5, 12, 55, 67), (120, 7, 12, 129, 141)]
+)
+def test_sinnott_marks_records_without_content(D, p, d_max, empty, total):
+    field, group = QuadField(D), GaloisGroup(FieldSpec.quadratic(D))
+    results = check_sinnott(D, p, prec=12, d_max=d_max)
+    assert len(results) == total
+    assert sum(not r.witness["content"] for r in results) == empty
+    for r in results:
+        n, d = r.witness["level"], r.witness["twist"]
+        c = unit_log_factor(group, n, d).coeffs
+        delta = cyclotomic_number(field, n, d)
+        both_zero = c[0] == c[1] and (delta.x == 0 or delta.y == 0)
+        assert r.witness["content"] == (not both_zero) == (n % D == 0)
+        assert r.status == "pass"
 
 
 def test_gras_field_sweep():

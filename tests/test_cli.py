@@ -287,10 +287,12 @@ def test_verify_and_module_import_load_the_engine():
 
 #: sha256 of json.dumps(strip_timings(report), sort_keys=True) per argv.  A
 #: change that alters a witness on purpose updates the digest and says why.
+#: The sinnott digests carry the k_p embedding ("hensel" or "hensel-inert")
+#: and each record's ``content``.
 _GOLDEN = {
     # the README verify and explore commands
     "verify sinnott --quad 5 --p 7 --prec 12 --d 6":
-        "fd6f431dd284529edbf967cdf9940329b8e59c8a406e11c9056d6329c693f7be",
+        "cc62f7ab305bd49628213608b83f0ede770289777deebe575bba83e178651381",
     "verify rays --quad 5 --ell 11 --p 5":
         "c546f62c414dfb1c5e9b519c13fb72aa6bde72fdd9d317c21ab9b0e1199214b6",
     "verify gras --quad 79 --p 3 --d 1":
@@ -314,14 +316,14 @@ _GOLDEN = {
         "e5a2cab6307554ee552849b8ff5869f77cff7b26c00c69a028e602c6f957110d",
     "verify rays --quad 12 --ell 7 --p 7 --modulus 2401":
         "916353228b8f0a2e8596899883fe0b240682e5d182a76894f46084e3f7471541",
-    # the p-adic side in degree-2 and degree-6 rings at 40 digits
+    # the p-adic side at 40 digits, for split p with ord_D(p) = 4 and 6
     "verify sinnott --quad 120 --p 7 --prec 40 --d 12":
-        "b6194e5cd13c6953b9960ea0f564b15436b22e984502450e1aa15ebd20cfc9bc",
+        "fb0f5c8c5f86a6e290ea5c34289626cdcd927d609309e0c02d1eaafac6f5965b",
     "verify sinnott --quad 56 --p 5 --prec 40 --d 12":
-        "62b421f8cea07a4ddeaf9f72fa56782353f2d03ddb85cee5bbfa299eba658d2a",
+        "cffd4d24e2c4eaecbaa8ea9f83db1f23ea3b8c7e39c9ef510fbd8aa3884da6ae",
     # new: p = 5 in the denominator of a cyclotomic number (it used to exit 2)
     "verify sinnott --quad 12 --p 5 --prec 12 --d 6":
-        "f6f7a98ff93335aa4843bcf325a93e1bca27bd4e45cfc6c284cb731ea153587a",
+        "e75c78f8b9e41b173b1b69b0b33146bd3de09a099d80abe89ee9fde1d57c26e0",
     # a class prime relation at M = 1 on D = 3084 (it used to take 30 s)
     "verify gras --quad 771 --p 3 --d 1":
         "55fc696eafbdd6ba2b7fae6afd7aa590bc7ebc9635fc9766abda1952cea6a459",
@@ -351,6 +353,10 @@ _FORMER_HANGS = {
     "explore conjecture --quad 1549 --p 3 --d 1": 5,
     "verify gras --quad 771 --p 3 --d 1": 2,
     "verify annihilator --quad 771 --mode thaine --p 3": 2,
+    # a square root of D mod p found by scanning F_p: solomon gave no result
+    # in 30 s; sinnott stopped with "too large" before it got there
+    "verify annihilator --quad 5 --mode solomon --p 1000000009": 5,
+    "verify sinnott --quad 5 --p 1000000009": 5,
 }
 
 

@@ -34,8 +34,9 @@ from rayverify.grouprings import (
     unit_log_factor,
 )
 from rayverify.nt import crt, euler_phi, factorize, primitive_root, valuation
-from rayverify.padics import PadicRing, ring_for_conductor
+from rayverify.padics import PadicRing, ring_for_conductor, splitting_degree
 from rayverify.quadratic import QuadField
+from rayverify.units import cyclotomic_number
 
 
 def quad_group(D):
@@ -592,6 +593,26 @@ def test_log_identity_level_five_modulus_four_closed_form():
     eps = F.fundamental_unit()
     z = F.element(Fraction(5, 2), Fraction(-1, 2)) ** 4 * (eps**-2 / 5)
     assert z == (eps**-6) * 5
+
+
+def _lseries_pairs():
+    # ord_D(p) <= 6 keeps the ring of the D-th roots of unity small
+    return [
+        (D, p)
+        for D in (5, 8, 12, 13, 56)
+        for p in (3, 5, 7)
+        if D % p and splitting_degree(p, D) <= 6
+    ]
+
+
+@pytest.mark.parametrize("D, p", _lseries_pairs())
+def test_lseries_derivative_is_the_log_of_u_D_over_its_conjugate(D, p):
+    # Leopoldt: sum over a of chi(a) log(1 - zeta_D^a) = log u_D - log sigma u_D,
+    # u_D = prod over chi(a) = 1 of (1 - zeta_D^a), the level-D cyclotomic number
+    G = quad_group(D)
+    R = ring_for_conductor(p, D, 12)
+    log_u = galois_log_quad(G, R, cyclotomic_number(QuadField(D), D)).coeffs
+    assert lseries_derivative(characters(G)[1], R) == log_u[0] - log_u[1]
 
 
 # ---------------------------------------------------------------- annihilator

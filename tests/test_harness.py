@@ -291,8 +291,6 @@ def test_p_prec_and_d_contracts():
         (["verify", "annihilator", "--quad", "17", "--p", "3", "--mode", "solomon"],
          "splits in k"),
         (["verify", "rays", "--quad", "5", "--ell", "10007"], "too large"),
-        (["verify", "sinnott", "--quad", "17", "--p", "5", "--prec", "8", "--d", "3"],
-         "too large"),
         # these used to exit 0: zero sinnott checks, a silent single-mode gras
         (["verify", "sinnott", "--quad", "5", "--p", "7", "--d", "0"], "at least 1"),
         (["verify", "sinnott", "--quad", "5", "--p", "7", "--d", "-2"], "at least 1"),
@@ -350,8 +348,9 @@ def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):
 
 
 @pytest.mark.parametrize("optimize", ([], ["-O"]))
-def test_sinnott_stops_on_a_large_residue_field_before_building_the_ring(optimize):
-    # f = ord_73(5) = 72: building the ring alone used to take over 20 s
+def test_sinnott_passes_where_the_residue_field_of_zeta_D_is_large(optimize):
+    # f = ord_73(5) = 72: the ring of the 73rd roots of unity took over 20 s
+    # to build; 5 is inert in Q(sqrt 73), so the check runs in Q_25
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     argv = ["verify", "sinnott", "--quad", "73", "--p", "5", "--prec", "8", "--d", "3"]
@@ -361,8 +360,9 @@ def test_sinnott_stops_on_a_large_residue_field_before_building_the_ring(optimiz
         capture_output=True, text=True, env=env, timeout=60,
     )
     elapsed = time.perf_counter() - start
-    assert proc.returncode == 2, proc.stdout
-    assert "too large" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    lines = [l for l in proc.stdout.splitlines() if l.startswith("[")]
+    assert lines and all(l.startswith("[pass]") for l in lines)
     assert elapsed < 5, elapsed
 
 

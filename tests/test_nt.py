@@ -17,6 +17,7 @@ from rayverify.nt import (
     multiplicative_order,
     primitive_root,
     squarefree_part,
+    sqrt_mod,
     valuation,
 )
 
@@ -139,3 +140,18 @@ def test_nt_module_has_no_assert():
     """Checks must survive python -O."""
     tree = ast.parse(Path(nt.__file__).read_text())
     assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+def test_sqrt_mod_is_the_first_root_a_scan_finds():
+    for p in (q for q in range(3, 200) if is_prime(q)):
+        for a in range(p):
+            roots = [r for r in range(p) if (r * r - a) % p == 0]
+            if roots:
+                assert sqrt_mod(a, p) == roots[0], (a, p)
+            else:
+                with pytest.raises(ValueError, match="not a square"):
+                    sqrt_mod(a, p)
+    # p - 1 = 3 * 2^30: thirty rounds of Tonelli-Shanks, no scan
+    p = 3 * 2**30 + 1
+    r = sqrt_mod(2, p)
+    assert r * r % p == 2 and r <= p - r

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rayverify.cyclo import CycNumber, cyclotomic_polynomial, quad_gauss_sum
-from rayverify.nt import divisors, valuation
+from rayverify.nt import divisors, is_prime, valuation
 from rayverify.padics import (
     PadicElement,
     PadicRing,
@@ -132,6 +132,41 @@ def test_sqrt_disc_hensel_split():
     g = R.sqrt_disc(316, style="hensel")
     assert g * g == 316
     assert g.lift_int() % 3 == 1  # smaller seed chosen
+
+
+_FUNDAMENTAL = (5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 40, 41, 44, 56, 57)
+
+
+def test_sqrt_disc_hensel_split_lifts_the_first_root_a_scan_finds():
+    for p in filter(is_prime, range(3, 200)):
+        for D in _FUNDAMENTAL:
+            if D % p == 0 or pow(D, (p - 1) // 2, p) != 1:
+                continue
+            g = PadicRing(p, 4).sqrt_disc(D, "hensel")
+            first = next(r for r in range(p) if (r * r - D) % p == 0)
+            assert g * g == D and g.lift_int() % p == first, (p, D)
+
+
+def test_sqrt_disc_hensel_inert_lifts_the_root_of_smaller_code():
+    # the residue root against a scan of F_{p^2} = F_p[t]/(h)
+    for p in filter(is_prime, range(3, 50)):
+        for D in _FUNDAMENTAL:
+            if D % p == 0 or pow(D, (p - 1) // 2, p) == 1:
+                continue
+            R = PadicRing(p, 6, 2)
+            g = R.sqrt_disc(D, "hensel")
+            c0, c1 = R.h[0], R.h[1]
+            roots = [
+                (b * p + a, (a, b))
+                for b in range(p)
+                for a in range(p)
+                # (a + b t)^2 with t^2 = -c1 t - c0
+                if ((a * a - b * b * c0 - D) % p, (2 * a * b - b * b * c1) % p) == (0, 0)
+            ]
+            assert g * g == D and g.residue() == min(roots)[1], (p, D)
+            assert g.residue()[1], "an inert square root is not in Z_p"
+    with pytest.raises(ValueError, match="inert one in degree 2"):
+        PadicRing(5, 4, 4).sqrt_disc(8, "hensel")
 
 
 def test_embed_cyc_respects_arithmetic():
