@@ -11,7 +11,9 @@ and the ``rayverify`` command line.
 
 Real quadratic fields are supported end to end; the layers below the
 quadratic backend (cyclotomic arithmetic, p-adic arithmetic, group rings,
-finite Galois modules) are written for general abelian k.
+finite Galois modules) are written for general abelian k, except the
+ramification data and log-identity factors of the group rings and the
+residue-ring targets of the Galois modules, which take G = {1, sigma} only.
 """
 
 __version__ = "0.1.0"

@@ -367,31 +367,20 @@ def residue_galois_module(field, group, M):
     return module, res
 
 
-def _permutation_action(group):
-    n = group.order
-    action = []
-    for g in range(n):
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][group.mult[g][i]] = 1
-        action.append(mat)
-    return action
-
-
 def residue_structure_target(group, ell, p, e=1):
     """Predicted Sylow-p structure of the units of O/(ell^e), as a module.
 
-    Presented as the free rank-one module over the group ring, modulo the
-    structural relation ideal at ell: for ell != p the ideal generated by
-    p^v, (ell - Frobenius) and (1 - inertia average), where p^v is the
-    p-part of ell^f - 1 and f the residue degree; for ell = p (which must
-    be unramified here) the ideal generated by p^(e-1).
+    Presented as the free rank-one module over Z[G], G = {1, sigma}, with
+    sigma swapping the two coordinates, modulo the structural relation
+    ideal at ell: for ell != p the ideal generated by p^v,
+    (ell - Frobenius) and (1 - inertia average), where p^v is the p-part
+    of ell^f - 1 and f the residue degree; for ell = p (which must be
+    unramified here) the ideal generated by p^(e-1).
     """
     n = group.order
     if group.order % p == 0:
         raise ValueError("p=%d must not divide the degree %d" % (p, group.order))
     ram = ramification(group, ell)
-    action = _permutation_action(group)
 
     def element_rows(theta, pk):
         coeffs = lift_coefficients_mod(theta, pk)
@@ -417,7 +406,7 @@ def residue_structure_target(group, ell, p, e=1):
         if e < 1:
             raise ValueError("the exponent e must be at least 1")
         rows = [[p ** (e - 1) if j == i else 0 for j in range(n)] for i in range(n)]
-    return FiniteGModule(group, n, rows, action)
+    return FiniteGModule(group, n, rows, [identity(2), [[0, 1], [1, 0]]])
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,8 @@ This module supplies the algebra every verification routine combines:
 * `GroupRingElement` is a dense group-ring element whose coefficients may be
   ints, Fractions, or `PadicElement`s from one ring (duck-typed; all
   arithmetic is coefficientwise plus convolution).
-* `ramification` packages the Frobenius coset and inertia subgroup at a
-  rational prime, with the averaged idempotent-style factors built from them.
+* `ramification` packages the Frobenius and inertia at a rational prime,
+  read off chi_D for the group {1, sigma} of a real quadratic field.
 * `galois_log` is the logarithm map x -> sum_g log_p(x^g) g^{-1}; the
   quadratic-field version fixes the embedding of sqrt(D) and takes one full
   log per element, log(sigma z) being log(N z) - log(z).
@@ -23,7 +23,10 @@ This module supplies the algebra every verification routine combines:
   such value on each nontrivial character component.
 * `norm_log_factor` / `euler_twist` / `unit_log_factor` build the rational
   group-ring coefficients that express logarithms of the modified cyclotomic
-  numbers at composite levels through the L-value element.
+  numbers at composite levels through the L-value element.  Over
+  G = {1, sigma} an element a + b sigma is fixed by its trivial value
+  a + b and its chi_D value a - b; each of these is built once from those
+  two integers, with no group-ring product.
 * `residue_euler_element` carries the Euler-type factors (ell - chi(ell))
   of the residue modules, and `ray_annihilator` combines everything into the
   paper's annihilator element.
@@ -38,20 +41,23 @@ Conventions: group element 0 is the identity; a character's value at a prime
 is zero unless inertia lies in its kernel; scalars multiply group-ring
 elements from either side, but p-adic scalars must be written on the right
 (``x * scalar``) because `PadicElement` does not defer to unknown operands.
-Bad arguments raise ValueError and a broken internal invariant raises
-ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
+`ramification` and the three coefficient builders raise ValueError on a
+group of any order but 2.  Bad arguments raise ValueError and a broken
+internal invariant raises ArithmeticError; no check is an `assert`, so
+`python -O` behaves the same.
 Only the four functions that test for a `PadicElement` import `padics`, so
 the rational group-ring algebra of the ray-class checks does not load it.
 """
 
-import functools
 import math
 from fractions import Fraction
 
 from .cyclo import units_mod
 from .nt import (
     crt,
+    disc_character,
     divisors,
+    euler_phi,
     factorize,
     moebius,
     prime_factors,
@@ -136,12 +142,6 @@ class GaloisGroup:
             j = self.mult[j][i]
             k += 1
         return k
-
-    def subfield_fixer(self, n):
-        """Indices of the subgroup fixing k intersect Q(zeta_n), sorted."""
-        L = math.lcm(self.m, n)
-        out = {self.coset_of(a % self.m) for a in units_mod(L) if a % n == 1 % n}
-        return tuple(sorted(out))
 
     def subgroup_sum(self, indices):
         """Group-ring sum of the given element indices (with multiplicity 1)."""
@@ -475,7 +475,7 @@ def orbit_idempotent(orbit, ring):
 
 
 class RamificationData:
-    """Frobenius coset and inertia subgroup at a rational prime ell.
+    """Frobenius and inertia at a rational prime ell, for G = {1, sigma}.
 
     `frobenius` is one valid element index (well-defined modulo inertia);
     `inertia` is the sorted tuple of inertia element indices.
@@ -497,30 +497,9 @@ class RamificationData:
         """The idempotent (1/|I|) sum_{tau in I} tau."""
         return self.inertia_sum() * Fraction(1, len(self.inertia))
 
-    def frob_average(self):
-        """Frobenius times the inertia average; independent of the chosen lift."""
-        return basis_element(self.group, self.frobenius) * self.average()
-
-    def unit_adjusted(self):
-        """1 - Frobenius^{-1} times the inertia average."""
-        group = self.group
-        return one_element(group) - basis_element(
-            group, group.inv[self.frobenius]
-        ) * self.average()
-
     def residue_degree_order(self):
-        """Multiplicative order of Frobenius in the quotient by inertia.
-
-        Equals the residue degree of the primes over ell in the field.
-        """
-        group = self.group
-        inertia = set(self.inertia)
-        k = 1
-        g = self.frobenius
-        while g not in inertia:
-            g = group.mult[g][self.frobenius]
-            k += 1
-        return k
+        """Order of Frobenius modulo inertia: the residue degree over ell."""
+        return 2 if self.frobenius else 1
 
     def __repr__(self):
         return "RamificationData(ell=%d, frobenius=%d, inertia=%s)" % (
@@ -530,26 +509,29 @@ class RamificationData:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def ramification(group, ell):
-    """Frobenius and inertia data at the rational prime ell.
+def _quadratic_character(group):
+    """chi_D as a callable, for the group {1, sigma} of Q(sqrt D), D = m."""
+    if group.order != 2:
+        raise ValueError(
+            "only the group {1, sigma} of a real quadratic field is supported, "
+            "not one of order %d" % group.order
+        )
+    return disc_character(group.m)
 
-    Memoized per (group, ell): groups hash by their field, and the result
-    is never modified.
+
+def _from_values(group, s, r):
+    """a + b sigma from its trivial value s = a + b and chi_D value r = a - b."""
+    return GroupRingElement(group, (Fraction(s + r, 2), Fraction(s - r, 2)))
+
+
+def ramification(group, ell):
+    """Frobenius and inertia data at the rational prime ell, off chi_D(ell).
+
+    Inertia is all of G where chi_D(ell) = 0, and Frobenius is sigma
+    exactly where chi_D(ell) = -1.
     """
-    m = group.m
-    v = valuation(m, ell)
-    if v == 0:
-        return RamificationData(group, ell, group.coset_of(ell), (0,))
-    mprime = m // ell**v
-    inertia = tuple(
-        sorted({group.coset_of(a) for a in units_mod(m) if a % mprime == 1 % mprime})
-    )
-    if mprime == 1:
-        frob = 0
-    else:
-        frob = group.coset_of(crt([ell % mprime, 1], [mprime, ell**v]))
-    return RamificationData(group, ell, frob, inertia)
+    chi = _quadratic_character(group)(ell)
+    return RamificationData(group, ell, int(chi == -1), (0,) if chi else (0, 1))
 
 
 def galois_log(group, ring, values):
@@ -645,39 +627,41 @@ def lseries_derivative_element(group, ring):
     return _character_sum(group, ring, lambda chi: lseries_derivative(chi, ring))
 
 
-@functools.lru_cache(maxsize=None)
+def _norm_log_value(group, chi, n, level):
+    """chi_D value of `norm_log_factor` at t = n/level; the trivial value is 0."""
+    if level % group.m:
+        return 0
+    factor = math.prod(1 - chi(ell) for ell in prime_factors(level))
+    return euler_phi(n) // euler_phi(level) * factor
+
+
 def norm_log_factor(group, n, t):
     """Rational group-ring factor for the log of a level-(n/t) norm product.
 
     For t a proper divisor of n this is the degree [Q(zeta_n) : k^n
     Q(zeta_{n/t})] times the sum over the subgroup fixing k intersect
     Q(zeta_{n/t}), times the product over primes ell | n/t of
-    (1 - Frobenius^{-1} inertia-average).  Memoized per (group, n, t), as
-    `unit_log_factor` asks for it at every twist; the element is immutable.
+    (1 - Frobenius^{-1} inertia-average).  Its trivial value is 0, and its
+    chi_D value is phi(n)/phi(n/t) prod_{ell | n/t} (1 - chi_D(ell)) when D
+    divides n/t, else 0.
     """
     if not (t >= 1 and n % t == 0 and t < n):
         raise ValueError("t must be a proper divisor of n")
-    level = n // t
-    S = set(group.spec.fixing_subgroup_at(n))
-    K = {a for a in units_mod(n) if a % level == 1 % level}
-    deg = len(S & K)
-    acc = group.subgroup_sum(group.subfield_fixer(level))
-    for ell in prime_factors(level):
-        acc = acc * ramification(group, ell).unit_adjusted()
-    return deg * acc
+    chi = _quadratic_character(group)
+    return _from_values(group, 0, _norm_log_value(group, chi, n, n // t))
 
 
-@functools.lru_cache(maxsize=None)
 def euler_twist(group, t):
     """Product over primes ell | t of (ell - Frobenius * inertia-average).
 
-    Memoized per (group, t), as `norm_log_factor` is: `unit_log_factor`
-    asks for it at every level of a twist.
+    Its trivial value is prod (ell - 1) and its chi_D value
+    prod (ell - chi_D(ell)).
     """
-    acc = one_element(group)
-    for ell in prime_factors(t):
-        acc = acc * (ell * one_element(group) - ramification(group, ell).frob_average())
-    return acc
+    chi = _quadratic_character(group)
+    ells = prime_factors(t)
+    return _from_values(
+        group, math.prod(ell - 1 for ell in ells), math.prod(ell - chi(ell) for ell in ells)
+    )
 
 
 def unit_log_factor(group, n, d):
@@ -685,19 +669,21 @@ def unit_log_factor(group, n, d):
 
     Defined for n > 1 not dividing the radical of d; combines the Moebius
     sum of `norm_log_factor` over common divisors with the Euler twist at
-    the primes of the radical away from n and the scalar d/radical(d).
+    the primes of the radical away from n and the scalar d/radical(d).  Its
+    trivial value is 0, and its chi_D value is computed in integers.
     """
     if n <= 1:
         raise ValueError("level must exceed 1")
     dbar = radical(d)
     if dbar % n == 0:
         raise ValueError("levels dividing the radical are excluded")
+    chi = _quadratic_character(group)
     g = math.gcd(dbar, n)
-    acc = None
-    for t in divisors(g):
-        term = Fraction(moebius(t) * g, t) * norm_log_factor(group, n, t)
-        acc = term if acc is None else acc + term
-    return Fraction(d, dbar) * (euler_twist(group, dbar // g) * acc)
+    r = sum(
+        moebius(t) * (g // t) * _norm_log_value(group, chi, n, n // t) for t in divisors(g)
+    )
+    r *= d // dbar * math.prod(ell - chi(ell) for ell in prime_factors(dbar // g))
+    return _from_values(group, 0, r)
 
 
 def _euler_factor(chi, ring, rams):

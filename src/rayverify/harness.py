@@ -44,6 +44,13 @@ def source_digest():
     return h.hexdigest()
 
 
+# entry names: "<key>-v<version>.json" (before source digests) or
+# "<key>-v<version>-<digest>.json", the key made safe by `Cache._safe` and
+# the version starting with a digit; `clear` and `stats` see no other file
+_ENTRY_TAG = r"-v[0-9][^-]*(-[0-9a-f]{16})?\.json"
+_ENTRY_NAME = re.compile(r"[A-Za-z0-9_.-]+" + _ENTRY_TAG)
+
+
 class Cache:
     """A directory of JSON entries keyed by name and by the engine's code.
 
@@ -87,25 +94,27 @@ class Cache:
         with open(tmp, "w") as fh:
             json.dump(value, fh, sort_keys=True)
         tmp.replace(path)
-        # entries of this key written by other code: "<key>-v<version>.json"
-        # (before source digests) or "<key>-v<version>-<digest>.json"
-        stale = re.compile(re.escape(self._safe(key)) + r"-v[^-]*(-[0-9a-f]{16})?\.json")
+        stale = re.compile(re.escape(self._safe(key)) + _ENTRY_TAG)
         for old in self.root.glob(self._safe(key) + "-v*.json"):
             if old != path and stale.fullmatch(old.name):
                 old.unlink(missing_ok=True)
 
+    def _entries(self):
+        """Files named like an entry of any code; other files are left alone."""
+        if not self.root.is_dir():
+            return []
+        return [p for p in self.root.glob("*.json") if _ENTRY_NAME.fullmatch(p.name)]
+
     def clear(self):
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                path.unlink()
-                removed += 1
-        return removed
+        entries = self._entries()
+        for path in entries:
+            path.unlink()
+        return len(entries)
 
     def stats(self):
         """Entries and bytes of the current code's entries, and the count of
         stale entries written by other code (removed by `clear`)."""
-        entries = list(self.root.glob("*.json")) if self.root.is_dir() else []
+        entries = self._entries()
         live = [p for p in entries if p.name.endswith(self._tag())]
         return {
             "root": str(self.root),

@@ -24,7 +24,7 @@ from rayverify.checks import (
 )
 from rayverify.cyclo import FieldSpec
 from rayverify.gmodules import RayClassGroup, residue_galois_module
-from rayverify.grouprings import GaloisGroup, one_element, unit_log_factor
+from rayverify.grouprings import GaloisGroup, GroupRingElement, one_element, unit_log_factor
 from rayverify.harness import resolve_discriminant, run_rays
 from rayverify.nt import fundamental_discriminant, squarefree_part
 from rayverify.quadratic import QuadField
@@ -227,6 +227,17 @@ def test_sinnott_builds_no_ring_of_degree_above_two(D, p, monkeypatch):
     assert {r.witness["embedding"] for r in results} == {
         "hensel" if degrees == [1] else "hensel-inert"
     }
+
+
+def test_sinnott_runs_no_group_ring_product(monkeypatch):
+    # the log factors are built from their trivial and chi_D values alone
+    def product(*args):
+        raise AssertionError("group-ring product")
+
+    monkeypatch.setattr(GroupRingElement, "__mul__", product)
+    monkeypatch.setattr(GroupRingElement, "__rmul__", product)
+    results = check_sinnott(120, 7, 40, 12)
+    assert len(results) == 141 and all(r.status == "pass" for r in results)
 
 
 @pytest.mark.parametrize("D, p", [(5, 7), (12, 5), (13, 3), (56, 5), (120, 7)])

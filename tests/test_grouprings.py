@@ -1,5 +1,7 @@
 import ast
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +35,18 @@ from rayverify.grouprings import (
     residue_euler_element,
     unit_log_factor,
 )
-from rayverify.nt import crt, euler_phi, factorize, primitive_root, valuation
+from rayverify.nt import (
+    crt,
+    divisors,
+    euler_phi,
+    factorize,
+    fundamental_discriminant,
+    moebius,
+    prime_factors,
+    primitive_root,
+    squarefree_part,
+    valuation,
+)
 from rayverify.padics import PadicRing, ring_for_conductor, splitting_degree
 from rayverify.quadratic import QuadField
 from rayverify.units import cyclotomic_number
@@ -68,14 +81,6 @@ def test_degree_four_group():
     assert G.exponent == 4
     g = G.coset_of(3)
     assert G.element_order(g) == 4
-
-
-def test_subfield_fixer():
-    G = quad_group(5)
-    assert G.subfield_fixer(1) == (0, 1)  # everything fixes the rationals
-    assert G.subfield_fixer(5) == (0,)
-    assert G.subfield_fixer(2) == (0, 1)  # level 2 only sees the rationals
-    assert G.subfield_fixer(10) == (0,)
 
 
 # ---------------------------------------------------------------- characters
@@ -289,7 +294,6 @@ def test_ramification_inert_prime():
     assert ram.inertia == (0,)
     assert ram.frobenius == 1
     assert ram.residue_degree_order() == 2
-    assert ram.unit_adjusted().coeffs == fr(1, -1)
 
 
 def test_ramification_ramified_prime():
@@ -298,35 +302,7 @@ def test_ramification_ramified_prime():
     assert ram.inertia == (0, 1)
     assert ram.frobenius == 0
     assert ram.average().coeffs == fr(Fraction(1, 2), Fraction(1, 2))
-    # with full inertia the Frobenius-average kills the lift ambiguity
-    assert ram.frob_average() == ram.average()
     assert ram.residue_degree_order() == 1
-
-
-def test_frobenius_average_independent_of_lift():
-    # at a ramified prime any coset representative gives the same averaged element
-    G = GaloisGroup(FieldSpec(40, (1, 39)))  # degree 8: ramified at 2 and 5
-    ram = ramification(G, 5)
-    assert len(ram.inertia) > 1
-    base = ram.frob_average()
-    for i in ram.inertia:
-        shifted = basis_element(G, G.mult[ram.frobenius][i]) * ram.average()
-        assert shifted == base
-
-
-def test_partial_ramification_degree_eight():
-    G = GaloisGroup(FieldSpec(40, (1, 39)))
-    ram2 = ramification(G, 2)
-    ram5 = ramification(G, 5)
-    assert len(ram2.inertia) == 4
-    assert len(ram5.inertia) == 4
-    assert 0 in ram2.inertia and 0 in ram5.inertia
-    # inertia subgroups are closed under the group law
-    for ram in (ram2, ram5):
-        I = set(ram.inertia)
-        for a in I:
-            for b in I:
-                assert G.mult[a][b] in I
 
 
 # ---------------------------------------------------------------- L-values
@@ -417,6 +393,109 @@ def test_unit_log_factor_oracles():
         unit_log_factor(G, 5, 5)  # level divides the radical
     with pytest.raises(ValueError, match="level must exceed 1"):
         unit_log_factor(G, 1, 3)
+
+
+# ---------------------------------------------------------------- oracles
+# ramification data and log factors for a general group, as grouprings.py
+# built them before it read them off chi_D: inertia and Frobenius from a
+# CRT lift, and the factors as products in the group ring
+
+
+def _old_subfield_fixer(G, n):
+    L = math.lcm(G.m, n)
+    return tuple(sorted({G.coset_of(a % G.m) for a in units_mod(L) if a % n == 1 % n}))
+
+
+@functools.lru_cache(maxsize=None)
+def _old_ramification(G, ell):
+    """(frobenius, inertia, inertia average)."""
+    m = G.m
+    v = valuation(m, ell)
+    if v == 0:
+        frob, inertia = G.coset_of(ell), (0,)
+    else:
+        mprime = m // ell**v
+        inertia = tuple(
+            sorted({G.coset_of(a) for a in units_mod(m) if a % mprime == 1 % mprime})
+        )
+        frob = 0 if mprime == 1 else G.coset_of(crt([ell % mprime, 1], [mprime, ell**v]))
+    return frob, inertia, G.subgroup_sum(inertia) * Fraction(1, len(inertia))
+
+
+def _old_residue_degree_order(G, ell):
+    frob, inertia, _ = _old_ramification(G, ell)
+    k, g = 1, frob
+    while g not in inertia:
+        g, k = G.mult[g][frob], k + 1
+    return k
+
+
+def _old_frob_average(G, ell):
+    frob, _, average = _old_ramification(G, ell)
+    return basis_element(G, frob) * average
+
+
+def _old_unit_adjusted(G, ell):
+    frob, _, average = _old_ramification(G, ell)
+    return one_element(G) - basis_element(G, G.inv[frob]) * average
+
+
+@functools.lru_cache(maxsize=None)
+def _old_norm_log_factor(G, n, t):
+    level = n // t
+    S = set(G.spec.fixing_subgroup_at(n))
+    K = {a for a in units_mod(n) if a % level == 1 % level}
+    acc = G.subgroup_sum(_old_subfield_fixer(G, level))
+    for ell in prime_factors(level):
+        acc = acc * _old_unit_adjusted(G, ell)
+    return len(S & K) * acc
+
+
+@functools.lru_cache(maxsize=None)
+def _old_euler_twist(G, t):
+    acc = one_element(G)
+    for ell in prime_factors(t):
+        acc = acc * (ell * one_element(G) - _old_frob_average(G, ell))
+    return acc
+
+
+def _old_unit_log_factor(G, n, d):
+    dbar = radical(d)
+    g = math.gcd(dbar, n)
+    acc = None
+    for t in divisors(g):
+        term = Fraction(moebius(t) * g, t) * _old_norm_log_factor(G, n, t)
+        acc = term if acc is None else acc + term
+    return Fraction(d, dbar) * (_old_euler_twist(G, dbar // g) * acc)
+
+
+def _fundamental_discriminants(bound):
+    return [
+        D for D in range(5, bound)
+        if squarefree_part(D) != 1 and fundamental_discriminant(D) == D
+    ]
+
+
+def test_chi_values_match_the_general_group_ring_route():
+    # every fundamental D < 60, n <= 2D, proper t | n, d <= 12, ell < 100
+    for D in _fundamental_discriminants(60):
+        G = quad_group(D)
+        for ell in prime_factors(math.prod(range(2, 100))):
+            ram = ramification(G, ell)
+            assert ram.inertia == _old_ramification(G, ell)[1], (D, ell)
+            assert basis_element(G, ram.frobenius) * ram.average() == (
+                _old_frob_average(G, ell)
+            ), (D, ell)
+            assert ram.residue_degree_order() == _old_residue_degree_order(G, ell)
+        for t in range(1, 13):
+            assert euler_twist(G, t) == _old_euler_twist(G, t), (D, t)
+        for n in range(2, 2 * D + 1):
+            for t in divisors(n)[:-1]:
+                assert norm_log_factor(G, n, t) == _old_norm_log_factor(G, n, t), (D, n, t)
+            for d in range(1, 13):
+                if radical(d) % n:
+                    want = _old_unit_log_factor(G, n, d)
+                    assert unit_log_factor(G, n, d) == want, (D, n, d)
 
 
 def test_residue_euler_element_oracles():
@@ -693,6 +772,15 @@ def test_contracts_raise():
         lseries_derivative_element(GaloisGroup(FieldSpec(7, (1, 6))), PadicRing(3, 6, 1))
     with pytest.raises(ValueError, match="proper divisor"):
         norm_log_factor(G5, 5, 5)
+    G7 = GaloisGroup(FieldSpec(7, (1, 6)))  # the real cubic field of conductor 7
+    for call in (
+        lambda: ramification(G7, 2),
+        lambda: norm_log_factor(G7, 14, 2),
+        lambda: euler_twist(G7, 3),
+        lambda: unit_log_factor(G7, 14, 2),
+    ):
+        with pytest.raises(ValueError, match=r"\{1, sigma\}"):
+            call()
 
 
 def test_grouprings_module_has_no_assert():

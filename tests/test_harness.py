@@ -107,6 +107,21 @@ def test_cache_put_evicts_entries_of_other_code(tmp_path, monkeypatch):
     assert st["bytes"] == cache._path("k").stat().st_size
 
 
+def test_cache_clear_and_stats_see_only_entries(tmp_path):
+    from rayverify import __version__
+
+    cache = Cache(tmp_path)
+    cache.put("k", {"v": 1})
+    (tmp_path / ("k-v%s.json" % __version__)).write_text("{}")  # pre-digest name
+    foreign = ["package.json", "my-venv.json", "k-v0.1.0-notadigest.json"]
+    for name in foreign:
+        (tmp_path / name).write_text("{}")
+    st = cache.stats()
+    assert (st["entries"], st["stale"]) == (1, 1)
+    assert cache.clear() == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(foreign)
+
+
 def test_resolve_discriminant_normalizes():
     assert resolve_discriminant(quad=5) == 5
     assert resolve_discriminant(quad=79) == 316
