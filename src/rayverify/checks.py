@@ -455,17 +455,17 @@ def check_special_units(D, twists=(2, 3, 4), count=3, cache=None):
 def thaine_admissible_primes(field, n_exp, levels, modulus, count=3):
     """First `count` odd split primes ell = 1 mod n_exp coprime to the data."""
     out = []
-    q = 3
+    step = n_exp if n_exp % 2 == 0 else 2 * n_exp  # the odd q = 1 mod n_exp
+    q = step + 1
     while len(out) < count:
         if (
             is_prime(q)
             and field.chi(q) == 1
-            and (q - 1) % n_exp == 0
             and modulus % q != 0
             and all(lvl % q != 0 for lvl in levels)
         ):
             out.append(q)
-        q += 2
+        q += step
     return out
 
 

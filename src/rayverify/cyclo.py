@@ -10,10 +10,10 @@ The module also handles abelian fields cut out of Q(zeta_m) by a subgroup
 H of (Z/m)^*: conductor reduction, the subgroup fixing the intersection
 with a smaller cyclotomic field, quadratic Gauss sums as canonical square
 roots of discriminants, and Gauss-period power sums feeding Newton's
-identities.  Those give the coefficients of prod (X - zeta_n^(t h)) over a
-subgroup as compact subfield data without multiplying in the large field;
-`units.orbit_polynomial` uses them for special units.  Norms of
-1 - zeta_n^t do not: `units` reads them off Gauss periods directly.
+identities.  No command computes in Q(zeta_n): `units` reads norms of
+1 - zeta_n^t and the coefficients of prod (X - zeta_n^(t h)) off closed-form
+Gauss periods in k, and tests use `CycNumber` and the subfield routes here
+as their oracles.
 
 Bad arguments raise ValueError and a broken internal invariant raises
 ArithmeticError; no check is an `assert`, so `python -O` behaves the same.

@@ -21,21 +21,22 @@ This module supplies the algebra every verification routine combines:
   with one log per value of the character, and
   `lseries_derivative_element` assembles the group-ring element carrying one
   such value on each nontrivial character component.
-* `norm_log_factor` / `euler_twist` / `unit_log_factor` build the rational
-  group-ring coefficients that express logarithms of the modified cyclotomic
-  numbers at composite levels through the L-value element.  Over
-  G = {1, sigma} an element a + b sigma is fixed by its trivial value
-  a + b and its chi_D value a - b; each of these is built once from those
-  two integers, with no group-ring product.
+* `unit_log_factor` builds the rational group-ring coefficients that
+  express logarithms of the modified cyclotomic numbers at composite levels
+  through the L-value element; `norm_log_factor` and `euler_twist` are its
+  factors.  Over G = {1, sigma} a + b sigma is fixed by its trivial value
+  a + b and its chi_D value a - b; each of the three is built once from
+  those two integers, with no group-ring product.
 * `residue_euler_element` carries the Euler-type factors (ell - chi(ell))
   of the residue modules, and `ray_annihilator` combines everything into the
   paper's annihilator element.
 
-No check calls `lseries_derivative`, `lseries_derivative_element`,
-`residue_euler_element`, `embed_group_ring` or `ray_annihilator`; tests use
-them as oracles.  The character sums need the ring of the conductor's roots
-of unity, while for a quadratic field the sinnott check reads L' off the
-level-D cyclotomic number, in a ring of degree at most 2.
+No check calls `norm_log_factor`, `euler_twist`, `lseries_derivative`,
+`lseries_derivative_element`, `residue_euler_element`, `embed_group_ring`
+or `ray_annihilator`; tests use them as oracles.  The character sums need
+the ring of the conductor's roots of unity, while for a quadratic field the
+sinnott check reads L' off the level-D cyclotomic number, in a ring of
+degree at most 2.
 
 Conventions: group element 0 is the identity; a character's value at a prime
 is zero unless inertia lies in its kernel; scalars multiply group-ring

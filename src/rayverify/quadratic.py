@@ -32,7 +32,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .nt import factorize, is_prime, kronecker, primitive_root, squarefree_part, valuation
+from .nt import factorize, is_prime, kronecker, primitive_root, sqrt_mod, squarefree_part, valuation
 
 
 def _is_fundamental(D):
@@ -340,9 +340,15 @@ class QuadField:
         return {1: "split", -1: "inert", 0: "ramified"}[chi]
 
     def prime_roots(self, p):
-        """Roots mod p of the minimal polynomial of omega: one per prime over p."""
+        """Roots mod the prime p of omega's minimal polynomial, one per prime
+        over p: for odd p, (T +- sqrt(D)) / 2 with `sqrt_mod`, sorted."""
         T, Nm = self.omega_trace, self.omega_norm
-        return sorted(r for r in range(p) if (r * r - T * r + Nm) % p == 0)
+        if p == 2:
+            return [r for r in range(2) if (r * r - T * r + Nm) % 2 == 0]
+        if self.chi(p) == -1:
+            return []
+        s, half = sqrt_mod(self.D, p), (p + 1) // 2
+        return sorted({(T + s) * half % p, (T - s) * half % p})
 
     def prime_root_lifted(self, p, r, k):
         """The root of omega's minimal polynomial mod p^k lifting r (r simple)."""
@@ -372,7 +378,7 @@ class QuadField:
             return 0
         if self.chi(p) == 0:
             return etot  # ramified: v at the unique prime equals v_p of the norm
-        if len(self.prime_roots(p)) != 2:
+        if self.chi(p) != 1:
             raise ValueError("split prime expected")
         rlift = self.prime_root_lifted(p, r, etot + 1)
         val = (z.a + z.b * rlift) % p ** (etot + 1)

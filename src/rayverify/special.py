@@ -15,6 +15,8 @@ Four tools live here, all exact:
   generates the Galois group of k(zeta_ell)/k;
 * discrete-logarithm vectors of a quadratic-field number at the primes over
   a split rational prime, packaged as group-ring annihilator coefficients.
+  The logs are those of the residue fields of `quadratic._local_factors`,
+  so no F_ell^* is tabled.
 
 Bad arguments raise ValueError and a broken internal invariant raises
 ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .grouprings import radical
 from .nt import divisors, is_prime, moebius, primitive_root
-from .quadratic import QuadElement
+from .quadratic import QuadElement, _local_factors
 from .units import cyclotomic_number, orbit_polynomial
 
 
@@ -356,17 +358,14 @@ def quad_residue(z, ell, root):
     """Image of a quadratic-field number in F_ell, sending omega -> root.
 
     `root` must satisfy root^2 - tr(omega) root + norm(omega) = 0 mod ell;
-    the denominators of z must be prime to ell.
+    the denominator of z must be prime to ell.  With z = (a + b omega) / e
+    the image is (a + b root) / e mod ell, as in `quadratic.ResidueRing`.
     """
-    D = z.field.D
-    t = (2 * root - (D % 2)) % ell  # image of sqrt(D)
-    if (t * t - D) % ell != 0:
+    if (root * root - z.field.omega_trace * root + z.field.omega_norm) % ell != 0:
         raise ValueError("root %d does not define a prime over %d" % (root, ell))
-    if z.x.denominator % ell == 0 or z.y.denominator % ell == 0:
+    if z.e % ell == 0:
         raise ValueError("denominator of %r is not prime to %d" % (z, ell))
-    xr = z.x.numerator * pow(z.x.denominator, -1, ell)
-    yr = z.y.numerator * pow(z.y.denominator, -1, ell)
-    return (xr + t * yr) % ell
+    return (z.a + z.b * root) * pow(z.e, -1, ell) % ell
 
 
 # ----------------------------------------------------------------------
@@ -542,23 +541,17 @@ def hilbert90_witness(eps):
 def residue_dlogs(field, z, ell):
     """Discrete logs of z at the two primes over a split odd prime ell.
 
-    Returns (s, {root: dlog}) where s is the chosen primitive root mod ell
-    and z = s^dlog at each reduction omega -> root.
+    Returns (s, {root: dlog}) with z = s^dlog at omega -> root for
+    s = `primitive_root(ell)`: the residue-field logs of `_local_factors`.
     """
     _check_split(field, ell)
-    s = primitive_root(ell)
-    table = {}
-    acc = 1
-    for e in range(ell - 1):
-        table[acc] = e
-        acc = (acc * s) % ell
     out = {}
-    for r in field.prime_roots(ell):
-        v = quad_residue(z, ell, r)
+    for loc in _local_factors(field, ell, 1):
+        v = quad_residue(z, ell, loc.r)
         if v == 0:
             raise ValueError("number is not a unit at %d" % ell)
-        out[r] = table[v]
-    return s, out
+        out[loc.r] = loc._residue_log(v)
+    return primitive_root(ell), out
 
 
 def dlog_annihilator_coefficients(field, group, z, ell, n_exp):

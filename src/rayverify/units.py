@@ -12,10 +12,9 @@ Each norm of 1 - zeta_n^t is read at the conductor s of zeta_n^t.  It is
 rational unless D divides s; then it is a power of u_s, the norm of
 1 - zeta_s, or of its conjugate.  u_s is one product of the 1 - x^h over
 ker(chi_D) mod s in Z[x]/(x^s - 1), summed against closed-form Gauss
-periods (`_level_norm`), and it is cached once per (D, s) as the norm at
-(n, t) = (s, 1).  Newton's identities
-serve only `orbit_polynomial`, the coefficients of F_t that
-`special.special_unit` needs.
+periods (`_period`), and cached once per (D, s) as the norm at (n, t) =
+(s, 1).  The same periods give `orbit_polynomial`, the coefficients of F_t
+that `special.special_unit` needs, by Newton's identities in k.
 
 `generating_levels` lists the levels n whose numbers generate the whole
 group of such elements for a given twist.  The raw parametrization runs
@@ -39,13 +38,7 @@ as (exponent, sign) with respect to the fundamental unit and -1:
 import math
 from fractions import Fraction
 
-from .cyclo import (
-    FieldSpec,
-    power_sums_to_elementary,
-    subgroup_trace_of_power,
-    to_quadratic,
-    units_mod,
-)
+from .cyclo import power_sums_to_elementary, units_mod
 from .grouprings import radical
 from .nt import divisors, euler_phi, factorize, is_prime, kronecker, moebius, valuation
 from .quadratic import QuadElement, unit_exponent
@@ -69,28 +62,40 @@ _norm_cache = {}
 _orbit_cache = {}
 
 
+def _period(D, m, sign):
+    """Twice the coordinates (x, y) of the Gauss period x + y sqrt(D) over
+    one orbit of ker(chi_D) on (Z/m)^*: the Ramanujan sum mu(m) when D does
+    not divide m (`sign` 0), else the coset where chi_D is `sign`, with
+    period (mu(m) + sign mu(r) chi(r) sqrt(D)) / 2 for m = D r."""
+    if not sign:
+        return 2 * moebius(m), 0
+    return moebius(m), sign * moebius(m // D) * kronecker(D, m // D)
+
+
 def orbit_polynomial(field, n, t):
     """F_t(X) = prod over h in S of (X - zeta_n^(t h)), S the subgroup of
-    (Z/n)^* fixing the field's part of the n-th cyclotomic field.
+    (Z/n)^* fixing k in Q(zeta_n): ker(chi_D) mod n if D | n, else all of it.
 
     Its coefficients lie in that part, so they come back as a tuple of
-    QuadElements, ascending.  They are Newton's identities on the Gauss-period traces
-    sum over S of zeta_n^(t j h), one per orbit t j S mod n.  Only
+    QuadElements, ascending.  They are Newton's identities on the power sums
+    over S of zeta_n^(t j h): |S| / |S_m| times the `_period` of the orbit
+    of zeta_n^(t j), m its order and S_m the image of S mod m.  Only
     `special.special_unit` needs them; norms skip this route.
     """
-    key = (field.D, n, t % n)
+    D = field.D
+    key = (D, n, t % n)
     if key in _orbit_cache:
         return _orbit_cache[key]
-    S = FieldSpec.quadratic(field.D).fixing_subgroup_at(n)
-    # the trace over S of zeta_n^(t j) depends on j only through the
-    # orbit t j S mod n, named by its least element
-    traces = {}
-    powers = []
-    for j in range(1, len(S) + 1):
-        orbit = min(t * j * h % n for h in S)
+    size = euler_phi(n) // (2 if n % D == 0 else 1)
+    traces, powers = {}, []
+    for j in range(1, size + 1):
+        g = math.gcd(n, t * j)
+        m = n // g
+        orbit = (m, kronecker(D, t * j // g) if m % D == 0 else 0)
         if orbit not in traces:
-            x, y = to_quadratic(subgroup_trace_of_power(n, S, t * j), field.D)
-            traces[orbit] = field.element(x, y)
+            x2, y2 = _period(D, *orbit)
+            fibre = size * (2 if orbit[1] else 1) // euler_phi(m)  # |S| / |S_m|
+            traces[orbit] = field.element(Fraction(fibre * x2, 2), Fraction(fibre * y2, 2))
         powers.append(traces[orbit])
     # F(X) = X^r - e1 X^(r-1) + e2 X^(r-2) - ...
     coeffs = [field.one()]
@@ -106,11 +111,8 @@ def _level_norm(field, s):
     One product P = prod (1 - x^h) in Z[x]/(x^s - 1), one list pass per h.
     P is invariant under ker(chi_D), so P(zeta_s) sums its coefficients
     against the periods eta_O = sum over an orbit O of zeta_s^i.  The orbit
-    of i = g j, g = gcd(i, s) and m = s / g, is g times the image of the
-    kernel in (Z/m)^*: all of (Z/m)^* when D does not divide m, with period
-    the Ramanujan sum mu(m); otherwise the coset of j in ker(chi_D) mod m,
-    with period (mu(m) + chi(j) mu(r) chi(r) sqrt(D)) / 2 for m = D r, the
-    Gauss sum of chi_D induced to modulus m.
+    of i = g j, g = gcd(i, s) and m = s / g, is g times an orbit of
+    ker(chi_D) on (Z/m)^*, named by chi_D(j) when D | m (see `_period`).
     """
     D = field.D
     chi = [kronecker(D, a) for a in range(D)]
@@ -129,12 +131,9 @@ def _level_norm(field, s):
                     "the product at level %d is not invariant under ker(chi_%d)" % (s, D)
                 )
         for sign, c in orbits.items():
-            if sign:
-                r = m // D
-                x2 += c * moebius(m)
-                y2 += c * sign * moebius(r) * chi[r % D]
-            else:
-                x2 += 2 * c * moebius(m)
+            px, py = _period(D, m, sign)
+            x2 += c * px
+            y2 += c * py
     return field.element(Fraction(x2, 2), Fraction(y2, 2))
 
 

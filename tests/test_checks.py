@@ -26,7 +26,7 @@ from rayverify.cyclo import FieldSpec
 from rayverify.gmodules import RayClassGroup, residue_galois_module
 from rayverify.grouprings import GaloisGroup, GroupRingElement, one_element, unit_log_factor
 from rayverify.harness import resolve_discriminant, run_rays
-from rayverify.nt import fundamental_discriminant, squarefree_part
+from rayverify.nt import fundamental_discriminant, is_prime, squarefree_part
 from rayverify.quadratic import QuadField
 from rayverify.padics import splitting_degree
 from rayverify.units import (
@@ -89,6 +89,31 @@ def test_rho_part_trivial_sylow():
 
 def test_thaine_admissible_prime_scan():
     assert thaine_admissible_primes(K316, 3, [4, 79, 316], 1, 3) == [7, 13, 43]
+
+
+def _admissible_by_odd_scan(field, n_exp, levels, modulus, count):
+    # the route thaine_admissible_primes once took: every odd q
+    out, q = [], 3
+    while len(out) < count:
+        if (
+            is_prime(q)
+            and field.chi(q) == 1
+            and (q - 1) % n_exp == 0
+            and modulus % q != 0
+            and all(lvl % q != 0 for lvl in levels)
+        ):
+            out.append(q)
+        q += 2
+    return out
+
+
+@pytest.mark.parametrize("n_exp", [1, 2, 3, 5, 7, 101])
+def test_thaine_admissible_primes_match_the_odd_scan(n_exp):
+    for field, levels, modulus in [
+        (K5, [5], 1), (K316, [4, 79, 316], 1), (K316, [316], 13), (QuadField(13), [13], 7),
+    ]:
+        expected = _admissible_by_odd_scan(field, n_exp, levels, modulus, 5)
+        assert thaine_admissible_primes(field, n_exp, levels, modulus, 5) == expected
 
 
 def test_ray_power_subgroup_grows_to_sylow():

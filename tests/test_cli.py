@@ -332,6 +332,12 @@ _GOLDEN = {
         "26afeb6d048994ac66942dbaa233d5bf182b86b2a4da3de6fdca87b61a49b440",
     "verify annihilator --quad 771 --mode thaine --p 3":
         "d18da9c373e4bf1e874549179fd8f912762734d1144eb620e04075f68f9f6b61",
+    # thaine at ell = 1 mod n for large n: the digest at p = 100003 is the
+    # one the F_ell^* tables gave in about two minutes; p = 1000003 is new
+    "verify annihilator --quad 79 --mode thaine --p 100003":
+        "b2b09a0469ca09fe563075bdb64ac8ba223ac1b6f400e170672196d807e5484f",
+    "verify annihilator --quad 5 --mode thaine --p 1000003":
+        "3e58bdba9b2d35b127a738195c31e5be161c03e4fd22f46ad92cc6b5c25c34d9",
 }
 
 
@@ -357,6 +363,10 @@ _FORMER_HANGS = {
     # in 30 s; sinnott stopped with "too large" before it got there
     "verify annihilator --quad 5 --mode solomon --p 1000000009": 5,
     "verify sinnott --quad 5 --p 1000000009": 5,
+    # thaine scanned every odd q for ell = 1 mod p and tabled F_ell^*: about
+    # two minutes at p = 100003, and no result in 200 s at p = 1000003
+    "verify annihilator --quad 79 --mode thaine --p 100003": 5,
+    "verify annihilator --quad 5 --mode thaine --p 1000003": 5,
 }
 
 

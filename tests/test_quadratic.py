@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rayverify.intmat import Lattice
-from rayverify.nt import factorize, fundamental_discriminant, squarefree_part
+from rayverify.nt import factorize, fundamental_discriminant, is_prime, squarefree_part
 from rayverify.quadratic import (
     MODULUS_LIMIT,
     QuadElement,
@@ -184,6 +184,21 @@ def test_prime_valuation():
     # a rational prime splits as both primes to the first power
     z11 = k.element(11)
     assert [k.prime_valuation(z11, 11, r) for r in roots] == [1, 1]
+
+
+def _prime_roots_by_scan(field, p):
+    # the route prime_roots once took: every residue r < p
+    T, Nm = field.omega_trace, field.omega_norm
+    return sorted(r for r in range(p) if (r * r - T * r + Nm) % p == 0)
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13, 21, 24, 316, 9001])
+def test_prime_roots_match_the_scan(D):
+    """(T +- sqrt(D)) / 2 mod p against the scan, at every prime p < 2000."""
+    field = QuadField(D)
+    for p in range(2, 2000):
+        if is_prime(p):
+            assert field.prime_roots(p) == _prime_roots_by_scan(field, p), p
 
 
 def test_analytic_class_number_oracle():

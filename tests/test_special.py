@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from rayverify.checks import check_h90
-from rayverify.cyclo import FieldSpec
+from rayverify import cyclo, units
+from rayverify.checks import check_h90, check_special_units
+from rayverify.cyclo import CycNumber, FieldSpec
 from rayverify.grouprings import GaloisGroup
-from rayverify.quadratic import QuadField
+from rayverify.nt import is_prime, primitive_root
+from rayverify.quadratic import QuadElement, QuadField
 from rayverify.special import (
     CycQuadElement,
     dlog_annihilator_coefficients,
@@ -130,6 +132,76 @@ def test_residue_dlogs_norm_relation():
     table = {pow(s, e, 19): e for e in range(18)}
     n_res = int(eps.norm()) % 19
     assert sum(dlogs.values()) % 18 == table[n_res % 19] % 18
+
+
+def _residue_by_sqrt_image(z, ell, root):
+    # the route quad_residue once took: z = x + y sqrt(D), sqrt(D) -> 2 root - D mod 2
+    t = (2 * root - z.field.D % 2) % ell
+    x = z.x.numerator * pow(z.x.denominator, -1, ell)
+    y = z.y.numerator * pow(z.y.denominator, -1, ell)
+    return (x + t * y) % ell
+
+
+def _dlogs_by_table(field, z, ell):
+    # the route residue_dlogs once took: a table of all of F_ell^*
+    s = primitive_root(ell)
+    table = {pow(s, e, ell): e for e in range(ell - 1)}
+    T, Nm = field.omega_trace, field.omega_norm
+    roots = [r for r in range(ell) if (r * r - T * r + Nm) % ell == 0]
+    return s, {r: table[_residue_by_sqrt_image(z, ell, r)] for r in roots}
+
+
+def _residue_grid():
+    """Seeded (field, split ell < 500, z) with z a unit at both primes over ell."""
+    rng = random.Random(20)
+    for D in (5, 8, 12, 13, 21, 316):
+        field = QuadField(D)
+        ells = [q for q in range(3, 500, 2) if is_prime(q) and field.chi(q) == 1]
+        for ell in rng.sample(ells, 5):
+            for _ in range(4):
+                e = rng.choice([q for q in range(1, 60) if q % ell])
+                z = QuadElement(field, rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), e)
+                if all(_residue_by_sqrt_image(z, ell, r) for r in field.prime_roots(ell)):
+                    yield field, ell, z
+
+
+def test_quad_residue_and_residue_dlogs_match_the_old_routes():
+    count = 0
+    for field, ell, z in _residue_grid():
+        for r in field.prime_roots(ell):
+            assert quad_residue(z, ell, r) == _residue_by_sqrt_image(z, ell, r)
+        assert residue_dlogs(field, z, ell) == _dlogs_by_table(field, z, ell)
+        count += 1
+    assert count > 100
+
+
+def test_residue_dlogs_errors():
+    with pytest.raises(ValueError, match="not a unit at 11"):
+        residue_dlogs(K5, K5.element(22), 11)
+    r = K5.prime_roots(11)[1]
+    with pytest.raises(ValueError, match="not a unit at 11"):
+        residue_dlogs(K5, K5.omega() - r, 11)
+    with pytest.raises(ValueError, match="not prime to 11"):
+        residue_dlogs(K5, K5.element(Fraction(3, 11), 1), 11)
+    with pytest.raises(ValueError, match="does not define a prime over 11"):
+        quad_residue(K5.omega(), 11, r + 1)
+    with pytest.raises(ValueError, match="must split"):
+        residue_dlogs(K5, K5.one(), 7)
+
+
+def test_h90_and_special_units_compute_nothing_in_q_zeta_n(monkeypatch):
+    # the Gauss periods of orbit_polynomial come in closed form
+    def refuse(*args):
+        raise AssertionError("arithmetic in Q(zeta_n)")
+
+    monkeypatch.setattr(CycNumber, "__mul__", refuse)
+    monkeypatch.setattr(CycNumber, "__rmul__", refuse)
+    monkeypatch.setattr(cyclo, "to_quadratic", refuse)
+    monkeypatch.setattr(units, "_orbit_cache", {})
+    monkeypatch.setattr(units, "_norm_cache", {})
+    assert [r.status for r in check_h90(13, 53)] == ["pass"]
+    results = check_special_units(29)
+    assert len(results) == 9 and all(r.status == "pass" for r in results)
 
 
 def test_dlog_annihilator_rational_number():
