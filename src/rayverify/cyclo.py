@@ -9,11 +9,9 @@ build time.  Everything is exact; nothing here touches floating point.
 The module also handles abelian fields cut out of Q(zeta_m) by a subgroup
 H of (Z/m)^*: conductor reduction, the subgroup fixing the intersection
 with a smaller cyclotomic field, quadratic Gauss sums as canonical square
-roots of discriminants, and Gauss-period power sums feeding Newton's
-identities.  No command computes in Q(zeta_n): `units` reads norms of
-1 - zeta_n^t and the coefficients of prod (X - zeta_n^(t h)) off closed-form
-Gauss periods in k, and tests use `CycNumber` and the subfield routes here
-as their oracles.
+roots of discriminants, and Gauss-period power sums with Newton's
+identities.  No command computes in Q(zeta_n) (`units.orbit_product` works
+modulo primes); tests use `CycNumber` and these routes as oracles.
 
 Bad arguments raise ValueError and a broken internal invariant raises
 ArithmeticError; no check is an `assert`, so `python -O` behaves the same.

@@ -275,6 +275,7 @@ def run_rays(D, ell=11, p=5, modulus=None):
 
 def run_gras(D, p=None, d=None, mode=None):
     from . import checks
+    from .quadratic import MODULUS_LIMIT
 
     if mode not in (None, "single", "scan"):
         raise ValueError("--mode %s: the gras mode is one of single, scan" % mode)
@@ -282,6 +283,8 @@ def run_gras(D, p=None, d=None, mode=None):
         _check_odd_prime(p)
     if d is not None and d < 1:
         raise ValueError("--d %d: the ray modulus or scan bound must be at least 1" % d)
+    if d is not None and d > MODULUS_LIMIT:  # before a scan builds d - 1 rings
+        raise ValueError("residue ring O/(%d) too large (modulus above %d)" % (d, MODULUS_LIMIT))
     if mode == "scan":
         p_list = (3, 5, 7) if p is None else (p,)
         d_max = 50 if d is None else d

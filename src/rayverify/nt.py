@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # a proof below 3.3e24
 
 
 def is_prime(n):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .grouprings import radical
 from .nt import divisors, is_prime, moebius, primitive_root
 from .quadratic import QuadElement, _local_factors
-from .units import cyclotomic_number, orbit_polynomial
+from .units import cyclotomic_number, orbit_product
 
 
 def _check_modulus(field, ell):
@@ -406,29 +406,19 @@ def special_unit(field, n, d, ell):
     """The level-(n, d) norm-one element of k^n(zeta_ell).
 
     Built as the product over squarefree t | rad(d) of F_t(zeta_ell^t) to
-    the power mu(t) d/t, where F_t (`units.orbit_polynomial`) is the monic
-    polynomial whose roots are the orbit of zeta_n^t under the subgroup
-    fixing k^n.  Requires n > 1, n not dividing rad(d), and an odd prime
-    ell, split in the field and coprime to n*d (see `validate_aux_prime`).
+    the power mu(t) d/t, where F_t is the monic polynomial whose roots are
+    the orbit of zeta_n^t under the subgroup fixing k^n (`units.orbit_product`
+    gives its value).  Requires n > 1, n not dividing rad(d), and an odd
+    prime ell, split in the field and coprime to n*d (see `validate_aux_prime`).
     """
     validate_aux_prime(field, n, d, ell)
-    dbar = radical(d)
-    num = CycQuadElement._embed(field, ell, 1)
-    den = CycQuadElement._embed(field, ell, 1)
-    for t in divisors(dbar):
-        mu = moebius(t)
-        if mu == 0:
-            continue
-        full = [field.zero()] * ell
-        for i, c in enumerate(orbit_polynomial(field, n, t)):
-            k = (t * i) % ell
-            full[k] = full[k] + c
-        value = CycQuadElement.from_full(field, ell, full)
-        e = mu * (d // t)
-        if e > 0:
-            num = num * value**e
+    num = den = CycQuadElement._embed(field, ell, 1)
+    for t in divisors(radical(d)):  # squarefree, so mu(t) = +-1
+        value = CycQuadElement.from_full(field, ell, orbit_product(field, n, t, ell))
+        if moebius(t) > 0:
+            num = num * value ** (d // t)
         else:
-            den = den * value ** (-e)
+            den = den * value ** (d // t)
     return num * den.inverse()
 
 
@@ -457,15 +447,10 @@ def special_unit_certificate(field, n, d, ell):
         sign = 0
     congruent = sign != 0
 
-    roots = field.prime_roots(ell)
-    residues = {}
-    matches = True
-    for r in roots:
-        e_res = eps.residue_at(r)
-        d_res = quad_residue(delta, ell, r)
-        residues[r] = (e_res, d_res)
-        if e_res != d_res:
-            matches = False
+    residues = {
+        r: (eps.residue_at(r), quad_residue(delta, ell, r)) for r in field.prime_roots(ell)
+    }
+    matches = all(a == b for a, b in residues.values())
 
     return {
         "discriminant": field.D,

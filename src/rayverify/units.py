@@ -6,23 +6,13 @@ its intersection with a fixed real quadratic field: for a twist d whose
 radical is not divisible by n, the product runs over divisors t of the
 radical with exponents mu(t) * d / t.  Untwisted (d = 1) these are the
 classical cyclotomic numbers; general d builds in congruence conditions
-modulo d.
+modulo d.  `generating_levels` lists levels whose numbers generate them all.
 
-Each norm of 1 - zeta_n^t is read at the conductor s of zeta_n^t.  It is
-rational unless D divides s; then it is a power of u_s, the norm of
-1 - zeta_s, or of its conjugate.  u_s is one product of the 1 - x^h over
-ker(chi_D) mod s in Z[x]/(x^s - 1), summed against closed-form Gauss
-periods (`_period`), and cached once per (D, s) as the norm at (n, t) =
-(s, 1).  The same periods give `orbit_polynomial`, the coefficients of F_t
-that `special.special_unit` needs, by Newton's identities in k.
-
-`generating_levels` lists the levels n whose numbers generate the whole
-group of such elements for a given twist.  The raw parametrization runs
-over products y * m_r of divisor data of the field discriminant; entries
-that collapse (level 1, or a level dividing the radical of the twist) are
-replaced by their multiples by a small auxiliary inert prime, which changes
-the generated group only by a factor of 2 in index and so is invisible to
-every odd-part comparison.
+Each norm of 1 - zeta_n^t is read at the conductor s of zeta_n^t: it is
+rational unless D divides s, and then a power of u_s = N(1 - zeta_s) or of
+its conjugate.  u_s, and the values F_t(zeta_ell^t) of F_t = prod over h of
+(X - zeta_n^(t h)) that `special.special_unit` needs, are one product
+computed modulo primes and lifted exactly (`orbit_product`).
 
 On top sit exact lattice computations inside the unit group, coordinatized
 as (exponent, sign) with respect to the fundamental unit and -1:
@@ -36,16 +26,15 @@ as (exponent, sign) with respect to the fundamental unit and -1:
 """
 
 import math
-from fractions import Fraction
 
-from .cyclo import power_sums_to_elementary, units_mod
+from .cyclo import units_mod
 from .grouprings import radical
-from .nt import divisors, euler_phi, factorize, is_prime, kronecker, moebius, valuation
+from .nt import crt, divisors, euler_phi, factorize, is_prime, kronecker, moebius, valuation
 from .quadratic import QuadElement, unit_exponent
 
 __all__ = [
     "cyclotomic_number",
-    "orbit_polynomial",
+    "orbit_product",
     "generating_levels",
     "auxiliary_prime",
     "unit_pair",
@@ -58,95 +47,116 @@ __all__ = [
     "twist_power",
 ]
 
+#: `orbit_product` works mod primes below 2^81, where `nt.is_prime` is a proof
+_PRIME_TOP = 2**81
+
 _norm_cache = {}
-_orbit_cache = {}
+_levels = {}  # (D, n) -> (the chi_D table if D | n, else None; [(q, zeta_n mod q)])
 
 
-def _period(D, m, sign):
-    """Twice the coordinates (x, y) of the Gauss period x + y sqrt(D) over
-    one orbit of ker(chi_D) on (Z/m)^*: the Ramanujan sum mu(m) when D does
-    not divide m (`sign` 0), else the coset where chi_D is `sign`, with
-    period (mu(m) + sign mu(r) chi(r) sqrt(D)) / 2 for m = D r."""
-    if not sign:
-        return 2 * moebius(m), 0
-    return moebius(m), sign * moebius(m // D) * kronecker(D, m // D)
+def _add_prime(n, primes):
+    """Append the next prime q = 1 (mod n) below the last one (or below
+    `_PRIME_TOP`) and z = a^((q - 1) / n) of exact order n, a > 1 least."""
+    q = primes[-1][0] - n if primes else _PRIME_TOP - (_PRIME_TOP - 1) % n
+    while not is_prime(q):
+        q -= n
+    a = 2
+    while any(pow(a, (q - 1) // p, q) == 1 for p, _ in factorize(n)):
+        a += 1
+    primes.append((q, pow(a, (q - 1) // n, q)))
 
 
-def orbit_polynomial(field, n, t):
-    """F_t(X) = prod over h in S of (X - zeta_n^(t h)), S the subgroup of
-    (Z/n)^* fixing k in Q(zeta_n): ker(chi_D) mod n if D | n, else all of it.
+def _log2_bound(n, t, ell, cosets):
+    """b with |P(w)| < 2^b for P = prod over h in C of (Y^t - zeta_n^(t h)),
+    every C in `cosets` and w^ell = 1: a factor is 2 |sin(pi r / N)| <=
+    min(14 N, 44 |r|) / (7 N) for N = ell n, |r| <= N / 2 (`orbit_product`)."""
+    N = ell * n
+    top = 0
+    for C in cosets:
+        for j in range(ell):
+            m, e = 1, 0  # the product of the numerators is at most m 2^e
+            for h in C:
+                r = t * (j * n - h * ell) % N
+                m *= min(14 * N, 44 * min(r, N - r))
+                if m >> 64:
+                    s = m.bit_length() - 64
+                    m, e = (m >> s) + 1, e + s
+            top = max(top, e + m.bit_length())
+    return top - pow(7 * N, len(cosets[0])).bit_length() + 1
 
-    Its coefficients lie in that part, so they come back as a tuple of
-    QuadElements, ascending.  They are Newton's identities on the power sums
-    over S of zeta_n^(t j h): |S| / |S_m| times the `_period` of the orbit
-    of zeta_n^(t j), m its order and S_m the image of S mod m.  Only
-    `special.special_unit` needs them; norms skip this route.
+
+def orbit_product(field, n, t, ell):
+    """The coefficients c_0, ..., c_(ell - 1) of prod over h in S of
+    (Y^t - zeta_n^(t h)) mod Y^ell - 1, S = ker(chi_D) if D | n, else
+    (Z/n)^*.  S fixes k in Q(zeta_n), so each c_j is a QuadElement of O_k.
+    At ell = 1 this is the norm of 1 - zeta_n^t (u_s at (n, t) = (s, 1));
+    `special.special_unit` reads F_t(zeta_ell^t) off it.  Needs zeta_n^t != 1.
+
+    Mod q = 1 (mod n), with zeta_n -> z (`_add_prime`) and sqrt(D) -> the
+    Gauss sum g = sum chi_D(a) z^(a n / D), the products P, P' over the two
+    cosets of ker(chi_D) are the images of c_j = x + y sqrt(D) and of its
+    conjugate: 2x = P + P', 2y = (P - P') / g (P' = P, y = 0 if D does not
+    divide n).  `crt` lifts them over primes with product M >= 2^(b + 2).
+    In both embeddings of k, |c_j| < 2^b (`_log2_bound`), as c_j = (1/ell)
+    sum over w^ell = 1 of P(w) w^(-j) and each |w^t - zeta_n^(t h)| =
+    2 |sin(pi x)| <= min(2, 44 ||x|| / 7), since sin(x) <= x and pi < 22/7.
+    So |2x|, |2y| < M / 2, and the symmetric residues are exact.
+
+    Each result is checked exactly: for ell > 1 the slot sum, the norm of
+    1 - zeta_n^t, must equal `_norm_one_minus_power`, which checks that
+    N(u_s) = Phi_s(1).  A mismatch raises ArithmeticError.
     """
     D = field.D
-    key = (D, n, t % n)
-    if key in _orbit_cache:
-        return _orbit_cache[key]
-    size = euler_phi(n) // (2 if n % D == 0 else 1)
-    traces, powers = {}, []
-    for j in range(1, size + 1):
-        g = math.gcd(n, t * j)
-        m = n // g
-        orbit = (m, kronecker(D, t * j // g) if m % D == 0 else 0)
-        if orbit not in traces:
-            x2, y2 = _period(D, *orbit)
-            fibre = size * (2 if orbit[1] else 1) // euler_phi(m)  # |S| / |S_m|
-            traces[orbit] = field.element(Fraction(fibre * x2, 2), Fraction(fibre * y2, 2))
-        powers.append(traces[orbit])
-    # F(X) = X^r - e1 X^(r-1) + e2 X^(r-2) - ...
-    coeffs = [field.one()]
-    for i, e in enumerate(power_sums_to_elementary(powers, field.one()), start=1):
-        coeffs.append(-e if i % 2 else e)
-    _orbit_cache[key] = coeffs = tuple(reversed(coeffs))
-    return coeffs
-
-
-def _level_norm(field, s):
-    """u_s = prod over h in ker(chi_D) mod s of (1 - zeta_s^h), for D | s.
-
-    One product P = prod (1 - x^h) in Z[x]/(x^s - 1), one list pass per h.
-    P is invariant under ker(chi_D), so P(zeta_s) sums its coefficients
-    against the periods eta_O = sum over an orbit O of zeta_s^i.  The orbit
-    of i = g j, g = gcd(i, s) and m = s / g, is g times an orbit of
-    ker(chi_D) on (Z/m)^*, named by chi_D(j) when D | m (see `_period`).
-    """
-    D = field.D
-    chi = [kronecker(D, a) for a in range(D)]
-    P = [1] + [0] * (s - 1)
-    for h in units_mod(s):
-        if chi[h % D] == 1:
-            P = [a - b for a, b in zip(P, P[-h:] + P[:-h])]
-    x2 = y2 = 0  # twice the rational and the sqrt(D) coordinate
-    for m in divisors(s):
-        g = s // m
-        orbits = {}  # chi(j) when D | m, else 0 -> the coefficient on the orbit
-        for j in units_mod(m):
-            c = P[g * j]
-            if orbits.setdefault(chi[j % D] if m % D == 0 else 0, c) != c:
-                raise ArithmeticError(
-                    "the product at level %d is not invariant under ker(chi_%d)" % (s, D)
-                )
-        for sign, c in orbits.items():
-            px, py = _period(D, m, sign)
-            x2 += c * px
-            y2 += c * py
-    return field.element(Fraction(x2, 2), Fraction(y2, 2))
+    if (D, n) not in _levels:
+        _levels[D, n] = ([kronecker(D, a) for a in range(D)] if n % D == 0 else None, [])
+    chi, primes = _levels[D, n]
+    units = units_mod(n)
+    cosets = [units] if chi is None else [[h for h in units if chi[h % D] == c] for c in (1, -1)]
+    bits = max(_log2_bound(n, t, ell, cosets), 0) + 2
+    r = t % ell
+    moduli, xs, ys = [], [], []
+    while bits > 0:
+        if len(moduli) == len(primes):
+            _add_prime(n, primes)
+        q, z = primes[len(moduli)]
+        bits -= q.bit_length() - 1
+        powers = [1] * n
+        for k in range(1, n):
+            powers[k] = powers[k - 1] * z % q
+        P = []
+        for C in cosets:
+            p = [1] + [0] * (ell - 1)
+            for h in C:  # p = (Y^t - zeta_n^(t h)) p
+                c = powers[t * h % n]
+                p = [(a - c * b) % q for a, b in zip(p[-r:] + p[:-r], p)]
+            P.append(p)
+        ginv = 0
+        if chi is not None:
+            ginv = pow(sum(c * powers[a * n // D] for a, c in enumerate(chi)), -1, q)
+        moduli.append(q)
+        xs.append([(a + b) % q for a, b in zip(P[0], P[-1])])
+        ys.append([(a - b) * ginv % q for a, b in zip(P[0], P[-1])])
+    M = math.prod(moduli)
+    out = []
+    for x, y in zip(zip(*xs), zip(*ys)):
+        x, y = (v - M if 2 * v > M else v for v in (crt(x, moduli), crt(y, moduli)))
+        out.append(QuadElement(field, x - D % 2 * y, 2 * y, 2))  # sqrt(D) = 2 omega - D % 2
+    if ell > 1 and sum(out, field.zero()) != _norm_one_minus_power(field, n, t):
+        raise ArithmeticError(
+            "the orbit product at (n, t, ell) = (%d, %d, %d) in Q(sqrt %d) does not "
+            "sum to the norm of 1 - zeta_n^t" % (n, t, ell, D)
+        )
+    return out
 
 
 def _norm_one_minus_power(field, n, t):
-    """Exact norm, down to the field's part of the n-th cyclotomic field,
-    of 1 - zeta_n^t, read at the conductor s = n / gcd(n, t) of zeta_n^t.
+    """Exact norm, down to the field's part of Q(zeta_n), of 1 - zeta_n^t.
 
-    Reduction mod s maps the fixing subgroup S at level n onto the one at
-    level s, S_s, |S| / |S_s| to one.  When D does not divide s, S_s is all
-    of (Z/s)^* and the norm is rational: Phi_s(1), which is p for s a power
-    of p and 1 otherwise, to the power |S| / |S_s|.  Otherwise it is
-    u_s = N(1 - zeta_s) (see `_level_norm`) to the power phi(n) / phi(s),
-    conjugated when t / gcd(n, t) is a non-residue of chi_D."""
+    Reduction mod s = n / gcd(n, t) maps the fixing subgroup S at level n
+    onto S_s, |S| / |S_s| to one.  So the norm is Phi_s(1)^(|S| / |S_s|)
+    when D does not divide s (S_s is all of (Z/s)^*), else u_s (`orbit_product`,
+    checked by N(u_s) = Phi_s(1)) to the power phi(n) / phi(s), conjugated if
+    chi_D(t / gcd(n, t)) = -1."""
     D = field.D
     key = (D, n, t % n)
     if key in _norm_cache:
@@ -155,13 +165,15 @@ def _norm_one_minus_power(field, n, t):
     s = n // g
     if s == 1:
         raise ValueError("the root of unity degenerates to 1 (n=%d, t=%d)" % (n, t))
+    fac = factorize(s)
+    phi_s_at_1 = fac[0][0] if len(fac) == 1 else 1  # p for s a power of p, else 1
     if s % D:
-        fac = factorize(s)
-        base = fac[0][0] if len(fac) == 1 else 1
         size = euler_phi(n) if n % D else euler_phi(n) // 2
-        value = field.element(base ** (size // euler_phi(s)))
+        value = field.element(phi_s_at_1 ** (size // euler_phi(s)))
     elif key == (D, s, 1):  # u_s itself
-        value = _level_norm(field, s)
+        (value,) = orbit_product(field, s, 1, 1)
+        if value.norm() != phi_s_at_1:
+            raise ArithmeticError("N(u_%d) is not Phi_%d(1) in Q(sqrt %d)" % (s, s, D))
     else:
         value = _norm_one_minus_power(field, s, 1) ** (euler_phi(n) // euler_phi(s))
         if field.chi(t // g) == -1:
@@ -185,9 +197,7 @@ def cyclotomic_number(field, n, d=1):
         raise ValueError("level %d divides the radical of the twist %d" % (n, d))
     out = field.one()
     for t in divisors(dbar):
-        e = moebius(t) * (d // t)
-        if e:
-            out = out * _norm_one_minus_power(field, n, t) ** e
+        out = out * _norm_one_minus_power(field, n, t) ** (moebius(t) * (d // t))
     return out
 
 
@@ -209,7 +219,8 @@ def generating_levels(field, d=1):
     squarefree r prime to gcd(radical(d), D) and y a divisor of the
     discriminant part of that gcd.  Degenerate candidates (n = 1, or n
     dividing the radical of the twist) are replaced by their multiple by
-    the auxiliary inert prime, keeping their content up to a factor 2.
+    the auxiliary inert prime, keeping their content up to a factor 2 in
+    index, which no odd-part comparison sees.
     """
     m = field.D
     dbar = radical(d)

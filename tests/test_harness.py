@@ -298,6 +298,8 @@ def test_p_prec_and_d_contracts():
         (["verify", "rays", "--quad", "5", "--ell", "11", "--p", "2"], "odd prime"),
         (["verify", "sinnott", "--quad", "5", "--prec", "0"], "p-adic digit"),
         (["verify", "gras", "--quad", "5", "--d", "10001"], "too large"),
+        # a scan used to build 10000 ray class groups before it got there
+        (["verify", "gras", "--quad", "5", "--mode", "scan", "--d", "10001"], "too large"),
         (["verify", "gras", "--quad", "5", "--d", "0"], "at least 1"),
         (["verify", "annihilator", "--quad", "79", "--p", "4", "--mode", "thaine"],
          "odd prime"),

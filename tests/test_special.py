@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from rayverify import cyclo, units
-from rayverify.checks import check_h90, check_special_units
+from rayverify.checks import check_gras, check_h90, check_sinnott, check_special_units
 from rayverify.cyclo import CycNumber, FieldSpec
 from rayverify.grouprings import GaloisGroup
 from rayverify.nt import is_prime, primitive_root
@@ -189,19 +189,27 @@ def test_residue_dlogs_errors():
         residue_dlogs(K5, K5.one(), 7)
 
 
-def test_h90_and_special_units_compute_nothing_in_q_zeta_n(monkeypatch):
-    # the Gauss periods of orbit_polynomial come in closed form
+def test_checks_use_neither_newtons_identities_nor_q_zeta_n(monkeypatch):
+    # norms and orbit products are products modulo primes
     def refuse(*args):
-        raise AssertionError("arithmetic in Q(zeta_n)")
+        raise AssertionError("Newton's identities or arithmetic in Q(zeta_n)")
 
+    newton = cyclo.power_sums_to_elementary
+    for mod in [m for name, m in sys.modules.items() if name.startswith("rayverify")]:
+        for attr, value in list(vars(mod).items()):
+            if value is newton:
+                monkeypatch.setattr(mod, attr, refuse)
     monkeypatch.setattr(CycNumber, "__mul__", refuse)
     monkeypatch.setattr(CycNumber, "__rmul__", refuse)
     monkeypatch.setattr(cyclo, "to_quadratic", refuse)
-    monkeypatch.setattr(units, "_orbit_cache", {})
+    monkeypatch.setattr(units, "_levels", {})
     monkeypatch.setattr(units, "_norm_cache", {})
     assert [r.status for r in check_h90(13, 53)] == ["pass"]
     results = check_special_units(29)
     assert len(results) == 9 and all(r.status == "pass" for r in results)
+    assert [r.status for r in check_gras(316, 3, 1)] == ["pass"]
+    results = check_sinnott(5, 7)
+    assert results and all(r.status == "pass" for r in results)
 
 
 def test_dlog_annihilator_rational_number():

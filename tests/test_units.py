@@ -1,22 +1,22 @@
 """Tests for cyclotomic numbers and unit lattices of real quadratic fields."""
 
-import ast
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from rayverify import cyclo, units
 from rayverify.cyclo import (
     FieldSpec,
     power_sums_to_elementary,
     subgroup_product_polynomial,
     subgroup_trace_of_power,
     to_quadratic,
+    units_mod,
 )
-from rayverify import units
-from rayverify.quadratic import QuadField
+from rayverify.nt import divisors, kronecker, moebius
+from rayverify.quadratic import QuadField, _is_fundamental
 from rayverify.units import (
     _norm_one_minus_power,
     auxiliary_prime,
@@ -28,7 +28,7 @@ from rayverify.units import (
     full_unit_lattice,
     generating_levels,
     lattice_index,
-    orbit_polynomial,
+    orbit_product,
     twist_power,
     unit_pair,
 )
@@ -144,18 +144,31 @@ def test_congruence_circular_indices():
     assert lattice_index(c34, congruence_unit_lattice(Q5, 34)) == 6
 
 
-def _norm_one_minus_power_per_j(field, n, t):
-    """F_t(1) from one Gauss-period trace per j = 1..|S|, through Newton's
-    identities: the reference for the level-product route."""
+def _orbit_polynomial_per_j(field, n, t):
+    """F_t = prod over h in S of (X - zeta_n^(t h)), ascending, from one
+    Gauss-period trace per j = 1..|S| through Newton's identities in k."""
     S = FieldSpec.quadratic(field.D).fixing_subgroup_at(n)
     powers = [
         field.element(*to_quadratic(subgroup_trace_of_power(n, S, t * j), field.D))
         for j in range(1, len(S) + 1)
     ]
-    value = field.one()
-    for i, e in enumerate(power_sums_to_elementary(powers, field.one())):
-        value = value - e if i % 2 == 0 else value + e
-    return value
+    coeffs = [field.one()]
+    for i, e in enumerate(power_sums_to_elementary(powers, field.one()), start=1):
+        coeffs.append(-e if i % 2 else e)
+    return coeffs[::-1]
+
+
+def _norm_one_minus_power_per_j(field, n, t):
+    """F_t(1), the norm of 1 - zeta_n^t: the reference for the norms."""
+    return sum(_orbit_polynomial_per_j(field, n, t), field.zero())
+
+
+def _fold(coeffs, t, ell, zero):
+    """F(Y^t) mod (Y^ell - 1) from the ascending coefficients of F."""
+    full = [zero] * ell
+    for i, c in enumerate(coeffs):
+        full[t * i % ell] += c
+    return full
 
 
 @pytest.mark.parametrize(
@@ -183,7 +196,7 @@ def _oracle_grid(seed=1411, size=72):
 
 
 def _norm_route_cases(D, n, t):
-    """The cases the level-product route splits on that (D, n, t) falls in."""
+    """The cases `_norm_one_minus_power` splits on that (D, n, t) falls in."""
     g = math.gcd(n, t)
     s = n // g
     cases = set()
@@ -215,25 +228,13 @@ def test_norm_one_minus_power_matches_newton_on_a_seeded_grid():
         assert _norm_one_minus_power(field, n, t) == expected, (D, n, t)
 
 
-def test_norms_of_the_deep_op_skip_newtons_identities(monkeypatch):
-    """The twists of `gras --quad 79 --mode scan --d 12` at level 316."""
-    twists = (1, 2, 3, 5, 6, 7, 10, 11)
-    expected = [sum(orbit_polynomial(Q316, 316, t), Q316.zero()) for t in twists]
-
-    def refuse(*args):
-        raise AssertionError("the norm took the F_t route")
-
-    monkeypatch.setattr(units, "_norm_cache", {})
-    monkeypatch.setattr(units, "power_sums_to_elementary", refuse)
-    monkeypatch.setattr(units, "orbit_polynomial", refuse)
-    assert [_norm_one_minus_power(Q316, 316, t) for t in twists] == expected
-
-
-def test_level_norm_rejects_a_product_that_is_not_invariant(monkeypatch):
-    # a symbol that is not a character mod D breaks the orbit structure
-    monkeypatch.setattr(units, "kronecker", lambda D, a: 1 if a % D in (1, 2) else -1)
-    with pytest.raises(ArithmeticError, match="not invariant"):
-        units._level_norm(Q5, 5)
+def test_orbit_product_matches_the_folded_newton_oracle_on_the_seeded_grid():
+    for D, n, t in _oracle_grid():
+        field = QuadField(D)
+        coeffs = _orbit_polynomial_per_j(field, n, t)
+        for ell in (1, 11, 13, 29):
+            expected = _fold(coeffs, t, ell, field.zero())
+            assert orbit_product(field, n, t, ell) == expected, (D, n, t, ell)
 
 
 @pytest.mark.parametrize(
@@ -243,17 +244,108 @@ def test_level_norm_rejects_a_product_that_is_not_invariant(monkeypatch):
      # gcd(n / D, D) > 1: the Gauss sum of chi_D induced to modulus 25 is 0
      (5, 25, 1)],
 )
-def test_orbit_polynomial_matches_the_cyclotomic_product(D, n, t):
-    """F_t against prod (X - zeta_n^(t h)) expanded in Q(zeta_n) and pushed
-    down coefficient by coefficient, the route `special_unit` once took."""
+def test_orbit_product_matches_the_folded_cyclotomic_product(D, n, t):
+    """F_t(Y^t) mod (Y^ell - 1) against prod (X - zeta_n^(t h)) expanded in
+    Q(zeta_n), pushed down coefficient by coefficient and folded."""
     field = QuadField(D)
     S = FieldSpec.quadratic(D).fixing_subgroup_at(n)
-    expected = [
+    coeffs = [
         field.element(*to_quadratic(c, D)) for c in subgroup_product_polynomial(n, S, t)
     ]
-    assert list(orbit_polynomial(field, n, t)) == expected
-    if n % D == 0 and n // math.gcd(n, t) > 1:
-        assert _norm_one_minus_power(field, n, t) == sum(expected, field.zero())
+    for ell in (1, 11, 13, 29):
+        assert orbit_product(field, n, t, ell) == _fold(coeffs, t, ell, field.zero()), ell
+    assert _norm_one_minus_power(field, n, t) == sum(coeffs, field.zero())
+
+
+def _period(D, m, sign):
+    """Twice the Gauss period of one orbit of ker(chi_D) on (Z/m)^*: the
+    Ramanujan sum mu(m) when D does not divide m (`sign` 0), else the coset
+    where chi_D is `sign`, with period (mu(m) + sign mu(r) chi(r) sqrt(D)) / 2
+    for m = D r."""
+    if not sign:
+        return 2 * moebius(m), 0
+    return moebius(m), sign * moebius(m // D) * kronecker(D, m // D)
+
+
+def _level_norm(field, s):
+    """u_s as one product of the 1 - x^h over ker(chi_D) in Z[x]/(x^s - 1),
+    summed against the periods of its orbits: O(s^2), the route `units`
+    took before `orbit_product`."""
+    D = field.D
+    chi = [kronecker(D, a) for a in range(D)]
+    P = [1] + [0] * (s - 1)
+    for h in units_mod(s):
+        if chi[h % D] == 1:
+            P = [a - b for a, b in zip(P, P[-h:] + P[:-h])]
+    x2 = y2 = 0
+    for m in divisors(s):
+        orbits = {}  # chi(j) when D | m, else 0 -> the coefficient on the orbit
+        for j in units_mod(m):
+            orbits[chi[j % D] if m % D == 0 else 0] = P[s // m * j]
+        for sign, c in orbits.items():
+            px, py = _period(D, m, sign)
+            x2 += c * px
+            y2 += c * py
+    return field.element(Fraction(x2, 2), Fraction(y2, 2))
+
+
+def _fundamental_discriminants(lo, hi):
+    return [D for D in range(max(lo, 5), hi) if _is_fundamental(D)]
+
+
+def _u_D_sample(seed=2113, size=6):
+    """Every fundamental D below 500, then a seeded sample up to 3000."""
+    rest = random.Random(seed).sample(_fundamental_discriminants(500, 3000), size)
+    return _fundamental_discriminants(5, 500) + sorted(rest)
+
+
+def test_u_D_matches_the_level_product():
+    sample = _u_D_sample()
+    assert len(sample) > 150 and max(sample) > 1500
+    for D in sample:
+        field = QuadField(D)
+        assert orbit_product(field, D, 1, 1) == [_level_norm(field, D)], D
+
+
+def test_norms_of_the_deep_op_skip_newtons_identities(monkeypatch):
+    """The twists of `gras --quad 79 --mode scan --d 12` at level 316."""
+    twists = (1, 2, 3, 5, 6, 7, 10, 11)
+    expected = [_norm_one_minus_power_per_j(Q316, 316, t) for t in twists]
+
+    def refuse(*args):
+        raise AssertionError("the norm took Newton's identities")
+
+    monkeypatch.setattr(units, "_norm_cache", {})
+    monkeypatch.setattr(units, "_levels", {})
+    monkeypatch.setattr(cyclo, "power_sums_to_elementary", refuse)
+    assert [_norm_one_minus_power(Q316, 316, t) for t in twists] == expected
+
+
+def test_orbit_product_rejects_too_few_primes(monkeypatch):
+    # u_D for D = 1801 has a coordinate of 105 bits: one prime below 2^81
+    # lifts it wrongly
+    field = QuadField(1801)
+    monkeypatch.setattr(units, "_levels", {})
+    monkeypatch.setattr(units, "_norm_cache", {})
+    u = _norm_one_minus_power(field, 1801, 1)
+    assert max(abs(u.a), abs(u.b)).bit_length() == 105
+    assert len(units._levels[1801, 1801][1]) > 1
+    monkeypatch.setattr(units, "_log2_bound", lambda *args: 0)
+    # F_1(Y) mod (Y^11 - 1), against the cached norm
+    with pytest.raises(ArithmeticError, match="does not sum to the norm"):
+        orbit_product(field, 1801, 1, 11)
+    monkeypatch.setattr(units, "_norm_cache", {})
+    with pytest.raises(ArithmeticError, match="N\\(u_1801\\) is not Phi_1801\\(1\\)"):
+        _norm_one_minus_power(field, 1801, 1)
+
+
+def test_orbit_product_rejects_a_symbol_that_is_not_a_character(monkeypatch):
+    # its cosets are not those of a subgroup, so the product is not in k
+    monkeypatch.setattr(units, "_levels", {})
+    monkeypatch.setattr(units, "_norm_cache", {})
+    monkeypatch.setattr(units, "kronecker", lambda D, a: 1 if a % D in (1, 2) else -1)
+    with pytest.raises(ArithmeticError, match="is not Phi_5"):
+        _norm_one_minus_power(Q5, 5, 1)
 
 
 def test_lattice_index_rejects_a_non_sublattice():
@@ -261,9 +353,3 @@ def test_lattice_index_rejects_a_non_sublattice():
         lattice_index(full_unit_lattice(), [[2, 0], [0, 1]])
     with pytest.raises(ValueError, match="degenerates"):
         _norm_one_minus_power(Q5, 5, 10)
-
-
-def test_units_module_has_no_assert():
-    """Checks must survive python -O."""
-    tree = ast.parse(Path(units.__file__).read_text())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
