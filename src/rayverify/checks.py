@@ -665,16 +665,9 @@ def ray_power_subgroup_orders(rcg, p, n_exp, count=25):
         while not is_prime(ell):
             ell += 1
         if ell % p != 0 and rcg.modulus % ell != 0:
-            ch = field.chi(ell)
-            nrm = ell if ch >= 0 else ell * ell
+            nrm = ell if field.chi(ell) >= 0 else ell * ell
             if nrm % q == 1:
-                if ch == 1:
-                    for r in field.prime_roots(ell):
-                        gens.append(list(rcg.prime_class(ell, r)))
-                elif ch == 0:
-                    gens.append(list(rcg.prime_class(ell, field.prime_roots(ell)[0])))
-                else:
-                    gens.append(list(rcg.prime_class(ell)))
+                gens += [list(rcg.prime_class(ell, r)) for _, r in field.primes_over(ell)]
                 orders.append(total // mod_n.quotient(gens).order())
                 found += 1
         ell += 1

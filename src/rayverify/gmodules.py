@@ -433,7 +433,6 @@ def _prime_smooth_vector(field, q, r):
         i = cl.gens.index((q, r))
         return [-int(j == i) for j in range(len(cl.gens))], field.one()
     D, T = field.D, field.omega_trace
-    base_primes = {p for p, _ in cl.gens}
     # |b| sqrt(D) <= t and |Tr(z)| <= t, as b^4 D <= 4 q^2 and Tr^4 <= 4 q^2 D
     tr_max = math.isqrt(math.isqrt(4 * q * q * D))
     for b in range(math.isqrt(math.isqrt(4 * q * q // D)) + 1):
@@ -441,12 +440,9 @@ def _prime_smooth_vector(field, q, r):
         for a in range(max(-((tr_max + c) // (2 * q)), int(b == 0)),
                        (tr_max - c) // (2 * q) + 1):
             z = field.from_omega_coords(a * q - b * r, b)
-            rest = abs(z._norm_numerator()) // q
-            for p in base_primes:
-                while rest % p == 0:
-                    rest //= p
-            if rest == 1:
-                return [field.prime_valuation(z, p, rp) for p, rp in cl.gens], z
+            vec = cl._factor_vector(z, cofactor=q)
+            if vec is not None:
+                return vec, z
     raise ArithmeticError(
         "no point of (%d, w - %d) in its Minkowski region is smooth" % (q, r)
     )
@@ -640,37 +636,21 @@ class RayClassGroup:
     def prime_class_of_norm_factorization(self, z):
         """Sum of prime-class vectors over the factorization of (z).
 
-        For elements coprime to the modulus; must agree with
+        For nonzero z of k with (z) coprime to the modulus; must agree with
         `principal_vector(z)` (used as a consistency check on the section).
         """
         field = self.field
         total = self.module.zero()
-        nrm = abs(int(z.norm()))
+        nrm = z._norm_numerator()
         if nrm == 0:
             raise ValueError("zero has no factorization")
-        for p, e in factorize(nrm):
+        for p, _ in factorize(abs(nrm) * z.e):
             if math.gcd(p, self.modulus) != 1:
                 raise ValueError("element must be coprime to the modulus")
-            ch = field.chi(p)
-            if ch == -1:
-                if e % 2:
-                    raise ArithmeticError("odd norm valuation at inert %d" % p)
-                total = self.module.add(
-                    total, self.module.scale(e // 2, self.prime_class(p))
-                )
-            elif ch == 0:
-                root = field.prime_roots(p)[0]
-                total = self.module.add(
-                    total, self.module.scale(e, self.prime_class(p, root))
-                )
-            else:
-                r1, r2 = field.prime_roots(p)
-                v1 = field.prime_valuation(z, p, r1)
-                for mult, root in ((v1, r1), (e - v1, r2)):
-                    if mult:
-                        total = self.module.add(
-                            total, self.module.scale(mult, self.prime_class(p, root))
-                        )
+            for _, r in field.primes_over(p):
+                v = field.prime_valuation(z, p, r)
+                if v:
+                    total = self.module.add(total, self.module.scale(v, self.prime_class(p, r)))
         return total
 
     def __repr__(self):

@@ -133,7 +133,7 @@ def resolve_discriminant(quad=None, field=None):
     do not describe a real quadratic field.
     """
     from .cyclo import FieldSpec, subgroup_generated
-    from .nt import fundamental_discriminant, squarefree_part
+    from .nt import euler_phi, fundamental_discriminant, squarefree_part
 
     if field is not None:
         m, _, gens = field.partition(":")
@@ -150,12 +150,13 @@ def resolve_discriminant(quad=None, field=None):
                 "field %s is not real (-1 is not in the subgroup); only real "
                 "quadratic fields are supported here" % field
             )
-        spec = FieldSpec(m, H)
-        if spec.degree() != 2:
+        # before FieldSpec, which lists (Z/m)^*
+        if euler_phi(m) != 2 * len(H):
             raise ValueError(
                 "field %s has degree %d; only real quadratic fields are "
-                "supported here" % (field, spec.degree())
+                "supported here" % (field, euler_phi(m) // len(H))
             )
+        spec = FieldSpec(m, H)
         D = spec.conductor
         if spec.H != FieldSpec.quadratic(D).H:
             raise ArithmeticError("field %s: conductor %d does not match" % (field, D))
@@ -235,6 +236,14 @@ def _check_odd_prime(p):
         raise ValueError("--p %d: the verification prime must be an odd prime" % p)
 
 
+def _check_modulus_limit(M):
+    """Raise ValueError for a ray modulus above `quadratic.MODULUS_LIMIT`."""
+    from .quadratic import MODULUS_LIMIT
+
+    if M > MODULUS_LIMIT:
+        raise ValueError("residue ring O/(%d) too large (modulus above %d)" % (M, MODULUS_LIMIT))
+
+
 def run_sinnott(D, p=7, prec=12, d=6):
     from . import checks
 
@@ -275,7 +284,6 @@ def run_rays(D, ell=11, p=5, modulus=None):
 
 def run_gras(D, p=None, d=None, mode=None):
     from . import checks
-    from .quadratic import MODULUS_LIMIT
 
     if mode not in (None, "single", "scan"):
         raise ValueError("--mode %s: the gras mode is one of single, scan" % mode)
@@ -283,8 +291,8 @@ def run_gras(D, p=None, d=None, mode=None):
         _check_odd_prime(p)
     if d is not None and d < 1:
         raise ValueError("--d %d: the ray modulus or scan bound must be at least 1" % d)
-    if d is not None and d > MODULUS_LIMIT:  # before a scan builds d - 1 rings
-        raise ValueError("residue ring O/(%d) too large (modulus above %d)" % (d, MODULUS_LIMIT))
+    if d is not None:  # before a scan builds d - 1 rings
+        _check_modulus_limit(d)
     if mode == "scan":
         p_list = (3, 5, 7) if p is None else (p,)
         d_max = 50 if d is None else d
@@ -328,8 +336,10 @@ def run_annihilator(D, p=None, modulus=None, mode=None, cache=None):
         return build_report("verify annihilator", D, {"p": 3, "mode": mode}, results)
     p = 3 if p is None else p
     _check_odd_prime(p)
-    if modulus is not None and modulus < 1:
-        raise ValueError("--modulus %d: the ray modulus must be at least 1" % modulus)
+    if modulus is not None:
+        if modulus < 1:
+            raise ValueError("--modulus %d: the ray modulus must be at least 1" % modulus)
+        _check_modulus_limit(modulus)  # before the d-th powers of cyclotomic numbers
     if mode in ("solomon", "both") and kronecker(D, p) != 1:
         raise ValueError("--p %d: the solomon check needs a prime that splits in k" % p)
     results = []

@@ -6,7 +6,10 @@ for even D, and an element is held as integer coordinates over one common
 denominator: (a + b omega) / e, reduced by gcd(a, b, e).  Products rewrite
 omega^2 = T omega - N exactly as the residue rings O/(M) do; the rational
 coordinates x + y sqrt(D) are views computed on demand.  The fundamental
-unit comes from one period of an integer continued fraction.
+unit comes from one period of an integer continued fraction.  Only this
+module lists the primes over p by chi_D(p): `primes_over` names them as
+(p, r) for (p, omega - r), or (p, None) for an inert (p), and
+`prime_valuation` values any nonzero element of k at each of them.
 
 The class group is computed from scratch: relations among the primes
 below the Minkowski bound are harvested from elements of smooth norm in a
@@ -366,25 +369,36 @@ class QuadField:
             raise ArithmeticError("Hensel lift failed")
         return x
 
+    def primes_over(self, p):
+        """The primes over the prime p, each named (p, r): the prime
+        (p, omega - r) for each root r of `prime_roots` (two when p splits,
+        one when p ramifies), or (p, None) for the prime (p) when p is inert."""
+        return [(p, r) for r in self.prime_roots(p)] or [(p, None)]
+
     def prime_valuation(self, z, p, r):
-        """v at the prime (p, omega - r) of an integral element z."""
-        if z.e != 1:
-            raise ValueError("valuation of a non-integral element")
+        """v_P(z) for a nonzero z of k at the prime P named (p, r) by
+        `primes_over`.  The numerator of z = (a + b omega) / e is valued
+        through its norm, and e counts as v_p(e) times the ramification
+        index of P.  A pair (p, r) that names no prime raises ValueError."""
         nrm = z._norm_numerator()
         if not nrm:
             raise ValueError("valuation of zero")
-        etot = valuation(nrm, p)
-        if etot == 0:
-            return 0
-        if self.chi(p) == 0:
-            return etot  # ramified: v at the unique prime equals v_p of the norm
-        if self.chi(p) != 1:
-            raise ValueError("split prime expected")
-        rlift = self.prime_root_lifted(p, r, etot + 1)
-        val = (z.a + z.b * rlift) % p ** (etot + 1)
-        if val == 0:
-            return etot
-        return min(valuation(val, p), etot)
+        if (p, r) not in self.primes_over(p):
+            raise ValueError("(%d, %s) names no prime over %d" % (p, r, p))
+        chi = self.chi(p)
+        v = valuation(nrm, p)
+        if chi == -1:
+            if v % 2:
+                raise ArithmeticError("odd norm valuation at inert %d" % p)
+            v //= 2  # N(P) = p^2
+        elif chi == 1 and v:
+            # O/P^(v + 1) = Z/p^(v + 1) with omega -> r lifted; at a
+            # ramified P, v is v_p of the norm already
+            rlift = self.prime_root_lifted(p, r, v + 1)
+            val = (z.a + z.b * rlift) % p ** (v + 1)
+            if val:
+                v = min(valuation(val, p), v)
+        return v - (2 if chi == 0 else 1) * valuation(z.e, p)
 
     def residue_ring(self, M):
         """O/(M).  The last ring asked for is kept, so the ray class group,
@@ -417,10 +431,10 @@ def analytic_class_number(D):
 class ClassGroup:
     """Ideal class group presented on the primes below the Minkowski bound.
 
-    gens: list of (p, r) pairs for the prime (p, omega - r) (r = None marks
-    nothing; ramified primes appear once, split primes twice).  relations:
-    integer rows in those generators; witnesses[i] is an explicit field
-    element generating the ideal prod gens^relations[i].
+    gens: the (p, r) of `QuadField.primes_over` for the split and ramified
+    p below the bound (ramified primes appear once, split primes twice).
+    relations: integer rows in those generators; witnesses[i] is an
+    explicit field element generating the ideal prod gens^relations[i].
     """
 
     def __init__(self, field):
@@ -429,36 +443,33 @@ class ClassGroup:
         self.field = field
         D = field.D
         mink = math.isqrt(D) // 2
-        base = []
-        for p in range(2, mink + 1):
-            if not is_prime(p):
-                continue
-            if field.chi(p) == -1:
-                continue
-            for r in field.prime_roots(p):
-                base.append((p, r))
-        self.gens = base
+        # the split and ramified primes; an inert (p) is principal
+        primes = [p for p in range(2, mink + 1) if is_prime(p)]
+        self.gens = [(p, r) for p in primes for r in field.prime_roots(p)]
         self.relations = []
         self.witnesses = []
         self.lattice = Lattice([])
         self.invariants = []
         self.order = 1
         approx = analytic_class_number(D)
-        if base:
+        if self.gens:
             self._harvest(approx)
         if abs(approx - self.order) >= 0.05:
             raise ArithmeticError(
                 "class number %d disagrees with analytic %f" % (self.order, approx)
             )
 
-    def _factor_vector(self, z):
-        """Exponent vector of (z) over the base, or None if not smooth."""
+    def _factor_vector(self, z, cofactor=1):
+        """Exponent vector of (z) over the base, or None unless |N(z)| is
+        `cofactor` times a product of base primes."""
         if z.e != 1:
             raise ValueError("factoring a non-integral element")
         nrm = abs(z._norm_numerator())
         if not nrm:
             raise ValueError("factoring zero")
-        rem = nrm
+        rem, left = divmod(nrm, cofactor)
+        if left:
+            return None
         for p in {p for p, _ in self.gens}:
             while rem % p == 0:
                 rem //= p
@@ -604,7 +615,8 @@ class _LocalUnits:
     cyclic groups.
 
     A is O/(ell^e) when ell is inert or ramified, and Z/ell^e at one of the
-    two primes over a split ell.  Elements are pairs (x, y) meaning
+    two primes over a split ell, the prime named (ell, r) as by
+    `QuadField.primes_over`.  Elements are pairs (x, y) meaning
     x + y theta mod ell^e with theta = omega - r; in the split case omega
     maps to the root r and y stays 0.  P is the maximal ideal of A: (ell)
     unless ell ramifies, where P = (theta) (theta^2 = ell * unit, as O =
@@ -628,15 +640,18 @@ class _LocalUnits:
     unit of O/(M) is `_log` of its image in A.
     """
 
-    def __init__(self, field, ell, e, r, split):
+    def __init__(self, field, ell, e, r):
         T, Nm = field.omega_trace, field.omega_norm
         n = ell**e
+        split = field.chi(ell) == 1
+        self.inert = inert = r is None
+        # a split root is lifted to ell^e; the inert root is 0
+        r = field.prime_root_lifted(ell, r, e) if split else r or 0
         self.ell, self.n, self.r = ell, n, r
         self.has_theta = 0 if split else 1
         # theta = omega - r satisfies theta^2 = -s theta - t
         self.s = s = (2 * r - T) % n
         self.t = t = (r * r - T * r + Nm) % n
-        self.inert = inert = not split and field.chi(ell) == -1
         self.q = ell * ell if inert else ell
         if split or inert:
             steps = [(c, ell**j) for j in range(1, e) for c in range(1 + inert)]
@@ -767,16 +782,9 @@ def _local_factors(field, ell, e):
     kept on the field, as a scan over moduli meets the same prime powers
     again and again."""
     if (ell, e) not in field._local_units:
-        chi = field.chi(ell)
-        if chi == 1:
-            factors = tuple(
-                _LocalUnits(field, ell, e, field.prime_root_lifted(ell, r, e), True)
-                for r in field.prime_roots(ell)
-            )
-        else:
-            r = field.prime_roots(ell)[0] if chi == 0 else 0
-            factors = (_LocalUnits(field, ell, e, r, False),)
-        field._local_units[ell, e] = factors
+        field._local_units[ell, e] = tuple(
+            _LocalUnits(field, ell, e, r) for _, r in field.primes_over(ell)
+        )
     return field._local_units[ell, e]
 
 

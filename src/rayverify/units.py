@@ -20,7 +20,8 @@ as (exponent, sign) with respect to the fundamental unit and -1:
 * `congruence_unit_lattice(field, d)`: the units congruent to 1 mod d.
 * `circular_unit_lattice(field, d)`: the units among products of the
   cyclotomic numbers of twist d and their conjugates (together with -1),
-  found by an exact valuation-matrix kernel computation.
+  found as the kernel of their valuations at the `primes_over` their
+  support (`QuadField.prime_valuation`).
 * `lattice_index`: indices between such lattices, whose p-parts are the
   quantities the verification engine compares against L-value data.
 """
@@ -290,41 +291,6 @@ def congruence_exponent(field, d):
     return congruence_unit_lattice(field, d)[0][0]
 
 
-def _support_columns(field, values):
-    primes = set()
-    for z in values:
-        nm = z.norm()
-        for p, _ in factorize(abs(nm.numerator) * nm.denominator):
-            primes.add(p)
-    cols = []
-    for p in sorted(primes):
-        ch = field.chi(p)
-        if ch == 1:
-            r1, r2 = field.prime_roots(p)
-            cols.append((p, r1, "split"))
-            cols.append((p, r2, "split"))
-        elif ch == 0:
-            cols.append((p, field.prime_roots(p)[0], "ramified"))
-        else:
-            cols.append((p, None, "inert"))
-    return cols
-
-
-def _valuation_row(field, z, cols):
-    den = z.e
-    zi = QuadElement(field, z.a, z.b)
-    row = []
-    for p, r, kind in cols:
-        if kind == "inert":
-            v = valuation(abs(int(zi.norm())), p) // 2 - valuation(den, p)
-        elif kind == "ramified":
-            v = field.prime_valuation(zi, p, r) - 2 * valuation(den, p)
-        else:
-            v = field.prime_valuation(zi, p, r) - valuation(den, p)
-        row.append(v)
-    return row
-
-
 def circular_unit_lattice(field, d=1):
     """Lattice of units in the group generated by -1 and the twist-d
     cyclotomic numbers of the generating levels with their conjugates."""
@@ -335,8 +301,10 @@ def circular_unit_lattice(field, d=1):
         z = cyclotomic_number(field, n, d)
         gens.append(z)
         gens.append(z.conj())
-    cols = _support_columns(field, gens)
-    V = [_valuation_row(field, z, cols) for z in gens]
+    # (z) for z = (a + b omega) / e lies over the primes dividing N(a + b omega) e
+    support = sorted({p for z in gens for p, _ in factorize(abs(z._norm_numerator()) * z.e)})
+    primes = [P for p in support for P in field.primes_over(p)]
+    V = [[field.prime_valuation(z, p, r) for p, r in primes] for z in gens]
     rows = [[0, 1]]
     for combo in kernel(transpose(V)):
         u = field.one()

@@ -349,19 +349,29 @@ def test_p_prec_and_d_contracts():
          "--cache: verify annihilator --mode both does not read it"),
         # an empty mode used to run the default one
         (["verify", "annihilator", "--quad", "79", "--mode", ""], "--mode : the annihilator mode"),
+        # these raised d-th powers of cyclotomic numbers for over 60 s, and
+        # listed (Z/m)^* for 4.2 s and 400 MB, before their errors
+        (["verify", "annihilator", "--quad", "79", "--mode", "solomon", "--p", "3",
+          "--modulus", "99991"], "too large"),
+        (["verify", "rays", "--field", "10000019:10000018", "--ell", "2", "--p", "3"],
+         "has degree 5000009"),
     ],
 )
 def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):
+    """Each exits 2 with its message, before any work: within 2 s."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, *optimize, "-m", "rayverify.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+    elapsed = time.perf_counter() - start
     assert proc.returncode == 2, proc.stdout
     assert proc.stdout == ""
     message = proc.stderr.strip().partition("error:")[2].strip()
     assert reason in message
+    assert elapsed < 2, elapsed
 
 
 @pytest.mark.parametrize("optimize", ([], ["-O"]))

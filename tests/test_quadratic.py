@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from rayverify.intmat import Lattice
-from rayverify.nt import factorize, fundamental_discriminant, is_prime, squarefree_part
+from rayverify.nt import (
+    factorize,
+    fundamental_discriminant,
+    is_prime,
+    squarefree_part,
+    valuation,
+)
 from rayverify.quadratic import (
     MODULUS_LIMIT,
     QuadElement,
@@ -182,6 +188,61 @@ def test_prime_valuation():
     # a rational prime splits as both primes to the first power
     z11 = k.element(11)
     assert [k.prime_valuation(z11, 11, r) for r in roots] == [1, 1]
+
+
+def _primes_over_by_chi(field, p):
+    # the three-way split by chi_D(p) that callers once wrote out
+    ch = field.chi(p)
+    if ch == 1:
+        r1, r2 = field.prime_roots(p)
+        return [(p, r1), (p, r2)]
+    if ch == 0:
+        return [(p, field.prime_roots(p)[0])]
+    return [(p, None)]
+
+
+#: split, inert and ramified 2 among them
+_SOME_D = [5, 8, 12, 13, 17, 21, 24, 28, 40, 41, 316, 9001]
+
+
+def test_primes_over_matches_the_split_by_chi():
+    for D in _SOME_D:
+        field = QuadField(D)
+        for p in filter(is_prime, range(2, 200)):
+            assert field.primes_over(p) == _primes_over_by_chi(field, p), (D, p)
+
+
+def test_prime_valuations_sum_to_the_norm_valuation():
+    """sum of f_P v_P(z) over `primes_over(p)` is v_p(N z), with f_P = 2 at
+    an inert p, for z = (a + b omega) / e on a seeded grid whose a, b and e
+    share powers of p."""
+    rng = random.Random(22)
+    for D in _SOME_D:
+        field = QuadField(D)
+        for p in (2, 3, 5, 7, 11, 13):
+            for _ in range(30):
+                a = rng.randint(-30, 30) * p ** rng.randint(0, 3)
+                b = rng.randint(-30, 30) * p ** rng.randint(0, 3)
+                e = rng.choice((1, 2, 3, 5, 6, 7)) * p ** rng.randint(0, 3)
+                if not (a or b):
+                    continue
+                z = QuadElement(field, a, b, e)
+                nrm = z.norm()
+                want = valuation(nrm.numerator, p) - valuation(nrm.denominator, p)
+                got = sum(
+                    (2 if r is None else 1) * field.prime_valuation(z, p, r)
+                    for _, r in field.primes_over(p)
+                )
+                assert got == want, (D, p, z)
+
+
+def test_prime_valuation_rejects_zero_and_misnamed_primes():
+    k = QuadField(5)  # 2 is inert, 5 ramifies, 11 splits with roots 4 and 8
+    with pytest.raises(ValueError, match="valuation of zero"):
+        k.prime_valuation(k.zero(), 11, 4)
+    for p, r in [(2, 0), (2, 1), (5, None), (11, None), (11, 5)]:
+        with pytest.raises(ValueError, match="names no prime over"):
+            k.prime_valuation(k.element(110), p, r)
 
 
 def _prime_roots_by_scan(field, p):

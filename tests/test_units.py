@@ -15,8 +15,9 @@ from rayverify.cyclo import (
     to_quadratic,
     units_mod,
 )
-from rayverify.nt import divisors, kronecker, moebius
-from rayverify.quadratic import QuadField, _is_fundamental
+from rayverify.intmat import hnf, kernel, transpose
+from rayverify.nt import divisors, factorize, kronecker, moebius, valuation
+from rayverify.quadratic import QuadElement, QuadField, _is_fundamental
 from rayverify.units import (
     _norm_one_minus_power,
     auxiliary_prime,
@@ -124,6 +125,69 @@ def test_circular_unit_lattices_untwisted():
     # index in the full unit group: trivial for D=5, the class number for 79
     assert lattice_index(circular_unit_lattice(Q5, 1), full_unit_lattice()) == 2
     assert lattice_index(circular_unit_lattice(Q316, 1), full_unit_lattice()) == 3
+
+
+def _support_columns(field, values):
+    # the valuation columns circular_unit_lattice once listed by chi_D(p)
+    primes = set()
+    for z in values:
+        nm = z.norm()
+        for p, _ in factorize(abs(nm.numerator) * nm.denominator):
+            primes.add(p)
+    cols = []
+    for p in sorted(primes):
+        ch = field.chi(p)
+        if ch == 1:
+            r1, r2 = field.prime_roots(p)
+            cols.append((p, r1, "split"))
+            cols.append((p, r2, "split"))
+        elif ch == 0:
+            cols.append((p, field.prime_roots(p)[0], "ramified"))
+        else:
+            cols.append((p, None, "inert"))
+    return cols
+
+
+def _valuation_row(field, z, cols):
+    # ... and valued z at them, one kind at a time
+    den = z.e
+    zi = QuadElement(field, z.a, z.b)
+    row = []
+    for p, r, kind in cols:
+        if kind == "inert":
+            v = valuation(abs(int(zi.norm())), p) // 2 - valuation(den, p)
+        elif kind == "ramified":
+            v = field.prime_valuation(zi, p, r) - 2 * valuation(den, p)
+        else:
+            v = field.prime_valuation(zi, p, r) - valuation(den, p)
+        row.append(v)
+    return row
+
+
+def test_circular_unit_lattice_matches_the_valuations_split_by_kind():
+    """On the generators of every circular_unit_lattice(field, d) with D < 200
+    and d <= 6: the columns are `primes_over` the support, prime_valuation
+    gives the rows of the split/inert/ramified oracle, and the oracle's
+    kernel spans the same lattice."""
+    for D in filter(_is_fundamental, range(5, 200)):
+        field = QuadField(D)
+        for d in range(1, 7):
+            gens = []
+            for n in generating_levels(field, d):
+                z = cyclotomic_number(field, n, d)
+                gens += [z, z.conj()]
+            cols = _support_columns(field, gens)
+            support = sorted({p for p, _, _ in cols})
+            assert [(p, r) for p, r, _ in cols] == [
+                P for p in support for P in field.primes_over(p)
+            ]
+            V = [_valuation_row(field, z, cols) for z in gens]
+            assert V == [[field.prime_valuation(z, p, r) for p, r, _ in cols] for z in gens]
+            rows = [[0, 1]]
+            for combo in kernel(transpose(V)):
+                u = math.prod((z**e for z, e in zip(gens, combo)), start=field.one())
+                rows.append(list(unit_pair(field, u)))
+            assert circular_unit_lattice(field, d) == hnf(rows), (D, d)
 
 
 def test_congruence_circular_indices():
