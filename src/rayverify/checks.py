@@ -25,12 +25,13 @@ Statuses
 All checks are deterministic: given the same parameters they produce the
 same records up to the ``elapsed`` fields.
 
-Every check sets up its field through `quadratic` and `grouprings` (with
-`cyclo` and `nt` below them), so those layers are imported here.
-`gmodules`, `intmat`, `padics`, `units` and `special` are imported by the
+Every check builds its field with `quadratic` (and `nt` below it), so
+those layers are imported here.  Every other layer is imported by the
 checks that call into them, so that a command loads and compiles only the
 layers it uses: ``verify rays``, for example, never loads `padics`, `units`
-or `special`, and ``verify sinnott`` never loads `intmat`.
+or `special`, ``verify sinnott`` never loads `intmat`, and `check_h90` and
+`check_special_units`, which read no Galois group, load neither `cyclo`
+nor `grouprings` (`_quad_setup` builds the group for the others).
 
 ``verify sinnott`` works in the completion of k at p, a p-adic ring of
 degree 1 or 2, and reads its L-value off the level-D cyclotomic number; no
@@ -39,8 +40,6 @@ check builds the cyclotomic ring of degree ord_D(p).
 
 import time
 
-from .cyclo import FieldSpec
-from .grouprings import GaloisGroup, galois_log_quad, unit_log_factor
 from .nt import is_prime, valuation
 from .quadratic import QuadField
 
@@ -74,6 +73,9 @@ class CheckResult:
 
 
 def _quad_setup(D):
+    from .cyclo import FieldSpec
+    from .grouprings import GaloisGroup
+
     field = QuadField(D)
     group = GaloisGroup(FieldSpec.quadratic(D))
     return field, group
@@ -116,6 +118,7 @@ def check_sinnott(D, p, prec=12, d_max=6):
     ``content`` when r = 0 and delta = +-sigma delta exactly: both sides
     are then 0 whatever the logs.
     """
+    from .grouprings import galois_log_quad, unit_log_factor
     from .padics import PadicRing
     from .units import cyclotomic_number, generating_levels
 
@@ -355,7 +358,7 @@ def check_h90(D, ell, level=3, twist=4):
     """
     from .special import hilbert90_witness, special_unit
 
-    field, group = _quad_setup(D)
+    field = QuadField(D)
     t0 = time.perf_counter()
     eps = special_unit(field, level, twist, ell)
     wit = hilbert90_witness(eps)
@@ -401,7 +404,7 @@ def check_special_units(D, twists=(2, 3, 4), count=3, cache=None):
     """
     from .special import special_prime_candidates, special_unit_certificate
 
-    field, group = _quad_setup(D)
+    field = QuadField(D)
     n = field.D
     results = []
     for d in twists:
@@ -543,6 +546,7 @@ def check_solomon(D, p=3, prec=12, moduli=(1, 4)):
     group.
     """
     from .gmodules import RayClassGroup
+    from .grouprings import galois_log_quad
     from .padics import PadicRing
     from .units import circular_unit_lattice
 
@@ -614,7 +618,7 @@ def check_cyclic(D, p):
     2x2 matrix whose rows are the generator and its conjugate in the
     omega-basis.
     """
-    field, _ = _quad_setup(D)
+    field = QuadField(D)
     if p % 2 == 0 or field.D % p == 0:
         raise ValueError("p=%d must be odd and unramified" % p)
     t0 = time.perf_counter()

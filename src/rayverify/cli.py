@@ -18,14 +18,16 @@ lists the flags of each command.
 Run as a program (``python -m rayverify``, the ``rayverify`` script or
 ``python -m rayverify.cli``), a command loads only the layers it calls
 into: ``--version`` and ``cache`` load no engine layer, and each ``verify``
-or ``explore`` command imports `checks` with `nt`, `cyclo`, `quadratic` and
-`grouprings`, plus
+or ``explore`` command imports `checks` with `nt` and `quadratic`, plus
 
-* ``rays``: `gmodules` and `intmat`;
-* ``gras`` and ``conjecture``: `gmodules`, `intmat` and `units`;
-* ``sinnott``: `padics` and `units`;
-* ``h90`` and ``annihilator --mode special``: `units` and `special`;
+* ``rays``: `cyclo`, `grouprings`, `gmodules` and `intmat`;
+* ``gras`` and ``conjecture``: `cyclo`, `grouprings`, `gmodules`, `intmat`
+  and `units`;
+* ``sinnott``: `cyclo`, `grouprings`, `padics` and `units`;
+* ``h90`` and ``annihilator --mode special``: `units` and `special` only;
 * ``annihilator`` in the other modes: all of them.
+
+A field named by ``--field`` loads `cyclo` as well.
 
 Imported as a module, this file loads all ten layers at once, so that a
 program which imports it and then instruments the layers (as

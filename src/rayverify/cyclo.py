@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .nt import divisors, euler_phi, kronecker
+from .nt import divisors, euler_phi, kronecker, units_mod
 
 
 # ----------------------------------------------------------------------
@@ -83,14 +83,6 @@ def _zeta_powers(n):
                     cur[i] -= lead * phi_[i]
         rows.append(tuple(cur))
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def units_mod(n):
-    """Sorted residues prime to n."""
-    if n == 1:
-        return (0,)
-    return tuple(a for a in range(1, n) if math.gcd(a, n) == 1)
 
 
 # ----------------------------------------------------------------------
@@ -334,8 +326,9 @@ class CycNumber:
 # subfield bookkeeping
 
 
-def subgroup_generated(m, gens):
-    """Subgroup of (Z/m)^* generated by gens, as a sorted tuple."""
+def subgroup_generated(m, gens, limit=None):
+    """Subgroup of (Z/m)^* generated by gens, as a sorted tuple; None as
+    soon as it has more than `limit` elements, if a limit is given."""
     if m == 1:
         return (0,)
     seen = {1}
@@ -350,6 +343,8 @@ def subgroup_generated(m, gens):
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
+        if limit is not None and len(seen) > limit:
+            return None
     return tuple(sorted(seen))
 
 

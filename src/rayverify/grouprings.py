@@ -53,7 +53,6 @@ the rational group-ring algebra of the ray-class checks does not load it.
 import math
 from fractions import Fraction
 
-from .cyclo import units_mod
 from .nt import (
     crt,
     disc_character,
@@ -62,6 +61,8 @@ from .nt import (
     factorize,
     moebius,
     prime_factors,
+    radical,
+    units_mod,
     valuation,
 )
 
@@ -91,11 +92,6 @@ __all__ = [
     "ray_annihilator",
     "radical",
 ]
-
-
-def radical(n):
-    """Product of the distinct primes dividing n (1 for n = 1)."""
-    return math.prod(prime_factors(n))
 
 
 class GaloisGroup:

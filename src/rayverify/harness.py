@@ -8,9 +8,10 @@ timing fields.
 
 The engine (`checks` and the layers below it) is imported by the functions
 that use it, not by this module, so that cache commands start without it.
-Each ``run_*`` imports `checks`, which loads only the layers every check
-needs; the check it calls imports the rest of what it uses (the `cli`
-docstring lists the layers of each command).  `COMMANDS` is the one table
+Each ``run_*`` imports `checks`, which loads only `nt` and `quadratic`;
+the check it calls imports the rest of what it uses (the `cli` docstring
+lists the layers of each command).  `resolve_discriminant` loads `cyclo`
+only for a ``--field``.  `COMMANDS` is the one table
 of commands: per (verb, target), the default field and the engine flags
 that ``run_<target>`` reads.
 """
@@ -132,10 +133,11 @@ def resolve_discriminant(quad=None, field=None):
     generated by the a_i in (Z/m)^*.  Raises ValueError for arguments that
     do not describe a real quadratic field.
     """
-    from .cyclo import FieldSpec, subgroup_generated
     from .nt import euler_phi, fundamental_discriminant, squarefree_part
 
     if field is not None:
+        from .cyclo import FieldSpec, subgroup_generated
+
         m, _, gens = field.partition(":")
         m = int(m)
         if m < 3:
@@ -144,17 +146,19 @@ def resolve_discriminant(quad=None, field=None):
         for a in gens:
             if math.gcd(a, m) != 1:
                 raise ValueError("field %s: %d is not prime to %d" % (field, a, m))
-        H = subgroup_generated(m, gens)
-        if m - 1 not in H:
+        phi = euler_phi(m)
+        # |H| divides phi(m), so past phi(m) / 2 elements H is all of (Z/m)^*
+        H = subgroup_generated(m, gens, limit=phi // 2)
+        if H is not None and m - 1 not in H:
             raise ValueError(
                 "field %s is not real (-1 is not in the subgroup); only real "
                 "quadratic fields are supported here" % field
             )
         # before FieldSpec, which lists (Z/m)^*
-        if euler_phi(m) != 2 * len(H):
+        if H is None or phi != 2 * len(H):
             raise ValueError(
                 "field %s has degree %d; only real quadratic fields are "
-                "supported here" % (field, euler_phi(m) // len(H))
+                "supported here" % (field, 1 if H is None else phi // len(H))
             )
         spec = FieldSpec(m, H)
         D = spec.conductor
@@ -226,6 +230,11 @@ COMMANDS = {
     ("verify", "annihilator"): (79, ("p", "modulus", "mode", "cache")),
     ("explore", "conjecture"): (5, ("p", "d")),
 }
+
+
+#: the largest --ell of ``verify h90``: its cost grows faster than ell^3, and
+#: the slowest ell admitted (241) takes about 2 s (2-vCPU VM, Python 3.11)
+H90_ELL_LIMIT = 250
 
 
 def _check_odd_prime(p):
@@ -307,6 +316,11 @@ def run_gras(D, p=None, d=None, mode=None):
 
 
 def run_h90(D, ell=11):
+    if ell > H90_ELL_LIMIT:
+        raise ValueError(
+            "--ell %d: above H90_ELL_LIMIT = %d, the largest auxiliary prime "
+            "of verify h90" % (ell, H90_ELL_LIMIT)
+        )
     from . import checks
 
     params = {"ell": ell, "level": 3, "twist": 4}

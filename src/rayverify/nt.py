@@ -1,5 +1,9 @@
 """Elementary number theory helpers shared across the package.
 
+`radical` and `units_mod` live here, not in `grouprings` and `cyclo` (which
+import them back), so that the special-unit layers reach them without
+loading either of those layers.
+
 Bad arguments raise ValueError; no check is an `assert`, so `python -O`
 behaves the same.
 """
@@ -69,6 +73,11 @@ def prime_factors(n):
     return [p for p, _ in factorize(n)]
 
 
+def radical(n):
+    """Product of the distinct primes dividing n (1 for n = 1)."""
+    return math.prod(prime_factors(n))
+
+
 def divisors(n):
     ds = [1]
     for p, e in factorize(n):
@@ -81,6 +90,14 @@ def euler_phi(n):
     for p, e in factorize(n):
         out *= (p - 1) * p ** (e - 1)
     return out
+
+
+@lru_cache(maxsize=None)
+def units_mod(n):
+    """Sorted residues prime to n."""
+    if n == 1:
+        return (0,)
+    return tuple(a for a in range(1, n) if math.gcd(a, n) == 1)
 
 
 def moebius(n):

@@ -25,8 +25,7 @@ ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
 import math
 from fractions import Fraction
 
-from .grouprings import radical
-from .nt import divisors, is_prime, moebius, primitive_root
+from .nt import divisors, is_prime, moebius, primitive_root, radical
 from .quadratic import QuadElement, _local_factors
 from .units import cyclotomic_number, orbit_product
 

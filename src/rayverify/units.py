@@ -28,9 +28,18 @@ as (exponent, sign) with respect to the fundamental unit and -1:
 
 import math
 
-from .cyclo import units_mod
-from .grouprings import radical
-from .nt import crt, divisors, euler_phi, factorize, is_prime, kronecker, moebius, valuation
+from .nt import (
+    crt,
+    divisors,
+    euler_phi,
+    factorize,
+    is_prime,
+    kronecker,
+    moebius,
+    radical,
+    units_mod,
+    valuation,
+)
 from .quadratic import QuadElement, unit_exponent
 
 __all__ = [
@@ -52,7 +61,9 @@ __all__ = [
 _PRIME_TOP = 2**81
 
 _norm_cache = {}
-_levels = {}  # (D, n) -> (the chi_D table if D | n, else None; [(q, zeta_n mod q)])
+# (D, n) -> (the chi_D table if D | n, else None; [(q, zeta_n mod q)];
+# {(t, ell): the coefficients of `orbit_product`})
+_levels = {}
 
 
 def _add_prime(n, primes):
@@ -70,20 +81,27 @@ def _add_prime(n, primes):
 def _log2_bound(n, t, ell, cosets):
     """b with |P(w)| < 2^b for P = prod over h in C of (Y^t - zeta_n^(t h)),
     every C in `cosets` and w^ell = 1: a factor is 2 |sin(pi r / N)| <=
-    min(14 N, 44 |r|) / (7 N) for N = ell n, |r| <= N / 2 (`orbit_product`)."""
+    2 (y - y^3 / 6 + y^5 / 120) at y = 355 r / (113 N), for N = ell n and
+    0 <= r <= N / 2 (`orbit_product`).  With B = 113 N that bound is
+    r (c4 - r^2 (c2 - c0 r^2)) / (60 B^5), and the loop multiplies the
+    numerators."""
     N = ell * n
+    B = 113 * N
+    c4, c2, c0 = 355 * 120 * B**4, 355**3 * 20 * B**2, 355**5
     top = 0
     for C in cosets:
         for j in range(ell):
             m, e = 1, 0  # the product of the numerators is at most m 2^e
             for h in C:
                 r = t * (j * n - h * ell) % N
-                m *= min(14 * N, 44 * min(r, N - r))
+                r = min(r, N - r)
+                r2 = r * r
+                m *= r * (c4 - r2 * (c2 - c0 * r2))
                 if m >> 64:
                     s = m.bit_length() - 64
                     m, e = (m >> s) + 1, e + s
             top = max(top, e + m.bit_length())
-    return top - pow(7 * N, len(cosets[0])).bit_length() + 1
+    return top - pow(60 * B**5, len(cosets[0])).bit_length() + 1
 
 
 def orbit_product(field, n, t, ell):
@@ -100,17 +118,24 @@ def orbit_product(field, n, t, ell):
     divide n).  `crt` lifts them over primes with product M >= 2^(b + 2).
     In both embeddings of k, |c_j| < 2^b (`_log2_bound`), as c_j = (1/ell)
     sum over w^ell = 1 of P(w) w^(-j) and each |w^t - zeta_n^(t h)| =
-    2 |sin(pi x)| <= min(2, 44 ||x|| / 7), since sin(x) <= x and pi < 22/7.
-    So |2x|, |2y| < M / 2, and the symmetric residues are exact.
+    2 |sin(pi x)| <= 2 (y - y^3 / 6 + y^5 / 120) at y = 355 ||x|| / 113.
+    For sin(u) <= u - u^3 / 6 + u^5 / 120 at u = pi ||x|| >= 0, the right
+    side increases while u^2 < 6 - 2 sqrt(3), past 355 / 226 >= u, and
+    pi < 355 / 113.  So |2x|, |2y| < M / 2, and the symmetric residues are
+    exact.
 
     Each result is checked exactly: for ell > 1 the slot sum, the norm of
     1 - zeta_n^t, must equal `_norm_one_minus_power`, which checks that
-    N(u_s) = Phi_s(1).  A mismatch raises ArithmeticError.
+    N(u_s) = Phi_s(1).  A mismatch raises ArithmeticError.  Each result
+    is kept with its level in `_levels`, as the special-unit twists 2 and
+    4 share their products, and every call returns a new list.
     """
     D = field.D
     if (D, n) not in _levels:
-        _levels[D, n] = ([kronecker(D, a) for a in range(D)] if n % D == 0 else None, [])
-    chi, primes = _levels[D, n]
+        _levels[D, n] = ([kronecker(D, a) for a in range(D)] if n % D == 0 else None, [], {})
+    chi, primes, products = _levels[D, n]
+    if (t, ell) in products:
+        return list(products[t, ell])
     units = units_mod(n)
     cosets = [units] if chi is None else [[h for h in units if chi[h % D] == c] for c in (1, -1)]
     bits = max(_log2_bound(n, t, ell, cosets), 0) + 2
@@ -147,7 +172,8 @@ def orbit_product(field, n, t, ell):
             "the orbit product at (n, t, ell) = (%d, %d, %d) in Q(sqrt %d) does not "
             "sum to the norm of 1 - zeta_n^t" % (n, t, ell, D)
         )
-    return out
+    products[t, ell] = out
+    return list(out)
 
 
 def _norm_one_minus_power(field, n, t):

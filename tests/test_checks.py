@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rayverify import checks, gmodules, padics
+from rayverify import checks, gmodules, grouprings, padics
 from rayverify.checks import (
     CheckResult,
     check_cyclic,
@@ -272,7 +272,7 @@ def test_sinnott_fails_every_record_with_content_when_r_is_off_by_one(D, p, monk
     def shifted(group, n, d):  # c_1 + 1, so r + 1
         return unit_log_factor(group, n, d) + one_element(group)
 
-    monkeypatch.setattr(checks, "unit_log_factor", shifted)
+    monkeypatch.setattr(grouprings, "unit_log_factor", shifted)
     status = {r.name: r.status for r in check_sinnott(D, p, prec=12, d_max=6)}
     assert all(status[name] == "fail" for name in content)
 

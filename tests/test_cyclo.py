@@ -243,6 +243,13 @@ def test_units_mod():
     assert units_mod(12) == (1, 5, 7, 11)
 
 
+def test_subgroup_generated_stops_past_its_limit():
+    # 2 generates (Z/11)^*; 4 the squares, of index 2
+    assert subgroup_generated(11, [2], limit=10) == units_mod(11)
+    assert subgroup_generated(11, [2], limit=5) is None
+    assert subgroup_generated(11, [4], limit=5) == (1, 3, 4, 5, 9)
+
+
 def test_contracts_raise():
     z5, z7 = CycNumber.zeta(5), CycNumber.zeta(7)
     with pytest.raises(ValueError, match="too long"):

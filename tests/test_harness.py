@@ -154,6 +154,26 @@ def test_resolve_discriminant_checks_field_arguments():
         resolve_discriminant(field="7:2")  # Q(sqrt -7)
 
 
+def test_resolve_discriminant_counts_a_whole_unit_group_as_degree_1():
+    # 2 generates (Z/11)^*: the enumeration stops past half of it
+    with pytest.raises(ValueError, match="field 11:2 has degree 1"):
+        resolve_discriminant(field="11:2")
+    with pytest.raises(ValueError, match="has degree 5"):
+        resolve_discriminant(field="11:10")
+
+
+def test_h90_stops_above_its_ell_limit_before_any_work(monkeypatch):
+    from rayverify import checks, harness
+
+    ran = []
+    monkeypatch.setattr(checks, "check_h90", lambda D, ell: ran.append(ell) or [])
+    with pytest.raises(ValueError, match="H90_ELL_LIMIT = %d" % harness.H90_ELL_LIMIT):
+        harness.run_h90(5, ell=harness.H90_ELL_LIMIT + 1)
+    assert ran == []
+    harness.run_h90(5, ell=harness.H90_ELL_LIMIT)
+    assert ran == [harness.H90_ELL_LIMIT]
+
+
 @pytest.mark.parametrize("quad", [0, 1, 4, 9, -3, -5])
 def test_resolve_discriminant_checks_quad(quad):
     with pytest.raises(ValueError, match="real quadratic"):
@@ -355,6 +375,11 @@ def test_p_prec_and_d_contracts():
           "--modulus", "99991"], "too large"),
         (["verify", "rays", "--field", "10000019:10000018", "--ell", "2", "--p", "3"],
          "has degree 5000009"),
+        # listed all of (Z/m)^* for 0.8 s and 93 MB before its error
+        (["verify", "rays", "--field", "1000003:2", "--ell", "2", "--p", "3"],
+         "has degree 1"),
+        # k(zeta_401) arithmetic took 17 s
+        (["verify", "h90", "--quad", "5", "--ell", "401"], "above H90_ELL_LIMIT = 250"),
     ],
 )
 def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from rayverify import cyclo, grouprings, nt
 from rayverify.nt import (
     crt,
     divisors,
@@ -17,6 +18,13 @@ from rayverify.nt import (
     sqrt_mod,
     valuation,
 )
+
+
+def test_cyclo_and_grouprings_use_the_helpers_of_nt():
+    # one object each, so that a wrapper installed by name reaches every caller
+    assert grouprings.radical is nt.radical
+    assert cyclo.units_mod is nt.units_mod
+    assert nt.units_mod(12) is nt.units_mod(12)  # memoized
 
 
 def test_is_prime_small():

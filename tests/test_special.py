@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rayverify import cyclo, units
+from rayverify import cyclo, special, units
 from rayverify.checks import check_gras, check_h90, check_sinnott, check_special_units
 from rayverify.cyclo import CycNumber, FieldSpec
 from rayverify.grouprings import GaloisGroup
@@ -210,6 +210,36 @@ def test_checks_use_neither_newtons_identities_nor_q_zeta_n(monkeypatch):
     assert [r.status for r in check_gras(316, 3, 1)] == ["pass"]
     results = check_sinnott(5, 7)
     assert results and all(r.status == "pass" for r in results)
+
+
+def test_each_distinct_orbit_product_is_computed_once(monkeypatch):
+    # the twists 2 and 4 share their (n, t, ell); `_log2_bound` runs once
+    # per product computed
+    monkeypatch.setattr(units, "_levels", {})
+    monkeypatch.setattr(units, "_norm_cache", {})
+    calls, computed = [], []
+    orbit_product, log2_bound = units.orbit_product, units._log2_bound
+
+    def spy(field, n, t, ell):
+        calls.append((n, t, ell))
+        return orbit_product(field, n, t, ell)
+
+    def count(n, t, ell, cosets):
+        computed.append((n, t, ell))
+        return log2_bound(n, t, ell, cosets)
+
+    monkeypatch.setattr(special, "orbit_product", spy)
+    monkeypatch.setattr(units, "_log2_bound", count)
+    results = check_special_units(29)
+    assert len(results) == 9 and all(r.status == "pass" for r in results)
+    assert len(calls) == 18 and len(set(calls)) < len(calls)
+    assert set(calls) < set(computed) and len(computed) == len(set(computed))
+    # a caller that changes its list changes no other caller's
+    field = QuadField(29)
+    out = orbit_product(field, *calls[0])
+    out[0] = None
+    assert None not in orbit_product(field, *calls[0])
+    assert len(computed) == len(set(computed))
 
 
 def test_dlog_annihilator_rational_number():

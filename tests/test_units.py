@@ -399,6 +399,7 @@ def test_orbit_product_rejects_too_few_primes(monkeypatch):
     with pytest.raises(ArithmeticError, match="does not sum to the norm"):
         orbit_product(field, 1801, 1, 11)
     monkeypatch.setattr(units, "_norm_cache", {})
+    monkeypatch.setattr(units, "_levels", {})  # and the u_1801 lifted above
     with pytest.raises(ArithmeticError, match="N\\(u_1801\\) is not Phi_1801\\(1\\)"):
         _norm_one_minus_power(field, 1801, 1)
 
