@@ -26,12 +26,13 @@ All checks are deterministic: given the same parameters they produce the
 same records up to the ``elapsed`` fields.
 
 Every check builds its field with `quadratic` (and `nt` below it), so
-those layers are imported here.  Every other layer is imported by the
-checks that call into them, so that a command loads and compiles only the
-layers it uses: ``verify rays``, for example, never loads `padics`, `units`
-or `special`, ``verify sinnott`` never loads `intmat`, and `check_h90` and
-`check_special_units`, which read no Galois group, load neither `cyclo`
-nor `grouprings` (`_quad_setup` builds the group for the others).
+those layers are imported here; `_quad_setup` adds the field's Galois
+group {1, sigma}, a `quadratic.QuadGaloisGroup` built in O(1).  Every
+other layer is imported by the checks that call into them, so that a
+command loads and compiles only the layers it uses: ``verify rays``, for
+example, never loads `padics`, `units` or `special`, ``verify sinnott``
+never loads `intmat`, only the checks that take p-adic logs (sinnott and
+solomon) load `grouprings`, and no check loads `cyclo`.
 
 ``verify sinnott`` works in the completion of k at p, a p-adic ring of
 degree 1 or 2, and reads its L-value off the level-D cyclotomic number; no
@@ -41,7 +42,7 @@ check builds the cyclotomic ring of degree ord_D(p).
 import time
 
 from .nt import is_prime, valuation
-from .quadratic import QuadField
+from .quadratic import QuadField, QuadGaloisGroup
 
 PASS = "pass"
 FAIL = "fail"
@@ -73,12 +74,8 @@ class CheckResult:
 
 
 def _quad_setup(D):
-    from .cyclo import FieldSpec
-    from .grouprings import GaloisGroup
-
     field = QuadField(D)
-    group = GaloisGroup(FieldSpec.quadratic(D))
-    return field, group
+    return field, QuadGaloisGroup(field)
 
 
 def _rho_part(module, p):

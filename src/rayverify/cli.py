@@ -20,14 +20,17 @@ Run as a program (``python -m rayverify``, the ``rayverify`` script or
 into: ``--version`` and ``cache`` load no engine layer, and each ``verify``
 or ``explore`` command imports `checks` with `nt` and `quadratic`, plus
 
-* ``rays``: `cyclo`, `grouprings`, `gmodules` and `intmat`;
-* ``gras`` and ``conjecture``: `cyclo`, `grouprings`, `gmodules`, `intmat`
-  and `units`;
-* ``sinnott``: `cyclo`, `grouprings`, `padics` and `units`;
+* ``rays``: `gmodules` and `intmat`;
+* ``gras`` and ``conjecture``: `gmodules`, `intmat` and `units`;
+* ``sinnott``: `grouprings`, `padics` and `units`;
 * ``h90`` and ``annihilator --mode special``: `units` and `special` only;
-* ``annihilator`` in the other modes: all of them.
+* ``annihilator --mode thaine``: `gmodules`, `intmat`, `units` and
+  `special`;
+* ``annihilator --mode solomon``: `grouprings`, `gmodules`, `intmat`,
+  `padics` and `units`, and ``--mode both`` `special` as well.
 
-A field named by ``--field`` loads `cyclo` as well.
+No command loads `cyclo`, as each check builds the Galois group {1, sigma}
+in `quadratic`; only a field named by ``--field`` loads it.
 
 Imported as a module, this file loads all ten layers at once, so that a
 program which imports it and then instruments the layers (as

@@ -1,17 +1,19 @@
 """Finite modules over a Galois group, and the ray class groups built on them.
 
-A `FiniteGModule` is a finite abelian group with an action of a
-`GaloisGroup`, presented by integer data: k abstract generators, a full-rank
-integer relation lattice (rows), and one k-by-k integer matrix per group
-element giving the action on generators.  Everything downstream is exact
-integer linear algebra: orders come from the diagonal of the Hermite form
-of the relation lattice, which also gives canonical element forms, and
-invariants from one Smith form.  Sylow parts M/p^v M and quotients stack
-rows onto that Hermite basis.  Over the Galois group {1, sigma} of order 2, the
-eigenspaces e M with e = (1 +- sigma)/2 of a module of odd order are the
-quotients M/(1 -+ sigma)M (`FiniteGModule.sign_part`), so the rho-parts
-of the checks and the eigenspace invariants of `isomorphism_certificate`
-are quotients too; no kernel or solve is needed.
+A `FiniteGModule` is a finite abelian group with an action of a Galois
+group (any object with `order`, `m` and `mult`; the checks pass the
+`quadratic.QuadGaloisGroup` {1, sigma}), presented by integer data: k
+abstract generators, a full-rank integer relation lattice (rows), and one
+k-by-k integer matrix per group element giving the action on generators.
+Everything downstream is exact integer linear algebra: orders come from
+the diagonal of the Hermite form of the relation lattice, which also gives
+canonical element forms, and invariants from one Smith form.  Sylow parts
+M/p^v M and quotients stack rows onto that Hermite basis.  Over the Galois
+group {1, sigma} of order 2, the eigenspaces e M with e = (1 +- sigma)/2
+of a module of odd order are the quotients M/(1 -+ sigma)M
+(`FiniteGModule.sign_part`), so the rho-parts of the checks and the
+eigenspace invariants of `isomorphism_certificate` are quotients too; no
+kernel or solve is needed.
 
 On top of that sit the two concrete constructions the verification engine
 compares:
@@ -31,15 +33,16 @@ compares:
   the class-of-a-prime section used by the annihilation checks.
 
 Only `RayClassGroup._recount` needs `units`, and imports it itself, so the
-residue-ring certificate of ``verify rays`` does not load that layer.
+residue-ring certificate of ``verify rays`` does not load that layer.  No
+function here reads a group ring: `residue_structure_target` takes its
+relations from chi_D(ell), so this module does not import `grouprings`.
 """
 
 import math
 from fractions import Fraction
 
-from .grouprings import basis_element, one_element, ramification
 from .intmat import Lattice, hnf, identity, preimage_lattice, smith_diagonal
-from .nt import factorize, is_prime, valuation
+from .nt import factorize, is_prime, kronecker, valuation
 
 __all__ = [
     "FiniteGModule",
@@ -376,37 +379,40 @@ def residue_structure_target(group, ell, p, e=1):
     (ell - Frobenius) and (1 - inertia average), where p^v is the p-part
     of ell^f - 1 and f the residue degree; for ell = p (which must be
     unramified here) the ideal generated by p^(e-1).
+
+    All of it is read off chi_D(ell), D = `group.m`: Frobenius is sigma
+    exactly when chi_D(ell) = -1 (then f = 2), and inertia is all of G
+    exactly when chi_D(ell) = 0, when its average is (1 + sigma)/2.  An
+    element a + b sigma contributes the rows [a, b] and [b, a] (itself and
+    its product with sigma), reduced mod p^v.
     """
-    n = group.order
     if group.order % p == 0:
         raise ValueError("p=%d must not divide the degree %d" % (p, group.order))
-    ram = ramification(group, ell)
-
-    def element_rows(theta, pk):
-        coeffs = lift_coefficients_mod(theta, pk)
-        rows = []
-        for g in range(n):
-            row = [0] * n
-            for h, c in enumerate(coeffs):
-                row[group.mult[h][g]] += c
-            rows.append(row)
-        return rows
-
+    if group.order != 2:
+        raise ValueError(
+            "only the group {1, sigma} of a real quadratic field is supported, "
+            "not one of order %d" % group.order
+        )
+    chi = kronecker(group.m, ell)
     if ell != p:
-        f = ram.residue_degree_order()
-        v = valuation(ell**f - 1, p)
-        rows = [[p**v if j == i else 0 for j in range(n)] for i in range(n)]
+        v = valuation(ell ** (2 if chi == -1 else 1) - 1, p)
+        pv = p**v
+        rows = [[pv, 0], [0, pv]]
         if v > 0:
-            frob = basis_element(group, ram.frobenius)
-            rows += element_rows(ell * one_element(group) - frob, p**v)
-            rows += element_rows(one_element(group) - ram.average(), p**v)
+            half = pow(2, -1, pv)
+            for a, b in (
+                (ell, -1) if chi == -1 else (ell - 1, 0),  # ell - Frobenius
+                (half, -half) if chi == 0 else (0, 0),  # 1 - inertia average
+            ):
+                rows += [[a % pv, b % pv], [b % pv, a % pv]]
     else:
-        if ram.inertia != (0,):
+        if chi == 0:
             raise ValueError("the residue prime must be unramified")
         if e < 1:
             raise ValueError("the exponent e must be at least 1")
-        rows = [[p ** (e - 1) if j == i else 0 for j in range(n)] for i in range(n)]
-    return FiniteGModule(group, n, rows, [identity(2), [[0, 1], [1, 0]]])
+        pe = p ** (e - 1)
+        rows = [[pe, 0], [0, pe]]
+    return FiniteGModule(group, 2, rows, [identity(2), [[0, 1], [1, 0]]])
 
 
 # --------------------------------------------------------------------------

@@ -31,12 +31,16 @@ This module supplies the algebra every verification routine combines:
   of the residue modules, and `ray_annihilator` combines everything into the
   paper's annihilator element.
 
-No check calls `norm_log_factor`, `euler_twist`, `lseries_derivative`,
-`lseries_derivative_element`, `residue_euler_element`, `embed_group_ring`
-or `ray_annihilator`; tests use them as oracles.  The character sums need
-the ring of the conductor's roots of unity, while for a quadratic field the
-sinnott check reads L' off the level-D cyclotomic number, in a ring of
-degree at most 2.
+Only `check_sinnott` and `check_solomon` load this module, for
+`galois_log_quad` (both) and `unit_log_factor` (sinnott).  They pass the
+group {1, sigma} as a `quadratic.QuadGaloisGroup`, and those two functions
+and `GroupRingElement` read only a group's `order`, `m` and `mult`.  No
+check calls `norm_log_factor`, `euler_twist`, `lseries_derivative`,
+`lseries_derivative_element`, `residue_euler_element`, `embed_group_ring`,
+`ray_annihilator`, `ramification`, `one_element` or `basis_element`; tests
+use them as oracles.  The character sums need the ring of the conductor's
+roots of unity, while for a quadratic field the sinnott check reads L' off
+the level-D cyclotomic number, in a ring of degree at most 2.
 
 Conventions: group element 0 is the identity; a character's value at a prime
 is zero unless inertia lies in its kernel; scalars multiply group-ring
@@ -47,7 +51,7 @@ group of any order but 2.  Bad arguments raise ValueError and a broken
 internal invariant raises ArithmeticError; no check is an `assert`, so
 `python -O` behaves the same.
 Only the four functions that test for a `PadicElement` import `padics`, so
-the rational group-ring algebra of the ray-class checks does not load it.
+loading this module does not load it.
 """
 
 import math
@@ -142,10 +146,7 @@ class GaloisGroup:
 
     def subgroup_sum(self, indices):
         """Group-ring sum of the given element indices (with multiplicity 1)."""
-        coeffs = [Fraction(0)] * self.order
-        for i in indices:
-            coeffs[i] += 1
-        return GroupRingElement(self, coeffs)
+        return _index_sum(self, indices)
 
     def __repr__(self):
         return "GaloisGroup(%r, order=%d)" % (self.spec, self.order)
@@ -391,7 +392,16 @@ def one_element(group):
 
 def basis_element(group, g):
     """The group element g as a group-ring element, with Fraction coefficients."""
-    return group.subgroup_sum((g,))
+    return _index_sum(group, (g,))
+
+
+def _index_sum(group, indices):
+    """Group-ring sum of the given element indices, with Fraction
+    coefficients; reads only the group's order, so it takes any group."""
+    coeffs = [Fraction(0)] * group.order
+    for i in indices:
+        coeffs[i] += 1
+    return GroupRingElement(group, coeffs)
 
 
 def embed_group_ring(x, ring):
@@ -488,7 +498,7 @@ class RamificationData:
 
     def inertia_sum(self):
         """Sum of the inertia elements, with Fraction coefficients."""
-        return self.group.subgroup_sum(self.inertia)
+        return _index_sum(self.group, self.inertia)
 
     def average(self):
         """The idempotent (1/|I|) sum_{tau in I} tau."""

@@ -34,7 +34,6 @@ from .nt import (
     sqrt_mod,
     valuation,
 )
-from .cyclo import cyclotomic_polynomial
 
 _ROOT_SEARCH_BUDGET = 10**6
 
@@ -515,12 +514,15 @@ class PadicRing:
 
     def cyclotomic_root(self, n):
         """The canonical primitive n-th root of unity: the Hensel lift of the
-        lexicographically smallest root of Phi_n in the residue field."""
+        lexicographically smallest root of Phi_n in the residue field.
+        Only this method needs `cyclo`, so it imports it itself."""
         if n in self._root_cache:
             return self._root_cache[n]
         if (self.q - 1) % n:
             raise ValueError("residue field has no %d-th roots (q = %d)" % (n, self.q))
         _check_root_budget(self.q)
+        from .cyclo import cyclotomic_polynomial
+
         phi_n = cyclotomic_polynomial(n)
         # the root of Phi_n over the seed is its Teichmueller lift, since p
         # does not divide n

@@ -10,6 +10,9 @@ unit comes from one period of an integer continued fraction.  Only this
 module lists the primes over p by chi_D(p): `primes_over` names them as
 (p, r) for (p, omega - r), or (p, None) for an inert (p), and
 `prime_valuation` values any nonzero element of k at each of them.
+`QuadGaloisGroup` is Gal(k/Q) = {1, sigma} with the unit a mod D mapped
+to sigma by chi_D(a) = -1: the group that the checks hand to the
+group-ring and Galois-module layers, built in O(1).
 
 The class group is computed from scratch: relations among the primes
 below the Minkowski bound are harvested from elements of smooth norm in a
@@ -333,8 +336,17 @@ class QuadField:
         return eps
 
     def regulator_float(self):
+        """log eps, as log x + log(1 + y sqrt(D) / x) for eps = x + y sqrt(D).
+
+        x and y may have thousands of bits, too many for a float: log x is
+        taken from the integer numerator and denominator of x, and only the
+        ratio y sqrt(D) / x = (eps - eps') / (eps + eps'), which lies in
+        (0, 3) as |eps'| = 1 / eps, is a float.
+        """
         eps = self.fundamental_unit()
-        return math.log(float(eps.x) + float(eps.y) * math.sqrt(self.D))
+        x, y = eps.x, eps.y
+        ratio = float(y / x) * math.sqrt(self.D)
+        return math.log(x.numerator) - math.log(x.denominator) + math.log1p(ratio)
 
     # -- primes
 
@@ -414,6 +426,44 @@ class QuadField:
         if self._classgroup is None:
             self._classgroup = ClassGroup(self)
         return self._classgroup
+
+
+class QuadGaloisGroup:
+    """Gal(k/Q) = {1, sigma} for the real quadratic field k of discriminant D.
+
+    Index 0 is the identity and index 1 is sigma, and the level `m` is D:
+    the unit a mod D restricts to sigma exactly when chi_D(a) = -1
+    (`coset_of`).  `order`, `mult`, `inv` and `exponent` are the fixed
+    tables of a group of order 2, so the group is built in O(1), with no
+    list of (Z/D)^*.  Two such groups are equal when their D are.
+    """
+
+    __slots__ = ("m",)
+
+    order = 2
+    exponent = 2
+    mult = ((0, 1), (1, 0))
+    inv = (0, 1)
+
+    def __init__(self, field):
+        self.m = field.D
+
+    def coset_of(self, a):
+        """Index of the element that the unit a mod D restricts to."""
+        a %= self.m
+        chi = kronecker(self.m, a)
+        if chi == 0:
+            raise ValueError("%d is not a unit at level %d" % (a, self.m))
+        return int(chi == -1)
+
+    def __repr__(self):
+        return "QuadGaloisGroup(D=%d)" % self.m
+
+    def __eq__(self, other):
+        return isinstance(other, QuadGaloisGroup) and self.m == other.m
+
+    def __hash__(self):
+        return hash((QuadGaloisGroup, self.m))
 
 
 def analytic_class_number(D):

@@ -115,7 +115,8 @@ def orbit_product(field, n, t, ell):
     Gauss sum g = sum chi_D(a) z^(a n / D), the products P, P' over the two
     cosets of ker(chi_D) are the images of c_j = x + y sqrt(D) and of its
     conjugate: 2x = P + P', 2y = (P - P') / g (P' = P, y = 0 if D does not
-    divide n).  `crt` lifts them over primes with product M >= 2^(b + 2).
+    divide n).  They are lifted over primes with product M >= 2^(b + 2), on
+    one CRT basis (from `crt`) shared by all 2 ell coordinates.
     In both embeddings of k, |c_j| < 2^b (`_log2_bound`), as c_j = (1/ell)
     sum over w^ell = 1 of P(w) w^(-j) and each |w^t - zeta_n^(t h)| =
     2 |sin(pi x)| <= 2 (y - y^3 / 6 + y^5 / 120) at y = 355 ||x|| / 113.
@@ -163,9 +164,12 @@ def orbit_product(field, n, t, ell):
         xs.append([(a + b) % q for a, b in zip(P[0], P[-1])])
         ys.append([(a - b) * ginv % q for a, b in zip(P[0], P[-1])])
     M = math.prod(moduli)
+    # e_i = 1 mod q_i and 0 mod the other primes, once for all 2 ell lifts
+    basis = [crt([int(q == qi) for q in moduli], moduli) for qi in moduli]
     out = []
     for x, y in zip(zip(*xs), zip(*ys)):
-        x, y = (v - M if 2 * v > M else v for v in (crt(x, moduli), crt(y, moduli)))
+        x, y = (sum(a * e for a, e in zip(r, basis)) % M for r in (x, y))
+        x, y = (v - M if 2 * v > M else v for v in (x, y))
         out.append(QuadElement(field, x - D % 2 * y, 2 * y, 2))  # sqrt(D) = 2 omega - D % 2
     if ell > 1 and sum(out, field.zero()) != _norm_one_minus_power(field, n, t):
         raise ArithmeticError(

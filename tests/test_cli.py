@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -254,23 +255,23 @@ _BASE = {
     "rayverify.quadratic",
 }
 
-#: the Galois group of the field, which every check but h90 and special
-#: units builds (`checks._quad_setup`)
-_GROUP = {"cyclo", "grouprings"}
-
-
+#: no command loads `cyclo`: each check builds its Galois group {1, sigma}
+#: in `quadratic`, and only the checks that take p-adic logs (sinnott, and
+#: solomon in the annihilator modes) load `grouprings`
 @pytest.mark.parametrize(
     "argv, layers",
     [
-        (["verify", "rays"], _GROUP | {"gmodules", "intmat"}),
-        (["verify", "gras"], _GROUP | {"gmodules", "intmat", "units"}),
-        (["explore", "conjecture"], _GROUP | {"gmodules", "intmat", "units"}),
-        (["verify", "sinnott"], _GROUP | {"padics", "units"}),
+        (["verify", "rays"], {"gmodules", "intmat"}),
+        (["verify", "gras"], {"gmodules", "intmat", "units"}),
+        (["explore", "conjecture"], {"gmodules", "intmat", "units"}),
+        (["verify", "sinnott"], {"grouprings", "padics", "units"}),
         (["verify", "h90", "--quad", "13", "--ell", "53"], {"units", "special"}),
         (["verify", "annihilator", "--quad", "5", "--mode", "special"],
          {"units", "special"}),
+        (["verify", "annihilator", "--mode", "thaine"],
+         {"gmodules", "intmat", "units", "special"}),
         (["verify", "annihilator", "--mode", "both"],
-         _GROUP | {"gmodules", "intmat", "padics", "units", "special"}),
+         {"grouprings", "gmodules", "intmat", "padics", "units", "special"}),
     ],
 )
 def test_each_command_loads_only_the_layers_it_calls(argv, layers, tmp_path):
@@ -282,6 +283,65 @@ def test_each_command_loads_only_the_layers_it_calls(argv, layers, tmp_path):
     assert loaded == expected, sorted(loaded)
     loaded = _modules_after(_as_script(argv))
     assert loaded == expected | {"rayverify.__main__"}, sorted(loaded)
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rayverify"
+
+#: the layers under the checks that import neither `cyclo` nor `grouprings`
+#: when they load, so that the commands which never call into those two do
+#: not compile them
+_BELOW_GROUP_RINGS = (
+    "quadratic", "gmodules", "intmat", "units", "padics", "special", "nt",
+)
+
+
+def _module_level_layers(tree):
+    """(line, layer) for each rayverify layer imported when the module loads:
+    by any import statement outside a function body."""
+    found = []
+    stack = list(ast.iter_child_nodes(tree))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is relative to the package
+            base = ".".join(filter(None, ("rayverify" if node.level else "", node.module)))
+            names = [base + "." + a.name for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, name.split(".")[1]) for name in names
+                  if name.startswith("rayverify.")]
+    return sorted(found)
+
+
+def test_the_static_layer_guard_sees_each_kind():
+    code = (
+        "from .cyclo import FieldSpec\n"
+        "from . import grouprings, nt\n"
+        "import rayverify.cyclo\n"
+        "def f():\n"
+        "    from .grouprings import GaloisGroup\n"
+        "if f:\n"
+        "    from rayverify import grouprings\n"
+        "class C:\n"
+        "    from rayverify.cyclo import FieldSpec\n"
+    )
+    assert _module_level_layers(ast.parse(code)) == [
+        (1, "cyclo"), (2, "grouprings"), (2, "nt"), (3, "cyclo"),
+        (7, "grouprings"), (9, "cyclo"),
+    ]
+
+
+@pytest.mark.parametrize("name", _BELOW_GROUP_RINGS)
+def test_layer_imports_neither_cyclo_nor_grouprings_when_it_loads(name):
+    tree = ast.parse((PACKAGE / (name + ".py")).read_text())
+    found = [(line, layer) for line, layer in _module_level_layers(tree)
+             if layer in ("cyclo", "grouprings")]
+    assert found == [], name
 
 
 def test_verify_and_module_import_load_the_engine():
@@ -389,6 +449,9 @@ _FORMER_HANGS = {
     # 8 of its 19 orbit products were repeats, each lifted over 8 primes
     # where 3 do: 7.2 s
     "verify annihilator --quad 9001 --mode special": 5,
+    # the Galois group {1, sigma} was built by listing (Z/D)^*: 3.9 s and
+    # 200 MB peak RSS
+    "verify rays --quad 1000033 --ell 2 --p 3": 2,
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,16 @@ from rayverify.gmodules import (
     residue_galois_module,
     residue_structure_target,
 )
-from rayverify.grouprings import GaloisGroup, GroupRingElement
+from rayverify.grouprings import (
+    GaloisGroup,
+    GroupRingElement,
+    basis_element,
+    one_element,
+    ramification,
+)
 from rayverify.intmat import identity
-from rayverify.nt import fundamental_discriminant, is_prime
-from rayverify.quadratic import QuadField
+from rayverify.nt import fundamental_discriminant, is_prime, kronecker, valuation
+from rayverify.quadratic import QuadField, QuadGaloisGroup
 
 G5 = GaloisGroup(FieldSpec.quadratic(5))
 G13 = GaloisGroup(FieldSpec.quadratic(13))
@@ -276,6 +283,94 @@ def test_certificate_matches_generator_decision_on_residue_grid():
             assert got == generator_decision(syl, right), (D, ell, p, e)
             verdicts[got] = verdicts.get(got, 0) + 1
     assert verdicts["isomorphic"] > 800 and verdicts["not-isomorphic"] > 100, verdicts
+
+
+def _target_rows_from_group_ring(group, ell, p, e=1):
+    """The relation rows of the predicted structure, built as the engine
+    once built them: the ideal's generators as group-ring elements theta,
+    each spread into the rows theta * g over g in G."""
+    n = group.order
+    if n % p == 0:
+        raise ValueError("p=%d must not divide the degree %d" % (p, n))
+    ram = ramification(group, ell)
+
+    def element_rows(theta, pk):
+        coeffs = lift_coefficients_mod(theta, pk)
+        rows = []
+        for g in range(n):
+            row = [0] * n
+            for h, c in enumerate(coeffs):
+                row[group.mult[h][g]] += c
+            rows.append(row)
+        return rows
+
+    if ell != p:
+        v = valuation(ell ** ram.residue_degree_order() - 1, p)
+        rows = [[p**v if j == i else 0 for j in range(n)] for i in range(n)]
+        if v > 0:
+            frob = basis_element(group, ram.frobenius)
+            rows += element_rows(ell * one_element(group) - frob, p**v)
+            rows += element_rows(one_element(group) - ram.average(), p**v)
+        return rows
+    if ram.inertia != (0,):
+        raise ValueError("the residue prime must be unramified")
+    if e < 1:
+        raise ValueError("the exponent e must be at least 1")
+    return [[p ** (e - 1) if j == i else 0 for j in range(n)] for i in range(n)]
+
+
+def test_residue_target_matches_the_group_ring_construction():
+    """Rows read off chi_D(ell) equal the group-ring rows on a seeded grid
+    of split, inert and ramified ell, and ell = p, for both kinds of group."""
+    rng = random.Random(24)
+    radicands = (2, 3, 5, 6, 7, 13, 17, 21, 31, 43, 61, 77, 79, 105, 143)
+    discs = [fundamental_discriminant(r) for r in radicands]
+    ps = (3, 5, 7, 11, 13)
+    primes = [q for q in range(2, 200) if is_prime(q)]
+    grid = [(D, ell, p, 1) for D in discs for ell in primes for p in ps]
+    grid = rng.sample(grid, 500) + [
+        (D, ell, p, 1) for D in discs for ell in primes for p in ps
+        if D % ell == 0 and ell != p
+    ] + [(D, p, p, e) for D in discs for p in ps for e in (1, 2, 3)]
+    kinds = Counter()
+    for D, ell, p, e in grid:
+        quad = QuadGaloisGroup(QuadField(D))
+        coset = GaloisGroup(FieldSpec.quadratic(D))
+        kind = {1: "split", -1: "inert", 0: "ramified"}[kronecker(D, ell)]
+        if ell == p and kind == "ramified":
+            for group in (quad, coset):
+                with pytest.raises(ValueError, match="unramified"):
+                    residue_structure_target(group, ell, p, e)
+            kinds["ramified ell=p"] += 1
+            continue
+        rows = _target_rows_from_group_ring(coset, ell, p, e)
+        assert _target_rows_from_group_ring(quad, ell, p, e) == rows
+        old = FiniteGModule(coset, 2, rows, [identity(2), [[0, 1], [1, 0]]])
+        for group in (quad, coset):
+            target = residue_structure_target(group, ell, p, e)
+            assert target.relations == rows, (D, ell, p, e)
+            assert target.action == old.action
+            assert (target.order(), target.invariants()) == (old.order(), old.invariants())
+        if ell == p:
+            kind = "ell=p"
+        elif len(rows) > 2:
+            kind += " with relations"
+        kinds[kind] += 1
+    assert set(kinds) == {
+        "split", "inert", "ramified", "ell=p", "ramified ell=p",
+        "split with relations", "inert with relations", "ramified with relations",
+    }, kinds
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_residue_target_needs_a_group_of_order_two():
+    G7 = GaloisGroup(FieldSpec(7, (1, 6)))  # the real cubic field of conductor 7
+    with pytest.raises(ValueError, match="not one of order 3"):
+        residue_structure_target(G7, 2, 5)
+    with pytest.raises(ValueError, match="must not divide the degree 3"):
+        residue_structure_target(G7, 2, 3)
+    with pytest.raises(ValueError, match="must not divide the degree 2"):
+        residue_structure_target(QuadGaloisGroup(QuadField(5)), 11, 2)
 
 
 def test_lift_coefficients_mod():

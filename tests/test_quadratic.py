@@ -1,9 +1,12 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from rayverify.cyclo import FieldSpec
+from rayverify.grouprings import GaloisGroup
 from rayverify.intmat import Lattice
 from rayverify.nt import (
     factorize,
@@ -16,7 +19,9 @@ from rayverify.quadratic import (
     MODULUS_LIMIT,
     QuadElement,
     QuadField,
+    QuadGaloisGroup,
     ResidueRing,
+    _is_fundamental,
     analytic_class_number,
     unit_exponent,
 )
@@ -258,6 +263,57 @@ def test_prime_roots_match_the_scan(D):
     for p in range(2, 2000):
         if is_prime(p):
             assert field.prime_roots(p) == _prime_roots_by_scan(field, p), p
+
+
+def test_regulator_of_a_unit_too_large_for_a_float():
+    """D = 1000033: x and y of the fundamental unit have about 2000 bits,
+    so float(x) overflows; the regulator still matches a 50-digit ln."""
+    D = 1000033
+    field = QuadField(D)
+    eps = field.fundamental_unit()
+    with pytest.raises(OverflowError):
+        float(eps.x)
+    reg = field.regulator_float()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(eps.x.numerator) / eps.x.denominator
+        y = Decimal(eps.y.numerator) / eps.y.denominator
+        exact = float((x + y * Decimal(D).sqrt()).ln())
+    assert math.isfinite(reg)
+    assert abs(reg - exact) <= 1e-12 * exact
+
+
+def test_regulator_matches_the_float_formula_on_small_discriminants():
+    for D in filter(_is_fundamental, range(5, 2000)):
+        field = QuadField(D)
+        eps = field.fundamental_unit()
+        old = math.log(float(eps.x) + float(eps.y) * math.sqrt(D))
+        assert abs(field.regulator_float() - old) <= 1e-12 * old, D
+
+
+def test_galois_group_matches_the_coset_construction():
+    """{1, sigma} read off chi_D agrees with the group built on the cosets
+    of ker(chi_D) in (Z/D)^*, at every residue mod D."""
+    for D in filter(_is_fundamental, range(5, 300)):
+        new = QuadGaloisGroup(QuadField(D))
+        old = GaloisGroup(FieldSpec.quadratic(D))
+        assert (new.order, new.m, new.exponent) == (old.order, old.m, old.exponent)
+        assert [list(row) for row in new.mult] == old.mult
+        assert list(new.inv) == old.inv
+        for a in range(-D, 2 * D):
+            if math.gcd(a, D) == 1:
+                assert new.coset_of(a) == old.coset_of(a), (D, a)
+            else:
+                for group in (new, old):
+                    with pytest.raises(ValueError, match="not a unit at level %d" % D):
+                        group.coset_of(a)
+
+
+def test_galois_groups_are_equal_when_their_discriminants_are():
+    G5, H5, G13 = (QuadGaloisGroup(QuadField(D)) for D in (5, 5, 13))
+    assert G5 == H5 and hash(G5) == hash(H5) and G5 is not H5
+    assert G5 != G13 and G5 != GaloisGroup(FieldSpec.quadratic(5))
+    assert repr(G13) == "QuadGaloisGroup(D=13)"
 
 
 def test_analytic_class_number_oracle():
