@@ -306,8 +306,8 @@ def check_gras(D, p, d=1):
     field, group = _quad_setup(D)
     if p % 2 == 0:
         raise ValueError("p=%d must be odd" % p)
-    rcg = RayClassGroup(field, group, d)
     t0 = time.perf_counter()
+    rcg = RayClassGroup(field, group, d)
     return [_gras_point(rcg, _unit_module(field, group, rcg), p, t0)]
 
 

@@ -29,6 +29,7 @@ or ``explore`` command imports `checks` with `nt` and `quadratic`, plus
 * ``annihilator --mode solomon``: `grouprings`, `gmodules`, `intmat`,
   `padics` and `units`, and ``--mode both`` `special` as well.
 
+A class group loads `units`, as it reads h off u_D; ``rays`` builds none.
 No command loads `cyclo`, as each check builds the Galois group {1, sigma}
 in `quadratic`; only a field named by ``--field`` loads it.
 

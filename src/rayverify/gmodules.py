@@ -32,8 +32,9 @@ compares:
   witnesses for every relation, the connecting map from residue units, and
   the class-of-a-prime section used by the annihilation checks.
 
-Only `RayClassGroup._recount` needs `units`, and imports it itself, so the
-residue-ring certificate of ``verify rays`` does not load that layer.  No
+Only `RayClassGroup` needs `units`, in `_recount` and in its class group
+(h is read off u_D); both import it, so the residue-ring certificate of
+``verify rays`` does not load that layer.  No
 function here reads a group ring: `residue_structure_target` takes its
 relations from chi_D(ell), so this module does not import `grouprings`.
 """

@@ -16,11 +16,12 @@ group-ring and Galois-module layers, built in O(1).
 
 The class group is computed from scratch: relations among the primes
 below the Minkowski bound are harvested from elements of smooth norm in a
-growing search box until the index of their lattice is the analytic class
-number (the only place floating point appears in the module, and only as
-a stopping test: found relations can only over-count h).  Every relation
-row keeps the element that witnessed it, so principality questions reduce
-to exact integer linear algebra plus an explicit generator.
+growing search box until the index of their lattice is the class number,
+which Dirichlet's formula gives exactly as u_D / sigma(u_D) = +-eps^(+-2h)
+(`analytic_class_number`; found relations can only over-count h).  Every
+relation row keeps the element that witnessed it, so principality
+questions reduce to exact integer linear algebra plus an explicit
+generator.  The module holds no float.
 
 Residue rings O/(M) for integer moduli M present their unit group on the
 CRT lifts of explicit local generators (a primitive-root lift and the
@@ -335,19 +336,6 @@ class QuadField:
         self._unit = eps
         return eps
 
-    def regulator_float(self):
-        """log eps, as log x + log(1 + y sqrt(D) / x) for eps = x + y sqrt(D).
-
-        x and y may have thousands of bits, too many for a float: log x is
-        taken from the integer numerator and denominator of x, and only the
-        ratio y sqrt(D) / x = (eps - eps') / (eps + eps'), which lies in
-        (0, 3) as |eps'| = 1 / eps, is a float.
-        """
-        eps = self.fundamental_unit()
-        x, y = eps.x, eps.y
-        ratio = float(y / x) * math.sqrt(self.D)
-        return math.log(x.numerator) - math.log(x.denominator) + math.log1p(ratio)
-
     # -- primes
 
     def split_type(self, p):
@@ -467,15 +455,18 @@ class QuadGaloisGroup:
 
 
 def analytic_class_number(D):
-    """Dirichlet's formula for h(D), floating point, oracle use only."""
+    """h(D), exactly, from Dirichlet's formula: u_D / sigma(u_D) = +-eps^k with
+    h = |k| / 2 (Washington, GTM 83, ch. 8), where u_D is the norm of 1 - zeta_D
+    to k (`units.cyclotomic_number`, checked by N(u_D) = Phi_D(1)) and k comes
+    from `unit_exponent`.  An odd or zero k raises ArithmeticError."""
+    from .units import cyclotomic_number  # units imports this module
+
     field = QuadField(D)
-    reg = field.regulator_float()
-    total = 0.0
-    for a in range(1, D):
-        chi = kronecker(D, a)
-        if chi:
-            total -= chi * math.log(2 * math.sin(math.pi * a / D))
-    return total / (2 * reg)
+    u = cyclotomic_number(field, D)
+    _, k = unit_exponent(field, u / u.conj())
+    if k % 2 or not k:
+        raise ArithmeticError("u_D / sigma(u_D) = +-eps^%d in Q(sqrt %d): odd or 0" % (k, D))
+    return abs(k) // 2
 
 
 class ClassGroup:
@@ -485,6 +476,8 @@ class ClassGroup:
     p below the bound (ramified primes appear once, split primes twice).
     relations: integer rows in those generators; witnesses[i] is an
     explicit field element generating the ideal prod gens^relations[i].
+    With no such p every class is principal (Minkowski), so h = 1 is not
+    computed; otherwise `_harvest` reaches h = `analytic_class_number(D)`.
     """
 
     def __init__(self, field):
@@ -501,13 +494,8 @@ class ClassGroup:
         self.lattice = Lattice([])
         self.invariants = []
         self.order = 1
-        approx = analytic_class_number(D)
         if self.gens:
-            self._harvest(approx)
-        if abs(approx - self.order) >= 0.05:
-            raise ArithmeticError(
-                "class number %d disagrees with analytic %f" % (self.order, approx)
-            )
+            self._harvest(analytic_class_number(D))
 
     def _factor_vector(self, z, cofactor=1):
         """Exponent vector of (z) over the base, or None unless |N(z)| is
@@ -531,12 +519,13 @@ class ClassGroup:
                 vec[i] = self.field.prime_valuation(z, p, r)
         return vec
 
-    def _harvest(self, approx):
+    def _harvest(self, h):
         """Relations from the rational primes of the base and from the
         smooth a + b omega with |a|, b <= bound, doubling the bound until
-        the index of the relation lattice is the analytic class number
-        `approx`.  Found relations span a sublattice of the full relation
-        lattice, so their index is a multiple of h: agreement pins h.
+        the index of the relation lattice is the class number h.  Found
+        relations span a sublattice of the full relation lattice, so their
+        index is a multiple of h: reaching h pins the lattice, and a full
+        rank index that h does not divide refutes h (ArithmeticError).
         """
         from .intmat import Lattice
 
@@ -563,18 +552,18 @@ class ClassGroup:
                         wits.append(z)
             lattice = Lattice(rows)
             diag = lattice.invariants()
-            if len(diag) == len(self.gens) and abs(math.prod(diag) - approx) < 0.05:
+            index = math.prod(diag) if len(diag) == len(self.gens) else 0
+            if index == h:
                 self.relations = rows
                 self.lattice = lattice
                 self.witnesses = wits
                 self.invariants = [d for d in diag if d != 1]
-                self.order = math.prod(diag)
+                self.order = h
                 return
+            if index % h:
+                raise ArithmeticError("relation index %d is not a multiple of h = %d" % (index, h))
             bound *= 2
-        raise ArithmeticError(
-            "class group relations did not reach the analytic class number "
-            "%f" % approx
-        )
+        raise ArithmeticError("class group relations did not reach h = %d" % h)
 
     def principalize(self, vec):
         """A field element generating prod gens^vec, or None if non-principal."""

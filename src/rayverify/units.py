@@ -83,11 +83,12 @@ def _log2_bound(n, t, ell, cosets):
     every C in `cosets` and w^ell = 1: a factor is 2 |sin(pi r / N)| <=
     2 (y - y^3 / 6 + y^5 / 120) at y = 355 r / (113 N), for N = ell n and
     0 <= r <= N / 2 (`orbit_product`).  With B = 113 N that bound is
-    r (c4 - r^2 (c2 - c0 r^2)) / (60 B^5), and the loop multiplies the
-    numerators."""
+    r (c4 - r^2 (c2 - c0 r^2)) / den, den = 60 B^5; on 64-bit mantissas the
+    loops round the product of the numerators up and den^|C| down, so b may
+    exceed the exact bound by 2 but never falls below it."""
     N = ell * n
     B = 113 * N
-    c4, c2, c0 = 355 * 120 * B**4, 355**3 * 20 * B**2, 355**5
+    c4, c2, c0, den = 355 * 120 * B**4, 355**3 * 20 * B**2, 355**5, 60 * B**5
     top = 0
     for C in cosets:
         for j in range(ell):
@@ -101,7 +102,13 @@ def _log2_bound(n, t, ell, cosets):
                     s = m.bit_length() - 64
                     m, e = (m >> s) + 1, e + s
             top = max(top, e + m.bit_length())
-    return top - pow(60 * B**5, len(cosets[0])).bit_length() + 1
+    m, e = 1, 0  # den^|C| is at least m 2^e
+    for _ in cosets[0]:
+        m *= den
+        if m >> 64:
+            s = m.bit_length() - 64
+            m, e = m >> s, e + s
+    return top - e - m.bit_length() + 1
 
 
 def orbit_product(field, n, t, ell):

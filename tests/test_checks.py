@@ -188,6 +188,18 @@ def test_gras_scan_builds_the_unit_side_once_per_modulus(monkeypatch):
     assert results and all(r.status == "pass" for r in results)
 
 
+def test_gras_elapsed_covers_the_ray_class_group_build(monkeypatch):
+    build = gmodules.RayClassGroup
+
+    def slow(*args):
+        time.sleep(0.05)
+        return build(*args)
+
+    monkeypatch.setattr(gmodules, "RayClassGroup", slow)
+    (record,) = check_gras(5, 3, 1)
+    assert record.status == "pass" and record.elapsed >= 0.05
+
+
 def test_gras_point_witness_shape():
     r = check_gras(316, 3, 1)[0]
     assert r.status == "pass"

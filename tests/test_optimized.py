@@ -6,8 +6,9 @@ special-unit, traced-name and acceptance suites pass under ``python -O``.
 validation or invariant check still written as one disappears there.
 Pytest rewrites the tests' own asserts, so the tests keep checking.  The
 re-runs prove this for the lines the suites reach; a static test proves it
-for every module of the package, reached or not.  Kept in its own module so
-that the suites it runs do not run it again.
+for every module of the package, reached or not.  Beside it, a static test
+proves that no module holds a float.  Kept in its own module so that the
+suites it runs do not run it again.
 """
 
 import ast
@@ -45,6 +46,48 @@ def test_the_static_guard_sees_each_kind():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_behaves_the_same_under_optimize(path):
     assert _optimize_dependent(ast.parse(path.read_text())) == []
+
+
+_FLOAT_MATH = {"log", "log1p", "log2", "log10", "sin", "cos", "sqrt", "exp", "pi"}
+
+
+def _float_constructs(tree):
+    """Line numbers of floating point: a float literal, a call of `float`,
+    or one of the `math` functions and constants in `_FLOAT_MATH`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr in _FLOAT_MATH
+            and getattr(node.value, "id", None) == "math"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "math"
+            and any(alias.name in _FLOAT_MATH for alias in node.names)
+        )
+    )
+
+
+def test_the_float_guard_sees_each_kind():
+    code = (
+        "import math\nfrom math import sqrt\nx = 0.5\ny = float(1)\n"
+        + "".join("z = math.%s\n" % name for name in sorted(_FLOAT_MATH))
+        + "w = math.isqrt(4) + math.gcd(2, 4) + 7 // 2\n"
+    )
+    assert _float_constructs(ast.parse(code)) == list(range(2, 5 + len(_FLOAT_MATH)))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_holds_no_float(path):
+    assert _float_constructs(ast.parse(path.read_text())) == []
 
 
 def _pytest_under_optimize(*suites):

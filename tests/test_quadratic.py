@@ -1,10 +1,10 @@
 import math
 import random
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from rayverify import quadratic, units
 from rayverify.cyclo import FieldSpec
 from rayverify.grouprings import GaloisGroup
 from rayverify.intmat import Lattice
@@ -12,6 +12,7 @@ from rayverify.nt import (
     factorize,
     fundamental_discriminant,
     is_prime,
+    kronecker,
     squarefree_part,
     valuation,
 )
@@ -265,32 +266,6 @@ def test_prime_roots_match_the_scan(D):
             assert field.prime_roots(p) == _prime_roots_by_scan(field, p), p
 
 
-def test_regulator_of_a_unit_too_large_for_a_float():
-    """D = 1000033: x and y of the fundamental unit have about 2000 bits,
-    so float(x) overflows; the regulator still matches a 50-digit ln."""
-    D = 1000033
-    field = QuadField(D)
-    eps = field.fundamental_unit()
-    with pytest.raises(OverflowError):
-        float(eps.x)
-    reg = field.regulator_float()
-    with localcontext() as ctx:
-        ctx.prec = 50
-        x = Decimal(eps.x.numerator) / eps.x.denominator
-        y = Decimal(eps.y.numerator) / eps.y.denominator
-        exact = float((x + y * Decimal(D).sqrt()).ln())
-    assert math.isfinite(reg)
-    assert abs(reg - exact) <= 1e-12 * exact
-
-
-def test_regulator_matches_the_float_formula_on_small_discriminants():
-    for D in filter(_is_fundamental, range(5, 2000)):
-        field = QuadField(D)
-        eps = field.fundamental_unit()
-        old = math.log(float(eps.x) + float(eps.y) * math.sqrt(D))
-        assert abs(field.regulator_float() - old) <= 1e-12 * old, D
-
-
 def test_galois_group_matches_the_coset_construction():
     """{1, sigma} read off chi_D agrees with the group built on the cosets
     of ker(chi_D) in (Z/D)^*, at every residue mod D."""
@@ -316,10 +291,54 @@ def test_galois_groups_are_equal_when_their_discriminants_are():
     assert repr(G13) == "QuadGaloisGroup(D=13)"
 
 
+def _float_class_number(D):
+    """Dirichlet's formula for h(D) in floating point, the oracle of the
+    exact route: -sum chi_D(a) log(2 sin(pi a / D)) / (2 log eps), with
+    log eps = log x + log(1 + y sqrt(D) / x) for eps = x + y sqrt(D)."""
+    eps = QuadField(D).fundamental_unit()
+    x, y = eps.x, eps.y
+    ratio = float(y / x) * math.sqrt(D)
+    reg = math.log(x.numerator) - math.log(x.denominator) + math.log1p(ratio)
+    total = 0.0
+    for a in range(1, D):
+        chi = kronecker(D, a)
+        if chi:
+            total -= chi * math.log(2 * math.sin(math.pi * a / D))
+    return total / (2 * reg)
+
+
 def test_analytic_class_number_oracle():
-    assert abs(analytic_class_number(5) - 1) < 1e-6
-    assert abs(analytic_class_number(316) - 3) < 1e-6
-    assert abs(analytic_class_number(40) - 2) < 1e-6
+    for D, h in [(5, 1), (316, 3), (40, 2)]:
+        assert analytic_class_number(D) == h
+        assert abs(_float_class_number(D) - h) < 1e-6
+
+
+def test_analytic_class_number_matches_the_float_formula_on_small_discriminants():
+    for D in filter(_is_fundamental, range(5, 2000)):
+        approx = _float_class_number(D)
+        assert abs(approx - round(approx)) < 0.05, D
+        assert analytic_class_number(D) == round(approx), D
+
+
+def test_a_wrong_u_D_raises_and_never_gives_a_wrong_h(monkeypatch):
+    field = QuadField(316)
+    exact = units.cyclotomic_number
+
+    def times_eps(f, n, d=1):
+        return f.fundamental_unit() * exact(f, n, d)
+
+    # u_D / sigma(u_D) gains eps^2, so the formula claims h = 2
+    monkeypatch.setattr(units, "cyclotomic_number", times_eps)
+    monkeypatch.setattr(field, "_classgroup", None)
+    assert analytic_class_number(316) == 2
+    with pytest.raises(ArithmeticError, match="index 3 is not a multiple of h = 2"):
+        field.class_group()
+    monkeypatch.setattr(units, "cyclotomic_number", exact)
+    for k in (5, -3, 0):
+        monkeypatch.setattr(quadratic, "unit_exponent", lambda f, u, k=k: (1, k))
+        with pytest.raises(ArithmeticError, match="eps\\^%d in Q\\(sqrt 316\\)" % k):
+            field.class_group()
+    assert field._classgroup is None
 
 
 def test_class_groups_small():
@@ -334,7 +353,7 @@ def test_class_group_stops_at_the_analytic_class_number():
     for D, h in [(1272, 2), (1448, 2), (1592, 1)]:
         cg = QuadField(D).class_group()
         assert cg.order == h
-        assert abs(analytic_class_number(D) - h) < 0.05
+        assert abs(_float_class_number(D) - h) < 0.05
 
 
 def test_class_group_79():

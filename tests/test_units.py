@@ -385,6 +385,39 @@ def test_norms_of_the_deep_op_skip_newtons_identities(monkeypatch):
     assert [_norm_one_minus_power(Q316, 316, t) for t in twists] == expected
 
 
+def _log2_bound_by_exact_power(n, t, ell, cosets):
+    """`units._log2_bound` with the exact bit length of (60 B^5)^|C|."""
+    N = ell * n
+    B = 113 * N
+    c4, c2, c0 = 355 * 120 * B**4, 355**3 * 20 * B**2, 355**5
+    top = 0
+    for C in cosets:
+        for j in range(ell):
+            m, e = 1, 0
+            for h in C:
+                r = t * (j * n - h * ell) % N
+                r = min(r, N - r)
+                r2 = r * r
+                m *= r * (c4 - r2 * (c2 - c0 * r2))
+                if m >> 64:
+                    s = m.bit_length() - 64
+                    m, e = (m >> s) + 1, e + s
+            top = max(top, e + m.bit_length())
+    return top - pow(60 * B**5, len(cosets[0])).bit_length() + 1
+
+
+@pytest.mark.parametrize(
+    "D, n, t, ell",
+    [(5, 5, 1, 1), (316, 316, 1, 1), (3084, 3084, 1, 1), (9001, 9001, 1, 1)]
+    + [(5, 5, t, 29) for t in (1, 2, 3)],
+)
+def test_log2_bound_is_within_two_bits_above_the_exact_power(D, n, t, ell):
+    # the cosets of ker(chi_D) in (Z/n)^*, as `orbit_product` builds them
+    cosets = [[h for h in units_mod(n) if kronecker(D, h) == c] for c in (1, -1)]
+    exact = _log2_bound_by_exact_power(n, t, ell, cosets)
+    assert exact <= units._log2_bound(n, t, ell, cosets) <= exact + 2
+
+
 def test_orbit_product_rejects_too_few_primes(monkeypatch):
     # u_D for D = 1801 has a coordinate of 105 bits: one prime below 2^81
     # lifts it wrongly
