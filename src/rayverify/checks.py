@@ -31,18 +31,20 @@ group {1, sigma}, a `quadratic.QuadGaloisGroup` built in O(1).  Every
 other layer is imported by the checks that call into them, so that a
 command loads and compiles only the layers it uses: ``verify rays``, for
 example, never loads `padics`, `units` or `special`, ``verify sinnott``
-never loads `intmat`, only the checks that take p-adic logs (sinnott and
-solomon) load `grouprings`, and no check loads `cyclo`.
+loads only `units`, only the check that takes p-adic logs (solomon) loads
+`grouprings` and `padics`, and no check loads `cyclo`.
 
-``verify sinnott`` works in the completion of k at p, a p-adic ring of
-degree 1 or 2, and reads its L-value off the level-D cyclotomic number; no
-check builds the cyclotomic ring of degree ord_D(p).
+``verify sinnott`` decides its identity by unit exponents in k: its
+L-value is k_D log_p eps, read off the level-D cyclotomic number, and the
+valuation of log_p eps comes from one power of eps in O/(p^K), so no
+p-adic log is taken and no check builds the cyclotomic ring of degree
+ord_D(p).
 """
 
 import time
 
 from .nt import is_prime, valuation
-from .quadratic import QuadField, QuadGaloisGroup
+from .quadratic import QuadField, QuadGaloisGroup, _pair_pow, dirichlet_exponent, unit_exponent
 
 PASS = "pass"
 FAIL = "fail"
@@ -98,49 +100,76 @@ def _rho_part(module, p):
 # twisted logarithm identities
 
 
+def _unit_log_valuation(field, p, K):
+    """w = v_p(log_p eps) = v_P(eps^(q - 1) - 1), capped at K, for an odd
+    unramified p: q = p at either prime P over a split p (the two values
+    agree, as eps sigma(eps) = +-1), and q = p^2 at P = (p) for inert p.
+    eps^(q - 1) is formed in O/(p^K) only, with omega sent to a root lifted
+    mod p^K for split p; for odd p, v_p(log(1 + z)) = v_p(z) once p | z."""
+    eps, M = field.fundamental_unit(), p**K
+    if field.chi(p) == 1:
+        root = field.prime_root_lifted(p, field.prime_roots(p)[0], K)
+        z = [(pow(eps.a + eps.b * root, p - 1, M) - 1) % M]
+    else:
+        x, y = _pair_pow((eps.a, eps.b), p * p - 1, M, -field.omega_trace, field.omega_norm)
+        z = [(x - 1) % M, y]
+    return min(valuation(c, p) if c else K for c in z)
+
+
 def check_sinnott(D, p, prec=12, d_max=6):
-    """Compare twisted cyclotomic-number logs with the p-adic L-value.
+    """Decide the twisted-log identity of each cyclotomic number in integers.
 
     For G = {1, sigma} both sides of the group-ring identity are multiples
     of e_chi = (1 - sigma)/2, so each record compares one p-adic number:
     x = (log delta - log sigma delta) - r L', for delta the level-n, twist-d
-    cyclotomic number and r = c_1 - c_sigma the chi-component of
-    `unit_log_factor`.  L' = L'_p(0, chi_D) = log u_D - log sigma u_D, with
-    u_D = N(1 - zeta_D) the level-D cyclotomic number (Leopoldt), so every
-    log is of an element of k and the check runs in k_p: Q_p for split p,
-    Q_{p^2} for inert p, with sqrt(D) lifted from a residue root (style
-    "hensel").  Another embedding flips the sign of both sides.  The record
-    passes when x vanishes to `prec` digits; `difference_valuations` are
-    those of the coefficients x/2 and -x/2 of x e_chi.  A record has no
-    ``content`` when r = 0 and delta = +-sigma delta exactly: both sides
-    are then 0 whatever the logs.
-    """
-    from .grouprings import galois_log_quad, unit_log_factor
-    from .padics import PadicRing
-    from .units import cyclotomic_number, generating_levels
+    cyclotomic number and r = c_1 - c_sigma (`units.unit_log_value`).
+    L' = L'_p(0, chi_D) = log u_D - log sigma u_D, with u_D = N(1 - zeta_D)
+    the level-D cyclotomic number (Leopoldt).  Write delta / sigma delta =
+    +-eps^a and u_D / sigma u_D = +-eps^k_D (`unit_exponent`,
+    `dirichlet_exponent`); then x = (a - r k_D) log_p eps, in any
+    embedding of k into Q_p (split p) or Q_{p^2} (inert p), and log_p eps
+    is not 0.  So the identity holds exactly iff a = r k_D, and no p-adic
+    log is taken.
 
-    field, group = _quad_setup(D)
+    `difference_valuations` are those of the coefficients x/2 and -x/2 of
+    x e_chi, as a p-adic route at prec + 8 digits would measure them:
+    prec + 8 when a = r k_D, else min(v_p(a - r k_D) + w, prec + 8), with
+    w = v_p(log_p eps) (`_unit_log_valuation`).  The record passes when
+    they reach `prec`.  A delta / sigma delta that is not a unit fails,
+    with no valuations.  ``embedding`` is kept so that reports stay stable:
+    it names the embedding of the test-side p-adic oracle, sqrt(D) lifted
+    from a residue root ("hensel", or "hensel-inert" in Q_{p^2}), which
+    the verdict does not depend on.  A record has no ``content`` when
+    r = 0 and delta = +-sigma delta exactly: both sides are then 0 whatever
+    the logs.
+    """
+    from .units import cyclotomic_number, generating_levels, unit_log_value
+
+    field = QuadField(D)
     if p % 2 == 0 or D % p == 0:
         raise ValueError("p=%d must be odd and unramified" % p)
     split = field.chi(p) == 1
-    ring = PadicRing(p, prec + PRECISION_HEADROOM, 1 if split else 2)
-    sqrt_img = ring.sqrt_disc(D, "hensel")
-    log_u = galois_log_quad(group, ring, cyclotomic_number(field, D), sqrt_img).coeffs
-    lvalue = log_u[0] - log_u[1]
+    top = prec + PRECISION_HEADROOM
+    _, k_D = dirichlet_exponent(field)
+    w = _unit_log_valuation(field, p, top + 1)
     results = []
     for d in range(1, d_max + 1):
         for n in generating_levels(field, d):
             t0 = time.perf_counter()
             delta = cyclotomic_number(field, n, d)
-            log_delta = galois_log_quad(group, ring, delta, sqrt_img).coeffs
-            c = unit_log_factor(group, n, d).coeffs
-            r = c[0] - c[1]
-            v = (log_delta[0] - log_delta[1] - lvalue * r).valuation()
+            r = unit_log_value(D, n, d)
+            quotient = delta / delta.conj()
+            if quotient.is_unit():
+                gap = unit_exponent(field, quotient)[1] - r * k_D
+                v = min(valuation(gap, p) + w, top) if gap else top
+                ok = v >= prec
+            else:
+                v, ok = None, False
             results.append(
                 CheckResult(
                     name="twisted-log-identity D=%d p=%d n=%d d=%d" % (D, p, n, d),
                     anchor="twisted-log-identity",
-                    status=PASS if v >= prec else FAIL,
+                    status=PASS if ok else FAIL,
                     witness={
                         "discriminant": D,
                         "p": p,

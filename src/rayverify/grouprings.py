@@ -26,20 +26,22 @@ This module supplies the algebra every verification routine combines:
   through the L-value element; `norm_log_factor` and `euler_twist` are its
   factors.  Over G = {1, sigma} a + b sigma is fixed by its trivial value
   a + b and its chi_D value a - b; each of the three is built once from
-  those two integers, with no group-ring product.
+  those two integers, with no group-ring product, and the chi_D values of
+  the first two are `units.unit_log_value` and `units.norm_log_value`.
 * `residue_euler_element` carries the Euler-type factors (ell - chi(ell))
   of the residue modules, and `ray_annihilator` combines everything into the
   paper's annihilator element.
 
-Only `check_sinnott` and `check_solomon` load this module, for
-`galois_log_quad` (both) and `unit_log_factor` (sinnott).  They pass the
-group {1, sigma} as a `quadratic.QuadGaloisGroup`, and those two functions
-and `GroupRingElement` read only a group's `order`, `m` and `mult`.  No
-check calls `norm_log_factor`, `euler_twist`, `lseries_derivative`,
+Only `check_solomon` loads this module, for `galois_log_quad`; it
+passes the group {1, sigma} as a `quadratic.QuadGaloisGroup`, and that
+function and `GroupRingElement` read only a group's `order`, `m` and
+`mult`.  `check_sinnott` decides its identity in integers and reads r off
+`units.unit_log_value` itself.  No check calls `unit_log_factor`,
+`norm_log_factor`, `euler_twist`, `lseries_derivative`,
 `lseries_derivative_element`, `residue_euler_element`, `embed_group_ring`,
 `ray_annihilator`, `ramification`, `one_element` or `basis_element`; tests
 use them as oracles.  The character sums need the ring of the conductor's
-roots of unity, while for a quadratic field the sinnott check reads L' off
+roots of unity, while the p-adic oracle of the sinnott check reads L' off
 the level-D cyclotomic number, in a ring of degree at most 2.
 
 Conventions: group element 0 is the identity; a character's value at a prime
@@ -51,7 +53,8 @@ group of any order but 2.  Bad arguments raise ValueError and a broken
 internal invariant raises ArithmeticError; no check is an `assert`, so
 `python -O` behaves the same.
 Only the four functions that test for a `PadicElement` import `padics`, so
-loading this module does not load it.
+loading this module does not load it; it does load `units`, for the chi_D
+values.
 """
 
 import math
@@ -61,14 +64,13 @@ from .nt import (
     crt,
     disc_character,
     divisors,
-    euler_phi,
     factorize,
-    moebius,
     prime_factors,
     radical,
     units_mod,
     valuation,
 )
+from .units import norm_log_value, unit_log_value
 
 __all__ = [
     "GaloisGroup",
@@ -516,14 +518,19 @@ class RamificationData:
         )
 
 
-def _quadratic_character(group):
-    """chi_D as a callable, for the group {1, sigma} of Q(sqrt D), D = m."""
+def _quadratic_discriminant(group):
+    """D = m, for the group {1, sigma} of Q(sqrt D)."""
     if group.order != 2:
         raise ValueError(
             "only the group {1, sigma} of a real quadratic field is supported, "
             "not one of order %d" % group.order
         )
-    return disc_character(group.m)
+    return group.m
+
+
+def _quadratic_character(group):
+    """chi_D as a callable, for the group {1, sigma} of Q(sqrt D), D = m."""
+    return disc_character(_quadratic_discriminant(group))
 
 
 def _from_values(group, s, r):
@@ -634,14 +641,6 @@ def lseries_derivative_element(group, ring):
     return _character_sum(group, ring, lambda chi: lseries_derivative(chi, ring))
 
 
-def _norm_log_value(group, chi, n, level):
-    """chi_D value of `norm_log_factor` at t = n/level; the trivial value is 0."""
-    if level % group.m:
-        return 0
-    factor = math.prod(1 - chi(ell) for ell in prime_factors(level))
-    return euler_phi(n) // euler_phi(level) * factor
-
-
 def norm_log_factor(group, n, t):
     """Rational group-ring factor for the log of a level-(n/t) norm product.
 
@@ -654,8 +653,7 @@ def norm_log_factor(group, n, t):
     """
     if not (t >= 1 and n % t == 0 and t < n):
         raise ValueError("t must be a proper divisor of n")
-    chi = _quadratic_character(group)
-    return _from_values(group, 0, _norm_log_value(group, chi, n, n // t))
+    return _from_values(group, 0, norm_log_value(_quadratic_discriminant(group), n, n // t))
 
 
 def euler_twist(group, t):
@@ -677,20 +675,10 @@ def unit_log_factor(group, n, d):
     Defined for n > 1 not dividing the radical of d; combines the Moebius
     sum of `norm_log_factor` over common divisors with the Euler twist at
     the primes of the radical away from n and the scalar d/radical(d).  Its
-    trivial value is 0, and its chi_D value is computed in integers.
+    trivial value is 0, and its chi_D value is the integer
+    `units.unit_log_value`.
     """
-    if n <= 1:
-        raise ValueError("level must exceed 1")
-    dbar = radical(d)
-    if dbar % n == 0:
-        raise ValueError("levels dividing the radical are excluded")
-    chi = _quadratic_character(group)
-    g = math.gcd(dbar, n)
-    r = sum(
-        moebius(t) * (g // t) * _norm_log_value(group, chi, n, n // t) for t in divisors(g)
-    )
-    r *= d // dbar * math.prod(ell - chi(ell) for ell in prime_factors(dbar // g))
-    return _from_values(group, 0, r)
+    return _from_values(group, 0, unit_log_value(_quadratic_discriminant(group), n, d))
 
 
 def _euler_factor(chi, ring, rams):

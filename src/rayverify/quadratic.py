@@ -18,10 +18,10 @@ The class group is computed from scratch: relations among the primes
 below the Minkowski bound are harvested from elements of smooth norm in a
 growing search box until the index of their lattice is the class number,
 which Dirichlet's formula gives exactly as u_D / sigma(u_D) = +-eps^(+-2h)
-(`analytic_class_number`; found relations can only over-count h).  Every
-relation row keeps the element that witnessed it, so principality
-questions reduce to exact integer linear algebra plus an explicit
-generator.  The module holds no float.
+(`dirichlet_exponent`, `analytic_class_number`; found relations can only
+over-count h).  Every relation row keeps the element that witnessed it, so
+principality questions reduce to exact integer linear algebra plus an
+explicit generator.  The module holds no float.
 
 Residue rings O/(M) for integer moduli M present their unit group on the
 CRT lifts of explicit local generators (a primitive-root lift and the
@@ -454,16 +454,23 @@ class QuadGaloisGroup:
         return hash((QuadGaloisGroup, self.m))
 
 
-def analytic_class_number(D):
-    """h(D), exactly, from Dirichlet's formula: u_D / sigma(u_D) = +-eps^k with
-    h = |k| / 2 (Washington, GTM 83, ch. 8), where u_D is the norm of 1 - zeta_D
-    to k (`units.cyclotomic_number`, checked by N(u_D) = Phi_D(1)) and k comes
-    from `unit_exponent`.  An odd or zero k raises ArithmeticError."""
+def dirichlet_exponent(field):
+    """(sign, k) with u_D / sigma(u_D) = sign eps^k, for u_D the norm of
+    1 - zeta_D to k (`units.cyclotomic_number`, checked by N(u_D) =
+    Phi_D(1)).  It gives h = |k| / 2 (`analytic_class_number`) and
+    L'_p(0, chi_D) = log u_D - log sigma u_D = k log_p eps
+    (`checks.check_sinnott`)."""
     from .units import cyclotomic_number  # units imports this module
 
-    field = QuadField(D)
-    u = cyclotomic_number(field, D)
-    _, k = unit_exponent(field, u / u.conj())
+    u = cyclotomic_number(field, field.D)
+    return unit_exponent(field, u / u.conj())
+
+
+def analytic_class_number(D):
+    """h(D), exactly, from Dirichlet's formula: u_D / sigma(u_D) = +-eps^k with
+    h = |k| / 2 (Washington, GTM 83, ch. 8), k from `dirichlet_exponent`.  An
+    odd or zero k raises ArithmeticError."""
+    _, k = dirichlet_exponent(QuadField(D))
     if k % 2 or not k:
         raise ArithmeticError("u_D / sigma(u_D) = +-eps^%d in Q(sqrt %d): odd or 0" % (k, D))
     return abs(k) // 2

@@ -6,7 +6,9 @@ its intersection with a fixed real quadratic field: for a twist d whose
 radical is not divisible by n, the product runs over divisors t of the
 radical with exponents mu(t) * d / t.  Untwisted (d = 1) these are the
 classical cyclotomic numbers; general d builds in congruence conditions
-modulo d.  `generating_levels` lists levels whose numbers generate them all.
+modulo d.  `generating_levels` lists levels whose numbers generate them all,
+and `unit_log_value` gives the integer r with log delta - log sigma delta =
+r L'_p(0, chi_D) for each of them.
 
 Each norm of 1 - zeta_n^t is read at the conductor s of zeta_n^t: it is
 rational unless D divides s, and then a power of u_s = N(1 - zeta_s) or of
@@ -55,6 +57,8 @@ __all__ = [
     "congruence_circular_lattice",
     "lattice_index",
     "twist_power",
+    "norm_log_value",
+    "unit_log_value",
 ]
 
 #: `orbit_product` works mod primes below 2^81, where `nt.is_prime` is a proof
@@ -289,6 +293,38 @@ def generating_levels(field, d=1):
 def twist_power(z, a, b):
     """z^(a + b sigma) for a quadratic field element z: z^a * conj(z)^b."""
     return z**a * z.conj() ** b
+
+
+def norm_log_value(D, n, level):
+    """The chi_D value of the log factor of a level-`level` norm product
+    inside level n (`grouprings.norm_log_factor` at t = n / level):
+    phi(n) / phi(level) prod over ell | level of (1 - chi_D(ell)) when D
+    divides `level`, else 0."""
+    if level % D:
+        return 0
+    factor = math.prod(1 - kronecker(D, ell) for ell, _ in factorize(level))
+    return euler_phi(n) // euler_phi(level) * factor
+
+
+def unit_log_value(D, n, d):
+    """r = c_1 - c_sigma, the chi_D value of the log factor c_1 + c_sigma sigma
+    of the level-n, twist-d cyclotomic number delta (trivial value 0): the
+    paper's identity reads log delta - log sigma delta = r L'_p(0, chi_D).
+
+    Defined for n > 1 not dividing the radical of d.  It is the Moebius sum
+    of `norm_log_value` over the divisors t of gcd(radical(d), n), times
+    d / radical(d) and prod (ell - chi_D(ell)) over the primes ell of the
+    radical away from n.  `grouprings.unit_log_factor` builds its element
+    from this integer.
+    """
+    if n <= 1:
+        raise ValueError("level must exceed 1")
+    dbar = radical(d)
+    if dbar % n == 0:
+        raise ValueError("levels dividing the radical are excluded")
+    g = math.gcd(dbar, n)
+    r = sum(moebius(t) * (g // t) * norm_log_value(D, n, n // t) for t in divisors(g))
+    return r * (d // dbar) * math.prod(ell - kronecker(D, ell) for ell, _ in factorize(dbar // g))
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import importlib.util
 import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from rayverify import checks, gmodules, grouprings, padics
+from rayverify import checks, gmodules, padics, units
 from rayverify.checks import (
     CheckResult,
     check_cyclic,
@@ -22,15 +24,16 @@ from rayverify.checks import (
 )
 from rayverify.cyclo import FieldSpec
 from rayverify.gmodules import RayClassGroup, residue_galois_module
-from rayverify.grouprings import GaloisGroup, GroupRingElement, one_element, unit_log_factor
+from rayverify.grouprings import GaloisGroup, GroupRingElement, galois_log_quad, unit_log_factor
 from rayverify.harness import resolve_discriminant, run_rays
 from rayverify.nt import fundamental_discriminant, is_prime, squarefree_part
-from rayverify.quadratic import QuadField
+from rayverify.quadratic import QuadField, QuadGaloisGroup
 from rayverify.padics import splitting_degree
 from rayverify.units import (
     congruence_circular_lattice,
     congruence_unit_lattice,
     cyclotomic_number,
+    generating_levels,
 )
 
 K5 = QuadField(5)
@@ -227,6 +230,45 @@ def _sinnott_sweep():
     return [(D, p) for D in discs for p in (3, 5) if D % p]
 
 
+def _padic_sinnott(D, p, prec=12, d_max=6, shift=0):
+    """The oracle of `check_sinnott`: its identity measured by p-adic logs.
+
+    In k_p (Q_p for split p, Q_{p^2} for inert p) at prec + 8 digits, with
+    sqrt(D) lifted from a residue root, x = (log delta - log sigma delta)
+    - (r + shift) L' for L' = log u_D - log sigma u_D and r the chi_D value
+    of `unit_log_factor`.  One (name, status, difference_valuations,
+    embedding) per record, in the check's order.
+    """
+    field = QuadField(D)
+    group = QuadGaloisGroup(field)
+    split = field.chi(p) == 1
+    ring = padics.PadicRing(p, prec + checks.PRECISION_HEADROOM, 1 if split else 2)
+    sqrt_img = ring.sqrt_disc(D, "hensel")
+    log_u = galois_log_quad(group, ring, cyclotomic_number(field, D), sqrt_img).coeffs
+    lvalue = log_u[0] - log_u[1]
+    out = []
+    for d in range(1, d_max + 1):
+        for n in generating_levels(field, d):
+            delta = cyclotomic_number(field, n, d)
+            log_delta = galois_log_quad(group, ring, delta, sqrt_img).coeffs
+            c = unit_log_factor(group, n, d).coeffs
+            v = (log_delta[0] - log_delta[1] - lvalue * (c[0] - c[1] + shift)).valuation()
+            out.append((
+                "twisted-log-identity D=%d p=%d n=%d d=%d" % (D, p, n, d),
+                "pass" if v >= prec else "fail",
+                [v, v],
+                "hensel" if split else "hensel-inert",
+            ))
+    return out
+
+
+def _as_oracle_rows(results):
+    return [
+        (r.name, r.status, r.witness["difference_valuations"], r.witness["embedding"])
+        for r in results
+    ]
+
+
 def _record_ring_degrees(monkeypatch):
     degrees = []
     init = padics.PadicRing.__init__
@@ -239,6 +281,13 @@ def _record_ring_degrees(monkeypatch):
     return degrees
 
 
+def _forbid_padic_rings(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("verify sinnott built a PadicRing")
+
+    monkeypatch.setattr(padics.PadicRing, "__init__", refuse)
+
+
 def test_sinnott_sweep_slice_passes(monkeypatch):
     sweep = _sinnott_sweep()
     assert len(sweep) == 116
@@ -246,22 +295,53 @@ def test_sinnott_sweep_slice_passes(monkeypatch):
     # f = ord_D(p) > 6: these stopped with "residue field too large to scan"
     assert sum(splitting_degree(p, D) > 6 for D, p in pairs) >= 6
     degrees = _record_ring_degrees(monkeypatch)
+    oracle = {(D, p): _padic_sinnott(D, p, prec=8, d_max=3) for D, p in pairs}
+    assert degrees and max(degrees) <= 2
+    _forbid_padic_rings(monkeypatch)
     for D, p in pairs:
         t0 = time.perf_counter()
         results = check_sinnott(D, p, prec=8, d_max=3)
         assert results and all(r.status == "pass" for r in results), (D, p)
         assert time.perf_counter() - t0 < 5, (D, p)
-    assert degrees and max(degrees) <= 2
+        assert _as_oracle_rows(results) == oracle[D, p], (D, p)
+
+
+def _sinnott_pool():
+    """The (D, p) pool of the padic-sinnott benchmark workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SINNOTT_POOL
+
+
+_SINNOTT_POOL = _sinnott_pool()
+
+
+@pytest.mark.parametrize(
+    "D, p, prec, d_max",
+    [(D, p, 12, 6) for D, p in _SINNOTT_POOL]
+    + [(D, p, 40, 12) for D, p in _SINNOTT_POOL]
+    + [(12, 5, 12, 6), (56, 3, 12, 6), (9001, 3, 12, 1)],
+)
+def test_sinnott_matches_the_padic_oracle(D, p, prec, d_max, monkeypatch):
+    assert len(_SINNOTT_POOL) == 15
+    oracle = _padic_sinnott(D, p, prec, d_max)
+    _forbid_padic_rings(monkeypatch)
+    assert _as_oracle_rows(check_sinnott(D, p, prec, d_max)) == oracle
 
 
 @pytest.mark.parametrize("D, p", [(5, 7), (12, 5), (56, 5), (73, 5), (120, 7)])
-def test_sinnott_builds_no_ring_of_degree_above_two(D, p, monkeypatch):
+def test_sinnott_builds_no_padic_ring(D, p, monkeypatch):
     degrees = _record_ring_degrees(monkeypatch)
-    results = check_sinnott(D, p, prec=12, d_max=6)
+    oracle = _padic_sinnott(D, p, prec=12, d_max=6)
     assert degrees == [1 if QuadField(D).chi(p) == 1 else 2]
+    _forbid_padic_rings(monkeypatch)
+    results = check_sinnott(D, p, prec=12, d_max=6)
     assert {r.witness["embedding"] for r in results} == {
         "hensel" if degrees == [1] else "hensel-inert"
     }
+    assert _as_oracle_rows(results) == oracle
 
 
 def test_sinnott_runs_no_group_ring_product(monkeypatch):
@@ -275,32 +355,78 @@ def test_sinnott_runs_no_group_ring_product(monkeypatch):
     assert len(results) == 141 and all(r.status == "pass" for r in results)
 
 
-@pytest.mark.parametrize("D, p", [(5, 7), (12, 5), (13, 3), (56, 5), (120, 7)])
+#: v_p(log_p eps) is 3 at (29, 3), p inert, and 2 at (8, 31), p split
+@pytest.mark.parametrize("D, p", [(5, 7), (12, 5), (13, 3), (56, 5), (120, 7), (29, 3), (8, 31)])
 def test_sinnott_fails_every_record_with_content_when_r_is_off_by_one(D, p, monkeypatch):
     base = check_sinnott(D, p, prec=12, d_max=6)
     content = [r.name for r in base if r.witness["content"]]
     assert content
-
-    def shifted(group, n, d):  # c_1 + 1, so r + 1
-        return unit_log_factor(group, n, d) + one_element(group)
-
-    monkeypatch.setattr(grouprings, "unit_log_factor", shifted)
-    status = {r.name: r.status for r in check_sinnott(D, p, prec=12, d_max=6)}
+    oracle = _padic_sinnott(D, p, prec=12, d_max=6, shift=1)
+    unit_log_value = units.unit_log_value
+    monkeypatch.setattr(
+        units, "unit_log_value", lambda D, n, d: unit_log_value(D, n, d) + 1
+    )
+    shifted = check_sinnott(D, p, prec=12, d_max=6)
+    status = {r.name: r.status for r in shifted}
     assert all(status[name] == "fail" for name in content)
+    # the valuations below the cap are v_p(a - r k_D) + v_p(log_p eps)
+    assert _as_oracle_rows(shifted) == oracle
+
+
+@pytest.mark.parametrize("D, p", [(5, 7), (12, 5), (13, 3), (56, 5), (120, 7)])
+def test_sinnott_fails_every_record_with_r_nonzero_when_k_D_is_off_by_one(D, p, monkeypatch):
+    base = check_sinnott(D, p, prec=12, d_max=6)
+    r = {x.name: units.unit_log_value(D, x.witness["level"], x.witness["twist"]) for x in base}
+    assert any(r.values())
+    dirichlet_exponent = checks.dirichlet_exponent
+
+    def shifted(field):
+        sign, k = dirichlet_exponent(field)
+        return sign, k + 1
+
+    monkeypatch.setattr(checks, "dirichlet_exponent", shifted)
+    for before, after in zip(base, check_sinnott(D, p, prec=12, d_max=6)):
+        assert after.status == ("fail" if r[before.name] else before.status), before.name
+
+
+@pytest.mark.parametrize("D, p", [(5, 7), (12, 5), (56, 5)])
+def test_sinnott_fails_a_record_whose_quotient_is_not_a_unit(D, p, monkeypatch):
+    field = QuadField(D)
+    base = check_sinnott(D, p, prec=12, d_max=6)
+    target = next(r for r in base if r.witness["twist"] > 1)
+    level, twist = target.witness["level"], target.witness["twist"]
+    # z with z / sigma z not integral: z and sigma z generate different ideals
+    z = next(
+        field.from_omega_coords(a, 1) for a in range(1, 100)
+        if not (field.from_omega_coords(a, 1) / field.from_omega_coords(a, 1).conj()).is_unit()
+    )
+    number = units.cyclotomic_number
+
+    def forced(field, n, d=1):
+        delta = number(field, n, d)
+        return delta * z if (n, d) == (level, twist) else delta
+
+    monkeypatch.setattr(units, "cyclotomic_number", forced)
+    for before, after in zip(base, check_sinnott(D, p, prec=12, d_max=6)):
+        if before.name == target.name:
+            assert after.status == "fail"
+            assert after.witness["difference_valuations"] == [None, None]
+        else:
+            assert after.status == before.status == "pass", before.name
 
 
 @pytest.mark.parametrize("D, p", [(5, 7), (12, 5), (56, 5)])
 def test_sinnott_valuations_do_not_depend_on_the_embedding(D, p, monkeypatch):
-    # sqrt(D) -> -sqrt(D) flips the sign of both sides
-    base = check_sinnott(D, p, prec=12, d_max=6)
+    # sqrt(D) -> -sqrt(D) flips the sign of both sides of the p-adic oracle
+    base = _padic_sinnott(D, p, prec=12, d_max=6)
     sqrt_disc = padics.PadicRing.sqrt_disc
     monkeypatch.setattr(
         padics.PadicRing, "sqrt_disc", lambda ring, D, style: -sqrt_disc(ring, D, style)
     )
-    flipped = check_sinnott(D, p, prec=12, d_max=6)
-    assert [r.witness["difference_valuations"] for r in flipped] == [
-        r.witness["difference_valuations"] for r in base
-    ]
+    flipped = _padic_sinnott(D, p, prec=12, d_max=6)
+    assert [row[2] for row in flipped] == [row[2] for row in base]
+    exact = check_sinnott(D, p, prec=12, d_max=6)
+    assert [r.witness["difference_valuations"] for r in exact] == [row[2] for row in base]
 
 
 @pytest.mark.parametrize(

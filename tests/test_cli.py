@@ -256,15 +256,16 @@ _BASE = {
 }
 
 #: no command loads `cyclo`: each check builds its Galois group {1, sigma}
-#: in `quadratic`, and only the checks that take p-adic logs (sinnott, and
-#: solomon in the annihilator modes) load `grouprings`
+#: in `quadratic`; sinnott decides its identity in integers, so only the
+#: check that takes p-adic logs (solomon, in the annihilator modes) loads
+#: `grouprings` and `padics`
 @pytest.mark.parametrize(
     "argv, layers",
     [
         (["verify", "rays"], {"gmodules", "intmat"}),
         (["verify", "gras"], {"gmodules", "intmat", "units"}),
         (["explore", "conjecture"], {"gmodules", "intmat", "units"}),
-        (["verify", "sinnott"], {"grouprings", "padics", "units"}),
+        (["verify", "sinnott"], {"units"}),
         (["verify", "h90", "--quad", "13", "--ell", "53"], {"units", "special"}),
         (["verify", "annihilator", "--quad", "5", "--mode", "special"],
          {"units", "special"}),
@@ -409,6 +410,12 @@ _GOLDEN = {
     # primes: the first two digests are those of the earlier exact routes
     "verify sinnott --quad 9001 --p 3 --d 1":
         "30ed3c21149e7b64257946cbc7f58192e617ea4a5b69d3d5f40cd658142b6b7d",
+    # sinnott at a large p, inert (D = 5) and split (D = 13): the digests of
+    # the p-adic route, which the unit-exponent route reproduces
+    "verify sinnott --quad 5 --p 1000003 --prec 40 --d 6":
+        "525b2882958faee63d812339a3a8f3fa200c90b2c10d75bc7727112f10df7557",
+    "verify sinnott --quad 13 --p 1000003 --prec 12 --d 12":
+        "4c69c94b8d607f9c1b85dc087b6ea37a6ed41e25823798d05820e189453568d0",
     "verify annihilator --quad 1549 --mode special":
         "24d633926cbf6772578d151f3b95126b6c785b17177467955445f37990258824",
     # new: D = 38476 (no result in 120 s before): unit index 1, ray order 1
