@@ -6,8 +6,9 @@ abelian field k and a positive integer d: the group of units congruent to
 class groups with their Galois action, and p-adic group-ring elements built
 from logarithmic derivatives of Dirichlet L-functions.  On top of these it
 runs a battery of identity, structure, index and annihilation checks whose
-statements are recorded in ``checks.py`` and reported through ``harness.py``
-and the ``rayverify`` command line.
+statements are recorded in ``checks.py`` and its ``checks_*.py`` family
+modules, and reported through ``harness.py`` and the ``rayverify`` command
+line.
 
 Real quadratic fields are supported end to end; the layers below the
 quadratic backend (cyclotomic arithmetic, p-adic arithmetic, group rings,

@@ -16,26 +16,32 @@ flag that the command does not read is a usage error: `harness.COMMANDS`
 lists the flags of each command.
 
 Run as a program (``python -m rayverify``, the ``rayverify`` script or
-``python -m rayverify.cli``), a command loads only the layers it calls
+``python -m rayverify.cli``), a command loads only the modules it calls
 into: ``--version`` and ``cache`` load no engine layer, and each ``verify``
 or ``explore`` command imports `checks` with `nt` and `quadratic`, plus
+the module of its check family and
 
-* ``rays``: `gmodules` and `intmat`;
-* ``gras`` and ``conjecture``: `gmodules`, `intmat` and `units`;
-* ``sinnott``: `grouprings`, `padics` and `units`;
-* ``h90`` and ``annihilator --mode special``: `units` and `special` only;
-* ``annihilator --mode thaine``: `gmodules`, `intmat`, `units` and
-  `special`;
-* ``annihilator --mode solomon``: `grouprings`, `gmodules`, `intmat`,
-  `padics` and `units`, and ``--mode both`` `special` as well.
+* ``rays`` (`checks_rays`): `gmodules`, `intmat` and `residues`;
+* ``gras`` and ``conjecture`` (`checks_gras`): `classgroup`, `gmodules`,
+  `intmat`, `residues` and `units`;
+* ``sinnott`` (`checks_sinnott`): `units` only;
+* ``h90`` and ``annihilator --mode special`` (`checks_special`): `units`
+  and `special` only;
+* ``annihilator --mode thaine`` (`checks_annihilators`): `classgroup`,
+  `gmodules`, `intmat`, `residues`, `units` and `special`;
+* ``annihilator --mode solomon`` (`checks_annihilators`): `classgroup`,
+  `grouprings`, `gmodules`, `intmat`, `padics`, `residues` and `units`,
+  and ``--mode both`` `special` as well.
 
-A class group loads `units`, as it reads h off u_D; ``rays`` builds none.
-No command loads `cyclo`, as each check builds the Galois group {1, sigma}
-in `quadratic`; only a field named by ``--field`` loads it.
+A class group loads `classgroup` and `units`, as it reads h off u_D;
+``rays`` builds none.  ``rays``, ``sinnott`` and ``h90`` load no
+`fractions` either.  No command loads `cyclo`, as each check builds the
+Galois group {1, sigma} in `quadratic`; only a field named by ``--field``
+loads it.
 
-Imported as a module, this file loads all ten layers at once, so that a
-program which imports it and then instruments the layers (as
-``perfbench/tracer.py`` does) finds every layer module in place.
+Imported as a module, this file loads every module of the package at
+once, so that a program which imports it and then instruments the layers
+(as ``perfbench/tracer.py`` does) finds every module in place.
 """
 
 import argparse
@@ -49,6 +55,12 @@ if __name__ != "__main__":
     # every layer, for programs that instrument them; see the docstring
     from . import (  # noqa: F401
         checks,
+        checks_annihilators,
+        checks_gras,
+        checks_rays,
+        checks_sinnott,
+        checks_special,
+        classgroup,
         cyclo,
         gmodules,
         grouprings,
@@ -56,6 +68,7 @@ if __name__ != "__main__":
         nt,
         padics,
         quadratic,
+        residues,
         special,
         units,
     )

@@ -40,7 +40,6 @@ relations from chi_D(ell), so this module does not import `grouprings`.
 """
 
 import math
-from fractions import Fraction
 
 from .intmat import Lattice, hnf, identity, preimage_lattice, smith_diagonal
 from .nt import factorize, is_prime, kronecker, valuation
@@ -294,6 +293,8 @@ def lift_coefficients_mod(theta, modulus):
 
     Denominators must be invertible modulo `modulus`.
     """
+    from fractions import Fraction
+
     out = []
     for c in theta.coeffs:
         fr = Fraction(c)

@@ -9,8 +9,9 @@ timing fields.
 The engine (`checks` and the layers below it) is imported by the functions
 that use it, not by this module, so that cache commands start without it.
 Each ``run_*`` imports `checks`, which loads only `nt` and `quadratic`;
-the check it calls imports the rest of what it uses (the `cli` docstring
-lists the layers of each command).  `resolve_discriminant` loads `cyclo`
+``checks.check_X`` then loads the family module of that check, which
+imports the rest of what it uses (the `cli` docstring lists the modules
+of each command).  `resolve_discriminant` loads `cyclo`
 only for a ``--field``.  `COMMANDS` is the one table
 of commands: per (verb, target), the default field and the engine flags
 that ``run_<target>`` reads.
@@ -238,16 +239,22 @@ H90_ELL_LIMIT = 250
 
 
 def _check_odd_prime(p):
-    """Raise ValueError unless the verification prime p is an odd prime."""
-    from .nt import is_prime
+    """Raise ValueError unless the verification prime p is an odd prime
+    below `nt.PRIME_LIMIT`, where `is_prime` is a proof."""
+    from .nt import PRIME_LIMIT, is_prime
 
+    if p >= PRIME_LIMIT:
+        raise ValueError(
+            "--p %d: the verification prime must be below %d, where primality "
+            "is proved" % (p, PRIME_LIMIT)
+        )
     if p == 2 or not is_prime(p):
         raise ValueError("--p %d: the verification prime must be an odd prime" % p)
 
 
 def _check_modulus_limit(M):
-    """Raise ValueError for a ray modulus above `quadratic.MODULUS_LIMIT`."""
-    from .quadratic import MODULUS_LIMIT
+    """Raise ValueError for a ray modulus above `residues.MODULUS_LIMIT`."""
+    from .residues import MODULUS_LIMIT
 
     if M > MODULUS_LIMIT:
         raise ValueError("residue ring O/(%d) too large (modulus above %d)" % (M, MODULUS_LIMIT))

@@ -13,13 +13,23 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # a proof below 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: 1287836182261 * 2575672364521, the least strong pseudoprime to every base
+#: in `_MR_BASES`: below it `is_prime` is a proof
+PRIME_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for n < 3.3e24."""
+    """Deterministic Miller-Rabin, a proof for n < `PRIME_LIMIT`; raises
+    ValueError at and above that bound, where a composite can pass."""
     if n < 2:
         return False
+    if n >= PRIME_LIMIT:
+        raise ValueError(
+            "is_prime(%d): at or above %d, Miller-Rabin on the bases up to 41 "
+            "is no proof" % (n, PRIME_LIMIT)
+        )
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

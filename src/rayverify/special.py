@@ -15,18 +15,20 @@ Four tools live here, all exact:
   generates the Galois group of k(zeta_ell)/k;
 * discrete-logarithm vectors of a quadratic-field number at the primes over
   a split rational prime, packaged as group-ring annihilator coefficients.
-  The logs are those of the residue fields of `quadratic._local_factors`,
+  The logs are those of the residue fields of `residues._local_factors`,
   so no F_ell^* is tabled.
+
+`fractions` is imported only where a Fraction can appear: a scalar that is
+neither an int nor a `QuadElement`, and the norm down to Q.
 
 Bad arguments raise ValueError and a broken internal invariant raises
 ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
 """
 
 import math
-from fractions import Fraction
 
 from .nt import divisors, is_prime, moebius, primitive_root, radical
-from .quadratic import QuadElement, _local_factors
+from .quadratic import QuadElement
 from .units import cyclotomic_number, orbit_product
 
 
@@ -49,6 +51,15 @@ def _check_split(field, ell):
             "ell=%d is %s in Q(sqrt(%d)); it must split"
             % (ell, field.split_type(ell), field.D)
         )
+
+
+def _is_scalar(x):
+    """Whether x is an int, a Fraction or a `QuadElement`: a number of k."""
+    if isinstance(x, (int, QuadElement)):
+        return True
+    from fractions import Fraction
+
+    return isinstance(x, Fraction)
 
 
 def _omega_ints(field, z):
@@ -177,7 +188,7 @@ class CycQuadElement:
             if other.field.D != self.field.D or other.ell != self.ell:
                 raise ValueError("elements of different fields k(zeta_ell)")
             return other
-        if isinstance(other, (int, Fraction, QuadElement)):
+        if _is_scalar(other):
             return CycQuadElement._embed(self.field, self.ell, other)
         return NotImplemented
 
@@ -212,7 +223,7 @@ class CycQuadElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadElement)):
+        if not isinstance(other, CycQuadElement) and _is_scalar(other):
             return self._scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
@@ -358,7 +369,7 @@ def quad_residue(z, ell, root):
 
     `root` must satisfy root^2 - tr(omega) root + norm(omega) = 0 mod ell;
     the denominator of z must be prime to ell.  With z = (a + b omega) / e
-    the image is (a + b root) / e mod ell, as in `quadratic.ResidueRing`.
+    the image is (a + b root) / e mod ell, as in `residues.ResidueRing`.
     """
     if (root * root - z.field.omega_trace * root + z.field.omega_norm) % ell != 0:
         raise ValueError("root %d does not define a prime over %d" % (root, ell))
@@ -528,6 +539,8 @@ def residue_dlogs(field, z, ell):
     Returns (s, {root: dlog}) with z = s^dlog at omega -> root for
     s = `primitive_root(ell)`: the residue-field logs of `_local_factors`.
     """
+    from .residues import _local_factors
+
     _check_split(field, ell)
     out = {}
     for loc in _local_factors(field, ell, 1):

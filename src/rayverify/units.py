@@ -214,7 +214,7 @@ def _norm_one_minus_power(field, n, t):
         value = field.element(phi_s_at_1 ** (size // euler_phi(s)))
     elif key == (D, s, 1):  # u_s itself
         (value,) = orbit_product(field, s, 1, 1)
-        if value.norm() != phi_s_at_1:
+        if value._norm_numerator() != phi_s_at_1 * value.e**2:  # N(value) in integers
             raise ArithmeticError("N(u_%d) is not Phi_%d(1) in Q(sqrt %d)" % (s, s, D))
     else:
         value = _norm_one_minus_power(field, s, 1) ** (euler_phi(n) // euler_phi(s))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rayverify import checks, gmodules, padics, units
+from rayverify import checks, checks_sinnott, gmodules, padics, units
 from rayverify.checks import (
     CheckResult,
     check_cyclic,
@@ -378,13 +378,13 @@ def test_sinnott_fails_every_record_with_r_nonzero_when_k_D_is_off_by_one(D, p, 
     base = check_sinnott(D, p, prec=12, d_max=6)
     r = {x.name: units.unit_log_value(D, x.witness["level"], x.witness["twist"]) for x in base}
     assert any(r.values())
-    dirichlet_exponent = checks.dirichlet_exponent
+    dirichlet_exponent = checks_sinnott.dirichlet_exponent
 
     def shifted(field):
         sign, k = dirichlet_exponent(field)
         return sign, k + 1
 
-    monkeypatch.setattr(checks, "dirichlet_exponent", shifted)
+    monkeypatch.setattr(checks_sinnott, "dirichlet_exponent", shifted)
     for before, after in zip(base, check_sinnott(D, p, prec=12, d_max=6)):
         assert after.status == ("fail" if r[before.name] else before.status), before.name
 

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -66,6 +67,22 @@ def test_computational_error_exits_two(capsys):
     code = main(["verify", "sinnott", "--quad", "5", "--p", "5"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "sinnott", "--quad", "5", "--prec", "6", "--d", "1"],
+        ["verify", "gras"],
+        ["verify", "rays"],
+    ],
+)
+def test_a_strong_pseudoprime_to_every_base_is_no_verification_prime(argv, capsys):
+    # 1287836182261 * 2575672364521 passes Miller-Rabin on the bases up to 41
+    code = main(argv + ["--p", str(1287836182261 * 2575672364521)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "below 3317044064679887385961981" in err
 
 
 def test_every_unread_engine_flag_exits_two(capsys, tmp_path):
@@ -174,13 +191,6 @@ def test_formerly_failing_commands_pass(argv, capsys):
 # ----------------------------------------------------------------------
 # start-up: which modules a command loads
 
-_ENGINE = {
-    "rayverify." + name
-    for name in ("checks", "cyclo", "gmodules", "grouprings", "intmat", "nt",
-                 "padics", "quadratic", "special", "units")
-}
-
-
 def _modules_after(code, also=()):
     """The rayverify modules loaded after running `code` in a fresh process,
     plus those of the names in `also` (such as "dataclasses") that are loaded."""
@@ -248,39 +258,48 @@ def test_python_m_rayverify_runs_the_command_line():
     assert "[pass] ray-residue-structure D=5 ell=2 p=3 e=1" in proc.stdout
 
 
-#: what every verify or explore command loads: the command line, `checks`
-#: and the layers every check builds its field with
+#: what every verify or explore command loads: the command line, the shared
+#: part of the checks and the layers every check builds its field with
 _BASE = {
     "rayverify", "rayverify.harness", "rayverify.checks", "rayverify.nt",
     "rayverify.quadratic",
 }
 
-#: no command loads `cyclo`: each check builds its Galois group {1, sigma}
-#: in `quadratic`; sinnott decides its identity in integers, so only the
-#: check that takes p-adic logs (solomon, in the annihilator modes) loads
-#: `grouprings` and `padics`
+_RAY_CLASS = {"classgroup", "gmodules", "intmat", "residues", "units"}
+
+
+#: each command loads the module of its check family.  No command loads
+#: `cyclo`: each check builds its Galois group {1, sigma} in `quadratic`;
+#: sinnott decides its identity in integers, so only the check that takes
+#: p-adic logs (solomon, in the annihilator modes) loads `grouprings` and
+#: `padics`.  A class group (`classgroup`) comes only with a ray class
+#: group, and `rays`, `sinnott` and `h90` load no `fractions`.
 @pytest.mark.parametrize(
-    "argv, layers",
+    "argv, layers, fraction_free",
     [
-        (["verify", "rays"], {"gmodules", "intmat"}),
-        (["verify", "gras"], {"gmodules", "intmat", "units"}),
-        (["explore", "conjecture"], {"gmodules", "intmat", "units"}),
-        (["verify", "sinnott"], {"units"}),
-        (["verify", "h90", "--quad", "13", "--ell", "53"], {"units", "special"}),
+        (["verify", "rays"], {"checks_rays", "gmodules", "intmat", "residues"}, True),
+        (["verify", "gras"], {"checks_gras"} | _RAY_CLASS, False),
+        (["explore", "conjecture"], {"checks_gras"} | _RAY_CLASS, False),
+        (["verify", "sinnott"], {"checks_sinnott", "units"}, True),
+        (["verify", "h90", "--quad", "13", "--ell", "53"],
+         {"checks_special", "units", "special"}, True),
         (["verify", "annihilator", "--quad", "5", "--mode", "special"],
-         {"units", "special"}),
+         {"checks_special", "units", "special"}, False),
         (["verify", "annihilator", "--mode", "thaine"],
-         {"gmodules", "intmat", "units", "special"}),
+         {"checks_annihilators", "special"} | _RAY_CLASS, False),
         (["verify", "annihilator", "--mode", "both"],
-         {"grouprings", "gmodules", "intmat", "padics", "units", "special"}),
+         {"checks_annihilators", "grouprings", "padics", "special"} | _RAY_CLASS, False),
     ],
 )
-def test_each_command_loads_only_the_layers_it_calls(argv, layers, tmp_path):
+def test_each_command_loads_only_the_layers_it_calls(argv, layers, fraction_free, tmp_path):
     if "special" in argv:
         argv = argv + ["--cache", str(tmp_path)]
     expected = _BASE | {"rayverify." + name for name in layers}
-    loaded = _modules_after(_as_program(argv), also=("dataclasses",))
+    loaded = _modules_after(_as_program(argv), also=("dataclasses", "fractions"))
     assert "dataclasses" not in loaded
+    if fraction_free:
+        assert "fractions" not in loaded
+    loaded.discard("fractions")
     assert loaded == expected, sorted(loaded)
     loaded = _modules_after(_as_script(argv))
     assert loaded == expected | {"rayverify.__main__"}, sorted(loaded)
@@ -288,11 +307,13 @@ def test_each_command_loads_only_the_layers_it_calls(argv, layers, tmp_path):
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rayverify"
 
-#: the layers under the checks that import neither `cyclo` nor `grouprings`
-#: when they load, so that the commands which never call into those two do
-#: not compile them
+#: the checks and the layers under them that import neither `cyclo` nor
+#: `grouprings` when they load, so that the commands which never call into
+#: those two do not compile them
 _BELOW_GROUP_RINGS = (
-    "quadratic", "gmodules", "intmat", "units", "padics", "special", "nt",
+    "checks", "checks_annihilators", "checks_gras", "checks_rays",
+    "checks_sinnott", "checks_special", "quadratic", "classgroup", "residues",
+    "gmodules", "intmat", "units", "padics", "special", "nt",
 )
 
 
@@ -345,9 +366,32 @@ def test_layer_imports_neither_cyclo_nor_grouprings_when_it_loads(name):
     assert found == [], name
 
 
-def test_verify_and_module_import_load_the_engine():
-    # importers that instrument the layers find every one of them loaded
-    assert _ENGINE <= _modules_after("import rayverify.cli")
+def test_module_import_loads_every_module_of_the_package():
+    # importers that instrument the layers (perfbench/tracer.py) find every
+    # one of them loaded; __main__ is the entry point, not a layer
+    every = {
+        "rayverify" if path.stem == "__init__" else "rayverify." + path.stem
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "__main__"
+    }
+    assert _modules_after("import rayverify.cli") == every
+
+
+@pytest.mark.parametrize(
+    "name, table", [("checks", "_HOMES"), ("quadratic", "_MOVED")]
+)
+def test_lazy_names_are_the_objects_their_home_modules_define(name, table):
+    module = importlib.import_module("rayverify." + name)
+    homes = getattr(module, table)
+    assert homes
+    for attr, home in homes.items():
+        home_module = importlib.import_module("rayverify." + home)
+        value = vars(home_module)[attr]
+        assert getattr(module, attr) is value, attr
+        if callable(value):  # defined there, not imported from elsewhere
+            assert value.__module__ == home_module.__name__, attr
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_name")
 
 
 # ----------------------------------------------------------------------

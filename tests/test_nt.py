@@ -41,6 +41,21 @@ def test_is_prime_is_a_proof_below_its_bound():
     assert not is_prime(399165290221 * 798330580441)
 
 
+def test_is_prime_raises_where_it_is_no_proof():
+    n = 1287836182261 * 2575672364521
+    assert n == nt.PRIME_LIMIT
+    # n is a strong probable prime to every base that is_prime tries
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, d, n)
+        assert x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(s)), a
+    for m in (n, n + 2, 2 * n):
+        with pytest.raises(ValueError, match=str(n)):
+            is_prime(m)
+
+
 def test_factorize_oracles():
     assert factorize(1) == ()
     assert factorize(12) == ((2, 2), (3, 1))

@@ -81,6 +81,17 @@ def test_special_unit_certificate_small():
     assert abs(cert["absolute_norm"]) == 1
 
 
+def test_a_non_unit_refutes_with_its_exact_absolute_norm(monkeypatch):
+    # eps / 2 in k(zeta_11), of degree 20 over Q, has norm 2^-20 there
+    unit = special.special_unit
+    half = QuadElement(K5, 1, 0, 2)
+    monkeypatch.setattr(special, "special_unit", lambda *args: unit(*args) * half)
+    first = check_special_units(5)[0]
+    assert first.status == "falsifies-paper"
+    assert first.witness["aux_prime"] == 11 and not first.witness["is_unit"]
+    assert first.witness["absolute_norm"] == "1/1048576"
+
+
 def test_special_unit_certificate_quadratic_level():
     cert = special_unit_certificate(K5, 5, 2, 11)
     assert cert["is_unit"]
@@ -375,6 +386,18 @@ def test_h90_witnesses_are_pinned(D, ell, pinned):
     assert r.status == "pass"
     w = r.witness
     assert (w["coefficient_height"], w["primitive_root"], w["root_exponent"]) == pinned
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13, 24, 29])
+def test_h90_height_is_that_of_the_rational_coordinates(D):
+    # the height is read off integer coordinates; the oracle is the largest
+    # numerator of the Fractions x, y of each coefficient x + y sqrt(D)
+    field = QuadField(D)
+    ell = special_prime_candidates(field, 3, 4, 1)[0]
+    (record,) = check_h90(D, ell)
+    alpha = hilbert90_witness(special_unit(field, 3, 4, ell))["alpha"]
+    oracle = max(max(abs(c.x.numerator), abs(c.y.numerator)) for c in alpha.coeffs)
+    assert record.witness["coefficient_height"] == str(oracle)
 
 
 # ----------------------------------------------------------------------
