@@ -24,10 +24,12 @@ def _unit_action_matrix(field):
     Units are (-1)^s eps^k; conjugation sends eps to norm(eps) / eps, so the
     matrix depends only on the norm of the fundamental unit.
     """
-    nrm = int(field.fundamental_unit().norm())
-    if nrm not in (1, -1):
-        raise ArithmeticError("the fundamental unit has norm %d" % nrm)
-    return [[-1, 0 if nrm == 1 else 1], [0, 1]]
+    eps = field.fundamental_unit()
+    # N(eps) = num / e^2, read in integers
+    num, den = eps._norm_numerator(), eps.e * eps.e
+    if num not in (den, -den):
+        raise ArithmeticError("the fundamental unit has norm %d/%d" % (num, den))
+    return [[-1, 0 if num == den else 1], [0, 1]]
 
 
 def unit_quotient_module(field, group, sup, sub):

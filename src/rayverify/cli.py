@@ -11,22 +11,27 @@ Usage examples::
     rayverify cache stats
 
 Exit status: 0 when every check passes or is inconclusive, 1 when any check
-fails or refutes a claim, 2 on usage or computational errors.  An engine
-flag that the command does not read is a usage error: `harness.COMMANDS`
-lists the flags of each command.
+fails or refutes a claim, 2 on usage or computational errors.  A flag is
+``--flag value`` or ``--flag=value``, before or after the target, and
+spelled out in full; the last of a repeated flag wins.  The parser reads
+its grammar from two tables: `harness.COMMANDS` lists the verbs, the
+targets and the engine flags each command reads, and `_FLAGS` the type of
+each flag's value.  A flag that the command does not read is a usage
+error, and ``--help`` prints the commands from the same tables.
 
 Run as a program (``python -m rayverify``, the ``rayverify`` script or
 ``python -m rayverify.cli``), a command loads only the modules it calls
-into: ``--version`` and ``cache`` load no engine layer, and each ``verify``
-or ``explore`` command imports `checks` with `nt` and `quadratic`, plus
-the module of its check family and
+into: ``--version`` loads `harness` and nothing else, ``cache`` adds the
+certificate cache (`cache`, with `json` and `hashlib`), and each
+``verify`` or ``explore`` command imports `checks` with `nt` and
+`quadratic`, plus the module of its check family and
 
 * ``rays`` (`checks_rays`): `gmodules`, `intmat` and `residues`;
 * ``gras`` and ``conjecture`` (`checks_gras`): `classgroup`, `gmodules`,
   `intmat`, `residues` and `units`;
 * ``sinnott`` (`checks_sinnott`): `units` only;
-* ``h90`` and ``annihilator --mode special`` (`checks_special`): `units`
-  and `special` only;
+* ``h90`` (`checks_special`): `units` and `special` only, and
+  ``annihilator --mode special`` `cache` as well;
 * ``annihilator --mode thaine`` (`checks_annihilators`): `classgroup`,
   `gmodules`, `intmat`, `residues`, `units` and `special`;
 * ``annihilator --mode solomon`` (`checks_annihilators`): `classgroup`,
@@ -34,26 +39,26 @@ the module of its check family and
   and ``--mode both`` `special` as well.
 
 A class group loads `classgroup` and `units`, as it reads h off u_D;
-``rays`` builds none.  ``rays``, ``sinnott`` and ``h90`` load no
-`fractions` either.  No command loads `cyclo`, as each check builds the
-Galois group {1, sigma} in `quadratic`; only a field named by ``--field``
-loads it.
+``rays`` builds none.  Only ``annihilator --mode special``, ``solomon``
+and ``both`` load `fractions`, and `json` is imported only to write a
+report or to read or write the cache.  No command loads `cyclo`, as each
+check builds the Galois group {1, sigma} in `quadratic`; only a field
+named by ``--field`` loads it.
 
 Imported as a module, this file loads every module of the package at
 once, so that a program which imports it and then instruments the layers
 (as ``perfbench/tracer.py`` does) finds every module in place.
 """
 
-import argparse
-import json
 import sys
 
 from . import __version__, harness
-from .harness import COMMANDS, Cache, EXIT_ERROR, resolve_discriminant
+from .harness import COMMANDS, EXIT_ERROR, resolve_discriminant
 
 if __name__ != "__main__":
     # every layer, for programs that instrument them; see the docstring
     from . import (  # noqa: F401
+        cache,
         checks,
         checks_annihilators,
         checks_gras,
@@ -73,81 +78,145 @@ if __name__ != "__main__":
         units,
     )
 
-#: every flag that some runner reads
-_ENGINE_FLAGS = {flag for _, flags in COMMANDS.values() for flag in flags}
+#: flag -> (type of its value, metavar, help).  A verify or explore command
+#: reads `_COMMON` and the engine flags `COMMANDS` lists for it; a cache
+#: command reads only --cache.
+_FLAGS = {
+    "quad": (int, "N", "radicand or discriminant of a real quadratic field"),
+    "field": (str, "M:A1,A2,...", "fixed field of <a_i> in (Z/m)^*; not with --quad"),
+    "p": (int, "N", "verification prime"),
+    "d": (int, "N", "twist / ray modulus / scan bound"),
+    "ell": (int, "N", "auxiliary prime"),
+    "prec": (int, "N", "p-adic digits to compare"),
+    "modulus": (int, "N", "ray modulus"),
+    "mode": (str, "MODE", "sub-mode of the command"),
+    "report": (str, "PATH", "write the JSON report here"),
+    "cache": (str, "DIR", "cache directory override"),
+    "seed": (int, "N", "recorded in the report"),
+}
+_COMMON = ("quad", "field", "report", "seed")
+_CACHE_OPS = ("clear", "stats")
+
+_USAGE = "usage: rayverify [-h] [--version] VERB TARGET [--FLAG VALUE ...]"
 
 
-def _add_common(sp):
-    # one field per command: argparse rejects --quad together with --field
-    named = sp.add_mutually_exclusive_group()
-    named.add_argument(
-        "--quad",
-        type=int,
-        help="radicand or fundamental discriminant of a real quadratic field",
-    )
-    named.add_argument(
-        "--field",
-        help="abelian field as m:a1,a2,... (fixed field of the subgroup "
-        "generated by the a_i in (Z/m)^*); must be real quadratic",
-    )
-    sp.add_argument("--p", type=int, help="verification prime")
-    sp.add_argument("--d", type=int, help="twist / ray modulus / scan bound")
-    sp.add_argument("--ell", type=int, help="auxiliary prime")
-    sp.add_argument("--prec", type=int, help="p-adic digits to compare")
-    sp.add_argument("--modulus", type=int, help="ray modulus")
-    sp.add_argument("--mode", help="sub-mode of the command")
-    sp.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    sp.add_argument("--cache", metavar="DIR", help="cache directory override")
-    sp.add_argument("--seed", type=int, help="recorded in the report")
+def _help():
+    """The --help text, generated from `COMMANDS` and `_FLAGS`."""
+    lines = [
+        _USAGE,
+        "",
+        "numerical verification of cyclotomic-unit and ray-class-group",
+        "identities over real quadratic fields",
+        "",
+        "commands, with the flags each reads besides %s:"
+        % ", ".join("--" + f for f in _COMMON),
+    ]
+    for (verb, target), (quad, flags) in COMMANDS.items():
+        reads = " ".join("--" + f for f in flags)
+        lines.append("  %-22s %-30s (default --quad %d)" % (verb + " " + target, reads, quad))
+    for op in _CACHE_OPS:
+        lines.append("  %-22s --cache only" % ("cache " + op))
+    lines += ["", "flags, as --FLAG VALUE or --FLAG=VALUE (the last one wins):"]
+    for flag, (_, metavar, about) in _FLAGS.items():
+        lines.append("  %-22s %s" % ("--%s %s" % (flag, metavar), about))
+    lines.append("  %-22s %s" % ("-h, --help", "show this help and exit"))
+    lines.append("  %-22s %s" % ("--version", "show the version and exit"))
+    return "\n".join(lines)
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="rayverify",
-        description="numerical verification of cyclotomic-unit and "
-        "ray-class-group identities over real quadratic fields",
-    )
-    ap.add_argument(
-        "--version", action="version", version="rayverify " + __version__
-    )
-    sub = ap.add_subparsers(dest="verb", required=True)
-    for verb, about in (
-        ("verify", "run a verification command"),
-        ("explore", "run an exploratory comparison"),
-    ):
-        sp = sub.add_parser(verb, help=about)
-        sp.add_argument("target", choices=[t for v, t in COMMANDS if v == verb])
-        _add_common(sp)
-    c = sub.add_parser("cache", help="manage the certificate cache")
-    c.add_argument("op", choices=["clear", "stats"])
-    c.add_argument("--cache", metavar="DIR", help="cache directory override")
-    return ap
+def _fail(message):
+    """Exit 2 on a usage error, with argparse's wording."""
+    print("%s\nrayverify: error: %s" % (_USAGE, message), file=sys.stderr)
+    raise SystemExit(EXIT_ERROR)
+
+
+def _is_option(word):
+    return word.startswith("-") and not word[1:].isdigit()
+
+
+def _parse(argv):
+    """(verb, target, {flag: value}) from argv, or None once the help or the
+    version is printed.  Exits 2 on a usage error."""
+    words, values = [], {}
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg in ("-h", "--help"):
+            print(_help())
+            return None
+        if arg == "--version":
+            print("rayverify " + __version__)
+            return None
+        if not _is_option(arg):
+            words.append(arg)
+            continue
+        option, eq, value = arg.partition("=")
+        flag = option[2:] if option.startswith("--") else None
+        if flag not in _FLAGS:
+            _fail("unrecognized arguments: %s" % arg)
+        if not eq:
+            if i == len(argv) or _is_option(argv[i]):
+                _fail("argument %s: expected one argument" % option)
+            value = argv[i]
+            i += 1
+        kind = _FLAGS[flag][0]
+        try:
+            values[flag] = kind(value)
+        except ValueError:
+            _fail("argument %s: invalid %s value: %r" % (option, kind.__name__, value))
+
+    verbs = {}
+    for verb, target in COMMANDS:
+        verbs.setdefault(verb, []).append(target)
+    verbs["cache"] = list(_CACHE_OPS)
+    for position, name in enumerate(("verb", "target")):
+        if len(words) == position:
+            _fail("the following arguments are required: %s" % name)
+        choices = verbs if position == 0 else verbs[words[0]]
+        if words[position] not in choices:
+            _fail(
+                "argument %s: invalid choice: %r (choose from %s)"
+                % (name, words[position], ", ".join(map(repr, choices)))
+            )
+    if len(words) > 2:
+        _fail("unrecognized arguments: %s" % " ".join(words[2:]))
+    verb, target = words
+
+    reads = ("cache",) if verb == "cache" else _COMMON + COMMANDS[(verb, target)][1]
+    for flag in values:
+        if flag not in reads:
+            _fail("--%s: %s %s does not read it" % (flag, verb, target))
+    named = [flag for flag in values if flag in ("quad", "field")]
+    if len(named) == 2:
+        _fail("argument --%s: not allowed with argument --%s" % (named[1], named[0]))
+    return verb, target, values
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parsed = _parse(sys.argv[1:] if argv is None else argv)
+    if parsed is None:
+        return 0
+    verb, target, values = parsed
     try:
-        if args.verb == "cache":
-            cache = Cache(args.cache)
-            if args.op == "clear":
-                print("removed %d entries from %s" % (cache.clear(), cache.root))
+        if verb == "cache":
+            from .cache import Cache
+
+            store = Cache(values.get("cache"))
+            if target == "clear":
+                print("removed %d entries from %s" % (store.clear(), store.root))
             else:
-                print(json.dumps(cache.stats(), indent=2, sort_keys=True))
+                import json
+
+                print(json.dumps(store.stats(), indent=2, sort_keys=True))
             return 0
-        quad, flags = COMMANDS[(args.verb, args.target)]
-        opts = {k: v for k, v in vars(args).items() if k in _ENGINE_FLAGS and v is not None}
-        for flag in opts:
-            if flag not in flags:
-                parser.error(
-                    "--%s: %s %s does not read it" % (flag, args.verb, args.target)
-                )
-        if args.quad is None and args.field is None:
-            args.quad = quad
-        D = resolve_discriminant(args.quad, args.field)
+        quad, flags = COMMANDS[(verb, target)]
+        opts = {flag: values[flag] for flag in flags if flag in values}
+        field = values.get("field")
+        D = resolve_discriminant(values.get("quad", quad if field is None else None), field)
         # looked up at call time, so that instrumented runners are the ones run
-        report = getattr(harness, "run_" + args.target)(D, **opts)
-        report["seed"] = args.seed
+        report = getattr(harness, "run_" + target)(D, **opts)
+        report["seed"] = values.get("seed")
         for check in report["checks"]:
             print("[%s] %s (%.2fs)" % (check["status"], check["name"], check["elapsed"]))
         s = report["summary"]
@@ -163,10 +232,13 @@ def main(argv=None):
                 s["falsifies-paper"],
             )
         )
-        if args.report:
-            with open(args.report, "w") as fh:
+        path = values.get("report")
+        if path:
+            import json
+
+            with open(path, "w") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
-            print("report written to %s" % args.report)
+            print("report written to %s" % path)
         return report["exit_status"]
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Report assembly, result caching, and command orchestration.
+"""Report assembly and command orchestration.
 
 A report is a plain dict (JSON-serializable) wrapping the outcome of one
 verification command: engine version, the field and parameters acted on,
@@ -7,123 +7,27 @@ roll-up summary.  Reports are deterministic for fixed inputs up to the
 timing fields.
 
 The engine (`checks` and the layers below it) is imported by the functions
-that use it, not by this module, so that cache commands start without it.
-Each ``run_*`` imports `checks`, which loads only `nt` and `quadratic`;
-``checks.check_X`` then loads the family module of that check, which
-imports the rest of what it uses (the `cli` docstring lists the modules
-of each command).  `resolve_discriminant` loads `cyclo`
-only for a ``--field``.  `COMMANDS` is the one table
-of commands: per (verb, target), the default field and the engine flags
-that ``run_<target>`` reads.
+that use it, not by this module, so that ``--version`` and the cache
+commands start without it.  Each ``run_*`` imports `checks`, which loads
+only `nt` and `quadratic`; ``checks.check_X`` then loads the family module
+of that check, which imports the rest of what it uses (the `cli` docstring
+lists the modules of each command).  `resolve_discriminant` loads `cyclo`
+only for a ``--field``, and `run_annihilator` loads the certificate cache
+(`cache`) only in its special mode.  `COMMANDS` is the one table of
+commands: per (verb, target), the default field and the engine flags that
+``run_<target>`` reads; `cli` parses the command line from it.
+
+`Cache` and `source_digest` live in `cache`; the names here resolve to
+them on first access (`_MOVED`), for programs that look them up here.
 """
 
-import functools
-import json
 import math
-import os
-import re
-from pathlib import Path
 
 from . import __version__
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_ERROR = 2
-
-
-@functools.lru_cache(maxsize=None)
-def source_digest():
-    """sha256 over the names and contents of the package's *.py sources.
-
-    Computed on first use, once per process, so commands that never touch
-    the cache do not pay for it.
-    """
-    from hashlib import sha256
-
-    h = sha256()
-    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    return h.hexdigest()
-
-
-# entry names: "<key>-v<version>.json" (before source digests) or
-# "<key>-v<version>-<digest>.json", the key made safe by `Cache._safe` and
-# the version starting with a digit; `clear` and `stats` see no other file
-_ENTRY_TAG = r"-v[0-9][^-]*(-[0-9a-f]{16})?\.json"
-_ENTRY_NAME = re.compile(r"[A-Za-z0-9_.-]+" + _ENTRY_TAG)
-
-
-class Cache:
-    """A directory of JSON entries keyed by name and by the engine's code.
-
-    The root is the explicit argument if given, else the RAYVERIFY_CACHE
-    environment variable, else ~/.cache/rayverify.  Entry names carry the
-    engine version and a digest of the package sources (`source_digest`),
-    so entries written by any other code are never returned; `put` removes
-    those of the same key, and `stats` counts them apart as stale.
-    """
-
-    def __init__(self, root=None):
-        root = (
-            root
-            or os.environ.get("RAYVERIFY_CACHE")
-            or os.path.join(os.path.expanduser("~"), ".cache", "rayverify")
-        )
-        self.root = Path(root)
-
-    @staticmethod
-    def _safe(key):
-        return "".join(c if (c.isalnum() or c in "-_.") else "_" for c in key)
-
-    @staticmethod
-    def _tag():
-        return "-v%s-%s.json" % (__version__, source_digest()[:16])
-
-    def _path(self, key):
-        return self.root / (self._safe(key) + self._tag())
-
-    def get(self, key):
-        try:
-            with open(self._path(key)) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
-
-    def put(self, key, value):
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(value, fh, sort_keys=True)
-        tmp.replace(path)
-        stale = re.compile(re.escape(self._safe(key)) + _ENTRY_TAG)
-        for old in self.root.glob(self._safe(key) + "-v*.json"):
-            if old != path and stale.fullmatch(old.name):
-                old.unlink(missing_ok=True)
-
-    def _entries(self):
-        """Files named like an entry of any code; other files are left alone."""
-        if not self.root.is_dir():
-            return []
-        return [p for p in self.root.glob("*.json") if _ENTRY_NAME.fullmatch(p.name)]
-
-    def clear(self):
-        entries = self._entries()
-        for path in entries:
-            path.unlink()
-        return len(entries)
-
-    def stats(self):
-        """Entries and bytes of the current code's entries, and the count of
-        stale entries written by other code (removed by `clear`)."""
-        entries = self._entries()
-        live = [p for p in entries if p.name.endswith(self._tag())]
-        return {
-            "root": str(self.root),
-            "entries": len(live),
-            "bytes": sum(p.stat().st_size for p in live),
-            "stale": len(entries) - len(live),
-        }
 
 
 def resolve_discriminant(quad=None, field=None):
@@ -335,7 +239,8 @@ def run_h90(D, ell=11):
 
 
 def run_annihilator(D, p=None, modulus=None, mode=None, cache=None):
-    """`cache` is the --cache directory of the special mode (see `Cache`)."""
+    """`cache` is the --cache directory of the special mode (see
+    `cache.Cache`)."""
     from . import checks
     from .nt import kronecker
 
@@ -352,6 +257,8 @@ def run_annihilator(D, p=None, modulus=None, mode=None, cache=None):
                 "--%s: verify annihilator --mode %s does not read it" % (flag, mode)
             )
     if mode == "special":
+        from .cache import Cache
+
         # no prime is used, but reports have always recorded the default one
         results = checks.check_special_units(D, cache=Cache(cache))
         return build_report("verify annihilator", D, {"p": 3, "mode": mode}, results)
@@ -384,3 +291,20 @@ def run_conjecture(D, p=3, d=18):
         raise ValueError("--d %d: the ray modulus must be at least 1" % d)
     params = {"p": p, "d": d}
     return build_report("explore conjecture", D, params, checks.explore_conjecture(D, p, d))
+
+
+#: names that moved to `cache`, by home module: `__getattr__` resolves them
+#: on first access, for the `TARGETS` of perfbench/tracer.py and the tests
+_MOVED = {"Cache": "cache", "source_digest": "cache"}
+
+
+def __getattr__(name):
+    """A name of `_MOVED` from its home module, kept here once found."""
+    import importlib
+
+    home = _MOVED.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + home, __package__), name)
+    globals()[name] = value
+    return value

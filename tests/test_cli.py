@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from rayverify.cli import build_parser, main
+from rayverify import __version__
+from rayverify.cli import main
 from rayverify.harness import COMMANDS, strip_timings
 
 
@@ -50,15 +51,6 @@ def test_field_flag_resolves_and_rejects(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "only real quadratic" in err
-
-
-def test_quad_with_field_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "gras", "--quad", "5", "--field", "8:7"])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "argument --field: not allowed with argument --quad" in err
 
 
 def test_computational_error_exits_two(capsys):
@@ -124,8 +116,100 @@ def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit):
-        build_parser().parse_args([])
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+
+
+def _exit_code(argv):
+    """main's exit status: returned, or raised as SystemExit on bad usage."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_RAYS = ["verify", "rays", "--quad", "5"]
+
+#: argv -> (exit status, text on stdout, text on stderr).  An empty stdout
+#: or stderr column means that stream must be empty.
+_PARSER_CONTRACT = {
+    # accepted forms
+    "flag space value": (_RAYS + ["--ell", "2", "--p", "3"], 0, "D=5 ell=2 p=3 e=1", ""),
+    "flag=value": (_RAYS + ["--ell=2", "--p=3"], 0, "D=5 ell=2 p=3 e=1", ""),
+    "flags before the target": (
+        ["--ell", "2", "verify", "--p", "3", "rays"], 0, "D=5 ell=2 p=3 e=1", ""),
+    "the last repeat wins": (
+        _RAYS + ["--ell", "7", "--p", "3", "--ell", "2"], 0, "D=5 ell=2 p=3 e=1", ""),
+    "a negative value": (
+        ["verify", "rays", "--quad", "-5"], 2, "", "it must be a positive non-square"),
+    "a negative value=": (
+        ["verify", "rays", "--quad=-5"], 2, "", "it must be a positive non-square"),
+    # usage errors
+    "no verb": ([], 2, "", "error: the following arguments are required: verb"),
+    "no target": (["verify"], 2, "", "error: the following arguments are required: target"),
+    "unknown verb": (
+        ["prove", "rays"], 2, "",
+        "error: argument verb: invalid choice: 'prove' (choose from 'verify', "
+        "'explore', 'cache')"),
+    "unknown target": (
+        ["explore", "rays"], 2, "",
+        "error: argument target: invalid choice: 'rays' (choose from 'conjecture')"),
+    "unknown cache op": (
+        ["cache", "purge"], 2, "",
+        "error: argument target: invalid choice: 'purge' (choose from 'clear', 'stats')"),
+    "a second target": (_RAYS + ["gras"], 2, "", "error: unrecognized arguments: gras"),
+    "unknown flag": (_RAYS + ["--bogus", "1"], 2, "", "error: unrecognized arguments: --bogus"),
+    "single dash": (_RAYS + ["-p", "3"], 2, "", "error: unrecognized arguments: -p"),
+    "no abbreviation": (
+        ["verify", "sinnott", "--pre", "12"], 2, "", "error: unrecognized arguments: --pre"),
+    "flag at the end": (
+        ["verify", "sinnott", "--prec"], 2, "", "error: argument --prec: expected one argument"),
+    "flag before a flag": (
+        ["verify", "sinnott", "--p", "--d", "1"], 2, "",
+        "error: argument --p: expected one argument"),
+    "non-int value": (
+        ["verify", "sinnott", "--p", "x"], 2, "", "error: argument --p: invalid int value: 'x'"),
+    "non-int value=": (
+        ["verify", "sinnott", "--seed=1.5"], 2, "",
+        "error: argument --seed: invalid int value: '1.5'"),
+    "quad with field": (
+        ["verify", "gras", "--quad", "5", "--field", "8:7"], 2, "",
+        "error: argument --field: not allowed with argument --quad"),
+    "field with quad": (
+        ["verify", "gras", "--field", "8:7", "--quad", "5"], 2, "",
+        "error: argument --quad: not allowed with argument --field"),
+    "engine flag on cache": (
+        ["cache", "stats", "--p", "3"], 2, "", "error: --p: cache stats does not read it"),
+    "field flag on cache": (
+        ["cache", "clear", "--quad", "5"], 2, "", "error: --quad: cache clear does not read it"),
+    "cache flag off its mode": (
+        ["verify", "annihilator", "--mode", "thaine", "--cache", "unused"], 2, "",
+        "error: --cache: verify annihilator --mode thaine does not read it"),
+    # help and version
+    "--version": (["--version"], 0, "rayverify " + __version__, ""),
+    "-h": (["-h"], 0, "usage: rayverify", ""),
+    "--help": (["--help"], 0, "usage: rayverify", ""),
+    "--help after a verb": (["verify", "--help"], 0, "usage: rayverify", ""),
+    "-h after a target": (_RAYS + ["-h"], 0, "usage: rayverify", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARSER_CONTRACT))
+def test_parser_contract(case, capsys):
+    argv, code, out_text, err_text = _PARSER_CONTRACT[case]
+    assert _exit_code(argv) == code
+    out, err = capsys.readouterr()
+    for stream, text in ((out, out_text), (err, err_text)):
+        if text:
+            assert text in stream
+        else:
+            assert stream == ""
+    if "usage: rayverify" in out_text:
+        # the help lists every command of the tables it is generated from
+        listed = [line.split()[:2] for line in out.splitlines() if line.startswith("  ")]
+        for verb, target in list(COMMANDS) + [("cache", "clear"), ("cache", "stats")]:
+            assert [verb, target] in listed, (verb, target)
 
 
 def test_cache_stats_and_clear(tmp_path, capsys):
@@ -196,10 +280,13 @@ def _modules_after(code, also=()):
     plus those of the names in `also` (such as "dataclasses") that are loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
+    # listed before this script imports json, so that `also` may name it
     script = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules "
-        "if m.startswith('rayverify') or m in %r)))" % (tuple(also),)
+        "\nimport sys\n"
+        "loaded = sorted(m for m in sys.modules "
+        "if m.startswith('rayverify') or m in %r)\n"
+        "import json\n"
+        "print(json.dumps(loaded))" % (tuple(also),)
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env,
@@ -234,18 +321,26 @@ def _as_script(argv):
     )
 
 
+#: standard modules that the front end loads only where it uses them:
+#: `argparse` never, as `cli` parses argv from its own tables; `hashlib`
+#: for the cache's source digest; `json` for the cache and ``--report``
+_FRONT_END = ("argparse", "hashlib", "json")
+
+
 @pytest.mark.parametrize(
     "argv", [["--version"], ["cache", "stats"], ["cache", "clear"]]
 )
 def test_version_and_cache_commands_load_no_engine_layer(argv, tmp_path):
+    expected, allowed = {"rayverify", "rayverify.harness"}, set()
     if argv[0] == "cache":
         argv = argv + ["--cache", str(tmp_path)]
-    loaded = _modules_after(_as_program(argv))
-    assert loaded <= {"rayverify", "rayverify.harness"}, sorted(loaded)
-    loaded = _modules_after(_as_script(argv))
-    assert loaded <= {"rayverify", "rayverify.__main__", "rayverify.harness"}, sorted(
-        loaded
-    )
+        # the cache reads and writes JSON entries named by a source digest
+        expected.add("rayverify.cache")
+        allowed = {"hashlib", "json"}
+    loaded = _modules_after(_as_program(argv), also=_FRONT_END)
+    assert loaded - allowed == expected, sorted(loaded)
+    loaded = _modules_after(_as_script(argv), also=_FRONT_END)
+    assert loaded - allowed == expected | {"rayverify.__main__"}, sorted(loaded)
 
 
 def test_python_m_rayverify_runs_the_command_line():
@@ -273,20 +368,23 @@ _RAY_CLASS = {"classgroup", "gmodules", "intmat", "residues", "units"}
 #: sinnott decides its identity in integers, so only the check that takes
 #: p-adic logs (solomon, in the annihilator modes) loads `grouprings` and
 #: `padics`.  A class group (`classgroup`) comes only with a ray class
-#: group, and `rays`, `sinnott` and `h90` load no `fractions`.
+#: group, and only the special and solomon annihilators load `fractions`.
+#: No command loads `argparse`, and only the special annihilator loads the
+#: certificate cache (`cache`) and `hashlib`.
 @pytest.mark.parametrize(
     "argv, layers, fraction_free",
     [
         (["verify", "rays"], {"checks_rays", "gmodules", "intmat", "residues"}, True),
-        (["verify", "gras"], {"checks_gras"} | _RAY_CLASS, False),
-        (["explore", "conjecture"], {"checks_gras"} | _RAY_CLASS, False),
+        (["verify", "gras"], {"checks_gras"} | _RAY_CLASS, True),
+        (["verify", "gras", "--mode", "scan", "--d", "12"], {"checks_gras"} | _RAY_CLASS, True),
+        (["explore", "conjecture"], {"checks_gras"} | _RAY_CLASS, True),
         (["verify", "sinnott"], {"checks_sinnott", "units"}, True),
         (["verify", "h90", "--quad", "13", "--ell", "53"],
          {"checks_special", "units", "special"}, True),
         (["verify", "annihilator", "--quad", "5", "--mode", "special"],
-         {"checks_special", "units", "special"}, False),
+         {"checks_special", "units", "special", "cache"}, False),
         (["verify", "annihilator", "--mode", "thaine"],
-         {"checks_annihilators", "special"} | _RAY_CLASS, False),
+         {"checks_annihilators", "special"} | _RAY_CLASS, True),
         (["verify", "annihilator", "--mode", "both"],
          {"checks_annihilators", "grouprings", "padics", "special"} | _RAY_CLASS, False),
     ],
@@ -295,11 +393,15 @@ def test_each_command_loads_only_the_layers_it_calls(argv, layers, fraction_free
     if "special" in argv:
         argv = argv + ["--cache", str(tmp_path)]
     expected = _BASE | {"rayverify." + name for name in layers}
-    loaded = _modules_after(_as_program(argv), also=("dataclasses", "fractions"))
+    loaded = _modules_after(
+        _as_program(argv), also=("dataclasses", "fractions") + _FRONT_END
+    )
     assert "dataclasses" not in loaded
+    assert "argparse" not in loaded
+    assert ("hashlib" in loaded) == ("rayverify.cache" in expected)
     if fraction_free:
         assert "fractions" not in loaded
-    loaded.discard("fractions")
+    loaded -= {"fractions", "hashlib", "json"}
     assert loaded == expected, sorted(loaded)
     loaded = _modules_after(_as_script(argv))
     assert loaded == expected | {"rayverify.__main__"}, sorted(loaded)
@@ -378,7 +480,8 @@ def test_module_import_loads_every_module_of_the_package():
 
 
 @pytest.mark.parametrize(
-    "name, table", [("checks", "_HOMES"), ("quadratic", "_MOVED")]
+    "name, table",
+    [("checks", "_HOMES"), ("quadratic", "_MOVED"), ("harness", "_MOVED")],
 )
 def test_lazy_names_are_the_objects_their_home_modules_define(name, table):
     module = importlib.import_module("rayverify." + name)

@@ -12,9 +12,9 @@ from rayverify.checks import CheckResult
 from rayverify.cyclo import FieldSpec
 from rayverify.gmodules import residue_structure_target
 from rayverify.grouprings import GaloisGroup
+from rayverify.cache import Cache
 from rayverify.harness import (
     COMMANDS,
-    Cache,
     build_report,
     resolve_discriminant,
     run_annihilator,
@@ -74,24 +74,25 @@ def test_cache_keys_are_version_scoped(tmp_path):
 
 
 def test_cache_entries_of_other_code_are_not_returned(tmp_path, monkeypatch):
-    from rayverify import harness
+    from rayverify import cache as cache_module
 
     cache = Cache(tmp_path)
-    monkeypatch.setattr(harness, "source_digest", lambda: "0" * 64)
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
     cache.put("k", {"v": 1})
     assert cache.get("k") == {"v": 1}
     monkeypatch.undo()
     assert cache.get("k") is None
-    assert harness.source_digest()[:16] in cache._path("k").name
+    assert cache_module.source_digest()[:16] in cache._path("k").name
 
 
 def test_cache_put_evicts_entries_of_other_code(tmp_path, monkeypatch):
-    from rayverify import __version__, harness
+    from rayverify import __version__
+    from rayverify import cache as cache_module
 
     cache = Cache(tmp_path)
     (tmp_path / ("k-v%s.json" % __version__)).write_text("{}")  # pre-digest name
     (tmp_path / "kk-v0.0.1.json").write_text("{}")  # another key
-    monkeypatch.setattr(harness, "source_digest", lambda: "0" * 64)
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
     cache.put("k", {"v": 1})
     cache.put("j", {"v": 1})
     monkeypatch.undo()
