@@ -2,7 +2,10 @@
 
 Both run `rayverify.cli` as a program, not as an imported module, so that
 ``--version`` and ``cache`` load no engine layer and every other command
-loads only the layers it calls into (see the `rayverify.cli` docstring).
+loads only the layers it calls into.  The program's ``__main__`` block
+also ends the process: a finished command runs the `atexit` handlers,
+flushes and leaves by `os._exit`, so `main` here does not return (see the
+`rayverify.cli` docstring for when it leaves by `sys.exit` instead).
 """
 
 import runpy

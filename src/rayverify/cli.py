@@ -21,10 +21,12 @@ error, and ``--help`` prints the commands from the same tables.
 
 Run as a program (``python -m rayverify``, the ``rayverify`` script or
 ``python -m rayverify.cli``), a command loads only the modules it calls
-into: ``--version`` loads `harness` and nothing else, ``cache`` adds the
-certificate cache (`cache`, with `json` and `hashlib`), and each
-``verify`` or ``explore`` command imports `checks` with `nt` and
-`quadratic`, plus the module of its check family and
+into: ``--version`` loads no module of the package besides its
+``__init__`` and this one; ``--help`` loads `harness`, which holds
+`COMMANDS`; ``cache`` adds the certificate cache (`cache`, with `json`
+and `hashlib`); and each ``verify`` or ``explore`` command imports
+`harness` and `checks` with `nt` and `quadratic`, plus the module of its
+check family and
 
 * ``rays`` (`checks_rays`): `gmodules`, `intmat` and `residues`;
 * ``gras`` and ``conjecture`` (`checks_gras`): `classgroup`, `gmodules`,
@@ -45,15 +47,24 @@ report or to read or write the cache.  No command loads `cyclo`, as each
 check builds the Galois group {1, sigma} in `quadratic`; only a field
 named by ``--field`` loads it.
 
-Imported as a module, this file loads every module of the package at
-once, so that a program which imports it and then instruments the layers
-(as ``perfbench/tracer.py`` does) finds every module in place.
+Run as a program, a command that returns from `main` ends without the
+interpreter's teardown, which would clear every module and collect
+garbage after the verdict is printed: it runs the `atexit` handlers,
+flushes stdout and stderr, and leaves by `os._exit` with main's status.
+It leaves by `sys.exit` as usual when a trace or profile function is set
+(cProfile, ``trace``, pdb, coverage), under ``python -i``, or when a flush
+raises; an exception from `main`, such as the `SystemExit` of a usage
+error, propagates as it always did.
+
+Imported as a module, this file exits nothing and loads every module of
+the package at once, so that a program which imports it and then
+instruments the layers (as ``perfbench/tracer.py`` does) finds every
+module in place.
 """
 
 import sys
 
-from . import __version__, harness
-from .harness import COMMANDS, EXIT_ERROR, resolve_discriminant
+from . import __version__
 
 if __name__ != "__main__":
     # every layer, for programs that instrument them; see the docstring
@@ -69,6 +80,7 @@ if __name__ != "__main__":
         cyclo,
         gmodules,
         grouprings,
+        harness,
         intmat,
         nt,
         padics,
@@ -102,6 +114,8 @@ _USAGE = "usage: rayverify [-h] [--version] VERB TARGET [--FLAG VALUE ...]"
 
 def _help():
     """The --help text, generated from `COMMANDS` and `_FLAGS`."""
+    from .harness import COMMANDS
+
     lines = [
         _USAGE,
         "",
@@ -126,6 +140,8 @@ def _help():
 
 def _fail(message):
     """Exit 2 on a usage error, with argparse's wording."""
+    from .harness import EXIT_ERROR
+
     print("%s\nrayverify: error: %s" % (_USAGE, message), file=sys.stderr)
     raise SystemExit(EXIT_ERROR)
 
@@ -166,6 +182,8 @@ def _parse(argv):
         except ValueError:
             _fail("argument %s: invalid %s value: %r" % (option, kind.__name__, value))
 
+    from .harness import COMMANDS
+
     verbs = {}
     for verb, target in COMMANDS:
         verbs.setdefault(verb, []).append(target)
@@ -198,6 +216,8 @@ def main(argv=None):
     if parsed is None:
         return 0
     verb, target, values = parsed
+    from . import harness
+
     try:
         if verb == "cache":
             from .cache import Cache
@@ -210,10 +230,11 @@ def main(argv=None):
 
                 print(json.dumps(store.stats(), indent=2, sort_keys=True))
             return 0
-        quad, flags = COMMANDS[(verb, target)]
+        quad, flags = harness.COMMANDS[(verb, target)]
         opts = {flag: values[flag] for flag in flags if flag in values}
         field = values.get("field")
-        D = resolve_discriminant(values.get("quad", quad if field is None else None), field)
+        quad = values.get("quad", quad if field is None else None)
+        D = harness.resolve_discriminant(quad, field)
         # looked up at call time, so that instrumented runners are the ones run
         report = getattr(harness, "run_" + target)(D, **opts)
         report["seed"] = values.get("seed")
@@ -242,8 +263,24 @@ def main(argv=None):
         return report["exit_status"]
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+        return harness.EXIT_ERROR
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    # skip the teardown, unless a tracer, a profiler or -i still needs the
+    # interpreter, or a flush fails (see the docstring)
+    if sys.gettrace() is None and sys.getprofile() is None and not sys.flags.inspect:
+        import atexit
+        import os
+
+        atexit._run_exitfuncs()  # runs each handler once and unregisters it
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None when its descriptor was closed
+                    stream.flush()
+        except (OSError, ValueError):
+            pass  # the interpreter's own flush reports it
+        else:
+            os._exit(status)
+    sys.exit(status)

@@ -15,7 +15,8 @@ lists the modules of each command).  `resolve_discriminant` loads `cyclo`
 only for a ``--field``, and `run_annihilator` loads the certificate cache
 (`cache`) only in its special mode.  `COMMANDS` is the one table of
 commands: per (verb, target), the default field and the engine flags that
-``run_<target>`` reads; `cli` parses the command line from it.
+``run_<target>`` reads; `cli` parses the command line from it, and
+imports this module only once ``--version`` is answered.
 
 `Cache` and `source_digest` live in `cache`; the names here resolve to
 them on first access (`_MOVED`), for programs that look them up here.
@@ -189,6 +190,11 @@ def run_rays(D, ell=11, p=5, modulus=None):
     _check_odd_prime(p)
     if not is_prime(ell):
         raise ValueError("--ell %d: the auxiliary prime must be a prime" % ell)
+    if ell == p and D % p == 0:  # before O/(ell^e) is built
+        raise ValueError(
+            "--ell %d --p %d: ell = p must be unramified in the field, but it "
+            "divides the discriminant %d" % (ell, p, D)
+        )
     if modulus is None:
         e = 1
     else:

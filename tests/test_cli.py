@@ -61,6 +61,32 @@ def test_computational_error_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+#: ``verify rays`` with ell = p ramified: O/(ell^e) used to be built before
+#: the target refused it with a message that named no flag
+_RAMIFIED_ELL_IS_P = [
+    ["verify", "rays", "--quad", "5", "--ell", "5", "--p", "5"],
+    ["verify", "rays", "--quad", "12", "--ell", "3", "--p", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _RAMIFIED_ELL_IS_P)
+def test_rays_refuses_ell_equal_to_a_ramified_p_before_any_ring(argv, monkeypatch, capsys):
+    from rayverify import gmodules
+
+    built = []
+
+    def residue_galois_module(*args):
+        built.append(args)
+        raise AssertionError("a residue ring was built")
+
+    monkeypatch.setattr(gmodules, "residue_galois_module", residue_galois_module)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert built == [] and out == ""
+    assert "error: --ell %s --p %s:" % (argv[5], argv[7]) in err
+    assert "unramified" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -275,23 +301,31 @@ def test_formerly_failing_commands_pass(argv, capsys):
 # ----------------------------------------------------------------------
 # start-up: which modules a command loads
 
+def _run_python(args):
+    """A fresh interpreter on `args`, with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def _modules_after(code, also=()):
     """The rayverify modules loaded after running `code` in a fresh process,
-    plus those of the names in `also` (such as "dataclasses") that are loaded."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    # listed before this script imports json, so that `also` may name it
-    script = code + (
-        "\nimport sys\n"
-        "loaded = sorted(m for m in sys.modules "
+    plus those of the names in `also` (such as "dataclasses") that are loaded.
+
+    They are listed by an exit handler, since a command run as a program
+    ends the process by `os._exit` once its handlers have run."""
+    # listed before the handler imports json, so that `also` may name it
+    script = (
+        "import atexit, sys\n"
+        "def _list():\n"
+        "    loaded = sorted(m for m in sys.modules "
         "if m.startswith('rayverify') or m in %r)\n"
-        "import json\n"
-        "print(json.dumps(loaded))" % (tuple(also),)
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-        timeout=60,
-    )
+        "    import json\n"
+        "    print(json.dumps(loaded))\n"
+        "atexit.register(_list)\n" % (tuple(also),)
+    ) + code
+    proc = _run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
@@ -299,25 +333,19 @@ def _modules_after(code, also=()):
 def _as_program(argv):
     # what `python -m rayverify.cli ARGV` runs
     return (
-        "import runpy, sys\n"
+        "import runpy\n"
         "sys.argv = ['rayverify'] + %r\n"
-        "try:\n"
-        "    runpy.run_module('rayverify.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n" % (argv,)
+        "runpy.run_module('rayverify.cli', run_name='__main__', alter_sys=True)\n"
+        % (argv,)
     )
 
 
 def _as_script(argv):
     # what the `rayverify` console script runs
     return (
-        "import sys\n"
         "from rayverify.__main__ import main\n"
         "sys.argv = ['rayverify'] + %r\n"
-        "try:\n"
-        "    main()\n"
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n" % (argv,)
+        "main()\n" % (argv,)
     )
 
 
@@ -331,11 +359,12 @@ _FRONT_END = ("argparse", "hashlib", "json")
     "argv", [["--version"], ["cache", "stats"], ["cache", "clear"]]
 )
 def test_version_and_cache_commands_load_no_engine_layer(argv, tmp_path):
-    expected, allowed = {"rayverify", "rayverify.harness"}, set()
+    # --version is answered before the command table (`harness`) is loaded
+    expected, allowed = {"rayverify"}, set()
     if argv[0] == "cache":
         argv = argv + ["--cache", str(tmp_path)]
         # the cache reads and writes JSON entries named by a source digest
-        expected.add("rayverify.cache")
+        expected |= {"rayverify.harness", "rayverify.cache"}
         allowed = {"hashlib", "json"}
     loaded = _modules_after(_as_program(argv), also=_FRONT_END)
     assert loaded - allowed == expected, sorted(loaded)
@@ -344,11 +373,7 @@ def test_version_and_cache_commands_load_no_engine_layer(argv, tmp_path):
 
 
 def test_python_m_rayverify_runs_the_command_line():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rayverify", "verify", "rays", "--ell", "2", "--p", "3"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_python(["-m", "rayverify", "verify", "rays", "--ell", "2", "--p", "3"])
     assert proc.returncode == 0, proc.stderr
     assert "[pass] ray-residue-structure D=5 ell=2 p=3 e=1" in proc.stdout
 
@@ -495,6 +520,113 @@ def test_lazy_names_are_the_objects_their_home_modules_define(name, table):
             assert value.__module__ == home_module.__name__, attr
     with pytest.raises(AttributeError):
         getattr(module, "no_such_name")
+
+
+# ----------------------------------------------------------------------
+# how a command run as a program ends: exit handlers, a flush, `os._exit`
+
+_SINNOTT = ["verify", "sinnott", "--quad", "5", "--p", "7", "--prec", "12", "--d", "6"]
+
+
+def test_stdout_to_a_file_is_complete_and_in_order(tmp_path):
+    # block-buffered: nothing reaches the file before the flush at the end
+    out_path, report_path = tmp_path / "out.txt", tmp_path / "report.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    with open(out_path, "w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rayverify", *_SINNOTT, "--report", str(report_path)],
+            stdout=out, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(report_path.read_text())
+    s = report["summary"]
+    expected = ["[%s] %s (%.2fs)" % (c["status"], c["name"], c["elapsed"])
+                for c in report["checks"]]
+    expected += [
+        "verify sinnott on discriminant 5: %d pass, %d fail, %d inconclusive, "
+        "%d falsifies-paper" % (s["pass"], s["fail"], s["inconclusive"], s["falsifies-paper"]),
+        "report written to %s" % report_path,
+    ]
+    assert out_path.read_text().splitlines() == expected
+    assert len(report["checks"]) > 1
+    in_process = tmp_path / "in-process.json"
+    assert main(_SINNOTT + ["--report", str(in_process)]) == 0
+    assert strip_timings(report) == strip_timings(json.loads(in_process.read_text()))
+
+
+#: (argv, exit status): a pass, an engine error that `main` returns, and a
+#: usage error that `main` raises as SystemExit
+_ENDINGS = [
+    (["verify", "rays", "--quad", "5", "--ell", "11", "--p", "5"], 0),
+    (_RAMIFIED_ELL_IS_P[0], 2),
+    (["verify", "rays", "--ell"], 2),
+]
+
+
+@pytest.mark.parametrize("entry", ["rayverify", "rayverify.cli"])
+@pytest.mark.parametrize("argv, status", _ENDINGS)
+def test_a_program_exits_with_the_status_of_main(entry, argv, status):
+    proc = _run_python(["-m", entry, *argv])
+    assert proc.returncode == status, proc.stderr
+    if status:
+        assert proc.stdout == "" and "error:" in proc.stderr
+    else:
+        assert "1 pass, 0 fail" in proc.stdout and proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv, status", _ENDINGS)
+def test_exit_handlers_run_once(argv, status):
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'exit handler ran')\n"
+        "sys.argv = ['rayverify'] + %r\n"
+        "runpy.run_module('rayverify.cli', run_name='__main__', alter_sys=True)\n"
+        % (argv,)
+    )
+    proc = _run_python(["-c", script])
+    assert proc.returncode == status, proc.stderr
+    assert proc.stdout.count("exit handler ran") == 1
+    assert proc.stdout.endswith("exit handler ran\n")
+
+
+def test_a_failed_flush_is_left_to_the_interpreter():
+    # as with sys.exit: the interpreter reports the error and exits 120
+    script = (
+        "import atexit, io, runpy, sys\n"
+        "class Closed(io.StringIO):\n"
+        "    def flush(self):\n"
+        "        raise BrokenPipeError(32, 'Broken pipe')\n"
+        "atexit.register(print, 'exit handler ran', file=sys.stderr)\n"
+        "sys.stdout = Closed()\n"
+        "sys.argv = ['rayverify', '--version']\n"
+        "runpy.run_module('rayverify.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 120, proc.stderr
+    assert proc.stderr.count("exit handler ran") == 1
+    # reported once, by the interpreter's own flush
+    assert proc.stderr.count("Traceback") == 1
+    assert "Exception ignored" in proc.stderr and "BrokenPipeError" in proc.stderr
+
+
+def test_a_command_without_stdout_exits_zero():
+    # sys.stdout is None when descriptor 1 was closed at start-up
+    script = (
+        "import runpy, sys\n"
+        "sys.stdout = None\n"
+        "sys.argv = ['rayverify', '--version']\n"
+        "runpy.run_module('rayverify.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
+def test_a_profiled_command_still_prints_its_statistics():
+    proc = _run_python(["-m", "cProfile", "-m", "rayverify.cli", "--version"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rayverify %s\n" % __version__)
+    assert "function calls" in proc.stdout
 
 
 # ----------------------------------------------------------------------

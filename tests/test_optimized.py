@@ -6,9 +6,10 @@ special-unit, traced-name and acceptance suites pass under ``python -O``.
 validation or invariant check still written as one disappears there.
 Pytest rewrites the tests' own asserts, so the tests keep checking.  The
 re-runs prove this for the lines the suites reach; a static test proves it
-for every module of the package, reached or not.  Beside it, a static test
-proves that no module holds a float.  Kept in its own module so that the
-suites it runs do not run it again.
+for every module of the package, reached or not.  Beside it, static tests
+prove that no module holds a float, and that only the command-line
+program ends the process.  Kept in its own module so that the suites it
+runs do not run it again.
 """
 
 import ast
@@ -88,6 +89,88 @@ def test_the_float_guard_sees_each_kind():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_holds_no_float(path):
     assert _float_constructs(ast.parse(path.read_text())) == []
+
+
+_EXIT_CALLS = {("os", "_exit"): "os._exit", ("sys", "exit"): "sys.exit"}
+
+
+def _is_main_guard(node):
+    """Whether `node` is ``if __name__ == "__main__":``."""
+    test = getattr(node, "test", None)
+    return (
+        isinstance(node, ast.If)
+        and isinstance(test, ast.Compare)
+        and getattr(test.left, "id", None) == "__name__"
+        and isinstance(test.ops[0], ast.Eq)
+        and getattr(test.comparators[0], "value", None) == "__main__"
+    )
+
+
+def _process_exits(tree):
+    """(kind, scope) of each statement that ends the process: a call of
+    `os._exit`, `sys.exit` or a bare `exit`, `quit` or `_exit`, or a raise
+    of `SystemExit`.  The scope is the name of the top-level function or
+    class that holds it, "__main__" for the ``if __name__ == "__main__":``
+    block, or None."""
+    found = []
+    for top in tree.body:
+        scope = getattr(top, "name", "__main__" if _is_main_guard(top) else None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute):
+                    kind = _EXIT_CALLS.get((getattr(func.value, "id", None), func.attr))
+                elif isinstance(func, ast.Name) and func.id in ("exit", "quit", "_exit"):
+                    kind = "exit"
+                else:
+                    kind = None
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                kind = "raise SystemExit" if getattr(exc, "id", None) == "SystemExit" else None
+            else:
+                kind = None
+            if kind:
+                found.append((node.lineno, kind, scope))
+    return sorted(found)
+
+
+def test_the_exit_guard_sees_each_kind():
+    code = (
+        "import os, sys\n"
+        "def f():\n"
+        "    sys.exit(1)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        os._exit(0)\n"
+        "exit(2)\n"
+        "quit()\n"
+        "raise SystemExit(2)\n"
+        "if __name__ == '__main__':\n"
+        "    raise SystemExit\n"
+        "if __name__ != '__main__':\n"
+        "    _exit(0)\n"
+        "raise ValueError(os.exit)\n"
+    )
+    assert _process_exits(ast.parse(code)) == [
+        (3, "sys.exit", "f"), (6, "os._exit", "C"), (7, "exit", None),
+        (8, "exit", None), (9, "raise SystemExit", None),
+        (11, "raise SystemExit", "__main__"), (13, "exit", None),
+    ]
+
+
+#: the one module that ends the process, and how: its ``__main__`` block
+#: leaves by `os._exit` or `sys.exit`, and `_fail` raises the SystemExit
+#: of a usage error
+_EXITS = {
+    "cli.py": [("os._exit", "__main__"), ("raise SystemExit", "_fail"),
+               ("sys.exit", "__main__")],
+}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_command_line_program_ends_the_process(path):
+    exits = [(kind, scope) for _, kind, scope in _process_exits(ast.parse(path.read_text()))]
+    assert sorted(exits) == _EXITS.get(path.name, [])
 
 
 def _pytest_under_optimize(*suites):
