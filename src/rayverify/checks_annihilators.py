@@ -3,14 +3,16 @@
 logs of ``--mode solomon`` (`check_solomon`).
 
 Both load the ray class layers (`gmodules`, `classgroup`, `residues` and
-`intmat`) and `units`; thaine adds `special`, and solomon, the one check
-that takes p-adic logs, `grouprings` and `padics`.
+`intmat`) and `units`; thaine adds `special`.  Solomon takes its one p-adic
+log, log_p eps mod p^K, as a truncated series on plain integers
+(`_unit_log`), so neither check loads `padics`, `grouprings` or
+`fractions`.
 """
 
 import time
 
 from .checks import FAIL, PASS, PRECISION_HEADROOM, REFUTES, CheckResult, _quad_setup, _rho_part
-from .nt import is_prime
+from .nt import is_prime, sqrt_mod, valuation
 
 
 # --------------------------------------------------------------------------
@@ -97,49 +99,78 @@ def check_thaine(D, n_exp=3, modulus=1, count=3):
 # scaled p-adic logarithm annihilators
 
 
+def _unit_log(field, p, K):
+    """log_p eps mod p^K for a split odd p, in the embedding of k into Q_p
+    that sends sqrt(D) to the Hensel lift of the smaller square root s of D
+    mod p (`nt.sqrt_mod`), so omega to the lift of (T + s) / 2.
+
+    With x the image of eps, z = x^(p - 1) - 1 is divisible by p, and
+    log_p eps = log(1 + z) / (p - 1).  The term z^j / j of the series has
+    valuation at least j - floor(log_p j).  Take g = floor(log_p 2K): as
+    p^(g + 2) > 6K, that bound is at least K for every j > K + g, so the
+    first K + g terms are all that is nonzero mod p^K.  Each of them has
+    j <= 2K, so v_p(j) <= g, and dividing z^j by the p-part of j costs at
+    most the g guard digits: z is formed mod p^(K + g), and every term is
+    exact mod p^K.
+    """
+    g = 0
+    while p ** (g + 1) <= 2 * K:
+        g += 1
+    M = p ** (K + g)
+    eps = field.fundamental_unit()
+    r = (field.omega_trace + sqrt_mod(field.D, p)) * ((p + 1) // 2) % p
+    x = eps.a + eps.b * field.prime_root_lifted(p, r, K + g)
+    z = (pow(x, p - 1, M) - 1) % M
+    total, power = 0, 1
+    for j in range(1, K + g + 1):
+        power = power * z % M
+        pj = p ** valuation(j, p)
+        total += (-1) ** (j + 1) * (power // pj) * pow(j // pj, -1, M)
+    return total * pow(p - 1, -1, M) % p**K
+
+
 def check_solomon(D, p=3, prec=12, moduli=(1, 4)):
     """Check integrality and annihilation for scaled log elements.
 
-    p must split in the field.  For each ray modulus, a circular unit at
-    that modulus is logged coefficientwise into Z_p (square root embedded
-    by Hensel lifting); the claim is that every coefficient has valuation
-    at least one, and that the element divided by p annihilates the
+    p must be an odd prime that splits in the field.  For each ray modulus,
+    the circular unit delta = +-eps^k at that modulus is logged
+    coefficientwise into Z_p: theta = log delta + log(sigma delta) sigma,
+    and log(sigma delta) = -log delta, so both coefficients come from
+    L = k log_p eps mod p^K, K = prec + 8 (`_unit_log`, whose embedding
+    ``"hensel"`` names).  The claim is that both coefficients have
+    valuation at least one, and that theta / p annihilates the
     non-trivial-character part of the Sylow p-component of the ray class
-    group.
+    group.  Valuations are capped at K, and all arithmetic is on integers.
     """
     from .gmodules import RayClassGroup
-    from .grouprings import galois_log_quad
-    from .padics import PadicRing
     from .units import circular_unit_lattice
 
+    if p == 2 or not is_prime(p):
+        raise ValueError("p = %d: odd primes only" % p)
     field, group = _quad_setup(D)
     if field.chi(p) != 1:
         raise ValueError("p=%d must split in the field" % p)
-    ring = PadicRing(p, prec + PRECISION_HEADROOM)
-    sqrt_img = ring.sqrt_disc(D, "hensel")
+    K = prec + PRECISION_HEADROOM
+    pK = p**K
+    log_eps = _unit_log(field, p, K)
     results = []
     for modulus in moduli:
         t0 = time.perf_counter()
         lat = circular_unit_lattice(field, modulus)
         k, s = (int(lat[0][0]), int(lat[0][1]))
-        delta = field.fundamental_unit() ** k
-        if s % 2:
-            delta = -delta
-        theta = galois_log_quad(group, ring, delta, sqrt_img)
-        vals = [c.valuation() for c in theta.coeffs]
-        integral = all(v >= 1 for v in vals)
+        L = k * log_eps % pK
+        v = valuation(L, p) if L else K
         witness = {
             "discriminant": D,
             "p": p,
             "modulus": modulus,
             "unit_exponent": k,
             "unit_sign": s,
-            "coefficient_valuations": vals,
+            "coefficient_valuations": [v, v],
             "embedding": "hensel",
         }
-        ok = integral
-        if integral:
-            scaled = [c.divide_exact(p) for c in theta.coeffs]
+        ok = v >= 1  # integral
+        if ok:
             r_order, r_syl, rho = _rho_part(
                 RayClassGroup(field, group, modulus).module, p
             )
@@ -147,7 +178,7 @@ def check_solomon(D, p=3, prec=12, moduli=(1, 4)):
             witness["ray_rho_order"] = r_order
             if rho is not None:
                 e = rho.exponent()
-                coeffs = [c.lift_int() % e for c in scaled]
+                coeffs = [L // p % e, -L % pK // p % e]
                 annihilates, bad = rho.annihilated_by(coeffs)
                 witness["scaled_coefficients_mod_exponent"] = coeffs
                 witness["annihilates"] = annihilates

@@ -34,18 +34,18 @@ check family and
 * ``sinnott`` (`checks_sinnott`): `units` only;
 * ``h90`` (`checks_special`): `units` and `special` only, and
   ``annihilator --mode special`` `cache` as well;
-* ``annihilator --mode thaine`` (`checks_annihilators`): `classgroup`,
-  `gmodules`, `intmat`, `residues`, `units` and `special`;
 * ``annihilator --mode solomon`` (`checks_annihilators`): `classgroup`,
-  `grouprings`, `gmodules`, `intmat`, `padics`, `residues` and `units`,
-  and ``--mode both`` `special` as well.
+  `gmodules`, `intmat`, `residues` and `units`, and ``--mode thaine`` and
+  ``--mode both`` `special` as well.
 
 A class group loads `classgroup` and `units`, as it reads h off u_D;
-``rays`` builds none.  Only ``annihilator --mode special``, ``solomon``
-and ``both`` load `fractions`, and `json` is imported only to write a
-report or to read or write the cache.  No command loads `cyclo`, as each
-check builds the Galois group {1, sigma} in `quadratic`; only a field
-named by ``--field`` loads it.
+``rays`` builds none.  Only ``annihilator --mode special`` loads
+`fractions`, and `json` is imported only to write a report or to read or
+write the cache.  No command loads `cyclo`, as each check builds the
+Galois group {1, sigma} in `quadratic`; only a field named by ``--field``
+loads it.  No command loads `padics` or `grouprings`: sinnott and solomon
+decide their claims in integers, and those two layers serve the tests and
+the acceptance gates.
 
 Run as a program, a command that returns from `main` ends without the
 interpreter's teardown, which would clear every module and collect

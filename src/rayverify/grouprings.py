@@ -32,17 +32,19 @@ This module supplies the algebra every verification routine combines:
   of the residue modules, and `ray_annihilator` combines everything into the
   paper's annihilator element.
 
-Only `check_solomon` loads this module, for `galois_log_quad`; it
-passes the group {1, sigma} as a `quadratic.QuadGaloisGroup`, and that
-function and `GroupRingElement` read only a group's `order`, `m` and
-`mult`.  `check_sinnott` decides its identity in integers and reads r off
-`units.unit_log_value` itself.  No check calls `unit_log_factor`,
-`norm_log_factor`, `euler_twist`, `lseries_derivative`,
-`lseries_derivative_element`, `residue_euler_element`, `embed_group_ring`,
-`ray_annihilator`, `ramification`, `one_element` or `basis_element`; tests
-use them as oracles.  The character sums need the ring of the conductor's
-roots of unity, while the p-adic oracle of the sinnott check reads L' off
-the level-D cyclotomic number, in a ring of degree at most 2.
+No command loads this module.  `check_sinnott` decides its identity in
+integers and reads r off `units.unit_log_value` itself, and
+`check_solomon` takes log_p eps as a series on integers; the p-adic
+oracles of both checks in the tests call `galois_log_quad`, with the
+group {1, sigma} as a `quadratic.QuadGaloisGroup` (that function and
+`GroupRingElement` read only a group's `order`, `m` and `mult`).  No
+check calls `unit_log_factor`, `norm_log_factor`, `euler_twist`,
+`lseries_derivative`, `lseries_derivative_element`,
+`residue_euler_element`, `embed_group_ring`, `ray_annihilator`,
+`ramification`, `one_element` or `basis_element`; tests use them as
+oracles.  The character sums need the ring of the conductor's roots of
+unity, while the p-adic oracle of the sinnott check reads L' off the
+level-D cyclotomic number, in a ring of degree at most 2.
 
 Conventions: group element 0 is the identity; a character's value at a prime
 is zero unless inertia lies in its kernel; scalars multiply group-ring

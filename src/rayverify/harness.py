@@ -295,6 +295,7 @@ def run_conjecture(D, p=3, d=18):
     _check_odd_prime(p)
     if d < 1:
         raise ValueError("--d %d: the ray modulus must be at least 1" % d)
+    _check_modulus_limit(d)  # before the class group and the ray class group
     params = {"p": p, "d": d}
     return build_report("explore conjecture", D, params, checks.explore_conjecture(D, p, d))
 

@@ -18,6 +18,11 @@ so that the series for log(u^N) is short.
 Everything is integers mod p^k; no floats anywhere.  Invalid arguments
 raise ValueError and broken invariants ArithmeticError, under ``python -O``
 as well.
+
+No command loads this module: the sinnott and solomon checks decide their
+claims in integers, and their p-adic oracles in the tests, the acceptance
+gates and `grouprings` (in the functions that test for a `PadicElement`)
+are what use it.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rayverify import checks, checks_sinnott, gmodules, padics, units
+from rayverify import checks, checks_annihilators, checks_sinnott, gmodules, padics, units
 from rayverify.checks import (
     CheckResult,
     check_cyclic,
@@ -30,6 +30,7 @@ from rayverify.nt import fundamental_discriminant, is_prime, squarefree_part
 from rayverify.quadratic import QuadField, QuadGaloisGroup
 from rayverify.padics import splitting_degree
 from rayverify.units import (
+    circular_unit_lattice,
     congruence_circular_lattice,
     congruence_unit_lattice,
     cyclotomic_number,
@@ -217,6 +218,151 @@ def test_solomon_reports_hensel_embedding():
     assert r.status == "pass"
     assert r.witness["embedding"] == "hensel"
     assert min(r.witness["coefficient_valuations"]) >= 1
+
+
+# ---------------------------------------------------------------- solomon in integers
+
+
+def _padic_solomon(D, p, prec=12, moduli=(1, 4), headroom=checks.PRECISION_HEADROOM):
+    """The oracle of `check_solomon`: its records from p-adic logs.
+
+    In Q_p at prec + headroom digits, with sqrt(D) Newton-lifted from the
+    smaller residue root, theta = log delta + log(sigma delta) sigma for the
+    circular unit delta = +-eps^k of each modulus (`galois_log_quad`); its
+    coefficients are divided by p and read mod the exponent of the
+    rho-part.  One (name, status, witness) per record, in the check's order.
+    """
+    field = QuadField(D)
+    group = QuadGaloisGroup(field)
+    ring = padics.PadicRing(p, prec + headroom)
+    sqrt_img = ring.sqrt_disc(D, "hensel")
+    out = []
+    for modulus in moduli:
+        lat = circular_unit_lattice(field, modulus)
+        k, s = int(lat[0][0]), int(lat[0][1])
+        delta = field.fundamental_unit() ** k
+        if s % 2:
+            delta = -delta
+        theta = galois_log_quad(group, ring, delta, sqrt_img)
+        vals = [c.valuation() for c in theta.coeffs]
+        witness = {
+            "discriminant": D, "p": p, "modulus": modulus, "unit_exponent": k,
+            "unit_sign": s, "coefficient_valuations": vals, "embedding": "hensel",
+        }
+        ok = all(v >= 1 for v in vals)
+        if ok:
+            r_order, r_syl, rho = _rho_part(
+                RayClassGroup(field, group, modulus).module, p
+            )
+            witness["ray_sylow_order"] = r_syl.order()
+            witness["ray_rho_order"] = r_order
+            if rho is not None:
+                e = rho.exponent()
+                coeffs = [c.divide_exact(p).lift_int() % e for c in theta.coeffs]
+                ok, bad = rho.annihilated_by(coeffs)
+                witness["scaled_coefficients_mod_exponent"] = coeffs
+            witness["annihilates"] = ok
+            if not ok:
+                witness["counterexample"] = bad
+        out.append((
+            "scaled-log-annihilator D=%d p=%d mod=%d" % (D, p, modulus),
+            "pass" if ok else "fail",
+            witness,
+        ))
+    return out
+
+
+def _as_solomon_rows(results):
+    return [(r.name, r.status, r.witness) for r in results]
+
+
+def _solomon_grid():
+    """(D, p): fundamental D of radicand below 120, p in {3, 5, 7, 11, 13}
+    split in the field."""
+    discs = sorted(
+        {fundamental_discriminant(r) for r in range(2, 120) if squarefree_part(r) == r}
+    )
+    return [(D, p) for D in discs for p in (3, 5, 7, 11, 13) if QuadField(D).chi(p) == 1]
+
+
+def test_solomon_matches_the_padic_oracle_on_a_grid_slice(monkeypatch):
+    grid = _solomon_grid()
+    assert len(grid) == 154
+    # Q(sqrt 79), of the README command, lies outside the grid
+    pairs = [(316, 3), (316, 5)] + random.Random(3018).sample(grid, 24)
+    cases = [(D, p, prec, moduli) for D, p in pairs for prec in (6, 12)
+             for moduli in ((1, 4), (9,))]
+    oracle = [_padic_solomon(*case) for case in cases]
+    _forbid_padic_rings(monkeypatch)
+    digits = []
+    for case, rows in zip(cases, oracle):
+        assert _as_solomon_rows(check_solomon(*case)) == rows, case
+        digits += [w["scaled_coefficients_mod_exponent"] for _, _, w in rows
+                   if "scaled_coefficients_mod_exponent" in w]
+    # a record that passes has theta / p = 0 on the rho-part, so its
+    # digits are 0 whatever the root and sign: the tests below pin those
+    assert len(digits) >= 10
+    assert all(a == b == 0 for a, b in digits)
+
+
+@pytest.mark.parametrize(
+    "D, p, K",
+    [(5, 11, 9), (316, 3, 20), (85, 3, 9), (13, 17, 48), (316, 999953, 14),
+     (8, 1000033, 48), (13, 10**12 + 39, 14)],
+)
+def test_unit_log_is_the_padic_log_at_the_hensel_root(D, p, K):
+    field = QuadField(D)
+    ring = padics.PadicRing(p, K)
+    eps = field.fundamental_unit()
+    image = ring.embed_quadratic(eps.x, eps.y, ring.sqrt_disc(D, "hensel"))
+    log_eps = checks_annihilators._unit_log(field, p, K)
+    assert log_eps == ring.iwasawa_log(image).lift_int()
+    # at the other root the log is -log eps, which differs from it
+    assert log_eps != -log_eps % p**K
+
+
+def test_solomon_reads_both_digits_off_one_log(monkeypatch):
+    # a fake log eps = 1 gives L = k = 3 on Q(sqrt 79) at modulus 1, so
+    # theta / p = 1 - sigma, which acts on the rho-part (order 3) as 2
+    monkeypatch.setattr(checks_annihilators, "_unit_log", lambda field, p, K: 1)
+    (r,) = check_solomon(316, 3, 12, (1,))
+    w = r.witness
+    assert (w["unit_exponent"], w["ray_rho_order"]) == (3, 3)
+    assert w["coefficient_valuations"] == [1, 1]
+    assert w["scaled_coefficients_mod_exponent"] == [1, 2]
+    assert r.status == "fail" and not w["annihilates"] and "counterexample" in w
+
+
+@pytest.mark.parametrize("D, p", [(5, 1000039), (8, 1000033), (13, 999983), (316, 999953)])
+@pytest.mark.parametrize("prec", (6, 40))
+def test_solomon_matches_the_padic_oracle_near_a_million(D, p, prec, monkeypatch):
+    assert is_prime(p) and QuadField(D).chi(p) == 1
+    oracle = _padic_solomon(D, p, prec, (1, 4))
+    _forbid_padic_rings(monkeypatch)
+    assert _as_solomon_rows(check_solomon(D, p, prec, (1, 4))) == oracle
+
+
+@pytest.mark.parametrize("D, p, modulus", [(988, 3, 9), (988, 3, 27), (109, 3, 81), (316, 3, 27)])
+def test_solomon_caps_valuations_at_the_digits_it_carries(D, p, modulus, monkeypatch):
+    # v_p(k log eps) is 5 or 6 on these records: with no headroom and
+    # prec 3, k log eps = 0 mod p^K for K = 3, and the valuations are K.
+    # log eps = 0 mod 3^3 on Q(sqrt 247) but not on Q(sqrt 79), Q(sqrt 109)
+    oracle = _padic_solomon(D, p, 3, (modulus,), headroom=0)
+    monkeypatch.setattr(checks_annihilators, "PRECISION_HEADROOM", 0)
+    rows = _as_solomon_rows(check_solomon(D, p, 3, (modulus,)))
+    assert rows == oracle
+    assert rows[0][2]["coefficient_valuations"] == [3, 3]
+
+
+def test_solomon_refuses_p_that_is_not_an_odd_prime():
+    # 2 and 9 both split in their fields: chi(2) = 1 for D = 17 and
+    # chi(9) = 1 for D = 316, so only the primality check refuses them
+    for D, p in ((17, 2), (316, 9)):
+        assert QuadField(D).chi(p) == 1
+        with pytest.raises(ValueError, match="odd primes only"):
+            check_solomon(D, p)
+    with pytest.raises(ValueError, match="must split"):
+        check_solomon(316, 11)
 
 
 # ---------------------------------------------------------------- sinnott in k_p

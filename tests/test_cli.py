@@ -390,10 +390,9 @@ _RAY_CLASS = {"classgroup", "gmodules", "intmat", "residues", "units"}
 
 #: each command loads the module of its check family.  No command loads
 #: `cyclo`: each check builds its Galois group {1, sigma} in `quadratic`;
-#: sinnott decides its identity in integers, so only the check that takes
-#: p-adic logs (solomon, in the annihilator modes) loads `grouprings` and
-#: `padics`.  A class group (`classgroup`) comes only with a ray class
-#: group, and only the special and solomon annihilators load `fractions`.
+#: sinnott and solomon decide their claims in integers, so no command loads
+#: `grouprings` or `padics`.  A class group (`classgroup`) comes only with a
+#: ray class group, and only the special annihilator loads `fractions`.
 #: No command loads `argparse`, and only the special annihilator loads the
 #: certificate cache (`cache`) and `hashlib`.
 @pytest.mark.parametrize(
@@ -410,8 +409,10 @@ _RAY_CLASS = {"classgroup", "gmodules", "intmat", "residues", "units"}
          {"checks_special", "units", "special", "cache"}, False),
         (["verify", "annihilator", "--mode", "thaine"],
          {"checks_annihilators", "special"} | _RAY_CLASS, True),
+        (["verify", "annihilator", "--mode", "solomon"],
+         {"checks_annihilators"} | _RAY_CLASS, True),
         (["verify", "annihilator", "--mode", "both"],
-         {"checks_annihilators", "grouprings", "padics", "special"} | _RAY_CLASS, False),
+         {"checks_annihilators", "special"} | _RAY_CLASS, True),
     ],
 )
 def test_each_command_loads_only_the_layers_it_calls(argv, layers, fraction_free, tmp_path):

@@ -175,6 +175,28 @@ def test_h90_stops_above_its_ell_limit_before_any_work(monkeypatch):
     assert ran == [harness.H90_ELL_LIMIT]
 
 
+def test_conjecture_stops_above_the_modulus_limit_before_any_group(monkeypatch):
+    # the limit used to be reached inside the ray class group, after the
+    # class group of k: at radicand 1000033 that took most of a minute,
+    # where verify gras refuses the same --d at once
+    from rayverify import gmodules
+    from rayverify.residues import MODULUS_LIMIT
+
+    built = []
+
+    def refuse(field, group, modulus):
+        built.append(modulus)
+        raise AssertionError("built a ray class group")
+
+    monkeypatch.setattr(gmodules, "RayClassGroup", refuse)
+    with pytest.raises(ValueError, match="too large"):
+        run_conjecture(5, p=3, d=MODULUS_LIMIT + 1)
+    assert built == []
+    with pytest.raises(AssertionError):
+        run_conjecture(5, p=3, d=MODULUS_LIMIT)
+    assert built == [MODULUS_LIMIT]
+
+
 @pytest.mark.parametrize("quad", [0, 1, 4, 9, -3, -5])
 def test_resolve_discriminant_checks_quad(quad):
     with pytest.raises(ValueError, match="real quadratic"):
@@ -319,6 +341,7 @@ def test_p_prec_and_d_contracts():
         (["verify", "rays", "--quad", "5", "--ell", "11", "--p", "2"], "odd prime"),
         (["verify", "sinnott", "--quad", "5", "--prec", "0"], "p-adic digit"),
         (["verify", "gras", "--quad", "5", "--d", "10001"], "too large"),
+        (["explore", "conjecture", "--quad", "5", "--d", "10001"], "too large"),
         # a scan used to build 10000 ray class groups before it got there
         (["verify", "gras", "--quad", "5", "--mode", "scan", "--d", "10001"], "too large"),
         (["verify", "gras", "--quad", "5", "--d", "0"], "at least 1"),

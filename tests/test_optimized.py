@@ -7,9 +7,9 @@ validation or invariant check still written as one disappears there.
 Pytest rewrites the tests' own asserts, so the tests keep checking.  The
 re-runs prove this for the lines the suites reach; a static test proves it
 for every module of the package, reached or not.  Beside it, static tests
-prove that no module holds a float, and that only the command-line
-program ends the process.  Kept in its own module so that the suites it
-runs do not run it again.
+prove that no module holds a float, that only the command-line program
+ends the process, and that no command can load `padics` or `grouprings`.
+Kept in its own module so that the suites it runs do not run it again.
 """
 
 import ast
@@ -171,6 +171,105 @@ _EXITS = {
 def test_only_the_command_line_program_ends_the_process(path):
     exits = [(kind, scope) for _, kind, scope in _process_exits(ast.parse(path.read_text()))]
     assert sorted(exits) == _EXITS.get(path.name, [])
+
+
+#: the layers that no command loads: they stay for the gates, the test
+#: oracles and the names the benchmark traces
+_OFF_PATH = ("padics", "grouprings")
+
+
+def _is_import_all(node):
+    """Whether `node` is ``if __name__ != "__main__":``, the branch in which
+    `cli` loads every module for the programs that import it."""
+    test = getattr(node, "test", None)
+    return (
+        isinstance(node, ast.If)
+        and isinstance(test, ast.Compare)
+        and getattr(test.left, "id", None) == "__name__"
+        and isinstance(test.ops[0], ast.NotEq)
+        and getattr(test.comparators[0], "value", None) == "__main__"
+    )
+
+
+def _layers_named(node):
+    """The rayverify layers that `node` imports: by ``import rayverify.X``,
+    ``from rayverify import X``, ``from . import X``, ``from .X import Y`` or
+    ``from rayverify.X import Y``, or names in a string (for
+    `importlib.import_module` or a table of home modules) such as "X",
+    ".X" or "rayverify.X"."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ("rayverify" if node.level else "", node.module)))
+        names = [base + "." + alias.name if base == "rayverify" else base
+                 for alias in node.names]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = ["rayverify." + node.value.lstrip(".").removeprefix("rayverify.")]
+    else:
+        return []
+    return [name.split(".")[1] for name in names if name.startswith("rayverify.")]
+
+
+def _off_path_imports(tree):
+    """(line, layer, scope) for each import of a layer of `_OFF_PATH`.  The
+    scope is "function" inside a function body, "import-all" in a top-level
+    ``if __name__ != "__main__":`` block, and "module" elsewhere."""
+    found = []
+    stack = [(node, "import-all" if _is_import_all(node) else "module") for node in tree.body]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = "function"
+        found += [(node.lineno, layer, scope) for layer in _layers_named(node)
+                  if layer in _OFF_PATH]
+        stack += [(child, scope) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_the_off_path_guard_sees_each_import_form():
+    code = (
+        "import rayverify.padics\n"
+        "import rayverify.grouprings as G, rayverify.nt\n"
+        "from rayverify import padics, nt\n"
+        "from . import grouprings\n"
+        "from .padics import PadicRing\n"
+        "from rayverify.grouprings import galois_log_quad\n"
+        "def f():\n"
+        "    from .padics import PadicElement\n"
+        "    return importlib.import_module('.grouprings', __package__)\n"
+        "class C:\n"
+        "    g = lambda: importlib.import_module('rayverify.padics')\n"
+        "    homes = {'galois_log_quad': 'grouprings'}\n"
+        "if __name__ != '__main__':\n"
+        "    from . import cache, padics\n"
+        "    from .nt import valuation\n"
+        "if __name__ == '__main__':\n"
+        "    import rayverify.grouprings\n"
+        "from .padica import x\n"
+        "'`padics` and `grouprings`'\n"
+    )
+    assert _off_path_imports(ast.parse(code)) == [
+        (1, "padics", "module"), (2, "grouprings", "module"), (3, "padics", "module"),
+        (4, "grouprings", "module"), (5, "padics", "module"), (6, "grouprings", "module"),
+        (8, "padics", "function"), (9, "grouprings", "function"),
+        (11, "padics", "function"), (12, "grouprings", "module"),
+        (14, "padics", "import-all"), (17, "grouprings", "module"),
+    ]
+
+
+#: the only modules that import `padics` or `grouprings`: `grouprings`, in
+#: the functions that test for a `PadicElement`, and the import-all branch
+#: of `cli`.  So no command loads either layer
+_OFF_PATH_IMPORTERS = {
+    "cli.py": {("grouprings", "import-all"), ("padics", "import-all")},
+    "grouprings.py": {("padics", "function")},
+}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_grouprings_and_the_import_all_branch_import_the_padic_layers(path):
+    found = {(layer, scope) for _, layer, scope in _off_path_imports(ast.parse(path.read_text()))}
+    assert found == _OFF_PATH_IMPORTERS.get(path.name, set())
 
 
 def _pytest_under_optimize(*suites):
