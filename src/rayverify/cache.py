@@ -34,6 +34,7 @@ def source_digest():
 # "<key>-v<version>-<digest>.json", the key made safe by `Cache._safe` and
 # the version starting with a digit; `clear` and `stats` see no other file
 _ENTRY_TAG = r"-v[0-9][^-]*(-[0-9a-f]{16})?\.json"
+_TAG = re.compile(_ENTRY_TAG)
 _ENTRY_NAME = re.compile(r"[A-Za-z0-9_.-]+" + _ENTRY_TAG)
 
 
@@ -80,9 +81,10 @@ class Cache:
         with open(tmp, "w") as fh:
             json.dump(value, fh, sort_keys=True)
         tmp.replace(path)
-        stale = re.compile(re.escape(self._safe(key)) + _ENTRY_TAG)
-        for old in self.root.glob(self._safe(key) + "-v*.json"):
-            if old != path and stale.fullmatch(old.name):
+        # `_safe` leaves no glob metacharacter, so the glob fixes the prefix
+        safe = self._safe(key)
+        for old in self.root.glob(safe + "-v*.json"):
+            if old != path and _TAG.fullmatch(old.name, len(safe)):
                 old.unlink(missing_ok=True)
 
     def _entries(self):

@@ -1,8 +1,9 @@
 """Special units in k(zeta_ell): ``verify h90`` (`check_h90`) and
 ``verify annihilator --mode special`` (`check_special_units`).
 
-Both load `units` and `special`.  The h90 check reads its witness in
-integer coordinates, so it loads no `fractions`.
+Both load `units` and `special`, and neither loads `fractions`: the h90
+check reads its witness in integer coordinates, and the certificate forms
+its absolute norm in integers.
 """
 
 import math
@@ -87,8 +88,6 @@ def check_special_units(D, twists=(2, 3, 4), count=3, cache=None):
             cert = cache.get(key) if cache is not None else None
             if cert is None:
                 raw = special_unit_certificate(field, n, d, ell)
-                # exact: an int when integral, else the reduced "p/q"
-                norm = raw["absolute_norm"]
                 cert = {
                     "discriminant": raw["discriminant"],
                     "level": raw["level"],
@@ -103,7 +102,7 @@ def check_special_units(D, twists=(2, 3, 4), count=3, cache=None):
                         [int(r), int(a), int(b)]
                         for r, (a, b) in raw["residues"].items()
                     ),
-                    "absolute_norm": norm.numerator if norm.denominator == 1 else str(norm),
+                    "absolute_norm": raw["absolute_norm"],
                 }
                 if cache is not None:
                     cache.put(key, cert)

@@ -39,11 +39,11 @@ check family and
   ``--mode both`` `special` as well.
 
 A class group loads `classgroup` and `units`, as it reads h off u_D;
-``rays`` builds none.  Only ``annihilator --mode special`` loads
-`fractions`, and `json` is imported only to write a report or to read or
-write the cache.  No command loads `cyclo`, as each check builds the
-Galois group {1, sigma} in `quadratic`; only a field named by ``--field``
-loads it.  No command loads `padics` or `grouprings`: sinnott and solomon
+``rays`` builds none.  No command loads `fractions`, and `json` is
+imported only to write a report or to read or write the cache.  No command
+loads `cyclo`, as each check builds the Galois group {1, sigma} in
+`quadratic`; only a field named by ``--field`` loads it, and `fractions`
+with it.  No command loads `padics` or `grouprings`: sinnott and solomon
 decide their claims in integers, and those two layers serve the tests and
 the acceptance gates.
 

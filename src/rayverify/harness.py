@@ -139,7 +139,7 @@ COMMANDS = {
 
 
 #: the largest --ell of ``verify h90``: its cost grows faster than ell^3, and
-#: the slowest ell admitted (241) takes about 2 s (2-vCPU VM, Python 3.11)
+#: the slowest ell admitted (241) takes about 0.45 s (2-vCPU VM, Python 3.11)
 H90_ELL_LIMIT = 250
 
 

@@ -3,7 +3,9 @@
 Four tools live here, all exact:
 
 * arithmetic in the composite field k(zeta_ell) for an odd prime ell that
-  does not ramify in k, held in integers (see `CycQuadElement`);
+  does not ramify in k, held in integers (see `CycQuadElement`).  Norms
+  and inverses double over the cyclic group (Z/ell)^* = <g>, so a norm
+  takes about 2 log2(ell) products, not ell - 2;
 * norm-one units attached to a cyclotomic level (n, d), produced by pushing
   the two-variable product over (zeta_ell^t - zeta_n^t) down to the
   subfield cut out by the quadratic field, together with a fully exact
@@ -19,13 +21,16 @@ Four tools live here, all exact:
   so no F_ell^* is tabled.
 
 `fractions` is imported only where a Fraction can appear: a scalar that is
-neither an int nor a `QuadElement`, and the norm down to Q.
+neither an int nor a `QuadElement`, and `absolute_norm`.  The certificate
+forms its norm down to Q in integers, so it loads no `fractions`.
 
 Bad arguments raise ValueError and a broken internal invariant raises
 ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
 """
 
 import math
+import sys
+from array import array
 
 from .nt import divisors, is_prime, moebius, primitive_root, radical
 from .quadratic import QuadElement
@@ -72,7 +77,12 @@ def _omega_ints(field, z):
 
 
 # -- Kronecker substitution: a vector v of ints is the int sum v[j] 2^(w j)
-# for a slot width w = 8k bits, with signed digits |v[j]| < 2^(w-1).
+# for a slot width w = 8k bits, with signed digits |v[j]| < 2^(w-1).  A
+# slot of k = 8 bytes is one signed 64-bit lane of an `array('q')`, which
+# packs and unpacks a whole vector in C; wider slots go through bytes.
+
+_LANE = 8
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _bias(count, k):
@@ -81,6 +91,13 @@ def _bias(count, k):
 
 
 def _pack(vec, k):
+    if k == _LANE:
+        lanes = array("q", vec)
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        # flipping the top bit of each two's-complement lane adds the bias
+        bias = _bias(len(vec), k)
+        return (int.from_bytes(lanes.tobytes(), "little") ^ bias) - bias
     half = 1 << (8 * k - 1)
     raw = b"".join((v + half).to_bytes(k, "little") for v in vec)
     return int.from_bytes(raw, "little") - _bias(len(vec), k)
@@ -93,9 +110,17 @@ def _unpack_cyclic(value, ell, k):
     into ell slots.  Requires |f_j| < 2^(w-1) - 1: the biased residue then
     has the digits f_j + 2^(w-1) with no carries.
     """
-    half = 1 << (8 * k - 1)
     size = k * ell
-    raw = ((value + _bias(ell, k)) % ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    bias = _bias(ell, k)
+    biased = (value + bias) % ((1 << (8 * size)) - 1)
+    if k == _LANE:
+        # removing the bias bit by bit leaves each digit in two's complement
+        lanes = array("q", (biased ^ bias).to_bytes(size, "little"))
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        return lanes.tolist()
+    half = 1 << (8 * k - 1)
+    raw = biased.to_bytes(size, "little")
     return [int.from_bytes(raw[i : i + k], "little") - half for i in range(0, size, k)]
 
 
@@ -117,7 +142,14 @@ class CycQuadElement:
     A product packs each coordinate vector into one int (Kronecker
     substitution), takes the three big-integer products AC, BD and
     (A + B)(C + D), rewrites omega^2 = T omega - N with T, N the trace and
-    norm of omega, and folds the packed results modulo zeta^ell - 1.
+    norm of omega, and folds the packed results modulo zeta^ell - 1.  A
+    slot of at most 8 bytes is widened to one signed 64-bit lane, which
+    `array('q')` packs and unpacks for the whole vector at once; wider
+    slots are packed byte by byte.
+
+    The norm to k and the inverse both take the product of the ell - 2
+    conjugates zeta -> zeta^s, s != 1, by doubling over the powers of a
+    primitive root g mod ell (`_conjugates`).
 
     The public constructors check that ell is an odd prime unramified in
     k; arithmetic on elements that passed that check does not repeat it.
@@ -239,7 +271,7 @@ class CycQuadElement:
             + (ell - 1).bit_length()
             + (abs(N) + 6).bit_length()
         )
-        k = (bits + 9) // 8
+        k = max((bits + 9) // 8, _LANE)
         pa, pb = _pack(self.A, k), _pack(self.B, k)
         if other is self:
             pc, pd = pa, pb
@@ -322,10 +354,23 @@ class CycQuadElement:
     # -- norms, integrality, residues
 
     def _conjugates(self):
-        """The product of the ell - 2 conjugates zeta -> zeta^s, 2 <= s < ell."""
-        co = self.galois_zeta(2)
-        for s in range(3, self.ell):
-            co = co * self.galois_zeta(s)
+        """The product of the ell - 2 conjugates zeta -> zeta^s, 2 <= s < ell.
+
+        With g a primitive root mod ell and P(a) the product of
+        sigma_(g^i)(self) for 1 <= i <= a, P(a + b) = P(a) sigma_(g^a)(P(b)).
+        Doubling a along the binary digits of ell - 2 gives P(ell - 2), the
+        product over every s but 1, in at most 2 log2(ell) products.
+        """
+        ell = self.ell
+        g = primitive_root(ell)
+        y = self.galois_zeta(g)
+        co, a = y, 1
+        for bit in bin(ell - 2)[3:]:
+            co = co * co.galois_zeta(pow(g, a, ell))
+            a *= 2
+            if bit == "1":
+                co = y * co.galois_zeta(g)
+                a += 1
         return co
 
     def _base_part(self, what):
@@ -441,12 +486,18 @@ def special_unit_certificate(field, n, d, ell):
       * a sign choice making the element congruent to 1 modulo d,
       * at every prime over ell the element reduces (zeta -> 1) to the
         cyclotomic number of the same level.
+
+    The absolute norm is reported as an int, or as the reduced "p/q" when
+    it is not integral.
     """
     eps = special_unit(field, n, d, ell)
     delta = cyclotomic_number(field, n, d)
     nrm = eps.norm_to_quad()
-    abs_norm = nrm.norm()
-    is_unit = eps.is_integral() and abs(abs_norm) == 1
+    # the norm down to Q, exact in integers: num / den in lowest terms
+    num, den = nrm._norm_numerator(), nrm.e**2
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    is_unit = eps.is_integral() and abs(num) == den == 1
     norm_one = nrm == field.one()
 
     if (eps - 1).divisible_by_int(d):
@@ -473,7 +524,7 @@ def special_unit_certificate(field, n, d, ell):
         "sign": sign,
         "matches_cyclotomic_residues": matches,
         "residues": residues,
-        "absolute_norm": abs_norm,
+        "absolute_norm": num if den == 1 else "%d/%d" % (num, den),
     }
 
 
@@ -489,19 +540,19 @@ def hilbert90_witness(eps):
     -sum_i zeta^(g s^i) eps^(1 + tau + ... + tau^(i-1)); the exponent g
     walks 1, 2, ... until alpha is nonzero (guaranteed within ell - 1).
 
-    Requires eps integral with norm one down to the quadratic field.
+    Requires eps integral with norm one down to the quadratic field.  That
+    norm is the next partial product, partial[ell - 2] tau^(ell - 2)(eps),
+    so it costs one product more.
     Returns a dict with alpha, the chosen g, s, and the exact flags.
     """
     field, ell = eps.field, eps.ell
     s = primitive_root(ell)
-    nrm = eps.norm_to_quad()
-    if nrm != field.one():
-        raise ValueError("witness requires relative norm one")
-
     partial = [CycQuadElement._embed(field, ell, 1)]
-    for i in range(1, ell - 1):
+    for i in range(1, ell):
         conj = eps.galois_zeta(pow(s, i - 1, ell))
         partial.append(partial[-1] * conj)
+    if partial.pop() != 1:
+        raise ValueError("witness requires relative norm one")
 
     alpha = None
     g_used = None

@@ -90,6 +90,12 @@ def test_a_non_unit_refutes_with_its_exact_absolute_norm(monkeypatch):
     assert first.status == "falsifies-paper"
     assert first.witness["aux_prime"] == 11 and not first.witness["is_unit"]
     assert first.witness["absolute_norm"] == "1/1048576"
+    # (6 + omega) / 41 has norm 41 / 41^2: the norm is written in lowest terms
+    z = QuadElement(K5, 6, 1, 41)
+    monkeypatch.setattr(special, "special_unit", lambda *args: unit(*args) * z)
+    first = check_special_units(5)[0]
+    assert first.status == "falsifies-paper"
+    assert first.witness["absolute_norm"] == "1/%d" % 41**10
 
 
 def test_special_unit_certificate_quadratic_level():
@@ -122,6 +128,15 @@ def test_hilbert90_witness_trivial_unit():
     assert out["alpha"] == CycQuadElement.one(K5, 11)
     assert out["root_exponent"] == 1
     assert out["cocycle_identity"] and out["ideal_stable"]
+
+
+def test_hilbert90_witness_refuses_a_norm_other_than_one():
+    # norms down to k: ell, eps_5^10 and 1 / 2^10
+    for x in (1 - zeta(K5, 11), K5.fundamental_unit(), QuadElement(K5, 1, 0, 2)):
+        if not isinstance(x, CycQuadElement):
+            x = CycQuadElement.from_quad(K5, 11, x)
+        with pytest.raises(ValueError, match="relative norm one"):
+            hilbert90_witness(x)
 
 
 def test_hilbert90_witness_special_unit():
@@ -347,7 +362,10 @@ def test_product_and_galois_match_schoolbook(ell):
             assert X.is_integral() == all(a.is_integral() for a in x)
 
 
-@pytest.mark.parametrize("ell", (3, 5, 7, 11))
+# ell - 2 = 11 and 27 take three and four set bits in the doubling; the
+# schoolbook norm at ell = 53 takes about 1.5 s a sample, so 53 is left to
+# the sequential product below
+@pytest.mark.parametrize("ell", (3, 5, 7, 11, 13, 29))
 def test_norm_and_inverse_match_schoolbook(ell):
     rng = random.Random(2000 + ell)
     for field in ORACLE_FIELDS:
@@ -368,6 +386,83 @@ def test_norm_and_inverse_match_schoolbook(ell):
             inv = nrm[0].inverse()
             assert list(X.inverse().coeffs) == [c * inv for c in co]
             assert X * X.inverse() == 1
+
+
+@pytest.mark.parametrize("ell", (31, 53, 61))
+def test_norm_by_doubling_is_the_sequential_product(ell):
+    # the ell - 2 conjugates zeta -> zeta^s, 2 <= s < ell, one after another
+    rng = random.Random(3000 + ell)
+    for field in (K5, K316):
+        x = _random_coeffs(rng, field, 10) + [field.zero()] * (ell - 10)
+        X = _element(field, ell, x)
+        if X.is_zero():
+            continue
+        co = X.galois_zeta(2)
+        for s in range(3, ell):
+            co = co * X.galois_zeta(s)
+        assert X._conjugates() == co
+        assert X.norm_to_quad() == (X * co)._base_part("not in k")
+        assert X * X.inverse() == 1
+
+
+def _tall(rng, field, ell, bits):
+    """ell - 1 integral coefficients whose coordinates have at most `bits`
+    bits, with both extremes +-(2^bits - 1) among them."""
+    top = (1 << bits) - 1
+    coords = [rng.randint(-top, top) for _ in range(2 * (ell - 1))]
+    coords[rng.randrange(len(coords))] = top
+    coords[rng.randrange(len(coords))] = -top
+    return [QuadElement(field, a, b) for a, b in zip(coords[::2], coords[1::2])]
+
+
+def test_products_across_the_lane_boundary_match_schoolbook(monkeypatch):
+    # at ell = 11 over Q(sqrt 5) a product needs hx + hy + 7 bits of slot
+    # and two spare, so k = (hx + hy + 16) // 8 bytes: 7, 8, 9 and 10 below.
+    # Slots of at most 8 bytes take one 64-bit lane, wider ones bytes.
+    widths = []
+    pack = special._pack
+
+    def spy(vec, k):
+        widths.append(k)
+        return pack(vec, k)
+
+    monkeypatch.setattr(special, "_pack", spy)
+    rng = random.Random(4000)
+    ell = 11
+    raw = []
+    for hx, hy in ((20, 20), (20, 27), (24, 26), (20, 40), (30, 30), (33, 35), (50, 20), (70, 1)):
+        raw.append((hx + hy + 16) // 8)
+        for _ in range(2):
+            x, y = _tall(rng, K5, ell, hx), _tall(rng, K5, ell, hy)
+            X, Y = _element(K5, ell, x), _element(K5, ell, y)
+            assert list((X * Y).coeffs) == _school_mul(K5, ell, x, y)
+            assert list((Y * X).coeffs) == _school_mul(K5, ell, y, x)
+        assert list((X * X).coeffs) == _school_mul(K5, ell, x, x)
+    assert set(raw) == {7, 8, 9, 10}
+    assert min(widths) == 8 and {9, 10} <= set(widths)
+
+
+@pytest.mark.parametrize("k", (8, 9, 10))
+def test_pack_and_unpack_hold_digits_up_to_the_slot_bound(k):
+    # _unpack_cyclic reads digits |f| < 2^(8k-1) - 1 of a value folded
+    # modulo 2^(8k ell) - 1, which is zeta^ell - 1 at zeta = 2^(8k)
+    top = (1 << (8 * k - 1)) - 2
+    rng = random.Random(5000 + k)
+    ell = 7
+    for vec in (
+        [top] * ell,
+        [-top] * ell,
+        [top, -top, 0, 1, -1, top - 1, -top + 1],
+        [rng.randint(-top, top) for _ in range(ell)],
+    ):
+        packed = special._pack(vec, k)
+        assert packed == sum(v << (8 * k * j) for j, v in enumerate(vec))
+        assert special._unpack_cyclic(packed, ell, k) == vec
+        # a vector twice as long folds onto ell slots
+        half = [v // 2 for v in vec]
+        longer = special._pack(half + half[::-1], k)
+        folded = [a + b for a, b in zip(half, half[::-1])]
+        assert special._unpack_cyclic(longer, ell, k) == folded
 
 
 def test_mixed_fields_are_rejected():
@@ -396,6 +491,21 @@ def test_h90_height_is_that_of_the_rational_coordinates(D):
     ell = special_prime_candidates(field, 3, 4, 1)[0]
     (record,) = check_h90(D, ell)
     alpha = hilbert90_witness(special_unit(field, 3, 4, ell))["alpha"]
+    oracle = max(max(abs(c.x.numerator), abs(c.y.numerator)) for c in alpha.coeffs)
+    assert record.witness["coefficient_height"] == str(oracle)
+
+
+@pytest.mark.parametrize(
+    "D, ell, level, twist",
+    [(5, 11, 5, 2), (13, 17, 13, 2), (21, 5, 21, 3), (29, 7, 29, 2), (8, 7, 8, 4), (12, 11, 12, 3)],
+)
+def test_h90_height_counts_the_omega_part(D, ell, level, twist):
+    # at the field's own level alpha is not rational: its coefficients have
+    # an omega part, which at odd D also enters x = (2a + b) / 2e
+    field = QuadField(D)
+    (record,) = check_h90(D, ell, level, twist)
+    alpha = hilbert90_witness(special_unit(field, level, twist, ell))["alpha"]
+    assert any(alpha.B)
     oracle = max(max(abs(c.x.numerator), abs(c.y.numerator)) for c in alpha.coeffs)
     assert record.witness["coefficient_height"] == str(oracle)
 
