@@ -18,3 +18,19 @@ residue-ring targets of the Galois modules, which take G = {1, sigma} only.
 """
 
 __version__ = "0.1.0"
+
+
+def _lazy_getattr(namespace, homes):
+    """A module's `__getattr__`: a name of `homes` from its home module,
+    kept in `namespace` once found."""
+
+    def __getattr__(name):
+        if name not in homes:
+            module = namespace["__name__"]
+            raise AttributeError("module %r has no attribute %r" % (module, name))
+        from importlib import import_module
+
+        namespace[name] = getattr(import_module("." + homes[name], __name__), name)
+        return namespace[name]
+
+    return __getattr__

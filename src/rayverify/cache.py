@@ -2,8 +2,9 @@
 
 Only the ``cache`` verbs and ``verify annihilator --mode special`` load this
 module, so the other commands compile none of it and import neither `json`
-nor `hashlib`.  `harness.Cache` and `harness.source_digest` still resolve
-to the names defined here, through `harness._MOVED`.
+nor `hashlib`.  The special mode keeps one entry per call, its list of
+certificates.  `harness.Cache` still resolves to `Cache` through
+`harness._MOVED`.
 """
 
 import functools
@@ -75,17 +76,25 @@ class Cache:
             return None
 
     def put(self, key, value):
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Store `value` under `key` through a temporary file of this write's
+        own; an `OSError` leaves the key uncached, as `get` misses on one."""
         path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(value, fh, sort_keys=True)
-        tmp.replace(path)
-        # `_safe` leaves no glob metacharacter, so the glob fixes the prefix
-        safe = self._safe(key)
-        for old in self.root.glob(safe + "-v*.json"):
-            if old != path and _TAG.fullmatch(old.name, len(safe)):
-                old.unlink(missing_ok=True)
+        tmp = path.with_name("%s.%s.tmp" % (path.name, os.urandom(8).hex()))
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "w") as fh:
+                json.dump(value, fh, sort_keys=True)
+            tmp.replace(path)
+            # `_safe` leaves no glob metacharacter, so the glob fixes the prefix
+            safe = self._safe(key)
+            for old in self.root.glob(safe + "-v*.json"):
+                if old != path and _TAG.fullmatch(old.name, len(safe)):
+                    old.unlink(missing_ok=True)
+        except OSError:
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
 
     def _entries(self):
         """Files named like an entry of any code; other files are left alone."""

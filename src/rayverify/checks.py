@@ -38,8 +38,7 @@ family of the check it runs, and the layers that family calls into (the
 `cli` docstring lists them per command); no check loads `cyclo`.
 """
 
-import importlib
-
+from . import _lazy_getattr
 from .quadratic import QuadField, QuadGaloisGroup
 
 PASS = "pass"
@@ -110,11 +109,4 @@ _HOMES = {
 }
 
 
-def __getattr__(name):
-    """The check `name` from its family module, kept here once found."""
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module("." + home, __package__), name)
-    globals()[name] = value
-    return value
+__getattr__ = _lazy_getattr(globals(), _HOMES)

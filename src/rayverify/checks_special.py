@@ -1,9 +1,10 @@
 """Special units in k(zeta_ell): ``verify h90`` (`check_h90`) and
 ``verify annihilator --mode special`` (`check_special_units`).
 
-Both load `units` and `special`, and neither loads `fractions`: the h90
-check reads its witness in integer coordinates, and the certificate forms
-its absolute norm in integers.
+Both load `units` and `special`, but for a special-unit run that its cache
+serves, and neither loads `fractions`: the h90 check reads its witness in
+integer coordinates, and the certificate forms its absolute norm in
+integers.
 """
 
 import math
@@ -74,52 +75,46 @@ def check_special_units(D, twists=(2, 3, 4), count=3, cache=None):
     the special unit in k(zeta_ell) and verifies exactly: it is a unit, its
     norm to k is one, it is congruent to +-1 mod d, and its residues at
     both primes over ell match the residues of the twisted cyclotomic
-    number.  Certificates are cached when a cache is supplied.
+    number.  Each witness is a `special.special_unit_certificate` as is; a
+    cache holds all of a call's in one entry, keyed by D, the twists and the
+    count.  The `elapsed` add up to the call: a built call counts the read
+    to its first record and the write to its last, a served call all to
+    its last.
     """
-    from .special import special_prime_candidates, special_unit_certificate
+    t0 = time.perf_counter()
+    key = "special-units-%d-%s-%d" % (D, "_".join(map(str, twists)), count)
+    certs = cache.get(key) if cache is not None else None
+    stamps = [t0]
+    if certs is None:
+        from .special import special_prime_candidates, special_unit_certificate
 
-    field = QuadField(D)
-    n = field.D
+        field = QuadField(D)
+        certs = []
+        for d in twists:
+            for ell in special_prime_candidates(field, field.D, d, count):
+                certs.append(special_unit_certificate(field, field.D, d, ell))
+                stamps.append(time.perf_counter())
+        if cache is not None:
+            cache.put(key, certs)
+    else:
+        stamps += [t0] * len(certs)
+    stamps[-1] = time.perf_counter()  # the last record ends with the call
     results = []
-    for d in twists:
-        for ell in special_prime_candidates(field, n, d, count):
-            t0 = time.perf_counter()
-            key = "special-unit-%d-%d-%d-%d" % (D, n, d, ell)
-            cert = cache.get(key) if cache is not None else None
-            if cert is None:
-                raw = special_unit_certificate(field, n, d, ell)
-                cert = {
-                    "discriminant": raw["discriminant"],
-                    "level": raw["level"],
-                    "twist": raw["twist"],
-                    "aux_prime": raw["aux_prime"],
-                    "is_unit": raw["is_unit"],
-                    "norm_one": raw["norm_one"],
-                    "congruent_one_mod_d": raw["congruent_one_mod_d"],
-                    "sign": raw["sign"],
-                    "matches_cyclotomic_residues": raw["matches_cyclotomic_residues"],
-                    "residues": sorted(
-                        [int(r), int(a), int(b)]
-                        for r, (a, b) in raw["residues"].items()
-                    ),
-                    "absolute_norm": raw["absolute_norm"],
-                }
-                if cache is not None:
-                    cache.put(key, cert)
-            ok = (
-                cert["is_unit"]
-                and cert["norm_one"]
-                and cert["congruent_one_mod_d"]
-                and cert["matches_cyclotomic_residues"]
+    for cert, start, end in zip(certs, stamps, stamps[1:]):
+        ok = (
+            cert["is_unit"]
+            and cert["norm_one"]
+            and cert["congruent_one_mod_d"]
+            and cert["matches_cyclotomic_residues"]
+        )
+        results.append(
+            CheckResult(
+                name="special-unit-certificate D=%d n=%d d=%d ell=%d"
+                % (D, cert["level"], cert["twist"], cert["aux_prime"]),
+                anchor="special-unit-certificate",
+                status=PASS if ok else REFUTES,
+                witness=cert,
+                elapsed=end - start,
             )
-            results.append(
-                CheckResult(
-                    name="special-unit-certificate D=%d n=%d d=%d ell=%d"
-                    % (D, n, d, ell),
-                    anchor="special-unit-certificate",
-                    status=PASS if ok else REFUTES,
-                    witness=cert,
-                    elapsed=time.perf_counter() - t0,
-                )
-            )
+        )
     return results

@@ -17,7 +17,8 @@ spelled out in full; the last of a repeated flag wins.  The parser reads
 its grammar from two tables: `harness.COMMANDS` lists the verbs, the
 targets and the engine flags each command reads, and `_FLAGS` the type of
 each flag's value.  A flag that the command does not read is a usage
-error, and ``--help`` prints the commands from the same tables.
+error, as is a ``--report`` into a missing directory, and ``--help``
+prints the commands from the same tables.
 
 Run as a program (``python -m rayverify``, the ``rayverify`` script or
 ``python -m rayverify.cli``), a command loads only the modules it calls
@@ -33,7 +34,8 @@ check family and
   `intmat`, `residues` and `units`;
 * ``sinnott`` (`checks_sinnott`): `units` only;
 * ``h90`` (`checks_special`): `units` and `special` only, and
-  ``annihilator --mode special`` `cache` as well;
+  ``annihilator --mode special`` `cache` as well, or `cache` alone when
+  the cache serves it;
 * ``annihilator --mode solomon`` (`checks_annihilators`): `classgroup`,
   `gmodules`, `intmat`, `residues` and `units`, and ``--mode thaine`` and
   ``--mode both`` `special` as well.
@@ -62,6 +64,7 @@ instruments the layers (as ``perfbench/tracer.py`` does) finds every
 module in place.
 """
 
+import os
 import sys
 
 from . import __version__
@@ -208,6 +211,9 @@ def _parse(argv):
     named = [flag for flag in values if flag in ("quad", "field")]
     if len(named) == 2:
         _fail("argument --%s: not allowed with argument --%s" % (named[1], named[0]))
+    folder = os.path.dirname(values.get("report", ""))
+    if folder and not os.path.isdir(folder):
+        _fail("argument --report: no directory %r to write the report in" % folder)
     return verb, target, values
 
 
@@ -272,7 +278,6 @@ if __name__ == "__main__":
     # interpreter, or a flush fails (see the docstring)
     if sys.gettrace() is None and sys.getprofile() is None and not sys.flags.inspect:
         import atexit
-        import os
 
         atexit._run_exitfuncs()  # runs each handler once and unregisters it
         try:

@@ -18,13 +18,13 @@ commands: per (verb, target), the default field and the engine flags that
 ``run_<target>`` reads; `cli` parses the command line from it, and
 imports this module only once ``--version`` is answered.
 
-`Cache` and `source_digest` live in `cache`; the names here resolve to
-them on first access (`_MOVED`), for programs that look them up here.
+`Cache` lives in `cache`; `harness.Cache` resolves to it on first access
+(`_MOVED`), for programs that look it up here.
 """
 
 import math
 
-from . import __version__
+from . import __version__, _lazy_getattr
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -300,18 +300,8 @@ def run_conjecture(D, p=3, d=18):
     return build_report("explore conjecture", D, params, checks.explore_conjecture(D, p, d))
 
 
-#: names that moved to `cache`, by home module: `__getattr__` resolves them
-#: on first access, for the `TARGETS` of perfbench/tracer.py and the tests
-_MOVED = {"Cache": "cache", "source_digest": "cache"}
+#: the name that moved to `cache`, resolved on first access for the
+#: `TARGETS` of perfbench/tracer.py and the tests
+_MOVED = {"Cache": "cache"}
 
-
-def __getattr__(name):
-    """A name of `_MOVED` from its home module, kept here once found."""
-    import importlib
-
-    home = _MOVED.get(name)
-    if home is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module("." + home, __package__), name)
-    globals()[name] = value
-    return value
+__getattr__ = _lazy_getattr(globals(), _MOVED)

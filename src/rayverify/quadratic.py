@@ -31,9 +31,9 @@ the same.
 
 from __future__ import annotations
 
-import importlib
 import math
 
+from . import _lazy_getattr
 from .nt import kronecker, sqrt_mod, squarefree_part, valuation
 
 
@@ -551,17 +551,6 @@ _MOVED = {
     "ClassGroup": "classgroup",
     "MODULUS_LIMIT": "residues",
     "ResidueRing": "residues",
-    "_LocalUnits": "residues",
-    "_UnitDigits": "residues",
-    "_local_factors": "residues",
 }
 
-
-def __getattr__(name):
-    """A name of `_MOVED` from its home module, kept here once found."""
-    home = _MOVED.get(name)
-    if home is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module("." + home, __package__), name)
-    globals()[name] = value
-    return value
+__getattr__ = _lazy_getattr(globals(), _MOVED)

@@ -487,8 +487,9 @@ def special_unit_certificate(field, n, d, ell):
       * at every prime over ell the element reduces (zeta -> 1) to the
         cyclotomic number of the same level.
 
-    The absolute norm is reported as an int, or as the reduced "p/q" when
-    it is not integral.
+    Reports print it and the cache stores it as is: the residues are the
+    sorted [r, a, b], a and b those of the element and of the cyclotomic
+    number at omega -> r, and the absolute norm an int or the reduced "p/q".
     """
     eps = special_unit(field, n, d, ell)
     delta = cyclotomic_number(field, n, d)
@@ -508,10 +509,10 @@ def special_unit_certificate(field, n, d, ell):
         sign = 0
     congruent = sign != 0
 
-    residues = {
-        r: (eps.residue_at(r), quad_residue(delta, ell, r)) for r in field.prime_roots(ell)
-    }
-    matches = all(a == b for a, b in residues.values())
+    residues = sorted(
+        [r, eps.residue_at(r), quad_residue(delta, ell, r)] for r in field.prime_roots(ell)
+    )
+    matches = all(a == b for _, a, b in residues)
 
     return {
         "discriminant": field.D,

@@ -209,6 +209,9 @@ _PARSER_CONTRACT = {
         ["cache", "stats", "--p", "3"], 2, "", "error: --p: cache stats does not read it"),
     "field flag on cache": (
         ["cache", "clear", "--quad", "5"], 2, "", "error: --quad: cache clear does not read it"),
+    "report into a missing directory": (
+        _RAYS + ["--ell", "2", "--p", "3", "--report", "no/such/dir/r.json"], 2, "",
+        "error: argument --report: no directory 'no/such/dir' to write the report in"),
     "cache flag off its mode": (
         ["verify", "annihilator", "--mode", "thaine", "--cache", "unused"], 2, "",
         "error: --cache: verify annihilator --mode thaine does not read it"),
@@ -250,28 +253,31 @@ def test_cache_stats_and_clear(tmp_path, capsys):
     code = main(["cache", "stats", "--cache", cachedir])
     assert code == 0
     st = json.loads(capsys.readouterr().out)
-    assert st["entries"] == 9
+    assert st["entries"] == 1  # the nine certificates of one run, in one entry
 
     code = main(["cache", "clear", "--cache", cachedir])
     assert code == 0
-    assert "removed 9 entries" in capsys.readouterr().out
+    assert "removed 1 entries" in capsys.readouterr().out
 
     code = main(["cache", "stats", "--cache", cachedir])
     assert json.loads(capsys.readouterr().out)["entries"] == 0
 
 
 def test_cached_and_fresh_reports_agree(tmp_path):
-    cachedir = str(tmp_path / "cache")
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for path in (a, b):
-        code = main(
-            ["verify", "annihilator", "--quad", "5", "--mode", "special",
-             "--cache", cachedir, "--report", str(path)]
-        )
-        assert code == 0
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-    assert strip_timings(ra) == strip_timings(rb)
-    assert ra["summary"]["pass"] == 9
+    for quad in (5, 29):
+        cachedir = tmp_path / ("cache%d" % quad)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path in (a, b):  # cold, then warm
+            code = main(
+                ["verify", "annihilator", "--quad", str(quad), "--mode", "special",
+                 "--cache", str(cachedir), "--report", str(path)]
+            )
+            assert code == 0
+            # the nine certificates of a run are one entry
+            assert len(list(cachedir.glob("*.json"))) == 1
+        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+        assert strip_timings(ra) == strip_timings(rb)
+        assert ra["summary"]["pass"] == 9
 
 
 def test_explore_conjecture_runs(capsys):
@@ -388,13 +394,26 @@ _BASE = {
 _RAY_CLASS = {"classgroup", "gmodules", "intmat", "residues", "units"}
 
 
+def _with_cache(argv, directory):
+    """argv with the word after --cache, "cold" or "warm", replaced by the
+    fresh cache `directory`, which one cold run primes when it is "warm"."""
+    if "--cache" not in argv:
+        return argv
+    i = argv.index("--cache") + 1
+    out = argv[:i] + [str(directory)] + argv[i + 1:]
+    if argv[i] == "warm":
+        _modules_after(_as_program(out))
+    return out
+
+
 #: each command loads the module of its check family.  No command loads
 #: `cyclo`: each check builds its Galois group {1, sigma} in `quadratic`;
 #: sinnott and solomon decide their claims in integers, so no command loads
 #: `grouprings` or `padics`.  A class group (`classgroup`) comes only with a
 #: ray class group, and no command loads `fractions`.
 #: No command loads `argparse`, and only the special annihilator loads the
-#: certificate cache (`cache`) and `hashlib`.
+#: certificate cache (`cache`) and `hashlib`; served from the cache, it
+#: loads neither `special` nor `units`.
 @pytest.mark.parametrize(
     "argv, layers, fraction_free",
     [
@@ -405,8 +424,12 @@ _RAY_CLASS = {"classgroup", "gmodules", "intmat", "residues", "units"}
         (["verify", "sinnott"], {"checks_sinnott", "units"}, True),
         (["verify", "h90", "--quad", "13", "--ell", "53"],
          {"checks_special", "units", "special"}, True),
-        (["verify", "annihilator", "--quad", "5", "--mode", "special"],
+        (["verify", "annihilator", "--quad", "5", "--mode", "special", "--cache", "cold"],
          {"checks_special", "units", "special", "cache"}, True),
+        # every certificate is served from the cache: the entry is read, and
+        # nothing is built
+        (["verify", "annihilator", "--quad", "5", "--mode", "special", "--cache", "warm"],
+         {"checks_special", "cache"}, True),
         (["verify", "annihilator", "--mode", "thaine"],
          {"checks_annihilators", "special"} | _RAY_CLASS, True),
         (["verify", "annihilator", "--mode", "solomon"],
@@ -416,11 +439,10 @@ _RAY_CLASS = {"classgroup", "gmodules", "intmat", "residues", "units"}
     ],
 )
 def test_each_command_loads_only_the_layers_it_calls(argv, layers, fraction_free, tmp_path):
-    if "special" in argv:
-        argv = argv + ["--cache", str(tmp_path)]
     expected = _BASE | {"rayverify." + name for name in layers}
     loaded = _modules_after(
-        _as_program(argv), also=("dataclasses", "fractions") + _FRONT_END
+        _as_program(_with_cache(argv, tmp_path / "program")),
+        also=("dataclasses", "fractions") + _FRONT_END,
     )
     assert "dataclasses" not in loaded
     assert "argparse" not in loaded
@@ -429,7 +451,7 @@ def test_each_command_loads_only_the_layers_it_calls(argv, layers, fraction_free
         assert "fractions" not in loaded
     loaded -= {"fractions", "hashlib", "json"}
     assert loaded == expected, sorted(loaded)
-    loaded = _modules_after(_as_script(argv))
+    loaded = _modules_after(_as_script(_with_cache(argv, tmp_path / "script")))
     assert loaded == expected | {"rayverify.__main__"}, sorted(loaded)
 
 

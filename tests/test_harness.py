@@ -123,6 +123,78 @@ def test_cache_clear_and_stats_see_only_entries(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(foreign)
 
 
+def test_overlapping_puts_of_one_key_both_succeed(tmp_path, monkeypatch):
+    # a second write of the key starts and ends while the first one writes
+    from rayverify import cache as cache_module
+
+    cache = Cache(tmp_path)
+    dump = cache_module.json.dump
+    nested = []
+
+    def dump_with_a_nested_put(value, fh, **kw):
+        if not nested:
+            nested.append(value)
+            cache.put("k", {"v": "inner"})
+        dump(value, fh, **kw)
+
+    monkeypatch.setattr(cache_module.json, "dump", dump_with_a_nested_put)
+    cache.put("k", {"v": "outer"})
+    monkeypatch.undo()
+    assert nested
+    assert cache.get("k") == {"v": "outer"}  # the write that ended last
+    assert [p.name for p in tmp_path.iterdir()] == [cache._path("k").name]
+
+
+def _put_many(root, n):
+    cache = Cache(root)
+    for i in range(n):
+        cache.put("k", {"v": i})
+
+
+def test_concurrent_writers_of_one_key_all_finish(tmp_path):
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("spawn")
+    writers = [ctx.Process(target=_put_many, args=(str(tmp_path), 50)) for _ in range(4)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=60)
+    assert [(w.is_alive(), w.exitcode) for w in writers] == [(False, 0)] * 4
+    cache = Cache(tmp_path)
+    assert cache.get("k") in [{"v": i} for i in range(50)]
+    assert [p.name for p in tmp_path.iterdir()] == [cache._path("k").name]
+
+
+def test_a_root_that_is_a_file_leaves_the_run_uncached(tmp_path):
+    from rayverify.checks_special import check_special_units
+
+    root = tmp_path / "F"
+    root.write_text("not a directory")
+    cache = Cache(root)
+    cache.put("k", {"v": 1})
+    assert cache.get("k") is None
+    results = check_special_units(5, cache=cache)
+    assert len(results) == 9 and all(r.status == "pass" for r in results)
+    assert root.read_text() == "not a directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    from rayverify import cache as cache_module
+
+    def full_disk(value, fh, **kw):
+        fh.write("{")
+        raise OSError(28, "No space left on device")
+
+    cache = Cache(tmp_path)
+    monkeypatch.setattr(cache_module.json, "dump", full_disk)
+    cache.put("k", {"v": 1})
+    monkeypatch.undo()
+    assert cache.get("k") is None
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_resolve_discriminant_normalizes():
     assert resolve_discriminant(quad=5) == 5
     assert resolve_discriminant(quad=79) == 316

@@ -98,15 +98,60 @@ def test_a_non_unit_refutes_with_its_exact_absolute_norm(monkeypatch):
     assert first.witness["absolute_norm"] == "1/%d" % 41**10
 
 
+def test_special_records_add_up_to_the_call_read_and_write_included(
+    tmp_path, monkeypatch
+):
+    # a clock that ticks once per reading; a read or a write of the cache
+    # takes 1000 ticks
+    from types import SimpleNamespace
+
+    from rayverify import checks_special
+    from rayverify.cache import Cache
+
+    clock = [0]
+
+    def tick(n=1):
+        clock[0] += n
+        return clock[0]
+
+    class SlowCache(Cache):
+        def get(self, key):
+            tick(1000)
+            return super().get(key)
+
+        def put(self, key, value):
+            tick(1000)
+            super().put(key, value)
+
+    monkeypatch.setattr(checks_special, "time", SimpleNamespace(perf_counter=tick))
+    cache = SlowCache(tmp_path)
+    for run in ("cold", "warm"):
+        clock[0] = 0
+        elapsed = [r.elapsed for r in check_special_units(5, cache=cache)]
+        assert len(elapsed) == 9
+        # the first reading starts the call and the last one ends it
+        assert sum(elapsed) == pytest.approx(clock[0] - 1), run
+        if run == "cold":  # the read counts to the first record, the write to the last
+            assert elapsed[0] > 1000 and elapsed[-1] > 1000
+            assert max(elapsed[1:-1]) < 1000
+    # a served call counts wholly to its last record
+    assert elapsed[:-1] == [0] * 8 and elapsed[-1] > 1000
+    # an empty list of certificates, built and then served, has no record
+    for run in ("cold", "warm"):
+        assert check_special_units(5, count=0, cache=cache) == [], run
+
+
 def test_special_unit_certificate_quadratic_level():
     cert = special_unit_certificate(K5, 5, 2, 11)
     assert cert["is_unit"]
     assert cert["norm_one"]
     assert cert["congruent_one_mod_d"]
     assert cert["matches_cyclotomic_residues"]
-    # residues at the two primes over 11 agree with the cyclotomic number
+    # residues at the two primes over 11 agree with the cyclotomic number,
+    # as [r, a, b] triples sorted by the root r
     delta = cyclotomic_number(K5, 5, 2)
-    for r, (e_res, d_res) in cert["residues"].items():
+    assert [r for r, _, _ in cert["residues"]] == K5.prime_roots(11)
+    for r, e_res, d_res in cert["residues"]:
         assert e_res == d_res == quad_residue(delta, 11, r)
 
 
