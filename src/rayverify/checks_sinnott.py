@@ -19,19 +19,14 @@ from .quadratic import QuadField, _pair_pow, dirichlet_exponent, unit_exponent
 
 
 def _unit_log_valuation(field, p, K):
-    """w = v_p(log_p eps) = v_P(eps^(q - 1) - 1), capped at K, for an odd
-    unramified p: q = p at either prime P over a split p (the two values
-    agree, as eps sigma(eps) = +-1), and q = p^2 at P = (p) for inert p.
-    eps^(q - 1) is formed in O/(p^K) only, with omega sent to a root lifted
-    mod p^K for split p; for odd p, v_p(log(1 + z)) = v_p(z) once p | z."""
+    """w = v_p(log_p eps), capped at K, for an odd unramified p: the least
+    v_p of the coordinates of eps^(p^2 - 1) - 1 in O/(p^K), as for odd p
+    v_p(log(1 + z)) = v_p(z) once p | z.  One power serves split and inert
+    p alike: p + 1 is a p-adic unit, and the two primes over a split p give
+    the same value, as eps sigma(eps) = +-1."""
     eps, M = field.fundamental_unit(), p**K
-    if field.chi(p) == 1:
-        root = field.prime_root_lifted(p, field.prime_roots(p)[0], K)
-        z = [(pow(eps.a + eps.b * root, p - 1, M) - 1) % M]
-    else:
-        x, y = _pair_pow((eps.a, eps.b), p * p - 1, M, -field.omega_trace, field.omega_norm)
-        z = [(x - 1) % M, y]
-    return min(valuation(c, p) if c else K for c in z)
+    x, y = _pair_pow((eps.a, eps.b), p * p - 1, M, -field.omega_trace, field.omega_norm)
+    return min(valuation(c, p) if c else K for c in ((x - 1) % M, y))
 
 
 def check_sinnott(D, p, prec=12, d_max=6):

@@ -17,8 +17,8 @@ spelled out in full; the last of a repeated flag wins.  The parser reads
 its grammar from two tables: `harness.COMMANDS` lists the verbs, the
 targets and the engine flags each command reads, and `_FLAGS` the type of
 each flag's value.  A flag that the command does not read is a usage
-error, as is a ``--report`` into a missing directory, and ``--help``
-prints the commands from the same tables.
+error, as is a ``--report`` into a missing directory or naming a
+directory, and ``--help`` prints the commands from the same tables.
 
 Run as a program (``python -m rayverify``, the ``rayverify`` script or
 ``python -m rayverify.cli``), a command loads only the modules it calls
@@ -44,10 +44,10 @@ A class group loads `classgroup` and `units`, as it reads h off u_D;
 ``rays`` builds none.  No command loads `fractions`, and `json` is
 imported only to write a report or to read or write the cache.  No command
 loads `cyclo`, as each check builds the Galois group {1, sigma} in
-`quadratic`; only a field named by ``--field`` loads it, and `fractions`
-with it.  No command loads `padics` or `grouprings`: sinnott and solomon
-decide their claims in integers, and those two layers serve the tests and
-the acceptance gates.
+`quadratic` and a field named by ``--field`` is read with `nt` alone.  No
+command loads `padics` or `grouprings`: sinnott and solomon decide their
+claims in integers.  Those three layers serve the tests and the acceptance
+gates.
 
 Run as a program, a command that returns from `main` ends without the
 interpreter's teardown, which would clear every module and collect
@@ -211,9 +211,12 @@ def _parse(argv):
     named = [flag for flag in values if flag in ("quad", "field")]
     if len(named) == 2:
         _fail("argument --%s: not allowed with argument --%s" % (named[1], named[0]))
-    folder = os.path.dirname(values.get("report", ""))
+    report = values.get("report", "")
+    folder = os.path.dirname(report)
     if folder and not os.path.isdir(folder):
         _fail("argument --report: no directory %r to write the report in" % folder)
+    if os.path.isdir(report):
+        _fail("argument --report: %r is a directory, not a file" % report)
     return verb, target, values
 
 

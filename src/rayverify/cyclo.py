@@ -10,8 +10,10 @@ The module also handles abelian fields cut out of Q(zeta_m) by a subgroup
 H of (Z/m)^*: conductor reduction, the subgroup fixing the intersection
 with a smaller cyclotomic field, quadratic Gauss sums as canonical square
 roots of discriminants, and Gauss-period power sums with Newton's
-identities.  No command computes in Q(zeta_n) (`units.orbit_product` works
-modulo primes); tests use `CycNumber` and these routes as oracles.
+identities.  No command loads this module (`units.orbit_product` works
+modulo primes, and a ``--field`` is read with `nt`, which holds the
+`subgroup_generated` and `units_mod` imported here); tests and gates use
+`CycNumber`, `FieldSpec` and these routes as oracles.
 
 Bad arguments raise ValueError and a broken internal invariant raises
 ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
@@ -23,7 +25,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .nt import divisors, euler_phi, kronecker, units_mod
+from .nt import divisors, euler_phi, kronecker, subgroup_generated, units_mod
 
 
 # ----------------------------------------------------------------------
@@ -324,28 +326,6 @@ class CycNumber:
 
 # ----------------------------------------------------------------------
 # subfield bookkeeping
-
-
-def subgroup_generated(m, gens, limit=None):
-    """Subgroup of (Z/m)^* generated by gens, as a sorted tuple; None as
-    soon as it has more than `limit` elements, if a limit is given."""
-    if m == 1:
-        return (0,)
-    seen = {1}
-    frontier = [1]
-    gens = [g % m for g in gens]
-    if any(math.gcd(g, m) != 1 for g in gens):
-        raise ValueError("generators must be units mod %d" % m)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x * g % m
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-        if limit is not None and len(seen) > limit:
-            return None
-    return tuple(sorted(seen))
 
 
 def is_subgroup(m, H):

@@ -11,9 +11,9 @@ that use it, not by this module, so that ``--version`` and the cache
 commands start without it.  Each ``run_*`` imports `checks`, which loads
 only `nt` and `quadratic`; ``checks.check_X`` then loads the family module
 of that check, which imports the rest of what it uses (the `cli` docstring
-lists the modules of each command).  `resolve_discriminant` loads `cyclo`
-only for a ``--field``, and `run_annihilator` loads the certificate cache
-(`cache`) only in its special mode.  `COMMANDS` is the one table of
+lists the modules of each command).  `resolve_discriminant` reads a
+``--field`` with `nt` alone, and `run_annihilator` loads the certificate
+cache (`cache`) only in its special mode.  `COMMANDS` is the one table of
 commands: per (verb, target), the default field and the engine flags that
 ``run_<target>`` reads; `cli` parses the command line from it, and
 imports this module only once ``--version`` is answered.
@@ -39,16 +39,20 @@ def resolve_discriminant(quad=None, field=None):
     generated by the a_i in (Z/m)^*.  Raises ValueError for arguments that
     do not describe a real quadratic field.
     """
-    from .nt import euler_phi, fundamental_discriminant, squarefree_part
+    from .nt import divisors, euler_phi, fundamental_discriminant, kronecker
+    from .nt import squarefree_part, subgroup_generated
 
     if field is not None:
-        from .cyclo import FieldSpec, subgroup_generated
-
         m, _, gens = field.partition(":")
-        m = int(m)
+        try:
+            m = int(m)
+            gens = [int(a) for a in gens.split(",") if a.strip()]
+        except ValueError:
+            raise ValueError(
+                "--field %s: not of the form m:a1,a2,... with integers m and a_i" % field
+            ) from None
         if m < 3:
             raise ValueError("field %s: the modulus m must be at least 3" % field)
-        gens = [int(a) for a in gens.split(",") if a.strip()]
         for a in gens:
             if math.gcd(a, m) != 1:
                 raise ValueError("field %s: %d is not prime to %d" % (field, a, m))
@@ -60,17 +64,18 @@ def resolve_discriminant(quad=None, field=None):
                 "field %s is not real (-1 is not in the subgroup); only real "
                 "quadratic fields are supported here" % field
             )
-        # before FieldSpec, which lists (Z/m)^*
         if H is None or phi != 2 * len(H):
             raise ValueError(
                 "field %s has degree %d; only real quadratic fields are "
                 "supported here" % (field, 1 if H is None else phi // len(H))
             )
-        spec = FieldSpec(m, H)
-        D = spec.conductor
-        if spec.H != FieldSpec.quadratic(D).H:
-            raise ArithmeticError("field %s: conductor %d does not match" % (field, D))
-        return D
+        # an even H of index 2 is the kernel of exactly one chi_D, D > 0
+        # fundamental and dividing m: the D at which every a_i is a residue
+        for D in divisors(m):
+            if squarefree_part(D) != 1 and fundamental_discriminant(D) == D:
+                if all(kronecker(D, a) == 1 for a in gens):
+                    return D
+        raise ArithmeticError("field %s: no chi_D mod %d has H as its kernel" % (field, m))
     if quad is None:
         raise ValueError("a field is required: pass --quad or --field")
     quad = int(quad)

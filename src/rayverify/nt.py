@@ -1,8 +1,8 @@
 """Elementary number theory helpers shared across the package.
 
-`radical` and `units_mod` live here, not in `grouprings` and `cyclo` (which
-import them back), so that the special-unit layers reach them without
-loading either of those layers.
+`radical`, `units_mod` and `subgroup_generated` live here, not in
+`grouprings` and `cyclo` (which import them back), so that the special-unit
+layers and a ``--field`` reach them without loading either layer.
 
 Bad arguments raise ValueError; no check is an `assert`, so `python -O`
 behaves the same.
@@ -108,6 +108,28 @@ def units_mod(n):
     if n == 1:
         return (0,)
     return tuple(a for a in range(1, n) if math.gcd(a, n) == 1)
+
+
+def subgroup_generated(m, gens, limit=None):
+    """Subgroup of (Z/m)^* generated by gens, as a sorted tuple; None as
+    soon as it has more than `limit` elements, if a limit is given."""
+    if m == 1:
+        return (0,)
+    seen = {1}
+    frontier = [1]
+    gens = [g % m for g in gens]
+    if any(math.gcd(g, m) != 1 for g in gens):
+        raise ValueError("generators must be units mod %d" % m)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x * g % m
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+        if limit is not None and len(seen) > limit:
+            return None
+    return tuple(sorted(seen))
 
 
 def moebius(n):

@@ -23,10 +23,9 @@ that builds neither (``verify h90``, ``verify sinnott``) compiles neither
 module.  The `_pair_*` helpers are the products mod n that `residues` and
 `checks_sinnott` share.  `__getattr__` still resolves the moved names
 (`_MOVED`) here.  The module holds no float, and it imports `fractions`
-only in the code that builds a Fraction: the views `x`, `y`, `norm`,
-`trace` and `omega_coords`, and non-int input.  Bad arguments raise
-ValueError and broken invariants ArithmeticError, so `python -O` behaves
-the same.
+only in the code that builds a Fraction: the views `x`, `y`, `norm` and
+`omega_coords`, and non-int input.  Bad arguments raise ValueError and
+broken invariants ArithmeticError, so `python -O` behaves the same.
 """
 
 from __future__ import annotations
@@ -189,11 +188,6 @@ class QuadElement:
         from fractions import Fraction
 
         return Fraction(self._norm_numerator(), self.e * self.e)
-
-    def trace(self):
-        from fractions import Fraction
-
-        return Fraction(2 * self.a + self.b * self.field.omega_trace, self.e)
 
     def inverse(self):
         n = self._norm_numerator()

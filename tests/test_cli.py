@@ -156,6 +156,7 @@ def _exit_code(argv):
 
 
 _RAYS = ["verify", "rays", "--quad", "5"]
+_TESTS_DIR = str(Path(__file__).resolve().parent)
 
 #: argv -> (exit status, text on stdout, text on stderr).  An empty stdout
 #: or stderr column means that stream must be empty.
@@ -212,6 +213,10 @@ _PARSER_CONTRACT = {
     "report into a missing directory": (
         _RAYS + ["--ell", "2", "--p", "3", "--report", "no/such/dir/r.json"], 2, "",
         "error: argument --report: no directory 'no/such/dir' to write the report in"),
+    # this ran the check and printed its verdict before the write failed
+    "report naming a directory": (
+        ["verify", "gras", "--quad", "5", "--report", _TESTS_DIR], 2, "",
+        "error: argument --report: %r is a directory, not a file" % _TESTS_DIR),
     "cache flag off its mode": (
         ["verify", "annihilator", "--mode", "thaine", "--cache", "unused"], 2, "",
         "error: --cache: verify annihilator --mode thaine does not read it"),
@@ -407,7 +412,8 @@ def _with_cache(argv, directory):
 
 
 #: each command loads the module of its check family.  No command loads
-#: `cyclo`: each check builds its Galois group {1, sigma} in `quadratic`;
+#: `cyclo`: each check builds its Galois group {1, sigma} in `quadratic`,
+#: and a --field is read with `nt` alone;
 #: sinnott and solomon decide their claims in integers, so no command loads
 #: `grouprings` or `padics`.  A class group (`classgroup`) comes only with a
 #: ray class group, and no command loads `fractions`.
@@ -436,6 +442,10 @@ def _with_cache(argv, directory):
          {"checks_annihilators"} | _RAY_CLASS, True),
         (["verify", "annihilator", "--mode", "both"],
          {"checks_annihilators", "special"} | _RAY_CLASS, True),
+        (["verify", "rays", "--field", "5:4"],
+         {"checks_rays", "gmodules", "intmat", "residues"}, True),
+        # the index-2 subgroup {1, 4, 11, 14} of (Z/15)^*: conductor 5
+        (["verify", "gras", "--field", "15:4,14"], {"checks_gras"} | _RAY_CLASS, True),
     ],
 )
 def test_each_command_loads_only_the_layers_it_calls(argv, layers, fraction_free, tmp_path):

@@ -1,6 +1,8 @@
 import inspect
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from rayverify.checks import CheckResult
-from rayverify.cyclo import FieldSpec
+from rayverify.cyclo import FieldSpec, subgroup_generated
 from rayverify.gmodules import residue_structure_target
 from rayverify.grouprings import GaloisGroup
 from rayverify.cache import Cache
@@ -233,6 +235,62 @@ def test_resolve_discriminant_counts_a_whole_unit_group_as_degree_1():
         resolve_discriminant(field="11:2")
     with pytest.raises(ValueError, match="has degree 5"):
         resolve_discriminant(field="11:10")
+
+
+def _field_spec_route(field):
+    """The conductor of the fixed field of <a_i> in (Z/m)^*, from H listed
+    as a `cyclo.FieldSpec` and matched against `FieldSpec.quadratic` of its
+    conductor: an oracle that lists (Z/m)^* and reads no quadratic
+    character.  The checks and their messages come first, in the order
+    `resolve_discriminant` makes them."""
+    m, _, gens = field.partition(":")
+    m = int(m)
+    if m < 3:
+        raise ValueError("field %s: the modulus m must be at least 3" % field)
+    gens = [int(a) for a in gens.split(",") if a.strip()]
+    for a in gens:
+        if math.gcd(a, m) != 1:
+            raise ValueError("field %s: %d is not prime to %d" % (field, a, m))
+    phi = len([a for a in range(1, m) if math.gcd(a, m) == 1])
+    H = subgroup_generated(m, gens, limit=phi // 2)
+    if H is not None and m - 1 not in H:
+        raise ValueError(
+            "field %s is not real (-1 is not in the subgroup); only real "
+            "quadratic fields are supported here" % field
+        )
+    if H is None or phi != 2 * len(H):
+        raise ValueError(
+            "field %s has degree %d; only real quadratic fields are "
+            "supported here" % (field, 1 if H is None else phi // len(H))
+        )
+    spec = FieldSpec(m, H)
+    assert spec.H == FieldSpec.quadratic(spec.conductor).H, field
+    return spec.conductor
+
+
+def _outcome(resolve, field):
+    try:
+        return resolve(field)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_field_matches_the_field_spec_route_on_a_seeded_grid():
+    # most generators are units mod m, some are not, or lie outside [0, m)
+    rng = random.Random(3301)
+    resolved = 0
+    for _ in range(6254):
+        m = rng.randrange(3, 400)
+        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+        gens = [
+            rng.choice(units) if rng.random() < 0.9 else rng.randrange(-m, 3 * m)
+            for _ in range(rng.randrange(0, 5))
+        ]
+        field = "%d:%s" % (m, ",".join(map(str, gens)))
+        expected = _outcome(_field_spec_route, field)
+        assert _outcome(lambda f: resolve_discriminant(field=f), field) == expected
+        resolved += isinstance(expected, int)
+    assert resolved > 300
 
 
 def test_h90_stops_above_its_ell_limit_before_any_work(monkeypatch):
@@ -476,6 +534,10 @@ def test_p_prec_and_d_contracts():
          "has degree 1"),
         # k(zeta_401) arithmetic took 17 s
         (["verify", "h90", "--quad", "5", "--ell", "401"], "above H90_ELL_LIMIT = 250"),
+        # these said only "invalid literal for int()"
+        (["verify", "rays", "--field", ":4"], "--field :4: not of the form m:a1,a2,..."),
+        (["verify", "rays", "--field", "5:4:3"], "--field 5:4:3: not of the form m:a1,a2,..."),
+        (["verify", "rays", "--field", "5:x"], "--field 5:x: not of the form m:a1,a2,..."),
     ],
 )
 def test_invalid_arguments_exit_2_with_message(optimize, argv, reason):

@@ -1,15 +1,23 @@
-"""The input-contract, quadratic-field, Galois-module, check, unit, p-adic,
-command-line, number-theory, integer-matrix, group-ring, cyclotomic,
-special-unit, traced-name and acceptance suites pass under ``python -O``.
+"""Static guards over every module of `src/rayverify`, and two runs under
+``python -O``.
 
-`-O` strips `assert` statements and ``if __debug__:`` blocks, so any input
-validation or invariant check still written as one disappears there.
-Pytest rewrites the tests' own asserts, so the tests keep checking.  The
-re-runs prove this for the lines the suites reach; a static test proves it
-for every module of the package, reached or not.  Beside it, static tests
-prove that no module holds a float, that only the command-line program
-ends the process, and that no command can load `padics` or `grouprings`.
-Kept in its own module so that the suites it runs do not run it again.
+`-O` strips `assert` statements and ``if __debug__:`` blocks and sets
+``sys.flags.optimize``; nothing else in a module's source behaves
+differently there, except code compiled at run time, which loses its
+asserts too.  So a static test that finds none of those constructs, nor a
+call of the builtins `exec`, `eval` or `compile`, proves for every line of
+the package, reached or not, that it behaves the same under `-O`.  Tier-1
+itself checks that each suite passes, so re-running a whole suite under
+`-O` would add nothing for the package.  Two runs under `-O` stay as
+end-to-end witnesses, each in one child process: the acceptance gates,
+and the golden report digests, whose commands cover every verb in
+process.  Pytest rewrites the tests' own asserts, so the tests keep
+checking there.
+
+Beside it, static tests prove that no module holds a float, that only the
+command-line program ends the process, and that no command can load
+`cyclo`, `padics` or `grouprings`.  Kept in its own module so that the
+suites it runs do not run it again.
 """
 
 import ast
@@ -23,9 +31,14 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rayverify"
 
 
+#: the builtins that compile code at run time, whose asserts -O strips
+_RUNTIME_COMPILERS = ("exec", "eval", "compile")
+
+
 def _optimize_dependent(tree):
     """Line numbers of the code that behaves differently under -O: an
-    `assert`, a use of `__debug__`, or a read of `sys.flags.optimize`."""
+    `assert`, a use of `__debug__`, a read of `sys.flags.optimize`, or a
+    call of a builtin in `_RUNTIME_COMPILERS`."""
     return sorted(
         node.lineno
         for node in ast.walk(tree)
@@ -36,12 +49,21 @@ def _optimize_dependent(tree):
             and node.attr == "optimize"
             and getattr(node.value, "attr", getattr(node.value, "id", None)) == "flags"
         )
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in _RUNTIME_COMPILERS
+        )
     )
 
 
 def test_the_static_guard_sees_each_kind():
-    code = "import sys\nassert x\nif __debug__:\n    y = sys.flags.optimize\n"
-    assert _optimize_dependent(ast.parse(code)) == [2, 3, 4]
+    code = (
+        "import re, sys\nassert x\nif __debug__:\n    y = sys.flags.optimize\n"
+        "exec('assert x')\neval('x')\nc = compile('assert x', 'f', 'exec')\n"
+        "r = re.compile('x')\nz = x.eval()\n"
+    )
+    assert _optimize_dependent(ast.parse(code)) == [2, 3, 4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -175,7 +197,7 @@ def test_only_the_command_line_program_ends_the_process(path):
 
 #: the layers that no command loads: they stay for the gates, the test
 #: oracles and the names the benchmark traces
-_OFF_PATH = ("padics", "grouprings")
+_OFF_PATH = ("cyclo", "padics", "grouprings")
 
 
 def _is_import_all(node):
@@ -247,6 +269,11 @@ def test_the_off_path_guard_sees_each_import_form():
         "    import rayverify.grouprings\n"
         "from .padica import x\n"
         "'`padics` and `grouprings`'\n"
+        "from .cyclo import FieldSpec\n"
+        "def g():\n"
+        "    from rayverify.cyclo import cyclotomic_polynomial\n"
+        "from .nt import subgroup_generated\n"
+        "from . import cyclotomic\n"
     )
     assert _off_path_imports(ast.parse(code)) == [
         (1, "padics", "module"), (2, "grouprings", "module"), (3, "padics", "module"),
@@ -254,20 +281,24 @@ def test_the_off_path_guard_sees_each_import_form():
         (8, "padics", "function"), (9, "grouprings", "function"),
         (11, "padics", "function"), (12, "grouprings", "module"),
         (14, "padics", "import-all"), (17, "grouprings", "module"),
+        (20, "cyclo", "module"), (22, "cyclo", "function"),
     ]
 
 
-#: the only modules that import `padics` or `grouprings`: `grouprings`, in
-#: the functions that test for a `PadicElement`, and the import-all branch
-#: of `cli`.  So no command loads either layer
+#: the only modules that import a layer of `_OFF_PATH`: the import-all
+#: branch of `cli`; `grouprings`, in the functions that test for a
+#: `PadicElement`; and `padics`, in `PadicRing.cyclotomic_root`.  So no
+#: command loads any of the three
 _OFF_PATH_IMPORTERS = {
-    "cli.py": {("grouprings", "import-all"), ("padics", "import-all")},
+    "cli.py": {("cyclo", "import-all"), ("grouprings", "import-all"),
+               ("padics", "import-all")},
     "grouprings.py": {("padics", "function")},
+    "padics.py": {("cyclo", "function")},
 }
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_only_grouprings_and_the_import_all_branch_import_the_padic_layers(path):
+def test_only_the_listed_importers_import_the_off_path_layers(path):
     found = {(layer, scope) for _, layer, scope in _off_path_imports(ast.parse(path.read_text()))}
     assert found == _OFF_PATH_IMPORTERS.get(path.name, set())
 
@@ -282,35 +313,9 @@ def _pytest_under_optimize(*suites):
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
-def test_harness_and_quadratic_suites_pass_under_optimize():
-    # one process each: the residue-ring oracle grid alone takes about a minute
-    _pytest_under_optimize("tests/test_harness.py")
-    _pytest_under_optimize("tests/test_quadratic.py")
-
-
-def test_gmodules_and_checks_suites_pass_under_optimize():
-    _pytest_under_optimize("tests/test_gmodules.py", "tests/test_checks.py")
-
-
-def test_units_padics_and_cli_suites_pass_under_optimize():
-    _pytest_under_optimize(
-        "tests/test_units.py", "tests/test_padics.py", "tests/test_cli.py"
-    )
-
-
-def test_nt_and_intmat_suites_pass_under_optimize():
-    _pytest_under_optimize("tests/test_nt.py", "tests/test_intmat.py")
-
-
-def test_grouprings_cyclo_and_special_suites_pass_under_optimize():
-    _pytest_under_optimize(
-        "tests/test_grouprings.py", "tests/test_cyclo.py", "tests/test_special.py"
-    )
-
-
-def test_benchmark_targets_suite_passes_under_optimize():
-    # the layers import one another lazily; every traced name still resolves
-    _pytest_under_optimize("tests/test_benchmark_targets.py")
+def test_golden_report_digests_hold_under_optimize():
+    # the golden commands cover every verb, each run in process by `cli.main`
+    _pytest_under_optimize("tests/test_cli.py::test_report_digests_are_golden")
 
 
 def test_acceptance_suite_passes_under_optimize():
