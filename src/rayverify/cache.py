@@ -1,16 +1,16 @@
 """The certificate cache: a directory of JSON entries keyed by name and code.
 
 Only the ``cache`` verbs and ``verify annihilator --mode special`` load this
-module, so the other commands compile none of it and import neither `json`
-nor `hashlib`.  The special mode keeps one entry per call, its list of
-certificates.  `harness.Cache` still resolves to `Cache` through
-`harness._MOVED`.
+module, so the other commands compile none of it and import no `json`.
+The special mode keeps one entry per call, its list of certificates.
+`harness.Cache` still resolves to `Cache` through `harness._MOVED`.
 """
 
 import functools
 import json
 import os
 import re
+import zlib
 from pathlib import Path
 
 from . import __version__
@@ -18,17 +18,20 @@ from . import __version__
 
 @functools.lru_cache(maxsize=None)
 def source_digest():
-    """sha256 over the names and contents of the package's *.py sources.
+    """16 hex digits: CRC-32 and Adler-32 over the names and contents of
+    the package's *.py sources.
 
+    The tag guards against entries written by stale code, not against an
+    adversary: an edit of a source changes it, but it is no cryptographic
+    hash.  It needs `zlib`, not `hashlib`, whose import loads OpenSSL.
     Computed on first use, once per process, so a command that never reads
     or writes an entry does not pay for it.
     """
-    from hashlib import sha256
-
-    h = sha256()
-    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    return h.hexdigest()
+    data = b"".join(
+        path.name.encode() + b"\0" + path.read_bytes() + b"\0"
+        for path in sorted(Path(__file__).resolve().parent.glob("*.py"))
+    )
+    return "%08x%08x" % (zlib.crc32(data), zlib.adler32(data))
 
 
 # entry names: "<key>-v<version>.json" (before source digests) or
@@ -63,7 +66,7 @@ class Cache:
 
     @staticmethod
     def _tag():
-        return "-v%s-%s.json" % (__version__, source_digest()[:16])
+        return "-v%s-%s.json" % (__version__, source_digest())
 
     def _path(self, key):
         return self.root / (self._safe(key) + self._tag())

@@ -25,21 +25,19 @@ Statuses
 All checks are deterministic: given the same parameters they produce the
 same records up to the ``elapsed`` fields.
 
-Each family of checks lives in a module of its own: `checks_sinnott`,
-`checks_rays`, `checks_gras`, `checks_special` and `checks_annihilators`.
-This module keeps what they share: the statuses, `CheckResult`,
-`_quad_setup` (the field and its Galois group {1, sigma}, a
-`quadratic.QuadGaloisGroup` built in O(1)) and `_rho_part`.  Each public
-check name resolves to its family on first access (`__getattr__` over
-`_HOMES`) and is then kept in this namespace, so ``checks.check_X`` and
-``from rayverify.checks import check_X`` work as if it were defined here.
-A command loads and compiles this module with `quadratic` and `nt`, the
-family of the check it runs, and the layers that family calls into (the
-`cli` docstring lists them per command); no check loads `cyclo`.
+Each family of checks lives in a module of its own, with the
+``run_<target>`` of its commands: `checks_sinnott`, `checks_rays`,
+`checks_gras`, `checks_special` and `checks_annihilators`.  This module
+keeps what they share: the statuses, `CheckResult`, `_quad_setup` (the
+field and its Galois group {1, sigma}, a `quadratic.QuadGaloisGroup`
+built in O(1)) and `_rho_part`.  Each public check name resolves to its
+family on first access (`__getattr__` over `_HOMES`) and is then kept in
+this namespace.  `quadratic` is imported only when a check builds its
+field, so a cache-served special run compiles none of it; the `cli`
+docstring lists the modules of each command.
 """
 
 from . import _lazy_getattr
-from .quadratic import QuadField, QuadGaloisGroup
 
 PASS = "pass"
 FAIL = "fail"
@@ -71,6 +69,8 @@ class CheckResult:
 
 
 def _quad_setup(D):
+    from .quadratic import QuadField, QuadGaloisGroup
+
     field = QuadField(D)
     return field, QuadGaloisGroup(field)
 
@@ -102,7 +102,7 @@ _HOMES = {
     "ray_power_subgroup_orders": "checks_gras",
     "explore_conjecture": "checks_gras",
     "check_h90": "checks_special",
-    "check_special_units": "checks_special",
+    "check_special_units": "checks_annihilators",
     "thaine_admissible_primes": "checks_annihilators",
     "check_thaine": "checks_annihilators",
     "check_solomon": "checks_annihilators",

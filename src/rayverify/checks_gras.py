@@ -1,16 +1,18 @@
-"""Unit indices against ray class groups: ``verify gras`` (`check_gras`,
-`check_gras_scan`) and ``explore conjecture`` (`explore_conjecture`).
+"""Unit indices against ray class groups: ``verify gras`` (`run_gras`,
+`check_gras`, `check_gras_scan`) and ``explore conjecture``
+(`run_conjecture`, `explore_conjecture`).
 
 Both sides are Galois modules: the congruence units over the congruence
 circular units (`unit_quotient_module`) and the ray class group, compared
 on their non-trivial-character Sylow p-parts (`checks._rho_part`).  These
-checks load the ray class layers (`gmodules`, `classgroup`, `residues` and
-`intmat`) and `units`.
+checks load the ray class layers (`rayclass`, `gmodules`, `classgroup`,
+`residues` and `intmat`), `units` and `circular`.
 """
 
 import time
 
 from .checks import FAIL, INCONCLUSIVE, PASS, CheckResult, _quad_setup, _rho_part
+from .harness import _check_modulus_limit, _check_odd_prime, build_report
 from .nt import is_prime, valuation
 
 
@@ -109,7 +111,7 @@ def check_gras(D, p, d=1):
     The compared quantities are the orders of the non-trivial-character
     components of the Sylow p-parts on both sides, for the ray modulus d.
     """
-    from .gmodules import RayClassGroup
+    from .rayclass import RayClassGroup
 
     field, group = _quad_setup(D)
     if p % 2 == 0:
@@ -127,7 +129,7 @@ def check_gras_scan(D, p_list=(3, 5, 7), d_max=50):
     equality is contentless otherwise).  The unit module is built at most
     once per d.
     """
-    from .gmodules import RayClassGroup
+    from .rayclass import RayClassGroup
 
     field, group = _quad_setup(D)
     for p in p_list:
@@ -190,7 +192,7 @@ def explore_conjecture(D, p, d=1, stabilization=25):
     only an upper bound: equality is corroboration, a larger unit side is
     inconclusive, and a smaller unit side is a genuine discrepancy.
     """
-    from .gmodules import RayClassGroup
+    from .rayclass import RayClassGroup
 
     field, group = _quad_setup(D)
     if p % 2 == 0:
@@ -231,3 +233,34 @@ def explore_conjecture(D, p, d=1, stabilization=25):
             elapsed=time.perf_counter() - t0,
         )
     ]
+
+
+def run_gras(D, p=None, d=None, mode=None):
+    if mode not in (None, "single", "scan"):
+        raise ValueError("--mode %s: the gras mode is one of single, scan" % mode)
+    if p is not None:
+        _check_odd_prime(p)
+    if d is not None and d < 1:
+        raise ValueError("--d %d: the ray modulus or scan bound must be at least 1" % d)
+    if d is not None:  # before a scan builds d - 1 rings
+        _check_modulus_limit(d)
+    if mode == "scan":
+        p_list = (3, 5, 7) if p is None else (p,)
+        d_max = 50 if d is None else d
+        params = {"p_list": list(p_list), "d_max": d_max, "mode": "scan"}
+        results = check_gras_scan(D, p_list, d_max)
+    else:
+        p = 3 if p is None else p
+        d = 1 if d is None else d
+        params = {"p": p, "d": d, "mode": "single"}
+        results = check_gras(D, p, d)
+    return build_report("verify gras", D, params, results)
+
+
+def run_conjecture(D, p=3, d=18):
+    _check_odd_prime(p)
+    if d < 1:
+        raise ValueError("--d %d: the ray modulus must be at least 1" % d)
+    _check_modulus_limit(d)  # before the class group and the ray class group
+    params = {"p": p, "d": d}
+    return build_report("explore conjecture", D, params, explore_conjecture(D, p, d))

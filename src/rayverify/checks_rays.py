@@ -1,13 +1,16 @@
-"""Galois structure of residue rings: ``verify rays`` (`check_rays`) and the
-cyclicity of O/(p) over the group ring (`check_cyclic`).
+"""Galois structure of residue rings: ``verify rays`` (`run_rays`,
+`check_rays`) and the cyclicity of O/(p) over the group ring
+(`check_cyclic`).
 
 `check_rays` loads `gmodules` (with `intmat` and `residues`) and no class
-group; `check_cyclic` stays in `quadratic`.
+group, ray class group or unit; `check_cyclic` stays in `quadratic`.
 """
 
 import time
 
 from .checks import PASS, REFUTES, CheckResult, _quad_setup
+from .harness import _check_odd_prime, build_report
+from .nt import is_prime, valuation
 from .quadratic import QuadField
 
 
@@ -100,3 +103,25 @@ def check_cyclic(D, p):
             elapsed=time.perf_counter() - t0,
         )
     ]
+
+
+def run_rays(D, ell=11, p=5, modulus=None):
+    _check_odd_prime(p)
+    if not is_prime(ell):
+        raise ValueError("--ell %d: the auxiliary prime must be a prime" % ell)
+    if ell == p and D % p == 0:  # before O/(ell^e) is built
+        raise ValueError(
+            "--ell %d --p %d: ell = p must be unramified in the field, but it "
+            "divides the discriminant %d" % (ell, p, D)
+        )
+    if modulus is None:
+        e = 1
+    else:
+        e = valuation(modulus, ell) if modulus > 0 else 0
+        if e < 1 or ell**e != modulus:
+            raise ValueError(
+                "--modulus %d: the modulus must be a positive power of ell = %d"
+                % (modulus, ell)
+            )
+    params = {"ell": ell, "p": p, "exponent": e}
+    return build_report("verify rays", D, params, check_rays(D, ell, p, e))

@@ -1,17 +1,21 @@
-"""The twisted-log identity of ``verify sinnott`` (`check_sinnott`).
+"""The twisted-log identity of ``verify sinnott`` (`run_sinnott`,
+`check_sinnott`).
 
 ``verify sinnott`` decides its identity by unit exponents in k: its
 L-value is k_D log_p eps, read off the level-D cyclotomic number, and the
 valuation of log_p eps comes from one power of eps in O/(p^K), so no
 p-adic log is taken and no check builds the cyclotomic ring of degree
-ord_D(p).  Besides `quadratic` and `nt`, it loads only `units`.
+ord_D(p).  Besides `quadratic` and `nt`, it loads only `units` and
+`circular`.
 """
 
 import time
 
 from .checks import FAIL, PASS, PRECISION_HEADROOM, CheckResult
+from .harness import _check_odd_prime, build_report
 from .nt import valuation
-from .quadratic import QuadField, _pair_pow, dirichlet_exponent, unit_exponent
+from .quadratic import QuadField, _pair_pow
+from .units import dirichlet_exponent, unit_exponent
 
 
 # --------------------------------------------------------------------------
@@ -56,7 +60,8 @@ def check_sinnott(D, p, prec=12, d_max=6):
     r = 0 and delta = +-sigma delta exactly: both sides are then 0 whatever
     the logs.
     """
-    from .units import cyclotomic_number, generating_levels, unit_log_value
+    from .circular import cyclotomic_number, generating_levels
+    from .units import unit_log_value
 
     field = QuadField(D)
     if p % 2 == 0 or D % p == 0:
@@ -99,3 +104,19 @@ def check_sinnott(D, p, prec=12, d_max=6):
                 )
             )
     return results
+
+
+def run_sinnott(D, p=7, prec=12, d=6):
+    _check_odd_prime(p)
+    if D % p == 0:
+        raise ValueError(
+            "--p %d: the verification prime must not divide D = %d" % (p, D)
+        )
+    if prec < 1:
+        raise ValueError("--prec %d: at least one p-adic digit must be compared" % prec)
+    if d < 1:
+        raise ValueError("--d %d: the twist bound must be at least 1" % d)
+    params = {"p": p, "prec": prec, "d_max": d}
+    return build_report(
+        "verify sinnott", D, params, check_sinnott(D, p, prec, d)
+    )

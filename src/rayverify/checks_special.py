@@ -1,17 +1,16 @@
-"""Special units in k(zeta_ell): ``verify h90`` (`check_h90`) and
-``verify annihilator --mode special`` (`check_special_units`).
+"""Special units in k(zeta_ell): ``verify h90`` (`run_h90`, `check_h90`).
 
-Both load `units` and `special`, but for a special-unit run that its cache
-serves, and neither loads `fractions`: the h90 check reads its witness in
-integer coordinates, and the certificate forms its absolute norm in
-integers.
+It loads `special` with `quadratic` and `circular`, and neither `units`
+nor `fractions`: the check reads its witness in integer coordinates.  The
+special-unit certificates of ``verify annihilator --mode special`` are
+`checks_annihilators.check_special_units`.
 """
 
 import math
 import time
 
 from .checks import PASS, REFUTES, CheckResult
-from .quadratic import QuadField
+from .harness import H90_ELL_LIMIT, build_report
 
 
 # --------------------------------------------------------------------------
@@ -27,6 +26,7 @@ def check_h90(D, ell, level=3, twist=4):
     the sum is nonzero, satisfies the cocycle identity exactly, and spans a
     Galois-stable principal ideal.
     """
+    from .quadratic import QuadField
     from .special import hilbert90_witness, special_unit
 
     field = QuadField(D)
@@ -64,57 +64,11 @@ def check_h90(D, ell, level=3, twist=4):
     ]
 
 
-# --------------------------------------------------------------------------
-# special-unit certificates
-
-
-def check_special_units(D, twists=(2, 3, 4), count=3, cache=None):
-    """Certify special units at the field's own cyclotomic level.
-
-    For each twist d and the first `count` admissible primes ell, builds
-    the special unit in k(zeta_ell) and verifies exactly: it is a unit, its
-    norm to k is one, it is congruent to +-1 mod d, and its residues at
-    both primes over ell match the residues of the twisted cyclotomic
-    number.  Each witness is a `special.special_unit_certificate` as is; a
-    cache holds all of a call's in one entry, keyed by D, the twists and the
-    count.  The `elapsed` add up to the call: a built call counts the read
-    to its first record and the write to its last, a served call all to
-    its last.
-    """
-    t0 = time.perf_counter()
-    key = "special-units-%d-%s-%d" % (D, "_".join(map(str, twists)), count)
-    certs = cache.get(key) if cache is not None else None
-    stamps = [t0]
-    if certs is None:
-        from .special import special_prime_candidates, special_unit_certificate
-
-        field = QuadField(D)
-        certs = []
-        for d in twists:
-            for ell in special_prime_candidates(field, field.D, d, count):
-                certs.append(special_unit_certificate(field, field.D, d, ell))
-                stamps.append(time.perf_counter())
-        if cache is not None:
-            cache.put(key, certs)
-    else:
-        stamps += [t0] * len(certs)
-    stamps[-1] = time.perf_counter()  # the last record ends with the call
-    results = []
-    for cert, start, end in zip(certs, stamps, stamps[1:]):
-        ok = (
-            cert["is_unit"]
-            and cert["norm_one"]
-            and cert["congruent_one_mod_d"]
-            and cert["matches_cyclotomic_residues"]
+def run_h90(D, ell=11):
+    if ell > H90_ELL_LIMIT:
+        raise ValueError(
+            "--ell %d: above H90_ELL_LIMIT = %d, the largest auxiliary prime "
+            "of verify h90" % (ell, H90_ELL_LIMIT)
         )
-        results.append(
-            CheckResult(
-                name="special-unit-certificate D=%d n=%d d=%d ell=%d"
-                % (D, cert["level"], cert["twist"], cert["aux_prime"]),
-                anchor="special-unit-certificate",
-                status=PASS if ok else REFUTES,
-                witness=cert,
-                elapsed=end - start,
-            )
-        )
-    return results
+    params = {"ell": ell, "level": 3, "twist": 4}
+    return build_report("verify h90", D, params, check_h90(D, ell))

@@ -4,7 +4,7 @@ The class group is computed from scratch: relations among the primes
 below the Minkowski bound are harvested from elements of smooth norm in a
 growing search box until the index of their lattice is the class number,
 which Dirichlet's formula gives exactly as u_D / sigma(u_D) = +-eps^(+-2h)
-(`quadratic.dirichlet_exponent`, `quadratic.analytic_class_number`; found
+(`units.dirichlet_exponent`, `units.analytic_class_number`; found
 relations can only over-count h).  Every relation row keeps the element
 that witnessed it, so principality questions reduce to exact integer
 linear algebra plus an explicit generator.  `QuadField.class_group`
@@ -16,7 +16,7 @@ import math
 
 from .intmat import Lattice
 from .nt import is_prime
-from .quadratic import analytic_class_number
+from .units import analytic_class_number
 
 
 class ClassGroup:

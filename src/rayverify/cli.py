@@ -24,30 +24,27 @@ Run as a program (``python -m rayverify``, the ``rayverify`` script or
 ``python -m rayverify.cli``), a command loads only the modules it calls
 into: ``--version`` loads no module of the package besides its
 ``__init__`` and this one; ``--help`` loads `harness`, which holds
-`COMMANDS`; ``cache`` adds the certificate cache (`cache`, with `json`
-and `hashlib`); and each ``verify`` or ``explore`` command imports
-`harness` and `checks` with `nt` and `quadratic`, plus the module of its
-check family and
+`COMMANDS`; ``cache`` adds the certificate cache (`cache`, with `json`);
+and each ``verify`` or ``explore`` command imports `harness`, `checks`,
+`nt` and the module of its check family (with its runner), and
 
-* ``rays`` (`checks_rays`): `gmodules`, `intmat` and `residues`;
-* ``gras`` and ``conjecture`` (`checks_gras`): `classgroup`, `gmodules`,
-  `intmat`, `residues` and `units`;
-* ``sinnott`` (`checks_sinnott`): `units` only;
-* ``h90`` (`checks_special`): `units` and `special` only, and
-  ``annihilator --mode special`` `cache` as well, or `cache` alone when
-  the cache serves it;
-* ``annihilator --mode solomon`` (`checks_annihilators`): `classgroup`,
-  `gmodules`, `intmat`, `residues` and `units`, and ``--mode thaine`` and
-  ``--mode both`` `special` as well.
+* ``rays`` (`checks_rays`): `quadratic`, `gmodules`, `intmat`, `residues`;
+* ``gras``, ``conjecture`` (`checks_gras`): those, `rayclass`,
+  `classgroup`, `units` and `circular`;
+* ``sinnott`` (`checks_sinnott`): `quadratic`, `units` and `circular`;
+* ``h90`` (`checks_special`): `quadratic`, `special` and `circular`;
+* ``annihilator`` (`checks_annihilators`): ``--mode special`` `cache`,
+  and `quadratic`, `special` and `circular` unless the cache serves it;
+  ``--mode solomon`` the modules of ``gras``, and ``thaine`` and
+  ``both`` `special` as well.
 
-A class group loads `classgroup` and `units`, as it reads h off u_D;
-``rays`` builds none.  No command loads `fractions`, and `json` is
-imported only to write a report or to read or write the cache.  No command
-loads `cyclo`, as each check builds the Galois group {1, sigma} in
-`quadratic` and a field named by ``--field`` is read with `nt` alone.  No
-command loads `padics` or `grouprings`: sinnott and solomon decide their
-claims in integers.  Those three layers serve the tests and the acceptance
-gates.
+Only a ray class group builds a class group, which reads h off u_D in
+`units`.  No command loads `fractions`, and `json` is imported only to
+write a report or to read or write the cache.  No command loads `cyclo`,
+as each check builds the Galois group {1, sigma} in `quadratic` and a
+field named by ``--field`` is read with `nt` alone.  No command loads
+`padics` or `grouprings`: sinnott and solomon decide their claims in
+integers.  Those three layers serve the tests and the acceptance gates.
 
 Run as a program, a command that returns from `main` ends without the
 interpreter's teardown, which would clear every module and collect
@@ -79,6 +76,7 @@ if __name__ != "__main__":
         checks_rays,
         checks_sinnott,
         checks_special,
+        circular,
         classgroup,
         cyclo,
         gmodules,
@@ -88,6 +86,7 @@ if __name__ != "__main__":
         nt,
         padics,
         quadratic,
+        rayclass,
         residues,
         special,
         units,

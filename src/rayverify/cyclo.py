@@ -10,7 +10,7 @@ The module also handles abelian fields cut out of Q(zeta_m) by a subgroup
 H of (Z/m)^*: conductor reduction, the subgroup fixing the intersection
 with a smaller cyclotomic field, quadratic Gauss sums as canonical square
 roots of discriminants, and Gauss-period power sums with Newton's
-identities.  No command loads this module (`units.orbit_product` works
+identities.  No command loads this module (`circular.orbit_product` works
 modulo primes, and a ``--field`` is read with `nt`, which holds the
 `subgroup_generated` and `units_mod` imported here); tests and gates use
 `CycNumber`, `FieldSpec` and these routes as oracles.

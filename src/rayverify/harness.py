@@ -6,20 +6,19 @@ one entry per check with its anchor / status / witness, timing data, and a
 roll-up summary.  Reports are deterministic for fixed inputs up to the
 timing fields.
 
-The engine (`checks` and the layers below it) is imported by the functions
-that use it, not by this module, so that ``--version`` and the cache
-commands start without it.  Each ``run_*`` imports `checks`, which loads
-only `nt` and `quadratic`; ``checks.check_X`` then loads the family module
-of that check, which imports the rest of what it uses (the `cli` docstring
-lists the modules of each command).  `resolve_discriminant` reads a
-``--field`` with `nt` alone, and `run_annihilator` loads the certificate
-cache (`cache`) only in its special mode.  `COMMANDS` is the one table of
-commands: per (verb, target), the default field and the engine flags that
-``run_<target>`` reads; `cli` parses the command line from it, and
-imports this module only once ``--version`` is answered.
-
-`Cache` lives in `cache`; `harness.Cache` resolves to it on first access
-(`_MOVED`), for programs that look it up here.
+`COMMANDS` is the one table of commands: per (verb, target), the default
+field and the engine flags that ``run_<target>`` reads; `cli` parses the
+command line from it, and imports this module only once ``--version`` is
+answered.  Each ``run_<target>`` lives in the family module of its check
+(`checks_sinnott`, `checks_rays`, `checks_gras`, `checks_special` or
+`checks_annihilators`) and resolves here on first access (`_MOVED`), so
+``getattr(harness, "run_" + target)`` loads only that family; this module
+keeps what the runners share: the validators, `resolve_discriminant`
+(which reads a ``--field`` with `nt` alone), `build_report` and
+`strip_timings`.  It imports no engine module when it loads, so
+``--version``, ``--help`` and the cache commands start without one (the
+`cli` docstring lists the modules of each command).  `Cache` lives in
+`cache` and resolves here too.
 """
 
 import math
@@ -170,143 +169,16 @@ def _check_modulus_limit(M):
         raise ValueError("residue ring O/(%d) too large (modulus above %d)" % (M, MODULUS_LIMIT))
 
 
-def run_sinnott(D, p=7, prec=12, d=6):
-    from . import checks
-
-    _check_odd_prime(p)
-    if D % p == 0:
-        raise ValueError(
-            "--p %d: the verification prime must not divide D = %d" % (p, D)
-        )
-    if prec < 1:
-        raise ValueError("--prec %d: at least one p-adic digit must be compared" % prec)
-    if d < 1:
-        raise ValueError("--d %d: the twist bound must be at least 1" % d)
-    params = {"p": p, "prec": prec, "d_max": d}
-    return build_report(
-        "verify sinnott", D, params, checks.check_sinnott(D, p, prec, d)
-    )
-
-
-def run_rays(D, ell=11, p=5, modulus=None):
-    from . import checks
-    from .nt import is_prime, valuation
-
-    _check_odd_prime(p)
-    if not is_prime(ell):
-        raise ValueError("--ell %d: the auxiliary prime must be a prime" % ell)
-    if ell == p and D % p == 0:  # before O/(ell^e) is built
-        raise ValueError(
-            "--ell %d --p %d: ell = p must be unramified in the field, but it "
-            "divides the discriminant %d" % (ell, p, D)
-        )
-    if modulus is None:
-        e = 1
-    else:
-        e = valuation(modulus, ell) if modulus > 0 else 0
-        if e < 1 or ell**e != modulus:
-            raise ValueError(
-                "--modulus %d: the modulus must be a positive power of ell = %d"
-                % (modulus, ell)
-            )
-    params = {"ell": ell, "p": p, "exponent": e}
-    return build_report("verify rays", D, params, checks.check_rays(D, ell, p, e))
-
-
-def run_gras(D, p=None, d=None, mode=None):
-    from . import checks
-
-    if mode not in (None, "single", "scan"):
-        raise ValueError("--mode %s: the gras mode is one of single, scan" % mode)
-    if p is not None:
-        _check_odd_prime(p)
-    if d is not None and d < 1:
-        raise ValueError("--d %d: the ray modulus or scan bound must be at least 1" % d)
-    if d is not None:  # before a scan builds d - 1 rings
-        _check_modulus_limit(d)
-    if mode == "scan":
-        p_list = (3, 5, 7) if p is None else (p,)
-        d_max = 50 if d is None else d
-        params = {"p_list": list(p_list), "d_max": d_max, "mode": "scan"}
-        results = checks.check_gras_scan(D, p_list, d_max)
-    else:
-        p = 3 if p is None else p
-        d = 1 if d is None else d
-        params = {"p": p, "d": d, "mode": "single"}
-        results = checks.check_gras(D, p, d)
-    return build_report("verify gras", D, params, results)
-
-
-def run_h90(D, ell=11):
-    if ell > H90_ELL_LIMIT:
-        raise ValueError(
-            "--ell %d: above H90_ELL_LIMIT = %d, the largest auxiliary prime "
-            "of verify h90" % (ell, H90_ELL_LIMIT)
-        )
-    from . import checks
-
-    params = {"ell": ell, "level": 3, "twist": 4}
-    return build_report("verify h90", D, params, checks.check_h90(D, ell))
-
-
-def run_annihilator(D, p=None, modulus=None, mode=None, cache=None):
-    """`cache` is the --cache directory of the special mode (see
-    `cache.Cache`)."""
-    from . import checks
-    from .nt import kronecker
-
-    mode = "both" if mode is None else mode
-    if mode not in ("thaine", "solomon", "special", "both"):
-        raise ValueError(
-            "--mode %s: the annihilator mode is one of thaine, solomon, "
-            "special, both" % mode
-        )
-    unread = {"p": p, "modulus": modulus} if mode == "special" else {"cache": cache}
-    for flag, value in unread.items():
-        if value is not None:
-            raise ValueError(
-                "--%s: verify annihilator --mode %s does not read it" % (flag, mode)
-            )
-    if mode == "special":
-        from .cache import Cache
-
-        # no prime is used, but reports have always recorded the default one
-        results = checks.check_special_units(D, cache=Cache(cache))
-        return build_report("verify annihilator", D, {"p": 3, "mode": mode}, results)
-    p = 3 if p is None else p
-    _check_odd_prime(p)
-    if modulus is not None:
-        if modulus < 1:
-            raise ValueError("--modulus %d: the ray modulus must be at least 1" % modulus)
-        _check_modulus_limit(modulus)  # before the d-th powers of cyclotomic numbers
-    if mode in ("solomon", "both") and kronecker(D, p) != 1:
-        raise ValueError("--p %d: the solomon check needs a prime that splits in k" % p)
-    results = []
-    params = {"p": p, "mode": mode}
-    if mode in ("thaine", "both"):
-        m = 1 if modulus is None else modulus
-        params["thaine_modulus"] = m
-        results += checks.check_thaine(D, n_exp=p, modulus=m)
-    if mode in ("solomon", "both"):
-        moduli = (1, 4) if modulus is None else (modulus,)
-        params["solomon_moduli"] = list(moduli)
-        results += checks.check_solomon(D, p=p, moduli=moduli)
-    return build_report("verify annihilator", D, params, results)
-
-
-def run_conjecture(D, p=3, d=18):
-    from . import checks
-
-    _check_odd_prime(p)
-    if d < 1:
-        raise ValueError("--d %d: the ray modulus must be at least 1" % d)
-    _check_modulus_limit(d)  # before the class group and the ray class group
-    params = {"p": p, "d": d}
-    return build_report("explore conjecture", D, params, checks.explore_conjecture(D, p, d))
-
-
-#: the name that moved to `cache`, resolved on first access for the
-#: `TARGETS` of perfbench/tracer.py and the tests
-_MOVED = {"Cache": "cache"}
+#: the names that moved to `cache` and to the check families, resolved on
+#: first access for `cli`, the `TARGETS` of perfbench/tracer.py and the tests
+_MOVED = {
+    "Cache": "cache",
+    "run_sinnott": "checks_sinnott",
+    "run_rays": "checks_rays",
+    "run_gras": "checks_gras",
+    "run_h90": "checks_special",
+    "run_annihilator": "checks_annihilators",
+    "run_conjecture": "checks_gras",
+}
 
 __getattr__ = _lazy_getattr(globals(), _MOVED)

@@ -1,12 +1,11 @@
-"""Real quadratic fields: exact elements, units, ideals, class data.
+"""Real quadratic fields: exact elements, ideals, class data.
 
 A QuadField is keyed by its fundamental discriminant D > 0.  The ring of
 integers is Z[omega] with omega = (1 + sqrt D)/2 for odd D and sqrt(D)/2
 for even D, and an element is held as integer coordinates over one common
 denominator: (a + b omega) / e, reduced by gcd(a, b, e).  Products rewrite
 omega^2 = T omega - N exactly as the residue rings O/(M) do; the rational
-coordinates x + y sqrt(D) are views computed on demand.  The fundamental
-unit comes from one period of an integer continued fraction.  Only this
+coordinates x + y sqrt(D) are views computed on demand.  Only this
 module lists the primes over p by chi_D(p): `primes_over` names them as
 (p, r) for (p, omega - r), or (p, None) for an inert (p), and
 `prime_valuation` values any nonzero element of k at each of them.
@@ -14,18 +13,18 @@ module lists the primes over p by chi_D(p): `primes_over` names them as
 to sigma by chi_D(a) = -1: the group that the checks hand to the
 group-ring and Galois-module layers, built in O(1).
 
-Dirichlet's formula gives the class number exactly as u_D / sigma(u_D) =
-+-eps^(+-2h) (`dirichlet_exponent`, `analytic_class_number`, on top of
-`unit_exponent`).  The class group itself is `classgroup.ClassGroup` and
-the residue rings O/(M) are `residues.ResidueRing`: `QuadField.class_group`
-and `QuadField.residue_ring` import them when first called, so a command
-that builds neither (``verify h90``, ``verify sinnott``) compiles neither
-module.  The `_pair_*` helpers are the products mod n that `residues` and
-`checks_sinnott` share.  `__getattr__` still resolves the moved names
-(`_MOVED`) here.  The module holds no float, and it imports `fractions`
-only in the code that builds a Fraction: the views `x`, `y`, `norm` and
-`omega_coords`, and non-int input.  Bad arguments raise ValueError and
-broken invariants ArithmeticError, so `python -O` behaves the same.
+The fundamental unit and Dirichlet's formula are `units`, the class
+group `classgroup.ClassGroup` and the residue rings O/(M)
+`residues.ResidueRing`: `QuadField.fundamental_unit`,
+`QuadField.class_group` and `QuadField.residue_ring` import them when
+first called, so a command that needs none of them (``verify h90``)
+compiles none of those modules.  The `_pair_*` helpers are the products
+mod n that `residues` and `checks_sinnott` share.  `__getattr__` still
+resolves the moved names (`_MOVED`) here.  The module holds no float, and
+it imports `fractions` only in the code that builds a Fraction: the views
+`x`, `y`, `norm` and `omega_coords`, and non-int input.  Bad arguments
+raise ValueError and broken invariants ArithmeticError, so `python -O`
+behaves the same.
 """
 
 from __future__ import annotations
@@ -308,38 +307,13 @@ class QuadField:
     # -- units
 
     def fundamental_unit(self):
-        """The fundamental unit > 1, from one period of the continued
-        fraction of the reduced number x0 = (b + sqrt D)/2, where b is the
-        largest integer below sqrt D with b = D mod 2, so that O = Z[x0].
+        """The fundamental unit > 1 (`units.fundamental_unit`), computed
+        once per field."""
+        if self._unit is None:
+            from .units import fundamental_unit
 
-        The complete quotients (P + sqrt D)/Q start at P = b, Q = 2 and come
-        back to Q = 2 first at x0 itself, after a period l of O(sqrt(D)
-        log D) steps; then eps = q_(l-1) x0 + q_(l-2) with q the convergent
-        denominators (Cohen, GTM 138, section 5.7).  It is the same loop for
-        odd and even D, and it always ends.
-        """
-        if self._unit is not None:
-            return self._unit
-        D = self.D
-        s = math.isqrt(D)
-        b = s - (s - D) % 2
-        P, Q = b, 2
-        q_prev, q = 1, 0
-        while True:
-            a = (P + s) // Q
-            q_prev, q = q, a * q + q_prev
-            P = a * Q - P
-            Q = (D - P * P) // Q
-            if Q <= 0:
-                raise ArithmeticError("continued fraction for D=%d broke down" % D)
-            if Q == 2:
-                break
-        # x0 = (b - D mod 2)/2 + omega
-        eps = QuadElement(self, q * ((b - D % 2) // 2) + q_prev, q)
-        if not (eps.is_unit() and eps > 1):
-            raise ArithmeticError("fundamental unit search failed for D=%d" % D)
-        self._unit = eps
-        return eps
+            self._unit = fundamental_unit(self)
+        return self._unit
 
     # -- primes
 
@@ -463,56 +437,6 @@ class QuadGaloisGroup:
         return hash((QuadGaloisGroup, self.m))
 
 
-def dirichlet_exponent(field):
-    """(sign, k) with u_D / sigma(u_D) = sign eps^k, for u_D the norm of
-    1 - zeta_D to k (`units.cyclotomic_number`, checked by N(u_D) =
-    Phi_D(1)).  It gives h = |k| / 2 (`analytic_class_number`) and
-    L'_p(0, chi_D) = log u_D - log sigma u_D = k log_p eps
-    (`checks.check_sinnott`)."""
-    from .units import cyclotomic_number  # units imports this module
-
-    u = cyclotomic_number(field, field.D)
-    return unit_exponent(field, u / u.conj())
-
-
-def analytic_class_number(D):
-    """h(D), exactly, from Dirichlet's formula: u_D / sigma(u_D) = +-eps^k with
-    h = |k| / 2 (Washington, GTM 83, ch. 8), k from `dirichlet_exponent`.  An
-    odd or zero k raises ArithmeticError."""
-    _, k = dirichlet_exponent(QuadField(D))
-    if k % 2 or not k:
-        raise ArithmeticError("u_D / sigma(u_D) = +-eps^%d in Q(sqrt %d): odd or 0" % (k, D))
-    return abs(k) // 2
-
-
-def unit_exponent(field, u):
-    """Write a unit of O as +-eps^k; returns (sign, k).
-
-    Exact binary descent: with v = |u| >= 1 (inverting if needed), square
-    eps until eps^(2^m) exceeds v, then divide out eps^(2^i) from the
-    largest i down whenever v >= eps^(2^i).  Every comparison is an exact
-    sign test, and it takes O(log |k|) products.
-    """
-    if not (isinstance(u, QuadElement) and u.is_unit()):
-        raise ValueError("not a unit: %r" % (u,))
-    sign = u.sign()
-    cur = u if sign > 0 else -u
-    flip = cur < 1
-    if flip:
-        cur = cur.inverse()
-    powers = [field.fundamental_unit()]
-    while not cur < powers[-1]:
-        powers.append(powers[-1] * powers[-1])
-    k = 0
-    for i in range(len(powers) - 1, -1, -1):
-        if not cur < powers[i]:
-            cur = cur * powers[i].inverse()
-            k += 1 << i
-    if cur != 1:
-        raise ArithmeticError("unit is not a power of the fundamental unit")
-    return sign, -k if flip else k
-
-
 def _pair_mul(u, v, n, s, t):
     """(a + b theta)(c + d theta) mod n, where theta^2 = -s theta - t."""
     a, b = u
@@ -540,11 +464,13 @@ def _pair_inverse(u, n, s, t):
     return (conj[0] * ninv % n, conj[1] * ninv % n)
 
 
-#: names that moved to `classgroup` and `residues`, with their new home
+#: names that moved to `classgroup`, `residues` and `units`, with their new home
 _MOVED = {
     "ClassGroup": "classgroup",
     "MODULUS_LIMIT": "residues",
     "ResidueRing": "residues",
+    "analytic_class_number": "units",
+    "unit_exponent": "units",
 }
 
 __getattr__ = _lazy_getattr(globals(), _MOVED)

@@ -7,8 +7,8 @@ rows and discrete logs computed on demand, which is what the ray class
 layer consumes; nothing enumerates or scans the ring.
 `QuadField.residue_ring` keeps the last one built, and the field keeps the
 local factors of each prime power (`_local_factors`), whose residue-field
-logs `special.residue_dlogs` reads too.  Products are the `_pair_*`
-helpers of `quadratic`.  Bad arguments raise ValueError and broken
+logs `checks_annihilators.residue_dlogs` reads too.  Products are the
+`_pair_*` helpers of `quadratic`.  Bad arguments raise ValueError and broken
 invariants ArithmeticError, so `python -O` behaves the same.
 """
 

@@ -1,6 +1,6 @@
 """Explicit constructions in k(zeta_ell) over a real quadratic field k.
 
-Four tools live here, all exact:
+Three tools live here, all exact:
 
 * arithmetic in the composite field k(zeta_ell) for an odd prime ell that
   does not ramify in k, held in integers (see `CycQuadElement`).  Norms
@@ -8,21 +8,18 @@ Four tools live here, all exact:
   takes about 2 log2(ell) products, not ell - 2;
 * norm-one units attached to a cyclotomic level (n, d), produced by pushing
   the two-variable product over (zeta_ell^t - zeta_n^t) down to the
-  subfield cut out by the quadratic field, together with a fully exact
-  certificate: integrality, unit norm, relative norm one, congruence to 1
-  modulo d, and residue agreement with the cyclotomic number of the same
-  level at every prime over ell;
+  subfield cut out by the quadratic field (`special_unit`);
 * a constructive Hilbert-90 witness: for a unit eps of relative norm one,
   an explicit nonzero alpha with alpha = eps * tau(alpha), where tau
-  generates the Galois group of k(zeta_ell)/k;
-* discrete-logarithm vectors of a quadratic-field number at the primes over
-  a split rational prime, packaged as group-ring annihilator coefficients.
-  The logs are those of the residue fields of `residues._local_factors`,
-  so no F_ell^* is tabled.
+  generates the Galois group of k(zeta_ell)/k.
+
+The certificate of a special unit and the discrete logs of the thaine
+annihilator live in `checks_annihilators`, next to the checks that call
+them, so ``verify h90`` compiles neither; `__getattr__` resolves them
+here too (`_MOVED`).  This module loads `circular`, not `units`.
 
 `fractions` is imported only where a Fraction can appear: a scalar that is
-neither an int nor a `QuadElement`, and `absolute_norm`.  The certificate
-forms its norm down to Q in integers, so it loads no `fractions`.
+neither an int nor a `QuadElement`, and `absolute_norm`.
 
 Bad arguments raise ValueError and a broken internal invariant raises
 ArithmeticError; no check is an `assert`, so `python -O` behaves the same.
@@ -32,9 +29,10 @@ import math
 import sys
 from array import array
 
+from . import _lazy_getattr
+from .circular import orbit_product
 from .nt import divisors, is_prime, moebius, primitive_root, radical
 from .quadratic import QuadElement
-from .units import cyclotomic_number, orbit_product
 
 
 def _check_modulus(field, ell):
@@ -427,19 +425,6 @@ def quad_residue(z, ell, root):
 # Norm-one units at a cyclotomic level
 
 
-def special_prime_candidates(field, n, d, count=3):
-    """The first `count` odd primes, split in the field, coprime to n*d."""
-    out = []
-    q = 2
-    while len(out) < count:
-        q += 1
-        if not is_prime(q):
-            continue
-        if field.chi(q) == 1 and (n * d) % q != 0:
-            out.append(q)
-    return out
-
-
 def validate_aux_prime(field, n, d, ell):
     """Raise ValueError unless (n, d, ell) are valid special-unit data.
 
@@ -462,9 +447,10 @@ def special_unit(field, n, d, ell):
 
     Built as the product over squarefree t | rad(d) of F_t(zeta_ell^t) to
     the power mu(t) d/t, where F_t is the monic polynomial whose roots are
-    the orbit of zeta_n^t under the subgroup fixing k^n (`units.orbit_product`
-    gives its value).  Requires n > 1, n not dividing rad(d), and an odd
-    prime ell, split in the field and coprime to n*d (see `validate_aux_prime`).
+    the orbit of zeta_n^t under the subgroup fixing k^n
+    (`circular.orbit_product` gives its value).  Requires n > 1, n not
+    dividing rad(d), and an odd prime ell, split in the field and coprime
+    to n*d (see `validate_aux_prime`).
     """
     validate_aux_prime(field, n, d, ell)
     num = den = CycQuadElement._embed(field, ell, 1)
@@ -475,58 +461,6 @@ def special_unit(field, n, d, ell):
         else:
             den = den * value ** (d // t)
     return num * den.inverse()
-
-
-def special_unit_certificate(field, n, d, ell):
-    """Exact certificate for the level-(n, d) unit at the auxiliary prime ell.
-
-    Verifies, with no rounding anywhere:
-      * integrality and absolute norm +-1 (the element is a unit),
-      * relative norm down to the quadratic field exactly 1,
-      * a sign choice making the element congruent to 1 modulo d,
-      * at every prime over ell the element reduces (zeta -> 1) to the
-        cyclotomic number of the same level.
-
-    Reports print it and the cache stores it as is: the residues are the
-    sorted [r, a, b], a and b those of the element and of the cyclotomic
-    number at omega -> r, and the absolute norm an int or the reduced "p/q".
-    """
-    eps = special_unit(field, n, d, ell)
-    delta = cyclotomic_number(field, n, d)
-    nrm = eps.norm_to_quad()
-    # the norm down to Q, exact in integers: num / den in lowest terms
-    num, den = nrm._norm_numerator(), nrm.e**2
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    is_unit = eps.is_integral() and abs(num) == den == 1
-    norm_one = nrm == field.one()
-
-    if (eps - 1).divisible_by_int(d):
-        sign = 1
-    elif (eps + 1).divisible_by_int(d):
-        sign = -1
-    else:
-        sign = 0
-    congruent = sign != 0
-
-    residues = sorted(
-        [r, eps.residue_at(r), quad_residue(delta, ell, r)] for r in field.prime_roots(ell)
-    )
-    matches = all(a == b for _, a, b in residues)
-
-    return {
-        "discriminant": field.D,
-        "level": n,
-        "twist": d,
-        "aux_prime": ell,
-        "is_unit": is_unit,
-        "norm_one": norm_one,
-        "congruent_one_mod_d": congruent,
-        "sign": sign,
-        "matches_cyclotomic_residues": matches,
-        "residues": residues,
-        "absolute_norm": num if den == 1 else "%d/%d" % (num, den),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -581,49 +515,13 @@ def hilbert90_witness(eps):
     }
 
 
-# ----------------------------------------------------------------------
-# Discrete-log annihilator coefficients
+#: the names that moved to `checks_annihilators`, resolved on first access
+#: for the `TARGETS` of perfbench/tracer.py
+_MOVED = {
+    "special_prime_candidates": "checks_annihilators",
+    "special_unit_certificate": "checks_annihilators",
+    "residue_dlogs": "checks_annihilators",
+    "dlog_annihilator_coefficients": "checks_annihilators",
+}
 
-
-def residue_dlogs(field, z, ell):
-    """Discrete logs of z at the two primes over a split odd prime ell.
-
-    Returns (s, {root: dlog}) with z = s^dlog at omega -> root for
-    s = `primitive_root(ell)`: the residue-field logs of `_local_factors`.
-    """
-    from .residues import _local_factors
-
-    _check_split(field, ell)
-    out = {}
-    for loc in _local_factors(field, ell, 1):
-        v = quad_residue(z, ell, loc.r)
-        if v == 0:
-            raise ValueError("number is not a unit at %d" % ell)
-        out[loc.r] = loc._residue_log(v)
-    return primitive_root(ell), out
-
-
-def dlog_annihilator_coefficients(field, group, z, ell, n_exp):
-    """Group-ring coefficients sum_sigma a_sigma sigma^(-1) from residues of z.
-
-    a_sigma is minus the discrete log of z at the prime indexed by sigma
-    (identity: the first root in sorted order; the nontrivial element: the
-    second), reduced modulo ell - 1.  Requires ell odd, split, and
-    ell = 1 mod n_exp so the reduction mod n_exp is meaningful.
-    """
-    if (ell - 1) % n_exp:
-        raise ValueError("ell=%d must be 1 mod %d" % (ell, n_exp))
-    s, dlogs = residue_dlogs(field, z, ell)
-    roots = field.prime_roots(ell)
-    ident = group.coset_of(1)
-    other = 1 - ident  # two-element group
-    coeffs = [0, 0]
-    coeffs[ident] = (-dlogs[roots[0]]) % (ell - 1)
-    coeffs[other] = (-dlogs[roots[1]]) % (ell - 1)
-    return {
-        "primitive_root": s,
-        "coefficients": coeffs,
-        "coefficients_mod_n": [c % n_exp for c in coeffs],
-        "dlogs": dlogs,
-        "roots": roots,
-    }
+__getattr__ = _lazy_getattr(globals(), _MOVED)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from rayverify import checks, checks_annihilators, checks_sinnott, gmodules, padics, units
+from rayverify import checks, checks_annihilators, checks_sinnott, circular, gmodules, padics
+from rayverify import rayclass, units
 from rayverify.checks import (
     CheckResult,
     check_cyclic,
@@ -23,18 +24,18 @@ from rayverify.checks import (
     _rho_part,
 )
 from rayverify.cyclo import FieldSpec
-from rayverify.gmodules import RayClassGroup, residue_galois_module
+from rayverify.gmodules import residue_galois_module
 from rayverify.grouprings import GaloisGroup, GroupRingElement, galois_log_quad, unit_log_factor
 from rayverify.harness import resolve_discriminant, run_rays
 from rayverify.nt import fundamental_discriminant, is_prime, squarefree_part, valuation
 from rayverify.quadratic import QuadField, QuadGaloisGroup
 from rayverify.padics import splitting_degree
+from rayverify.rayclass import RayClassGroup
+from rayverify.circular import cyclotomic_number, generating_levels
 from rayverify.units import (
     circular_unit_lattice,
     congruence_circular_lattice,
     congruence_unit_lattice,
-    cyclotomic_number,
-    generating_levels,
 )
 
 K5 = QuadField(5)
@@ -193,13 +194,13 @@ def test_gras_scan_builds_the_unit_side_once_per_modulus(monkeypatch):
 
 
 def test_gras_elapsed_covers_the_ray_class_group_build(monkeypatch):
-    build = gmodules.RayClassGroup
+    build = rayclass.RayClassGroup
 
     def slow(*args):
         time.sleep(0.05)
         return build(*args)
 
-    monkeypatch.setattr(gmodules, "RayClassGroup", slow)
+    monkeypatch.setattr(rayclass, "RayClassGroup", slow)
     (record,) = check_gras(5, 3, 1)
     assert record.status == "pass" and record.elapsed >= 0.05
 
@@ -546,13 +547,13 @@ def test_sinnott_fails_a_record_whose_quotient_is_not_a_unit(D, p, monkeypatch):
         field.from_omega_coords(a, 1) for a in range(1, 100)
         if not (field.from_omega_coords(a, 1) / field.from_omega_coords(a, 1).conj()).is_unit()
     )
-    number = units.cyclotomic_number
+    number = circular.cyclotomic_number
 
     def forced(field, n, d=1):
         delta = number(field, n, d)
         return delta * z if (n, d) == (level, twist) else delta
 
-    monkeypatch.setattr(units, "cyclotomic_number", forced)
+    monkeypatch.setattr(circular, "cyclotomic_number", forced)
     for before, after in zip(base, check_sinnott(D, p, prec=12, d_max=6)):
         if before.name == target.name:
             assert after.status == "fail"

@@ -362,7 +362,8 @@ def _as_script(argv):
 
 #: standard modules that the front end loads only where it uses them:
 #: `argparse` never, as `cli` parses argv from its own tables; `hashlib`
-#: for the cache's source digest; `json` for the cache and ``--report``
+#: never, as the cache's source digest is two `zlib` checksums; `json` for
+#: the cache and ``--report``
 _FRONT_END = ("argparse", "hashlib", "json")
 
 
@@ -376,7 +377,7 @@ def test_version_and_cache_commands_load_no_engine_layer(argv, tmp_path):
         argv = argv + ["--cache", str(tmp_path)]
         # the cache reads and writes JSON entries named by a source digest
         expected |= {"rayverify.harness", "rayverify.cache"}
-        allowed = {"hashlib", "json"}
+        allowed = {"json"}
     loaded = _modules_after(_as_program(argv), also=_FRONT_END)
     assert loaded - allowed == expected, sorted(loaded)
     loaded = _modules_after(_as_script(argv), also=_FRONT_END)
@@ -390,13 +391,11 @@ def test_python_m_rayverify_runs_the_command_line():
 
 
 #: what every verify or explore command loads: the command line, the shared
-#: part of the checks and the layers every check builds its field with
-_BASE = {
-    "rayverify", "rayverify.harness", "rayverify.checks", "rayverify.nt",
-    "rayverify.quadratic",
-}
+#: part of the checks and `nt`, which reads the field
+_BASE = {"rayverify", "rayverify.harness", "rayverify.checks", "rayverify.nt"}
 
-_RAY_CLASS = {"classgroup", "gmodules", "intmat", "residues", "units"}
+_RAYS = {"quadratic", "gmodules", "intmat", "residues"}
+_RAY_CLASS = _RAYS | {"rayclass", "classgroup", "units", "circular"}
 
 
 def _with_cache(argv, directory):
@@ -411,39 +410,40 @@ def _with_cache(argv, directory):
     return out
 
 
-#: each command loads the module of its check family.  No command loads
-#: `cyclo`: each check builds its Galois group {1, sigma} in `quadratic`,
-#: and a --field is read with `nt` alone;
+#: each command loads the module of its check family, which holds its
+#: runner.  No command loads `cyclo`: each check builds its Galois group
+#: {1, sigma} in `quadratic`, and a --field is read with `nt` alone;
 #: sinnott and solomon decide their claims in integers, so no command loads
-#: `grouprings` or `padics`.  A class group (`classgroup`) comes only with a
-#: ray class group, and no command loads `fractions`.
-#: No command loads `argparse`, and only the special annihilator loads the
-#: certificate cache (`cache`) and `hashlib`; served from the cache, it
-#: loads neither `special` nor `units`.
+#: `grouprings` or `padics`.  A class group (`classgroup`) and the unit
+#: group (`units`) come only with a ray class group (`rayclass`) or with
+#: sinnott, and no command loads `fractions`.  h90 loads the cyclotomic
+#: numbers (`circular`) but neither `units` nor `gmodules`.
+#: No command loads `argparse` or `hashlib`, and only the special
+#: annihilator loads the certificate cache (`cache`); served from the
+#: cache, it loads neither `quadratic` nor `special`.
 @pytest.mark.parametrize(
     "argv, layers, fraction_free",
     [
-        (["verify", "rays"], {"checks_rays", "gmodules", "intmat", "residues"}, True),
+        (["verify", "rays"], {"checks_rays"} | _RAYS, True),
         (["verify", "gras"], {"checks_gras"} | _RAY_CLASS, True),
         (["verify", "gras", "--mode", "scan", "--d", "12"], {"checks_gras"} | _RAY_CLASS, True),
         (["explore", "conjecture"], {"checks_gras"} | _RAY_CLASS, True),
-        (["verify", "sinnott"], {"checks_sinnott", "units"}, True),
+        (["verify", "sinnott"], {"checks_sinnott", "quadratic", "units", "circular"}, True),
         (["verify", "h90", "--quad", "13", "--ell", "53"],
-         {"checks_special", "units", "special"}, True),
+         {"checks_special", "quadratic", "special", "circular"}, True),
         (["verify", "annihilator", "--quad", "5", "--mode", "special", "--cache", "cold"],
-         {"checks_special", "units", "special", "cache"}, True),
+         {"checks_annihilators", "quadratic", "special", "circular", "cache"}, True),
         # every certificate is served from the cache: the entry is read, and
         # nothing is built
         (["verify", "annihilator", "--quad", "5", "--mode", "special", "--cache", "warm"],
-         {"checks_special", "cache"}, True),
+         {"checks_annihilators", "cache"}, True),
         (["verify", "annihilator", "--mode", "thaine"],
          {"checks_annihilators", "special"} | _RAY_CLASS, True),
         (["verify", "annihilator", "--mode", "solomon"],
          {"checks_annihilators"} | _RAY_CLASS, True),
         (["verify", "annihilator", "--mode", "both"],
          {"checks_annihilators", "special"} | _RAY_CLASS, True),
-        (["verify", "rays", "--field", "5:4"],
-         {"checks_rays", "gmodules", "intmat", "residues"}, True),
+        (["verify", "rays", "--field", "5:4"], {"checks_rays"} | _RAYS, True),
         # the index-2 subgroup {1, 4, 11, 14} of (Z/15)^*: conductor 5
         (["verify", "gras", "--field", "15:4,14"], {"checks_gras"} | _RAY_CLASS, True),
     ],
@@ -456,10 +456,10 @@ def test_each_command_loads_only_the_layers_it_calls(argv, layers, fraction_free
     )
     assert "dataclasses" not in loaded
     assert "argparse" not in loaded
-    assert ("hashlib" in loaded) == ("rayverify.cache" in expected)
+    assert "hashlib" not in loaded
     if fraction_free:
         assert "fractions" not in loaded
-    loaded -= {"fractions", "hashlib", "json"}
+    loaded -= {"fractions", "json"}
     assert loaded == expected, sorted(loaded)
     loaded = _modules_after(_as_script(_with_cache(argv, tmp_path / "script")))
     assert loaded == expected | {"rayverify.__main__"}, sorted(loaded)
@@ -473,7 +473,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rayverify"
 _BELOW_GROUP_RINGS = (
     "checks", "checks_annihilators", "checks_gras", "checks_rays",
     "checks_sinnott", "checks_special", "quadratic", "classgroup", "residues",
-    "gmodules", "intmat", "units", "padics", "special", "nt",
+    "gmodules", "rayclass", "intmat", "units", "circular", "padics", "special",
+    "nt",
 )
 
 
@@ -526,6 +527,23 @@ def test_layer_imports_neither_cyclo_nor_grouprings_when_it_loads(name):
     assert found == [], name
 
 
+@pytest.mark.parametrize("name", ("quadratic", "special", "circular", "gmodules"))
+def test_layer_imports_neither_units_nor_rayclass_when_it_loads(name):
+    # so that h90 compiles neither, and rays no ray class group
+    tree = ast.parse((PACKAGE / (name + ".py")).read_text())
+    found = [(line, layer) for line, layer in _module_level_layers(tree)
+             if layer in ("units", "rayclass")]
+    assert found == [], name
+
+
+def test_harness_imports_no_check_module_when_it_loads():
+    # each runner lives in its family, which `cli` reaches through `_MOVED`
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    found = [(line, layer) for line, layer in _module_level_layers(tree)
+             if layer.startswith("checks")]
+    assert found == []
+
+
 def test_module_import_loads_every_module_of_the_package():
     # importers that instrument the layers (perfbench/tracer.py) find every
     # one of them loaded; __main__ is the entry point, not a layer
@@ -537,10 +555,40 @@ def test_module_import_loads_every_module_of_the_package():
     assert _modules_after("import rayverify.cli") == every
 
 
-@pytest.mark.parametrize(
-    "name, table",
-    [("checks", "_HOMES"), ("quadratic", "_MOVED"), ("harness", "_MOVED")],
-)
+#: every table of names that resolve in another module than their home
+_LAZY_TABLES = [
+    ("checks", "_HOMES"), ("quadratic", "_MOVED"), ("harness", "_MOVED"),
+    ("units", "_MOVED"), ("gmodules", "_MOVED"), ("special", "_MOVED"),
+]
+
+
+def test_every_lazy_table_is_listed():
+    tables = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                tables |= {(path.stem, t.id) for t in node.targets
+                           if isinstance(t, ast.Name) and t.id in ("_HOMES", "_MOVED")}
+    assert tables == set(_LAZY_TABLES)
+
+
+def _defined_names(path):
+    """The functions and classes a module defines, at any depth."""
+    return {node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+@pytest.mark.parametrize("name, table", _LAZY_TABLES)
+def test_a_lazy_name_has_one_home(name, table):
+    # a move leaves no second definition behind, in any module of the package
+    homes = getattr(importlib.import_module("rayverify." + name), table)
+    defined = {path.stem: _defined_names(path) for path in PACKAGE.glob("*.py")}
+    for attr, home in homes.items():
+        others = sorted(stem for stem, names in defined.items() if attr in names and stem != home)
+        assert others == [], attr
+
+
+@pytest.mark.parametrize("name, table", _LAZY_TABLES)
 def test_lazy_names_are_the_objects_their_home_modules_define(name, table):
     module = importlib.import_module("rayverify." + name)
     homes = getattr(module, table)

@@ -10,8 +10,6 @@ import pytest
 from rayverify.cyclo import FieldSpec
 from rayverify.gmodules import (
     FiniteGModule,
-    RayClassGroup,
-    _prime_smooth_vector,
     isomorphism_certificate,
     lift_coefficients_mod,
     residue_galois_module,
@@ -27,6 +25,7 @@ from rayverify.grouprings import (
 from rayverify.intmat import identity
 from rayverify.nt import fundamental_discriminant, is_prime, kronecker, valuation
 from rayverify.quadratic import QuadField, QuadGaloisGroup
+from rayverify.rayclass import RayClassGroup, _prime_smooth_vector
 
 G5 = GaloisGroup(FieldSpec.quadratic(5))
 G13 = GaloisGroup(FieldSpec.quadratic(13))
@@ -604,7 +603,7 @@ def test_trivial_modulus_builds_no_generator(monkeypatch):
 def test_kept_class_primes_match_a_fresh_choice(monkeypatch):
     """The class primes a modulus reuses from an earlier modulus of the same
     field are the ones it would choose itself, witnesses included."""
-    from rayverify import gmodules
+    from rayverify import rayclass
 
     kept = {}
     walks = 0
@@ -613,9 +612,9 @@ def test_kept_class_primes_match_a_fresh_choice(monkeypatch):
         group = GaloisGroup(FieldSpec.quadratic(D))
         # downwards, so that choices which skipped a class prime come first
         for modulus in range(30, 0, -1):
-            monkeypatch.setattr(gmodules, "_class_prime_choices", kept)
+            monkeypatch.setattr(rayclass, "_class_prime_choices", kept)
             got = RayClassGroup(field, group, modulus).class_primes
-            monkeypatch.setattr(gmodules, "_class_prime_choices", {})
+            monkeypatch.setattr(rayclass, "_class_prime_choices", {})
             fresh = RayClassGroup(field, group, modulus).class_primes
             assert [(q, r, v, z.a, z.b, z.e) for q, r, v, z in got] == [
                 (q, r, v, z.a, z.b, z.e) for q, r, v, z in fresh

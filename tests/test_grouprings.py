@@ -46,7 +46,7 @@ from rayverify.nt import (
 )
 from rayverify.padics import PadicRing, ring_for_conductor, splitting_degree
 from rayverify.quadratic import QuadField
-from rayverify.units import cyclotomic_number
+from rayverify.circular import cyclotomic_number
 
 
 def quad_group(D):

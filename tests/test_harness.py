@@ -79,12 +79,45 @@ def test_cache_entries_of_other_code_are_not_returned(tmp_path, monkeypatch):
     from rayverify import cache as cache_module
 
     cache = Cache(tmp_path)
-    monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 16)
     cache.put("k", {"v": 1})
     assert cache.get("k") == {"v": 1}
     monkeypatch.undo()
     assert cache.get("k") is None
-    assert cache_module.source_digest()[:16] in cache._path("k").name
+    assert cache_module.source_digest() in cache._path("k").name
+
+
+def test_a_one_byte_edit_of_a_source_changes_the_tag(tmp_path):
+    # the digest of a copy of the package, as it is and after each edit
+    from rayverify import cache as cache_module
+
+    package = tmp_path / "rayverify"
+    package.mkdir()
+    for path in Path(cache_module.__file__).resolve().parent.glob("*.py"):
+        (package / path.name).write_bytes(path.read_bytes())
+
+    def digest():
+        code = "from rayverify.cache import source_digest; print(source_digest())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+            capture_output=True, text=True, check=True,
+        )
+        return proc.stdout.strip()
+
+    tags = [digest()]
+    assert tags[0] == cache_module.source_digest()
+    assert len(tags[0]) == 16 and int(tags[0], 16) >= 0
+    source = package / "nt.py"
+    original = source.read_bytes()
+    for position in (0, len(original) // 2, len(original) - 1):
+        edited = bytearray(original)
+        edited[position] ^= 1
+        source.write_bytes(bytes(edited))
+        tags.append(digest())
+    source.write_bytes(original)
+    source.rename(package / "nu.py")  # a name is hashed too
+    tags.append(digest())
+    assert len(set(tags)) == len(tags), tags
 
 
 def test_cache_put_evicts_entries_of_other_code(tmp_path, monkeypatch):
@@ -94,7 +127,7 @@ def test_cache_put_evicts_entries_of_other_code(tmp_path, monkeypatch):
     cache = Cache(tmp_path)
     (tmp_path / ("k-v%s.json" % __version__)).write_text("{}")  # pre-digest name
     (tmp_path / "kk-v0.0.1.json").write_text("{}")  # another key
-    monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 16)
     cache.put("k", {"v": 1})
     cache.put("j", {"v": 1})
     monkeypatch.undo()
@@ -169,7 +202,7 @@ def test_concurrent_writers_of_one_key_all_finish(tmp_path):
 
 
 def test_a_root_that_is_a_file_leaves_the_run_uncached(tmp_path):
-    from rayverify.checks_special import check_special_units
+    from rayverify.checks_annihilators import check_special_units
 
     root = tmp_path / "F"
     root.write_text("not a directory")
@@ -294,10 +327,10 @@ def test_field_matches_the_field_spec_route_on_a_seeded_grid():
 
 
 def test_h90_stops_above_its_ell_limit_before_any_work(monkeypatch):
-    from rayverify import checks, harness
+    from rayverify import checks_special, harness
 
     ran = []
-    monkeypatch.setattr(checks, "check_h90", lambda D, ell: ran.append(ell) or [])
+    monkeypatch.setattr(checks_special, "check_h90", lambda D, ell: ran.append(ell) or [])
     with pytest.raises(ValueError, match="H90_ELL_LIMIT = %d" % harness.H90_ELL_LIMIT):
         harness.run_h90(5, ell=harness.H90_ELL_LIMIT + 1)
     assert ran == []
@@ -309,7 +342,7 @@ def test_conjecture_stops_above_the_modulus_limit_before_any_group(monkeypatch):
     # the limit used to be reached inside the ray class group, after the
     # class group of k: at radicand 1000033 that took most of a minute,
     # where verify gras refuses the same --d at once
-    from rayverify import gmodules
+    from rayverify import rayclass
     from rayverify.residues import MODULUS_LIMIT
 
     built = []
@@ -318,7 +351,7 @@ def test_conjecture_stops_above_the_modulus_limit_before_any_group(monkeypatch):
         built.append(modulus)
         raise AssertionError("built a ray class group")
 
-    monkeypatch.setattr(gmodules, "RayClassGroup", refuse)
+    monkeypatch.setattr(rayclass, "RayClassGroup", refuse)
     with pytest.raises(ValueError, match="too large"):
         run_conjecture(5, p=3, d=MODULUS_LIMIT + 1)
     assert built == []
@@ -581,7 +614,7 @@ def test_sinnott_passes_with_p_in_a_denominator(capsys):
     # command used to stop with "denominator not a p-adic unit"
     from rayverify.cli import main
     from rayverify.quadratic import QuadField
-    from rayverify.units import cyclotomic_number
+    from rayverify.circular import cyclotomic_number
 
     assert cyclotomic_number(QuadField(12), 10, 2) == QuadField(12).element(1) / 5
     argv = ["verify", "sinnott", "--quad", "12", "--p", "5", "--prec", "12", "--d", "6"]

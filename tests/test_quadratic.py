@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rayverify import quadratic, units
+from rayverify import circular, units
 from rayverify.cyclo import FieldSpec
 from rayverify.grouprings import GaloisGroup
 from rayverify.intmat import Lattice
@@ -23,9 +23,8 @@ from rayverify.quadratic import (
     QuadGaloisGroup,
     ResidueRing,
     _is_fundamental,
-    analytic_class_number,
-    unit_exponent,
 )
+from rayverify.units import analytic_class_number, unit_exponent
 
 
 def test_field_construction():
@@ -322,20 +321,20 @@ def test_analytic_class_number_matches_the_float_formula_on_small_discriminants(
 
 def test_a_wrong_u_D_raises_and_never_gives_a_wrong_h(monkeypatch):
     field = QuadField(316)
-    exact = units.cyclotomic_number
+    exact = circular.cyclotomic_number
 
     def times_eps(f, n, d=1):
         return f.fundamental_unit() * exact(f, n, d)
 
     # u_D / sigma(u_D) gains eps^2, so the formula claims h = 2
-    monkeypatch.setattr(units, "cyclotomic_number", times_eps)
+    monkeypatch.setattr(circular, "cyclotomic_number", times_eps)
     monkeypatch.setattr(field, "_classgroup", None)
     assert analytic_class_number(316) == 2
     with pytest.raises(ArithmeticError, match="index 3 is not a multiple of h = 2"):
         field.class_group()
-    monkeypatch.setattr(units, "cyclotomic_number", exact)
+    monkeypatch.setattr(circular, "cyclotomic_number", exact)
     for k in (5, -3, 0):
-        monkeypatch.setattr(quadratic, "unit_exponent", lambda f, u, k=k: (1, k))
+        monkeypatch.setattr(units, "unit_exponent", lambda f, u, k=k: (1, k))
         with pytest.raises(ArithmeticError, match="eps\\^%d in Q\\(sqrt 316\\)" % k):
             field.class_group()
     assert field._classgroup is None

@@ -9,23 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from rayverify import cyclo, special, units
+from rayverify import circular, cyclo, special
 from rayverify.checks import check_gras, check_h90, check_sinnott, check_special_units
 from rayverify.cyclo import CycNumber, FieldSpec
 from rayverify.grouprings import GaloisGroup
 from rayverify.nt import is_prime, primitive_root
 from rayverify.quadratic import QuadElement, QuadField
-from rayverify.special import (
-    CycQuadElement,
+from rayverify.checks_annihilators import (
     dlog_annihilator_coefficients,
-    hilbert90_witness,
-    quad_residue,
     residue_dlogs,
     special_prime_candidates,
-    special_unit,
     special_unit_certificate,
 )
-from rayverify.units import cyclotomic_number
+from rayverify.circular import cyclotomic_number
+from rayverify.special import CycQuadElement, hilbert90_witness, quad_residue, special_unit
 
 K5 = QuadField(5)
 K13 = QuadField(13)
@@ -105,7 +102,7 @@ def test_special_records_add_up_to_the_call_read_and_write_included(
     # takes 1000 ticks
     from types import SimpleNamespace
 
-    from rayverify import checks_special
+    from rayverify import checks_annihilators
     from rayverify.cache import Cache
 
     clock = [0]
@@ -123,7 +120,7 @@ def test_special_records_add_up_to_the_call_read_and_write_included(
             tick(1000)
             super().put(key, value)
 
-    monkeypatch.setattr(checks_special, "time", SimpleNamespace(perf_counter=tick))
+    monkeypatch.setattr(checks_annihilators, "time", SimpleNamespace(perf_counter=tick))
     cache = SlowCache(tmp_path)
     for run in ("cold", "warm"):
         clock[0] = 0
@@ -273,8 +270,8 @@ def test_checks_use_neither_newtons_identities_nor_q_zeta_n(monkeypatch):
     monkeypatch.setattr(CycNumber, "__mul__", refuse)
     monkeypatch.setattr(CycNumber, "__rmul__", refuse)
     monkeypatch.setattr(cyclo, "to_quadratic", refuse)
-    monkeypatch.setattr(units, "_levels", {})
-    monkeypatch.setattr(units, "_norm_cache", {})
+    monkeypatch.setattr(circular, "_levels", {})
+    monkeypatch.setattr(circular, "_norm_cache", {})
     assert [r.status for r in check_h90(13, 53)] == ["pass"]
     results = check_special_units(29)
     assert len(results) == 9 and all(r.status == "pass" for r in results)
@@ -286,10 +283,10 @@ def test_checks_use_neither_newtons_identities_nor_q_zeta_n(monkeypatch):
 def test_each_distinct_orbit_product_is_computed_once(monkeypatch):
     # the twists 2 and 4 share their (n, t, ell); `_log2_bound` runs once
     # per product computed
-    monkeypatch.setattr(units, "_levels", {})
-    monkeypatch.setattr(units, "_norm_cache", {})
+    monkeypatch.setattr(circular, "_levels", {})
+    monkeypatch.setattr(circular, "_norm_cache", {})
     calls, computed = [], []
-    orbit_product, log2_bound = units.orbit_product, units._log2_bound
+    orbit_product, log2_bound = circular.orbit_product, circular._log2_bound
 
     def spy(field, n, t, ell):
         calls.append((n, t, ell))
@@ -300,7 +297,7 @@ def test_each_distinct_orbit_product_is_computed_once(monkeypatch):
         return log2_bound(n, t, ell, cosets)
 
     monkeypatch.setattr(special, "orbit_product", spy)
-    monkeypatch.setattr(units, "_log2_bound", count)
+    monkeypatch.setattr(circular, "_log2_bound", count)
     results = check_special_units(29)
     assert len(results) == 9 and all(r.status == "pass" for r in results)
     assert len(calls) == 18 and len(set(calls)) < len(calls)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rayverify import cyclo, units
+from rayverify import circular, cyclo
 from rayverify.cyclo import (
     FieldSpec,
     power_sums_to_elementary,
@@ -18,19 +18,21 @@ from rayverify.cyclo import (
 from rayverify.intmat import hnf, kernel, transpose
 from rayverify.nt import divisors, factorize, kronecker, moebius, valuation
 from rayverify.quadratic import QuadElement, QuadField, _is_fundamental
-from rayverify.units import (
+from rayverify.circular import (
     _norm_one_minus_power,
     auxiliary_prime,
+    cyclotomic_number,
+    generating_levels,
+    orbit_product,
+    twist_power,
+)
+from rayverify.units import (
     circular_unit_lattice,
     congruence_circular_lattice,
     congruence_exponent,
     congruence_unit_lattice,
-    cyclotomic_number,
     full_unit_lattice,
-    generating_levels,
     lattice_index,
-    orbit_product,
-    twist_power,
     unit_pair,
 )
 
@@ -379,14 +381,14 @@ def test_norms_of_the_deep_op_skip_newtons_identities(monkeypatch):
     def refuse(*args):
         raise AssertionError("the norm took Newton's identities")
 
-    monkeypatch.setattr(units, "_norm_cache", {})
-    monkeypatch.setattr(units, "_levels", {})
+    monkeypatch.setattr(circular, "_norm_cache", {})
+    monkeypatch.setattr(circular, "_levels", {})
     monkeypatch.setattr(cyclo, "power_sums_to_elementary", refuse)
     assert [_norm_one_minus_power(Q316, 316, t) for t in twists] == expected
 
 
 def _log2_bound_by_exact_power(n, t, ell, cosets):
-    """`units._log2_bound` with the exact bit length of (60 B^5)^|C|."""
+    """`circular._log2_bound` with the exact bit length of (60 B^5)^|C|."""
     N = ell * n
     B = 113 * N
     c4, c2, c0 = 355 * 120 * B**4, 355**3 * 20 * B**2, 355**5
@@ -415,33 +417,33 @@ def test_log2_bound_is_within_two_bits_above_the_exact_power(D, n, t, ell):
     # the cosets of ker(chi_D) in (Z/n)^*, as `orbit_product` builds them
     cosets = [[h for h in units_mod(n) if kronecker(D, h) == c] for c in (1, -1)]
     exact = _log2_bound_by_exact_power(n, t, ell, cosets)
-    assert exact <= units._log2_bound(n, t, ell, cosets) <= exact + 2
+    assert exact <= circular._log2_bound(n, t, ell, cosets) <= exact + 2
 
 
 def test_orbit_product_rejects_too_few_primes(monkeypatch):
     # u_D for D = 1801 has a coordinate of 105 bits: one prime below 2^81
     # lifts it wrongly
     field = QuadField(1801)
-    monkeypatch.setattr(units, "_levels", {})
-    monkeypatch.setattr(units, "_norm_cache", {})
+    monkeypatch.setattr(circular, "_levels", {})
+    monkeypatch.setattr(circular, "_norm_cache", {})
     u = _norm_one_minus_power(field, 1801, 1)
     assert max(abs(u.a), abs(u.b)).bit_length() == 105
-    assert len(units._levels[1801, 1801][1]) > 1
-    monkeypatch.setattr(units, "_log2_bound", lambda *args: 0)
+    assert len(circular._levels[1801, 1801][1]) > 1
+    monkeypatch.setattr(circular, "_log2_bound", lambda *args: 0)
     # F_1(Y) mod (Y^11 - 1), against the cached norm
     with pytest.raises(ArithmeticError, match="does not sum to the norm"):
         orbit_product(field, 1801, 1, 11)
-    monkeypatch.setattr(units, "_norm_cache", {})
-    monkeypatch.setattr(units, "_levels", {})  # and the u_1801 lifted above
+    monkeypatch.setattr(circular, "_norm_cache", {})
+    monkeypatch.setattr(circular, "_levels", {})  # and the u_1801 lifted above
     with pytest.raises(ArithmeticError, match="N\\(u_1801\\) is not Phi_1801\\(1\\)"):
         _norm_one_minus_power(field, 1801, 1)
 
 
 def test_orbit_product_rejects_a_symbol_that_is_not_a_character(monkeypatch):
     # its cosets are not those of a subgroup, so the product is not in k
-    monkeypatch.setattr(units, "_levels", {})
-    monkeypatch.setattr(units, "_norm_cache", {})
-    monkeypatch.setattr(units, "kronecker", lambda D, a: 1 if a % D in (1, 2) else -1)
+    monkeypatch.setattr(circular, "_levels", {})
+    monkeypatch.setattr(circular, "_norm_cache", {})
+    monkeypatch.setattr(circular, "kronecker", lambda D, a: 1 if a % D in (1, 2) else -1)
     with pytest.raises(ArithmeticError, match="is not Phi_5"):
         _norm_one_minus_power(Q5, 5, 1)
 
