@@ -4,10 +4,11 @@ of ``--mode thaine`` (`check_thaine`), the scaled p-adic logs of
 of ``--mode special`` (`check_special_units`).
 
 Thaine and solomon load the ray class layers and `units`, and thaine
-`special`.  Solomon takes log_p eps mod p^K as a truncated series on
-plain integers (`_unit_log`), so no mode loads `padics`, `grouprings` or
-`fractions`.  The special mode loads `cache`, and `quadratic`, `special`
-and `circular` only when its cache misses.
+`special`.  Solomon decides each record by one integer inequality between
+v_p(k log_p eps), read from `units.log_eps_valuation`, and the exponent of
+the rho-part, so no mode loads `padics`, `grouprings` or `fractions`.  The
+special mode loads `cache`, and `quadratic`, `special` and `circular` only
+when its cache misses.
 """
 
 import math
@@ -15,7 +16,7 @@ import time
 
 from .checks import FAIL, PASS, PRECISION_HEADROOM, REFUTES, CheckResult, _quad_setup, _rho_part
 from .harness import _check_modulus_limit, _check_odd_prime, build_report
-from .nt import is_prime, kronecker, primitive_root, sqrt_mod, valuation
+from .nt import is_prime, kronecker, primitive_root, valuation
 
 
 # --------------------------------------------------------------------------
@@ -146,51 +147,31 @@ def check_thaine(D, n_exp=3, modulus=1, count=3):
 # scaled p-adic logarithm annihilators
 
 
-def _unit_log(field, p, K):
-    """log_p eps mod p^K for a split odd p, in the embedding of k into Q_p
-    that sends sqrt(D) to the Hensel lift of the smaller square root s of D
-    mod p (`nt.sqrt_mod`), so omega to the lift of (T + s) / 2.
-
-    With x the image of eps, z = x^(p - 1) - 1 is divisible by p, and
-    log_p eps = log(1 + z) / (p - 1).  The term z^j / j of the series has
-    valuation at least j - floor(log_p j).  Take g = floor(log_p 2K): as
-    p^(g + 2) > 6K, that bound is at least K for every j > K + g, so the
-    first K + g terms are all that is nonzero mod p^K.  Each of them has
-    j <= 2K, so v_p(j) <= g, and dividing z^j by the p-part of j costs at
-    most the g guard digits: z is formed mod p^(K + g), and every term is
-    exact mod p^K.
-    """
-    g = 0
-    while p ** (g + 1) <= 2 * K:
-        g += 1
-    M = p ** (K + g)
-    eps = field.fundamental_unit()
-    r = (field.omega_trace + sqrt_mod(field.D, p)) * ((p + 1) // 2) % p
-    x = eps.a + eps.b * field.prime_root_lifted(p, r, K + g)
-    z = (pow(x, p - 1, M) - 1) % M
-    total, power = 0, 1
-    for j in range(1, K + g + 1):
-        power = power * z % M
-        pj = p ** valuation(j, p)
-        total += (-1) ** (j + 1) * (power // pj) * pow(j // pj, -1, M)
-    return total * pow(p - 1, -1, M) % p**K
-
-
 def check_solomon(D, p=3, prec=12, moduli=(1, 4)):
     """Check integrality and annihilation for scaled log elements.
 
-    p must be an odd prime that splits in the field.  For each ray modulus,
-    the circular unit delta = +-eps^k at that modulus is logged
-    coefficientwise into Z_p: theta = log delta + log(sigma delta) sigma,
-    and log(sigma delta) = -log delta, so both coefficients come from
-    L = k log_p eps mod p^K, K = prec + 8 (`_unit_log`, whose embedding
-    ``"hensel"`` names).  The claim is that both coefficients have
-    valuation at least one, and that theta / p annihilates the
-    non-trivial-character part of the Sylow p-component of the ray class
-    group.  Valuations are capped at K, and all arithmetic is on integers.
+    p must be an odd prime that splits in the field.  The circular unit of
+    each ray modulus is delta = (-1)^s eps^k (the first Hermite row of
+    `circular_unit_lattice`), and delta sigma(delta) = +-1, so
+    theta = log delta + log(sigma delta) sigma = L (1 - sigma) with
+    L = k log_p eps in Z_p.  The claims: its coefficients are integral,
+    v = v_p(L) >= 1, and theta / p kills e_rho M, the non-trivial-character
+    part of the Sylow p-part M of the ray class group.  sigma is -1 on
+    e_rho M, so theta / p acts there as 2L / p, and for odd p it kills an
+    exponent e = p^a iff v - 1 >= a.  v = v_p(k) + w, with w = v_p(log_p
+    eps) from `units.log_eps_valuation`, read to enough digits that its
+    cap never decides the inequality.
+
+    `coefficient_valuations` are [v, v] capped at K = prec + 8.  A passing
+    record with a rho-part has `scaled_coefficients_mod_exponent` [0, 0]
+    (L / p and -L / p mod e), a failing one both sides of the inequality,
+    `scaled_valuation` v - 1 and `rho_exponent` e.  ``"embedding":
+    "hensel"`` names the embedding of the test-side p-adic oracle only,
+    sqrt(D) lifted from the smaller square root of D mod p; it is kept so
+    that reports stay stable.
     """
     from .rayclass import RayClassGroup
-    from .units import circular_unit_lattice
+    from .units import circular_unit_lattice, log_eps_valuation
 
     if p == 2 or not is_prime(p):
         raise ValueError("p = %d: odd primes only" % p)
@@ -198,22 +179,21 @@ def check_solomon(D, p=3, prec=12, moduli=(1, 4)):
     if field.chi(p) != 1:
         raise ValueError("p=%d must split in the field" % p)
     K = prec + PRECISION_HEADROOM
-    pK = p**K
-    log_eps = _unit_log(field, p, K)
+    digits = K + 1
+    w = log_eps_valuation(field, p, digits)  # exact below `digits`
     results = []
     for modulus in moduli:
         t0 = time.perf_counter()
         lat = circular_unit_lattice(field, modulus)
         k, s = (int(lat[0][0]), int(lat[0][1]))
-        L = k * log_eps % pK
-        v = valuation(L, p) if L else K
+        v = valuation(k, p) + w
         witness = {
             "discriminant": D,
             "p": p,
             "modulus": modulus,
             "unit_exponent": k,
             "unit_sign": s,
-            "coefficient_valuations": [v, v],
+            "coefficient_valuations": [min(v, K)] * 2,
             "embedding": "hensel",
         }
         ok = v >= 1  # integral
@@ -225,15 +205,18 @@ def check_solomon(D, p=3, prec=12, moduli=(1, 4)):
             witness["ray_rho_order"] = r_order
             if rho is not None:
                 e = rho.exponent()
-                coeffs = [L // p % e, -L % pK // p % e]
-                annihilates, bad = rho.annihilated_by(coeffs)
-                witness["scaled_coefficients_mod_exponent"] = coeffs
-                witness["annihilates"] = annihilates
-                if not annihilates:
-                    witness["counterexample"] = bad
-                ok = annihilates
-            else:
-                witness["annihilates"] = True
+                a = valuation(e, p)
+                if digits < a + 2:  # a w at its cap could not decide v - 1 >= a
+                    digits = a + 2
+                    w = log_eps_valuation(field, p, digits)
+                    v = valuation(k, p) + w
+                ok = v - 1 >= a
+                if ok:
+                    witness["scaled_coefficients_mod_exponent"] = [0, 0]
+                else:
+                    witness["scaled_valuation"] = v - 1
+                    witness["rho_exponent"] = e
+            witness["annihilates"] = ok
         results.append(
             CheckResult(
                 name="scaled-log-annihilator D=%d p=%d mod=%d" % (D, p, modulus),

@@ -3,8 +3,9 @@
 
 ``verify sinnott`` decides its identity by unit exponents in k: its
 L-value is k_D log_p eps, read off the level-D cyclotomic number, and the
-valuation of log_p eps comes from one power of eps in O/(p^K), so no
-p-adic log is taken and no check builds the cyclotomic ring of degree
+valuation of log_p eps comes from one power of eps in O/(p^K)
+(`units.log_eps_valuation`, which the solomon annihilator reads too), so
+no p-adic log is taken and no check builds the cyclotomic ring of degree
 ord_D(p).  Besides `quadratic` and `nt`, it loads only `units` and
 `circular`.
 """
@@ -14,23 +15,12 @@ import time
 from .checks import FAIL, PASS, PRECISION_HEADROOM, CheckResult
 from .harness import _check_odd_prime, build_report
 from .nt import valuation
-from .quadratic import QuadField, _pair_pow
-from .units import dirichlet_exponent, unit_exponent
+from .quadratic import QuadField
+from .units import dirichlet_exponent, log_eps_valuation, unit_exponent
 
 
 # --------------------------------------------------------------------------
 # twisted logarithm identities
-
-
-def _unit_log_valuation(field, p, K):
-    """w = v_p(log_p eps), capped at K, for an odd unramified p: the least
-    v_p of the coordinates of eps^(p^2 - 1) - 1 in O/(p^K), as for odd p
-    v_p(log(1 + z)) = v_p(z) once p | z.  One power serves split and inert
-    p alike: p + 1 is a p-adic unit, and the two primes over a split p give
-    the same value, as eps sigma(eps) = +-1."""
-    eps, M = field.fundamental_unit(), p**K
-    x, y = _pair_pow((eps.a, eps.b), p * p - 1, M, -field.omega_trace, field.omega_norm)
-    return min(valuation(c, p) if c else K for c in ((x - 1) % M, y))
 
 
 def check_sinnott(D, p, prec=12, d_max=6):
@@ -51,7 +41,7 @@ def check_sinnott(D, p, prec=12, d_max=6):
     `difference_valuations` are those of the coefficients x/2 and -x/2 of
     x e_chi, as a p-adic route at prec + 8 digits would measure them:
     prec + 8 when a = r k_D, else min(v_p(a - r k_D) + w, prec + 8), with
-    w = v_p(log_p eps) (`_unit_log_valuation`).  The record passes when
+    w = v_p(log_p eps) (`units.log_eps_valuation`).  The record passes when
     they reach `prec`.  A delta / sigma delta that is not a unit fails,
     with no valuations.  ``embedding`` is kept so that reports stay stable:
     it names the embedding of the test-side p-adic oracle, sqrt(D) lifted
@@ -69,7 +59,7 @@ def check_sinnott(D, p, prec=12, d_max=6):
     split = field.chi(p) == 1
     top = prec + PRECISION_HEADROOM
     _, k_D = dirichlet_exponent(field)
-    w = _unit_log_valuation(field, p, top + 1)
+    w = log_eps_valuation(field, p, top + 1)
     results = []
     for d in range(1, d_max + 1):
         for n in generating_levels(field, d):

@@ -34,7 +34,8 @@ This module supplies the algebra every verification routine combines:
 
 No command loads this module.  `check_sinnott` decides its identity in
 integers and reads r off `units.unit_log_value` itself, and
-`check_solomon` takes log_p eps as a series on integers; the p-adic
+`check_solomon` compares the valuation of k log_p eps, from
+`units.log_eps_valuation`, with the exponent of the rho-part; the p-adic
 oracles of both checks in the tests call `galois_log_quad`, with the
 group {1, sigma} as a `quadratic.QuadGaloisGroup` (that function and
 `GroupRingElement` read only a group's `order`, `m` and `mult`).  No

@@ -29,14 +29,19 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_ERROR = 2
 
+#: the largest m of a ``--field m:a1,...``: its subgroup is listed, phi(m) / 2
+#: residues, so m = 1000033 took 0.27 s and 52 MB (2-vCPU VM, Python 3.11)
+FIELD_MODULUS_LIMIT = 10**6
+
 
 def resolve_discriminant(quad=None, field=None):
     """Fundamental discriminant from either a --quad or a --field argument.
 
     `quad` is a radicand or discriminant of a real quadratic field; `field`
     is an "m:a1,a2,..." description of the fixed field of the subgroup
-    generated by the a_i in (Z/m)^*.  Raises ValueError for arguments that
-    do not describe a real quadratic field.
+    generated by the a_i in (Z/m)^*, m at most `FIELD_MODULUS_LIMIT`.
+    Raises ValueError for arguments that do not describe a real quadratic
+    field, and for a larger m before any residue is listed.
     """
     from .nt import divisors, euler_phi, fundamental_discriminant, kronecker
     from .nt import squarefree_part, subgroup_generated
@@ -55,6 +60,11 @@ def resolve_discriminant(quad=None, field=None):
         for a in gens:
             if math.gcd(a, m) != 1:
                 raise ValueError("field %s: %d is not prime to %d" % (field, a, m))
+        if m > FIELD_MODULUS_LIMIT:
+            raise ValueError(
+                "field %s: the modulus m is above FIELD_MODULUS_LIMIT = %d; name "
+                "the field by --quad" % (field, FIELD_MODULUS_LIMIT)
+            )
         phi = euler_phi(m)
         # |H| divides phi(m), so past phi(m) / 2 elements H is all of (Z/m)^*
         H = subgroup_generated(m, gens, limit=phi // 2)

@@ -19,7 +19,7 @@ group `classgroup.ClassGroup` and the residue rings O/(M)
 `QuadField.class_group` and `QuadField.residue_ring` import them when
 first called, so a command that needs none of them (``verify h90``)
 compiles none of those modules.  The `_pair_*` helpers are the products
-mod n that `residues` and `checks_sinnott` share.  `__getattr__` still
+mod n that `residues` and `units` share.  `__getattr__` still
 resolves the moved names (`_MOVED`) here.  The module holds no float, and
 it imports `fractions` only in the code that builds a Fraction: the views
 `x`, `y`, `norm` and `omega_coords`, and non-int input.  Bad arguments
@@ -467,7 +467,6 @@ def _pair_inverse(u, n, s, t):
 #: names that moved to `classgroup`, `residues` and `units`, with their new home
 _MOVED = {
     "ClassGroup": "classgroup",
-    "MODULUS_LIMIT": "residues",
     "ResidueRing": "residues",
     "analytic_class_number": "units",
     "unit_exponent": "units",

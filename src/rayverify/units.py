@@ -6,7 +6,9 @@ and `unit_exponent` writes any unit as +-eps^k.  Dirichlet's formula
 gives the class number exactly as u_D / sigma(u_D) = +-eps^(+-2h)
 (`dirichlet_exponent`, `analytic_class_number`), u_D from `circular`.
 `unit_log_value` gives the integer r with log delta - log sigma delta =
-r L'_p(0, chi_D) for each cyclotomic number delta.
+r L'_p(0, chi_D) for each cyclotomic number delta, and
+`log_eps_valuation` the valuation of log_p eps that ``verify sinnott``
+and the solomon annihilator read, from one power of eps in O/(p^K).
 
 The lattices are in (exponent, sign) coordinates with respect to the
 fundamental unit and -1: the units congruent to 1 mod d
@@ -20,8 +22,8 @@ of their valuations (`circular_unit_lattice`), and their indices
 import math
 
 from . import _lazy_getattr, circular
-from .nt import divisors, euler_phi, factorize, kronecker, moebius, radical
-from .quadratic import QuadElement, QuadField
+from .nt import divisors, euler_phi, factorize, kronecker, moebius, radical, valuation
+from .quadratic import QuadElement, QuadField, _pair_pow
 
 
 def fundamental_unit(field):
@@ -102,6 +104,18 @@ def unit_exponent(field, u):
     if cur != 1:
         raise ArithmeticError("unit is not a power of the fundamental unit")
     return sign, -k if flip else k
+
+
+def log_eps_valuation(field, p, K):
+    """w = v_p(log_p eps), capped at K, for an odd unramified p: the least
+    v_p of the coordinates of eps^(p^2 - 1) - 1 in O/(p^K), as for odd p
+    v_p(log(1 + z)) = v_p(z) once p | z.  One power serves split and inert
+    p alike: p + 1 is a p-adic unit, and the two primes over a split p give
+    the same value, as eps sigma(eps) = +-1.  It is at least 1, since
+    p^2 - 1 kills (O/p)^*; a value below K is exact."""
+    eps, M = field.fundamental_unit(), p**K
+    x, y = _pair_pow((eps.a, eps.b), p * p - 1, M, -field.omega_trace, field.omega_norm)
+    return min(valuation(c, p) if c else K for c in ((x - 1) % M, y))
 
 
 def norm_log_value(D, n, level):

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -312,26 +313,36 @@ def test_solomon_matches_the_padic_oracle_on_a_grid_slice(monkeypatch):
      (8, 1000033, 48), (13, 10**12 + 39, 14)],
 )
 def test_unit_log_is_the_padic_log_at_the_hensel_root(D, p, K):
+    # the valuation the solomon and sinnott checks share is that of log_p eps
+    # at the Hensel root, and at the other root, where the log is -log eps
     field = QuadField(D)
     ring = padics.PadicRing(p, K)
     eps = field.fundamental_unit()
-    image = ring.embed_quadratic(eps.x, eps.y, ring.sqrt_disc(D, "hensel"))
-    log_eps = checks_annihilators._unit_log(field, p, K)
-    assert log_eps == ring.iwasawa_log(image).lift_int()
-    # at the other root the log is -log eps, which differs from it
-    assert log_eps != -log_eps % p**K
+    root = ring.sqrt_disc(D, "hensel")
+    logs = [ring.iwasawa_log(ring.embed_quadratic(eps.x, eps.y, r)).lift_int()
+            for r in (root, -root)]
+    assert (logs[0] + logs[1]) % p**K == 0
+    w = units.log_eps_valuation(field, p, K)
+    assert [valuation(x, p) if x else K for x in logs] == [w, w]
 
 
-def test_solomon_reads_both_digits_off_one_log(monkeypatch):
-    # a fake log eps = 1 gives L = k = 3 on Q(sqrt 79) at modulus 1, so
-    # theta / p = 1 - sigma, which acts on the rho-part (order 3) as 2
-    monkeypatch.setattr(checks_annihilators, "_unit_log", lambda field, p, K: 1)
+@pytest.mark.parametrize("w, status", [(0, "fail"), (1, "pass")])
+def test_solomon_decides_at_the_boundary_of_the_inequality(w, status, monkeypatch):
+    # Q(sqrt 79) at modulus 1: k = 3 and a rho-part of order 3, so a = 1 and
+    # v = 1 + w; a forced w = 0 gives v - 1 = a - 1, and w = 1 gives v - 1 = a
+    monkeypatch.setattr(units, "log_eps_valuation", lambda field, p, K: w)
     (r,) = check_solomon(316, 3, 12, (1,))
-    w = r.witness
-    assert (w["unit_exponent"], w["ray_rho_order"]) == (3, 3)
-    assert w["coefficient_valuations"] == [1, 1]
-    assert w["scaled_coefficients_mod_exponent"] == [1, 2]
-    assert r.status == "fail" and not w["annihilates"] and "counterexample" in w
+    wit = r.witness
+    assert (wit["unit_exponent"], wit["ray_rho_order"]) == (3, 3)
+    assert wit["coefficient_valuations"] == [1 + w, 1 + w]
+    assert r.status == status and wit["annihilates"] == (status == "pass")
+    if status == "pass":
+        assert wit["scaled_coefficients_mod_exponent"] == [0, 0]
+        assert "scaled_valuation" not in wit and "rho_exponent" not in wit
+    else:
+        assert (wit["scaled_valuation"], wit["rho_exponent"]) == (0, 3)
+        assert "scaled_coefficients_mod_exponent" not in wit
+    assert "counterexample" not in wit
 
 
 @pytest.mark.parametrize("D, p", [(5, 1000039), (8, 1000033), (13, 999983), (316, 999953)])
@@ -353,6 +364,42 @@ def test_solomon_caps_valuations_at_the_digits_it_carries(D, p, modulus, monkeyp
     rows = _as_solomon_rows(check_solomon(D, p, 3, (modulus,)))
     assert rows == oracle
     assert rows[0][2]["coefficient_valuations"] == [3, 3]
+
+
+def test_solomon_decides_with_the_exact_valuation_past_its_cap(monkeypatch):
+    # at one digit (K = 1) v = 1 + w = 3 on Q(sqrt 79) is reported as 1, and
+    # the capped value would give v - 1 = 0 < a = 1; the p-adic oracle at one
+    # digit reads theta / p = 0 and passes too
+    monkeypatch.setattr(checks_annihilators, "PRECISION_HEADROOM", 0)
+    rows = _as_solomon_rows(check_solomon(316, 3, 1, (1, 4)))
+    assert rows == _padic_solomon(316, 3, 1, (1, 4), headroom=0)
+    assert [w["coefficient_valuations"] for _, _, w in rows] == [[1, 1]] * 2
+    assert all(status == "pass" for _, status, _ in rows)
+
+
+@pytest.mark.parametrize("true_w, status", [(9, "pass"), (5, "pass"), (4, "fail")])
+def test_solomon_reads_w_to_the_digits_the_rho_exponent_needs(true_w, status, monkeypatch):
+    # a rho-part of exponent 3^5 on Q(sqrt 79) at K = 1 (v_3(k) = 1): w read
+    # at K + 1 = 2 digits gives v - 1 = 2, which cannot decide v - 1 >= 5,
+    # so w is read again at 7 digits
+    reads = []
+
+    def capped(field, p, digits):
+        reads.append(digits)
+        return min(true_w, digits)
+
+    def wide(module, p):
+        order, syl, rho = _rho_part(module, p)
+        return order, syl, SimpleNamespace(exponent=lambda: 3**5)
+
+    monkeypatch.setattr(checks_annihilators, "PRECISION_HEADROOM", 0)
+    monkeypatch.setattr(checks_annihilators, "_rho_part", wide)
+    monkeypatch.setattr(units, "log_eps_valuation", capped)
+    (r,) = check_solomon(316, 3, 1, (1,))
+    assert reads == [2, 7]
+    assert r.status == status and r.witness["coefficient_valuations"] == [1, 1]
+    if status == "fail":
+        assert (r.witness["scaled_valuation"], r.witness["rho_exponent"]) == (4, 243)
 
 
 def test_solomon_refuses_p_that_is_not_an_odd_prime():
@@ -574,40 +621,6 @@ def test_sinnott_valuations_do_not_depend_on_the_embedding(D, p, monkeypatch):
     assert [row[2] for row in flipped] == [row[2] for row in base]
     exact = check_sinnott(D, p, prec=12, d_max=6)
     assert [r.witness["difference_valuations"] for r in exact] == [row[2] for row in base]
-
-
-def _log_valuations_at_each_prime(field, p, K):
-    """v_P(eps^(q - 1) - 1), capped at K, at each prime P over the odd
-    unramified p: q = p at each (p, omega - r) of a split p, with omega sent
-    to r lifted mod p^K; q = p^2 at an inert (p), from the exact power in k."""
-    eps, M = field.fundamental_unit(), p**K
-    if field.chi(p) == 1:
-        images = [
-            pow(eps.a + eps.b * field.prime_root_lifted(p, r, K), p - 1, M) - 1
-            for r in field.prime_roots(p)
-        ]
-        return [min(valuation(z, p), K) if z % M else K for z in images]
-    z = eps ** (p * p - 1) - 1
-    return [min(min(valuation(c, p) if c else K for c in (z.a, z.b)), K)]
-
-
-def test_unit_log_valuation_takes_one_power_for_split_and_inert_p():
-    # w = v_p(log_p eps) from eps^(p^2 - 1) - 1 in O/(p^K); at a split p
-    # both primes give the same value, as eps sigma(eps) = +-1
-    discs = [fundamental_discriminant(r) for r in range(2, 300) if squarefree_part(r) == r]
-    seen = set()
-    for D in discs:
-        field = QuadField(D)
-        for p in (3, 5, 7, 11, 13):
-            if D % p == 0:
-                continue
-            for K in (1, 2, 5, 13):
-                w = checks_sinnott._unit_log_valuation(field, p, K)
-                at_each = _log_valuations_at_each_prime(field, p, K)
-                assert at_each == [w] * len(at_each), (D, p, K)
-                seen.add((len(at_each), w > 1))
-    # split and inert p, each with w = 1 and with w > 1
-    assert seen == {(1, False), (1, True), (2, False), (2, True)}
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import pytest
 from rayverify import __version__
 from rayverify.cli import main
 from rayverify.harness import COMMANDS, strip_timings
+from test_benchmark_targets import _targets
 
 
 def test_verify_rays_passes(capsys):
@@ -601,6 +602,15 @@ def test_lazy_names_are_the_objects_their_home_modules_define(name, table):
             assert value.__module__ == home_module.__name__, attr
     with pytest.raises(AttributeError):
         getattr(module, "no_such_name")
+
+
+@pytest.mark.parametrize("name, table", _LAZY_TABLES)
+def test_a_lazy_table_lists_only_traced_names(name, table):
+    # each key is a name `TARGETS` reads in that layer, or the class of one
+    # of its `Class.attr` entries, so the tables can only shrink
+    traced = {qual.partition(".")[0] for qual in _targets().get(name, ())}
+    homes = getattr(importlib.import_module("rayverify." + name), table)
+    assert sorted(set(homes) - traced) == []
 
 
 # ----------------------------------------------------------------------

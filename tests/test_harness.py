@@ -326,6 +326,24 @@ def test_field_matches_the_field_spec_route_on_a_seeded_grid():
     assert resolved > 300
 
 
+def test_field_stops_above_its_modulus_limit_before_any_residue(monkeypatch):
+    from rayverify import harness, nt
+
+    listed = []
+    listing = nt.subgroup_generated
+    monkeypatch.setattr(
+        nt, "subgroup_generated", lambda m, gens, limit: listed.append(m) or listing(m, gens, limit)
+    )
+    m = harness.FIELD_MODULUS_LIMIT
+    with pytest.raises(ValueError, match="above FIELD_MODULUS_LIMIT = %d" % m):
+        resolve_discriminant(field="%d:%d" % (m + 1, m))
+    assert listed == []
+    # at the limit the subgroup is listed: H = {+-1} has degree phi(m) / 2
+    with pytest.raises(ValueError, match="has degree 200000"):
+        resolve_discriminant(field="%d:%d" % (m, m - 1))
+    assert listed == [m]
+
+
 def test_h90_stops_above_its_ell_limit_before_any_work(monkeypatch):
     from rayverify import checks_special, harness
 
@@ -556,15 +574,20 @@ def test_p_prec_and_d_contracts():
          "--cache: verify annihilator --mode both does not read it"),
         # an empty mode used to run the default one
         (["verify", "annihilator", "--quad", "79", "--mode", ""], "--mode : the annihilator mode"),
-        # these raised d-th powers of cyclotomic numbers for over 60 s, and
-        # listed (Z/m)^* for 4.2 s and 400 MB, before their errors
+        # this raised d-th powers of cyclotomic numbers for over 60 s before
+        # its error
         (["verify", "annihilator", "--quad", "79", "--mode", "solomon", "--p", "3",
           "--modulus", "99991"], "too large"),
+        # moduli above the --field limit stop before any residue is listed:
+        # the first listed (Z/m)^* for 4.2 s and 400 MB before "has degree
+        # 5000009", the second for 0.8 s and 93 MB before "has degree 1", and
+        # the real quadratic field of the third took 0.27 s and 52 MB
         (["verify", "rays", "--field", "10000019:10000018", "--ell", "2", "--p", "3"],
-         "has degree 5000009"),
-        # listed all of (Z/m)^* for 0.8 s and 93 MB before its error
+         "above FIELD_MODULUS_LIMIT = 1000000"),
         (["verify", "rays", "--field", "1000003:2", "--ell", "2", "--p", "3"],
-         "has degree 1"),
+         "above FIELD_MODULUS_LIMIT = 1000000"),
+        (["verify", "rays", "--field", "1000033:25", "--ell", "2", "--p", "3"],
+         "above FIELD_MODULUS_LIMIT = 1000000"),
         # k(zeta_401) arithmetic took 17 s
         (["verify", "h90", "--quad", "5", "--ell", "401"], "above H90_ELL_LIMIT = 250"),
         # these said only "invalid literal for int()"

@@ -17,13 +17,13 @@ from rayverify.nt import (
     valuation,
 )
 from rayverify.quadratic import (
-    MODULUS_LIMIT,
     QuadElement,
     QuadField,
     QuadGaloisGroup,
     ResidueRing,
     _is_fundamental,
 )
+from rayverify.residues import MODULUS_LIMIT
 from rayverify.units import analytic_class_number, unit_exponent
 
 

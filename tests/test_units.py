@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rayverify import circular, cyclo
+from rayverify import circular, cyclo, units
 from rayverify.cyclo import (
     FieldSpec,
     power_sums_to_elementary,
@@ -16,7 +16,15 @@ from rayverify.cyclo import (
     units_mod,
 )
 from rayverify.intmat import hnf, kernel, transpose
-from rayverify.nt import divisors, factorize, kronecker, moebius, valuation
+from rayverify.nt import (
+    divisors,
+    factorize,
+    fundamental_discriminant,
+    kronecker,
+    moebius,
+    squarefree_part,
+    valuation,
+)
 from rayverify.quadratic import QuadElement, QuadField, _is_fundamental
 from rayverify.circular import (
     _norm_one_minus_power,
@@ -453,3 +461,37 @@ def test_lattice_index_rejects_a_non_sublattice():
         lattice_index(full_unit_lattice(), [[2, 0], [0, 1]])
     with pytest.raises(ValueError, match="degenerates"):
         _norm_one_minus_power(Q5, 5, 10)
+
+
+def _log_valuations_at_each_prime(field, p, K):
+    """v_P(eps^(q - 1) - 1), capped at K, at each prime P over the odd
+    unramified p: q = p at each (p, omega - r) of a split p, with omega sent
+    to r lifted mod p^K; q = p^2 at an inert (p), from the exact power in k."""
+    eps, M = field.fundamental_unit(), p**K
+    if field.chi(p) == 1:
+        images = [
+            pow(eps.a + eps.b * field.prime_root_lifted(p, r, K), p - 1, M) - 1
+            for r in field.prime_roots(p)
+        ]
+        return [min(valuation(z, p), K) if z % M else K for z in images]
+    z = eps ** (p * p - 1) - 1
+    return [min(min(valuation(c, p) if c else K for c in (z.a, z.b)), K)]
+
+
+def test_unit_log_valuation_takes_one_power_for_split_and_inert_p():
+    # w = v_p(log_p eps) from eps^(p^2 - 1) - 1 in O/(p^K); at a split p
+    # both primes give the same value, as eps sigma(eps) = +-1
+    discs = [fundamental_discriminant(r) for r in range(2, 300) if squarefree_part(r) == r]
+    seen = set()
+    for D in discs:
+        field = QuadField(D)
+        for p in (3, 5, 7, 11, 13):
+            if D % p == 0:
+                continue
+            for K in (1, 2, 5, 13):
+                w = units.log_eps_valuation(field, p, K)
+                at_each = _log_valuations_at_each_prime(field, p, K)
+                assert at_each == [w] * len(at_each), (D, p, K)
+                seen.add((len(at_each), w > 1))
+    # split and inert p, each with w = 1 and with w > 1
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}
